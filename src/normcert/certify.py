@@ -67,7 +67,9 @@ class NormFailure:
     """One failing instance of the double-coset criterion.
 
     ``checked`` lists every (representative, intersection subgroup id) that
-    was tried for the existential before giving up.
+    was tried for the existential before giving up: all of
+    :meth:`~normcert.groups.SubgroupLattice.mackey_cuts` for the pair at
+    ``subgroup``.
     """
 
     norm_source: int
@@ -119,60 +121,36 @@ def norm_support(
     kid, hid, jid = _sid(K), _sid(H), _sid(J)
     if not (L.leq(kid, hid) and L.leq(jid, hid)):
         raise NotNested("norm_support needs K <= H and J <= H")
-    parts = []
-    for block in L.double_coset_blocks(kid, jid, hid):
-        cut = L.intersect_ids(L.conj_id(kid, block[0]), jid)
-        parts.append(S.at_class(L.class_of[cut]))
+    parts = [S.at_class(L.class_of[cut]) for _, cut in L.mackey_cuts(kid, jid, hid)]
     return frozenset(parts[0]).intersection(*parts[1:])
 
 
-def _pair_obstructions(
-    vl: VanishingLocus, kid: int, hid: int, choose_rep=None
-) -> tuple[NormFailure, ...]:
+@lru_cache(maxsize=None)
+def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFailure, ...]:
     L = vl.lattice
     failures = []
     for q in vl.sorted_primes():
         for jid in L.classes[q.subgroup_class]:
             if not L.leq(jid, hid):
                 continue
-            checked = []
-            hit = False
-            for block in L.double_coset_blocks(kid, jid, hid):
-                r = block[0] if choose_rep is None else choose_rep(block)
-                cut = L.intersect_ids(L.conj_id(kid, r), jid)
-                checked.append((r, cut))
-                if vl.contains(L.class_of[cut], q.height, q.prime):
-                    hit = True
-                    break
-            if not hit:
-                failures.append(NormFailure(kid, hid, jid, q, tuple(checked)))
+            cuts = L.mackey_cuts(kid, jid, hid)
+            if not any(vl.contains(L.class_of[cut], q.height, q.prime) for _, cut in cuts):
+                failures.append(NormFailure(kid, hid, jid, q, cuts))
     return tuple(failures)
 
 
-@lru_cache(maxsize=None)
-def _pair_obstructions_cached(vl: VanishingLocus, kid: int, hid: int):
-    return _pair_obstructions(vl, kid, hid)
-
-
-def norm_preserves_locus(
-    VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int, choose_rep=None
-) -> Decision:
+def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:
     """Certify that the K-to-H norm maps the locus into itself."""
     kid, hid = _sid(K), _sid(H)
     if not VL.lattice.leq(kid, hid):
         raise NotNested(f"subgroup {kid} is not contained in {hid}")
     _require_valid(VL)
-    if choose_rep is None:
-        witnesses = _pair_obstructions_cached(VL, kid, hid)
-    else:
-        witnesses = _pair_obstructions(VL, kid, hid, choose_rep)
+    witnesses = _pair_obstructions(VL, kid, hid)
     verdict = Verdict.NO_GUARANTEE if witnesses else Verdict.CERTIFIED_PRESERVES
     return Decision(verdict, witnesses)
 
 
-def localization_preserves(
-    VL: VanishingLocus, R: TransferSystem, choose_rep=None
-) -> Decision:
+def localization_preserves(VL: VanishingLocus, R: TransferSystem) -> Decision:
     """Certify that localizing away the locus preserves algebras over R.
 
     Runs the norm criterion for every admissible pair of the transfer
@@ -184,10 +162,7 @@ def localization_preserves(
     _require_valid(VL)
     witnesses: list[NormFailure] = []
     for kid, hid in sorted(R.pairs):
-        if choose_rep is None:
-            witnesses.extend(_pair_obstructions_cached(VL, kid, hid))
-        else:
-            witnesses.extend(_pair_obstructions(VL, kid, hid, choose_rep))
+        witnesses.extend(_pair_obstructions(VL, kid, hid))
     verdict = Verdict.NO_GUARANTEE if witnesses else Verdict.CERTIFIED_PRESERVES
     return Decision(verdict, tuple(witnesses))
 

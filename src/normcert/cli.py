@@ -31,7 +31,7 @@ from .chromatic import (
     heights_to_locus,
     validate_vanishing_locus,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupError, build_group, subgroup_lattice
+from .groups import DEFAULT_MAX_ORDER, GroupError, GroupTooLarge, build_group, subgroup_lattice
 from .transfers import (
     DEFAULT_MAX_PAIRS,
     TransferError,
@@ -59,10 +59,12 @@ def _env_int(name: str, default: int) -> int:
         raise iomod.ParseError(f"environment variable {name} must be an integer") from None
 
 
+def _max_group_order() -> int:
+    return _env_int("NORMCERT_MAX_GROUP_ORDER", DEFAULT_MAX_ORDER)
+
+
 def _build_lattice(spec: str):
-    G = build_group(spec)
-    bound = _env_int("NORMCERT_MAX_GROUP_ORDER", DEFAULT_MAX_ORDER)
-    return subgroup_lattice(G, max_order=bound)
+    return subgroup_lattice(build_group(spec), max_order=_max_group_order())
 
 
 def _load_json(path: str) -> dict:
@@ -76,17 +78,17 @@ def _structured(doc) -> str:
 
 def _load_locus(args, L=None):
     """Resolve --locus / --ell to a lattice and a vanishing locus."""
-    if (args.locus is None) == (getattr(args, "ell", None) is None):
+    ell, spec = args.ell, args.locus
+    if (spec is None) == (ell is None):
         raise iomod.ParseError("exactly one of --locus and --ell is required")
-    if getattr(args, "ell", None) is not None:
-        v = iomod.parse_heights_inline(args.ell)
+    if spec is not None and spec.startswith("ell:"):
+        ell = spec[4:]
+    if ell is not None:
+        v = iomod.parse_heights_inline(ell)
         if L is None:
-            L = cyclic_power_lattice(v.p, v.n)
-        return L, heights_to_locus(v, L)
-    spec = args.locus
-    if spec.startswith("ell:"):
-        v = iomod.parse_heights_inline(spec[4:])
-        if L is None:
+            order, bound = v.p**v.n, _max_group_order()
+            if order > bound:
+                raise GroupTooLarge(f"|C{order}| = {order} exceeds bound {bound}")
             L = cyclic_power_lattice(v.p, v.n)
         return L, heights_to_locus(v, L)
     doc = _load_json(spec)

@@ -324,7 +324,7 @@ class SubgroupLattice:
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
     _conj_cache: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-    _dc_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = field(
+    _cuts_cache: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = field(
         default_factory=dict, repr=False
     )
 
@@ -390,12 +390,9 @@ class SubgroupLattice:
         """Partition of A into K\\A/H double cosets, each block sorted.
 
         Blocks are ordered by their minimal element, which is the canonical
-        representative.
+        representative.  Not cached; :meth:`mackey_cuts` caches what callers
+        need from it.
         """
-        key = (kid, hid, aid)
-        out = self._dc_cache.get(key)
-        if out is not None:
-            return out
         K, H, A = self.subgroups[kid], self.subgroups[hid], self.subgroups[aid]
         if K.mask & ~A.mask or H.mask & ~A.mask:
             raise NotSubgroupOfAmbient(
@@ -416,8 +413,24 @@ class SubgroupLattice:
                     block |= 1 << row[h]
             seen |= block
             blocks.append(_bits(block))
-        out = tuple(blocks)
-        self._dc_cache[key] = out
+        return tuple(blocks)
+
+    def mackey_cuts(self, kid: int, jid: int, hid: int) -> tuple[tuple[int, int], ...]:
+        """The Mackey decomposition of H/K restricted to J.
+
+        One ``(r, cut_id)`` per double coset KrJ of K\\H/J, in the block
+        order of :meth:`double_coset_blocks`: ``r`` is the least element of
+        the block and ``cut_id`` the lattice id of K^r n J.  Cached per
+        lattice.
+        """
+        key = (kid, jid, hid)
+        out = self._cuts_cache.get(key)
+        if out is None:
+            out = tuple(
+                (b[0], self.intersect_ids(self.conj_id(kid, b[0]), jid))
+                for b in self.double_coset_blocks(kid, jid, hid)
+            )
+            self._cuts_cache[key] = out
         return out
 
 
@@ -518,5 +531,4 @@ def double_cosets(
     L: SubgroupLattice, K: Subgroup, H: Subgroup, A: Subgroup
 ) -> tuple[int, ...]:
     """Canonical representatives of K\\A/H, in increasing order."""
-    blocks = L.double_coset_blocks(K.lattice_id, H.lattice_id, A.lattice_id)
-    return tuple(b[0] for b in blocks)
+    return tuple(r for r, _ in L.mackey_cuts(K.lattice_id, H.lattice_id, A.lattice_id))

@@ -124,13 +124,12 @@ def complete_system(L: SubgroupLattice) -> TransferSystem:
 
 
 def _restriction_consequences(L: SubgroupLattice, kid: int, hid: int) -> tuple[Pair, ...]:
-    out = set()
-    for jid in range(len(L)):
-        if not L.leq(jid, hid):
-            continue
-        for block in L.double_coset_blocks(kid, jid, hid):
-            cut = L.intersect_ids(L.conj_id(kid, block[0]), jid)
-            out.add((cut, jid))
+    out = {
+        (cut, jid)
+        for jid in range(len(L))
+        if L.leq(jid, hid)
+        for _, cut in L.mackey_cuts(kid, jid, hid)
+    }
     return tuple(sorted(out))
 
 
@@ -345,32 +344,21 @@ def _window(L: SubgroupLattice, base: int, size_bound: int) -> list[GSet]:
     return out
 
 
-def _product_orbit(L: SubgroupLattice, base: int, uid: int, vid: int) -> list[int]:
-    """Stabilizers of (base/U x base/V), one per double coset U\\base/V."""
-    out = []
-    for block in L.double_coset_blocks(uid, vid, base):
-        out.append(L.intersect_ids(L.conj_id(uid, block[0]), vid))
-    return out
-
-
 def product_gset(L: SubgroupLattice, S: GSet, T: GSet) -> GSet:
     if S.base != T.base:
         raise ValueError("product needs a common base subgroup")
-    orbits = []
-    for u in S.orbits:
-        for v in T.orbits:
-            orbits.extend(_product_orbit(L, S.base, u, v))
-    return GSet(S.base, tuple(orbits))
+    # base/U x base/V has one orbit per double coset U\base/V
+    orbits = tuple(
+        cut for u in S.orbits for v in T.orbits for _, cut in L.mackey_cuts(u, v, S.base)
+    )
+    return GSet(S.base, orbits)
 
 
 def restrict_gset(L: SubgroupLattice, T: GSet, jid: int) -> GSet:
     if not L.leq(jid, T.base):
         raise ValueError("can only restrict to a subgroup of the base")
-    orbits = []
-    for kid in T.orbits:
-        for block in L.double_coset_blocks(kid, jid, T.base):
-            orbits.append(L.intersect_ids(L.conj_id(kid, block[0]), jid))
-    return GSet(jid, tuple(orbits))
+    orbits = tuple(cut for kid in T.orbits for _, cut in L.mackey_cuts(kid, jid, T.base))
+    return GSet(jid, orbits)
 
 
 def induce_gset(L: SubgroupLattice, T: GSet, hid: int) -> GSet:

@@ -132,6 +132,28 @@ def brute_force_norm_preserves(vl: nc.VanishingLocus, kid: int, hid: int) -> boo
     return True
 
 
+def random_rep_norm_preserves(vl: nc.VanishingLocus, kid: int, hid: int, rng) -> bool:
+    """The preservation criterion with a random element of each double coset.
+
+    Same loop as the engine, but each block of K\\H/J is represented by
+    ``rng.choice(block)`` instead of its least element, so agreement with
+    the engine shows the verdict does not depend on the representative.
+    """
+    L = vl.lattice
+    ok = True
+    for q in vl.sorted_primes():
+        for jid in L.classes[q.subgroup_class]:
+            if not L.leq(jid, hid):
+                continue
+            for block in L.double_coset_blocks(kid, jid, hid):
+                cut = L.intersect_ids(L.conj_id(kid, rng.choice(block)), jid)
+                if vl.contains(L.class_of[cut], q.height, q.prime):
+                    break
+            else:
+                ok = False
+    return ok
+
+
 # -- randomized generators ---------------------------------------------------------
 
 

@@ -146,6 +146,32 @@ def test_bound_env_variables(capsys):
         ["transfer-enumerate", "--group", "dihedral:8"], NORMCERT_MAX_PAIRS="10"
     )
     assert code == 2 and "enumeration bound 10" in err
+    # inline height vectors build C_{p^n} under the same group-order bound
+    code, out, err = run_cli(
+        ["decide", "--operad", "complete", "--ell", "2,(0,0,0,0,0,0,0,0)"]
+    )
+    assert code == 2 and "exceeds bound 64" in err and not out
+    code, out, err = run_cli(
+        ["decide", "--operad", "complete", "--ell", "2,(0,0,0,0,0,0)"],
+        NORMCERT_MAX_GROUP_ORDER="8",
+    )
+    assert code == 2 and "exceeds bound 8" in err
+    code, out, err = run_cli(
+        ["spectrum-validate", "--locus", "ell:2,(0,0,0,0,0,0)"],
+        NORMCERT_MAX_GROUP_ORDER="8",
+    )
+    assert code == 2 and "exceeds bound 8" in err
+    code, out, err = run_cli(
+        ["decide", "--operad", "complete", "--ell", "2,(0,0,0,0)"],
+        NORMCERT_MAX_GROUP_ORDER="8",
+    )
+    assert code == 0 and "group: C8" in out
+    # cross-validate keeps its own bounds: C125 is accepted at p = 5
+    code, out, err = run_cli(
+        ["cross-validate", "--n", "3", "--prime", "5", "--height-bound", "0"],
+        NORMCERT_MAX_GROUP_ORDER="8",
+    )
+    assert code == 0 and "disagreements: 0" in out
 
 
 def test_out_writes_file(tmp_path):

@@ -133,10 +133,17 @@ def test_double_cosets_partition_and_orbit_stabilizer():
             elems = sorted(x for b in blocks for x in b)
             assert elems == list(L.subgroups[aid].members)
             K, H = L.subgroups[kid], L.subgroups[hid]
-            for b in blocks:
+            cuts = L.mackey_cuts(kid, hid, aid)
+            assert len(cuts) == len(blocks)
+            for b, cut in zip(blocks, cuts):
                 r = b[0]
                 stab = L.intersect_ids(L.conj_id(kid, r), hid)
                 assert len(b) == K.order * H.order // L.subgroups[stab].order
+                assert cut == (r, stab)
+                # any element of the block gives a cut H-conjugate to stab
+                conjugates = {L.conj_id(stab, y) for y in H.members}
+                for x in b:
+                    assert L.intersect_ids(L.conj_id(kid, x), hid) in conjugates
 
 
 def test_intersect_and_subconjugate():

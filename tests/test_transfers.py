@@ -79,7 +79,20 @@ def test_close_rejects_non_nested_seed():
 
 @pytest.mark.parametrize(
     "spec,count",
-    [("cyclic:2", 2), ("cyclic:3", 2), ("cyclic:4", 5), ("cyclic:9", 5), ("cyclic:1", 1)],
+    [
+        ("cyclic:2", 2),
+        ("cyclic:3", 2),
+        ("cyclic:4", 5),
+        ("cyclic:9", 5),
+        ("cyclic:1", 1),
+        # C_{p^n} has Catalan(n+1) transfer systems (Balchin-Barnes-Roitzheim)
+        ("cyclic:8", 14),
+        ("cyclic:16", 42),
+        ("cyclic:27", 14),
+        ("cyclic:25", 5),
+        ("cyclic:32", 132),
+        ("cyclic:64", 429),
+    ],
 )
 def test_enumeration_counts_on_chains(spec, count):
     assert len(enumeration(spec)) == count
