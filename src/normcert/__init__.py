@@ -34,6 +34,7 @@ from .chromatic import (
     LatticeMismatch,
     NotCyclicPGroupLattice,
     NotPLocal,
+    PrimeTooLarge,
     SupportData,
     VanishingLocus,
     balmer_prime,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import SubgroupLattice, cyclic, subgroup_lattice
+from .groups import DEFAULT_MAX_ORDER, GroupTooLarge, SubgroupLattice, cyclic, subgroup_lattice
 
 
 class ChromaticError(Exception):
@@ -58,14 +58,39 @@ def is_height(h) -> bool:
     return isinstance(h, int) and not isinstance(h, bool) and h >= 0
 
 
+class PrimeTooLarge(ChromaticError):
+    """A prime candidate lies beyond the range of the exact primality test."""
+
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def _is_prime(p) -> bool:
+    """Exact primality by deterministic Miller-Rabin; p >= MAX_PRIME raises."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MAX_PRIME:
+        raise PrimeTooLarge(f"{p} exceeds the largest supported prime bound {MAX_PRIME}")
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -302,9 +327,16 @@ def _chain_class(lattice: SubgroupLattice, p: int, i: int) -> int:
 def heights_to_locus(
     v: HeightVector, lattice: SubgroupLattice | None = None
 ) -> VanishingLocus:
-    """The locus with primes P(C_{p^i}, j, p) for all j <= entries[i]."""
+    """The locus with primes P(C_{p^i}, j, p) for all j <= entries[i].
+
+    Without a lattice, C_{p^n} is built (and cached) here, so p**n must not
+    exceed ``DEFAULT_MAX_ORDER``; pass a lattice to go beyond it.
+    """
     n = v.n
     if lattice is None:
+        order = v.p**n
+        if order > DEFAULT_MAX_ORDER:
+            raise GroupTooLarge(f"|C{order}| = {order} exceeds bound {DEFAULT_MAX_ORDER}")
         lattice = cyclic_power_lattice(v.p, n)
     else:
         pn = cyclic_p_power(lattice)

@@ -30,17 +30,15 @@ def transfer_poset_dot(L: SubgroupLattice, enum: TransferEnumeration) -> str:
     nodes = [
         f'"T{i}" [label="T{i} ({len(enum.systems[i].pairs)} pairs)"]' for i in range(n)
     ]
+    # systems are sorted by size, so the lowest index left above i after
+    # striking out what lies above the covers found so far is a cover
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not enum.leq[i][j]:
-                continue
-            if any(
-                m != i and m != j and enum.leq[i][m] and enum.leq[m][j]
-                for m in range(n)
-            ):
-                continue
+    for i, up in enumerate(enum.up):
+        rest = up & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
             edges.append((f'"T{i}"', f'"T{j}"'))
+            rest &= ~enum.up[j]
     return _graph("transfer_systems", nodes, sorted(edges))
 
 

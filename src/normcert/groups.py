@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
+from typing import Any
 
 
 class GroupError(Exception):
@@ -45,13 +46,12 @@ DEFAULT_MAX_ORDER = 64
 
 
 def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -327,6 +327,9 @@ class SubgroupLattice:
     _cuts_cache: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = field(
         default_factory=dict, repr=False
     )
+    # conjugation-orbit tables of transfer-system closure, built by
+    # ``transfers`` on the first closure over this lattice
+    _orbit_tables: Any = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)

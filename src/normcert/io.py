@@ -26,7 +26,7 @@ from .chromatic import (
     balmer_prime,
     vanishing_locus,
 )
-from .groups import FiniteGroup, SubgroupLattice
+from .groups import FiniteGroup, SubgroupLattice, _bits
 from .transfers import (
     TransferEnumeration,
     TransferSystem,
@@ -180,10 +180,7 @@ def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
             }
             for i, s in enumerate(enum.systems)
         ],
-        "containment": [
-            [j for j in range(len(enum.systems)) if enum.leq[i][j]]
-            for i in range(len(enum.systems))
-        ],
+        "containment": [list(_bits(up)) for up in enum.up],
     }
 
 

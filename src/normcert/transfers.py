@@ -14,14 +14,23 @@ These four rules are exactly what closure of the corresponding family of
 finite H-sets under subobjects, products, restriction and self-induction
 amounts to; ``indexing_closure_oracle`` checks that equivalence concretely
 on small H-sets and is kept independent of the relational code paths.
+
+Closure works on conjugation orbits of strict pairs, so conjugation never
+has to be applied pair by pair: a system is the reflexive pairs plus a set
+of orbits, held as an int bitmask.  One closure operator serves
+:func:`close_transfer_system` and :func:`enumerate_transfer_systems`.  Its
+tables (orbit ids, the restriction step of each orbit, the composites of
+two orbits) are filled lazily, kept on the lattice and reused by every
+later closure there, so a single closure does only the work it needs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .groups import Subgroup, SubgroupLattice
+from .groups import Subgroup, SubgroupLattice, _bits
 
 
 class TransferError(Exception):
@@ -133,12 +142,6 @@ def _restriction_consequences(L: SubgroupLattice, kid: int, hid: int) -> tuple[P
     return tuple(sorted(out))
 
 
-def _conjugation_orbit(L: SubgroupLattice, kid: int, hid: int) -> tuple[Pair, ...]:
-    return tuple(
-        sorted({(L.conj_id(kid, g), L.conj_id(hid, g)) for g in range(L.group.order)})
-    )
-
-
 def validate_transfer_system(R: TransferSystem) -> list[Violation]:
     """Every violated axiom instance; an empty list means the system is valid."""
     L = R.lattice
@@ -169,44 +172,140 @@ def validate_transfer_system(R: TransferSystem) -> list[Violation]:
     return out
 
 
+class _OrbitTables:
+    """Conjugation orbits of strict pairs and their one-step consequences.
+
+    One instance per lattice, kept on it and filled on demand, so a closure
+    pays only for the orbits it reaches and later closures reuse the work.
+    Orbit ids count orbits in order of discovery; ``members[a]`` lists the
+    pairs of orbit ``a`` in sorted order and ``members[a][0]`` is its
+    representative.  A set of orbits is an int with bit ``a`` for orbit
+    ``a``.  The tables are:
+
+    * ``orbit_of``: strict pair -> orbit id;
+    * ``step[a]``: the orbits of the restrictions of a's representative;
+    * ``comp[a][b]``: the orbits of (l, h) for the representative (l, k)
+      of ``a`` and every (k, h) in ``b``.
+
+    Conjugation is free on orbit masks, and conjugating a composite or a
+    restriction of one pair gives those of its conjugate, so representatives
+    suffice.  ``starts[c]`` and ``ends[c]`` mask the orbits whose bottom,
+    respectively top, subgroup lies in conjugacy class ``c``: only those can
+    compose with an orbit ending, respectively starting, in ``c``.
+    """
+
+    def __init__(self, L: SubgroupLattice):
+        self.lattice = L
+        self.orbit_of: dict[Pair, int] = {}
+        self.members: list[tuple[Pair, ...]] = []
+        self.step: list[int | None] = []
+        self.comp: list[dict[int, int]] = []
+        self.bottom_class: list[int] = []
+        self.top_class: list[int] = []
+        self.starts = [0] * len(L.classes)
+        self.ends = [0] * len(L.classes)
+
+    def orbit_id(self, kid: int, hid: int) -> int:
+        """Id of the orbit of the strict pair (kid, hid), registered on first sight."""
+        a = self.orbit_of.get((kid, hid))
+        if a is None:
+            L = self.lattice
+            orbit = tuple(sorted(
+                {(L.conj_id(kid, g), L.conj_id(hid, g)) for g in range(L.group.order)}
+            ))
+            a = len(self.members)
+            for p in orbit:
+                self.orbit_of[p] = a
+            self.members.append(orbit)
+            self.step.append(None)
+            self.comp.append({})
+            bottom, top = L.class_of[kid], L.class_of[hid]
+            self.bottom_class.append(bottom)
+            self.top_class.append(top)
+            self.starts[bottom] |= 1 << a
+            self.ends[top] |= 1 << a
+        return a
+
+    def _step(self, a: int) -> int:
+        out = self.step[a]
+        if out is None:
+            out = 0
+            for cut, jid in _restriction_consequences(self.lattice, *self.members[a][0]):
+                if cut != jid:
+                    out |= 1 << self.orbit_id(cut, jid)
+            self.step[a] = out
+        return out
+
+    def _compose(self, a: int, b: int) -> int:
+        row = self.comp[a]
+        out = row.get(b)
+        if out is None:
+            lid, kid = self.members[a][0]
+            out = 0
+            for k2, hid in self.members[b]:
+                if k2 == kid:
+                    out |= 1 << self.orbit_id(lid, hid)
+            row[b] = out
+        return out
+
+    def close(self, seed: int) -> int:
+        """The least closed orbit set containing ``seed``.
+
+        Each orbit joins once; on joining it adds its restriction step and
+        its composites with every orbit already present, on either side.
+        """
+        closed, todo = 0, seed
+        starts, ends = self.starts, self.ends
+        while todo:
+            low = todo & -todo
+            a = low.bit_length() - 1
+            closed |= low
+            new = self._step(a)
+            right = closed & starts[self.top_class[a]]
+            while right:
+                bit = right & -right
+                right ^= bit
+                new |= self._compose(a, bit.bit_length() - 1)
+            left = closed & ends[self.bottom_class[a]]
+            while left:
+                bit = left & -left
+                left ^= bit
+                new |= self._compose(bit.bit_length() - 1, a)
+            todo = (todo | new) & ~closed
+        return closed
+
+    def pairs(self, mask: int) -> frozenset[Pair]:
+        """The reflexive pairs plus every pair of the orbits in ``mask``."""
+        out = set(reflexive_pairs(self.lattice))
+        for a in _bits(mask):
+            out.update(self.members[a])
+        return frozenset(out)
+
+
+def _orbit_tables(L: SubgroupLattice) -> _OrbitTables:
+    tables = L._orbit_tables
+    if tables is None:
+        tables = L._orbit_tables = _OrbitTables(L)
+    return tables
+
+
 def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
     """Smallest transfer system containing the seed pairs.
 
-    Worklist fixed point: each new pair is pushed once and its conjugation,
-    restriction and transitivity consequences are added until nothing new
-    appears.  Uniqueness of the result follows from the axioms being closed
-    under intersection.
+    The seed is mapped to a bitmask of conjugation orbits of strict pairs
+    and closed under restriction and composition there (see
+    :class:`_OrbitTables`); the lattice keeps the orbit tables, so repeated
+    closures on one lattice share them.  Uniqueness of the result follows
+    from the axioms being closed under intersection.
     """
-    pairs: set[Pair] = set()
-    stack: list[Pair] = []
-
-    def add(p: Pair):
-        if p not in pairs:
-            pairs.add(p)
-            stack.append(p)
-
-    for p in reflexive_pairs(L):
-        add(p)
+    tables = _orbit_tables(L)
+    mask = 0
     for kid, hid in seed:
         if not L.leq(kid, hid):
             raise ValueError(f"seed pair ({kid}, {hid}) is not nested")
-        add((kid, hid))
-
-    lower: dict[int, set[int]] = {}
-    upper: dict[int, set[int]] = {}
-    while stack:
-        kid, hid = stack.pop()
-        for q in _conjugation_orbit(L, kid, hid):
-            add(q)
-        for q in _restriction_consequences(L, kid, hid):
-            add(q)
-        for lid in lower.get(kid, ()):
-            add((lid, hid))
-        for uid in upper.get(hid, ()):
-            add((kid, uid))
-        lower.setdefault(hid, set()).add(kid)
-        upper.setdefault(kid, set()).add(hid)
-    return TransferSystem(L, frozenset(pairs))
+        if kid != hid:
+            mask |= 1 << tables.orbit_id(kid, hid)
+    return TransferSystem(L, tables.pairs(tables.close(mask)))
 
 
 def is_admissible(R: TransferSystem, T: GSet) -> bool:
@@ -222,13 +321,23 @@ def is_admissible(R: TransferSystem, T: GSet) -> bool:
 
 @dataclass(frozen=True)
 class TransferEnumeration:
-    """All transfer systems on a lattice plus their containment order."""
+    """All transfer systems on a lattice plus their containment order.
+
+    ``up[i]`` has bit ``j`` set when ``systems[i]`` is contained in
+    ``systems[j]`` (bit ``i`` included); ``leq`` is the same order as a
+    matrix of booleans, built on first use.
+    """
 
     systems: tuple[TransferSystem, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.systems)
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        n = len(self.systems)
+        return tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in self.up)
 
     def bottom(self) -> TransferSystem:
         return self.systems[0]
@@ -242,58 +351,56 @@ def enumerate_transfer_systems(
 ) -> TransferEnumeration:
     """Every transfer system on L, sorted by size then pair list.
 
-    The scan runs Ganter's next-closure over conjugation orbits of the
-    strictly nested pairs, using :func:`close_transfer_system` as the
-    closure operator, so each system is produced exactly once.
+    The scan runs Ganter's next-closure over int bitmasks of conjugation
+    orbits of the strictly nested pairs, with the lattice's memoized orbit
+    closure (the one behind :func:`close_transfer_system`) as the closure
+    operator, so each system is produced exactly once.  Containment is
+    read off the masks: system i lies below system j exactly when j
+    contains every orbit of i.
     """
     strict = candidate_pairs(L)
     if len(strict) > max_pairs:
         raise LatticeTooLarge(
             f"{len(strict)} candidate pairs exceed the enumeration bound {max_pairs}"
         )
-    orbit_of: dict[Pair, int] = {}
-    orbits: list[tuple[Pair, ...]] = []
-    for p in sorted(strict):
-        if p in orbit_of:
-            continue
-        orb = _conjugation_orbit(L, *p)
-        for q in orb:
-            orbit_of[q] = len(orbits)
-        orbits.append(orb)
-    m = len(orbits)
-    refl = reflexive_pairs(L)
-
-    def close_idx(idxs: frozenset[int]) -> frozenset[int]:
-        seed = [p for i in idxs for p in orbits[i]]
-        closed = close_transfer_system(L, seed)
-        return frozenset(orbit_of[p] for p in closed.pairs if p[0] != p[1])
+    tables = _orbit_tables(L)
+    for p in strict:
+        tables.orbit_id(*p)
+    m = len(tables.members)
+    close = tables.close
 
     found = []
-    current = close_idx(frozenset())
+    current = close(0)
     while current is not None:
         found.append(current)
         nxt = None
         for i in range(m - 1, -1, -1):
-            if i in current:
-                current = current - {i}
+            bit = 1 << i
+            if current & bit:
+                current ^= bit
                 continue
-            cand = close_idx(current | {i})
-            if all(j in current for j in cand if j < i):
+            cand = close(current | bit)
+            if cand & ~current & (bit - 1) == 0:
                 nxt = cand
                 break
         current = nxt
 
-    systems = []
-    for idxs in found:
-        pairs = set(refl)
-        for i in idxs:
-            pairs.update(orbits[i])
-        systems.append(TransferSystem(L, frozenset(pairs)))
-    systems.sort(key=lambda s: (len(s.pairs), s.sorted_pairs()))
-    leq = tuple(
-        tuple(a.pairs <= b.pairs for b in systems) for a in systems
+    ranked = sorted(
+        ((TransferSystem(L, tables.pairs(mask)), mask) for mask in found),
+        key=lambda sm: (len(sm[0].pairs), sm[0].sorted_pairs()),
     )
-    return TransferEnumeration(tuple(systems), leq)
+    # holders[a]: the systems that contain orbit a
+    holders = [0] * m
+    for j, (_, mask) in enumerate(ranked):
+        for a in _bits(mask):
+            holders[a] |= 1 << j
+    up = []
+    for _, mask in ranked:
+        above = (1 << len(ranked)) - 1
+        for a in _bits(mask):
+            above &= holders[a]
+        up.append(above)
+    return TransferEnumeration(tuple(s for s, _ in ranked), tuple(up))
 
 
 # -- set-level oracle ----------------------------------------------------------

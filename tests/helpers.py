@@ -13,7 +13,7 @@ import re
 from functools import cache
 
 import normcert as nc
-from normcert.transfers import candidate_pairs, reflexive_pairs
+from normcert.transfers import _restriction_consequences, candidate_pairs, reflexive_pairs
 
 CORPUS_SPECS = (
     "cyclic:4",
@@ -100,6 +100,45 @@ def brute_force_transfer_systems(L: nc.SubgroupLattice) -> list[frozenset]:
             out.append(pairs)
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
+
+
+def worklist_closure(L: nc.SubgroupLattice, seed) -> frozenset:
+    """Smallest transfer system containing the seed, pair by pair.
+
+    The reference for the orbit-mask closure: each new pair is pushed once
+    and its conjugates, its restrictions and its composites with the pairs
+    seen so far are added until nothing new appears.
+    """
+    pairs: set = set()
+    stack: list = []
+
+    def add(p):
+        if p not in pairs:
+            pairs.add(p)
+            stack.append(p)
+
+    for p in reflexive_pairs(L):
+        add(p)
+    for kid, hid in seed:
+        if not L.leq(kid, hid):
+            raise ValueError(f"seed pair ({kid}, {hid}) is not nested")
+        add((kid, hid))
+
+    lower: dict = {}
+    upper: dict = {}
+    while stack:
+        kid, hid = stack.pop()
+        for g in range(L.group.order):
+            add((L.conj_id(kid, g), L.conj_id(hid, g)))
+        for q in _restriction_consequences(L, kid, hid):
+            add(q)
+        for lid in lower.get(kid, ()):
+            add((lid, hid))
+        for uid in upper.get(hid, ()):
+            add((kid, uid))
+        lower.setdefault(hid, set()).add(kid)
+        upper.setdefault(kid, set()).add(hid)
+    return frozenset(pairs)
 
 
 def brute_force_norm_support(S: nc.SupportData, kid: int, hid: int, jid: int):

@@ -151,6 +151,38 @@ def test_height_vector_construction_guards():
         HeightVector(2, (-2,))
 
 
+def test_is_prime_matches_trial_division():
+    from normcert.chromatic import MAX_PRIME, _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if _is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)
+    ]
+    # strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(10**18 + 3) and _is_prime(2**61 - 1)
+    assert not _is_prime((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(nc.PrimeTooLarge):
+        _is_prime(MAX_PRIME)
+    with pytest.raises(nc.PrimeTooLarge):
+        HeightVector(10**29 + 1, (0,))
+
+
+def test_heights_to_locus_without_lattice_is_bounded():
+    # C256 would be built behind the caller's back; a given lattice is used as is
+    with pytest.raises(nc.GroupTooLarge):
+        nc.heights_to_locus(HeightVector(2, (0,) * 9))
+    with pytest.raises(nc.GroupTooLarge):
+        nc.heights_to_locus(HeightVector(5, (0, 0, 0, 0)))
+    assert len(nc.heights_to_locus(HeightVector(2, (0,) * 7)).primes) == 7
+    vl = nc.heights_to_locus(HeightVector(5, (0, 0, 0, 0)), nc.cyclic_power_lattice(5, 3))
+    assert len(vl.primes) == 4
+
+
 def test_support_of_pushforward_is_constant():
     for spec in CORPUS_SPECS:
         L = lattice(spec)

@@ -8,7 +8,7 @@ import pytest
 from normcert.cli import main
 
 
-def run_cli(args, **env_extra):
+def run_cli(args, timeout=None, **env_extra):
     """Run the CLI in a subprocess, returning (exit code, stdout, stderr)."""
     env = dict(os.environ, **env_extra)
     proc = subprocess.run(
@@ -16,6 +16,7 @@ def run_cli(args, **env_extra):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -172,6 +173,22 @@ def test_bound_env_variables(capsys):
         NORMCERT_MAX_GROUP_ORDER="8",
     )
     assert code == 0 and "disagreements: 0" in out
+
+
+def test_large_inline_prime_returns_promptly():
+    # 10**18 + 3 is prime: trial division would run for minutes
+    code, out, err = run_cli(
+        ["decide", "--operad", "trivial", "--ell", "1000000000000000003,(0)"], timeout=5
+    )
+    assert code == 0 and "verdict: CertifiedPreserves" in out
+
+
+def test_prime_beyond_exact_test_is_an_input_error():
+    code, out, err = run_cli(
+        ["decide", "--operad", "trivial", "--ell", "100000000000000000000000000007,(0)"],
+        timeout=5,
+    )
+    assert code == 2 and "exceeds the largest supported prime" in err and not out
 
 
 def test_out_writes_file(tmp_path):

@@ -1,5 +1,10 @@
+import re
+
+import pytest
+
 import normcert as nc
 from normcert import dot as dotmod
+from normcert import io as iomod
 from helpers import check_dot_syntax, enumeration, lattice
 
 
@@ -26,6 +31,29 @@ def test_transfer_poset_cp2():
     # covering edges only: bottom covers two systems, not the top directly
     assert '"T0" -> "T1";' in out
     assert '"T0" -> "T4";' not in out
+
+
+@pytest.mark.parametrize("spec", ["dihedral:8", "cyclic:2*cyclic:4", "quaternion:8"])
+def test_transfer_poset_edges_are_covers(spec):
+    # covers by definition: S < T with no system strictly between them
+    L = lattice(spec)
+    enum = enumeration(spec)
+    sets = [s.pairs for s in enum.systems]
+    n = len(sets)
+    above = [{j for j in range(n) if sets[i] <= sets[j]} for i in range(n)]
+    below = [{i for i in range(n) if sets[i] <= sets[j]} for j in range(n)]
+    covers = {
+        (i, j)
+        for i in range(n)
+        for j in above[i]
+        if i != j and not (above[i] & below[j]) - {i, j}
+    }
+    out = dotmod.transfer_poset_dot(L, enum)
+    check_dot_syntax(out)
+    edges = {tuple(map(int, e)) for e in re.findall(r'"T(\d+)" -> "T(\d+)"', out)}
+    assert edges == covers
+    doc = iomod.enumeration_doc(L, enum)
+    assert doc["containment"] == [sorted(a) for a in above]
 
 
 def test_prime_poset_c2():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,11 @@ from helpers import (
     enumeration,
     independent_transfer_valid,
     lattice,
+    worklist_closure,
+)
+
+BRUTE_FORCE_SPECS = (
+    "cyclic:2", "cyclic:4", "cyclic:8", "cyclic:27", "symmetric:3", "cyclic:6", "quaternion:8",
 )
 
 
@@ -72,9 +78,49 @@ def test_close_reflection_seed_on_s3():
 
 
 def test_close_rejects_non_nested_seed():
-    L = lattice("symmetric:3")
-    with pytest.raises(ValueError):
-        nc.close_transfer_system(L, [(5, 0)])
+    # a fresh lattice has no orbit tables yet; the second round runs warm
+    L = nc.subgroup_lattice(nc.build_group("symmetric:3"))
+    assert L._orbit_tables is None
+    for _ in range(2):
+        # (5, 0) reverses S3 > e; (1, 4) puts a reflection under C3
+        for seed in ([(5, 0)], [(1, 4)], [(1, 5), (1, 4)], [(0, 0), (2, 4)]):
+            with pytest.raises(ValueError):
+                nc.close_transfer_system(L, seed)
+        closed = nc.close_transfer_system(L, [(1, 5)])
+        assert L._orbit_tables is not None
+        assert closed.pairs == worklist_closure(L, [(1, 5)])
+
+
+@pytest.mark.parametrize("spec", BRUTE_FORCE_SPECS)
+def test_closure_is_least_brute_force_system(spec):
+    # every seed of at most two candidate pairs closes to the least valid
+    # pair set containing it
+    L = lattice(spec)
+    systems = brute_force_transfer_systems(L)
+    strict = candidate_pairs(L)
+    seeds = [()] + [(p,) for p in strict] + list(itertools.combinations(strict, 2))
+    for seed in seeds:
+        above = [P for P in systems if set(seed) <= P]
+        least = min(above, key=len)
+        assert all(least <= P for P in above)
+        assert nc.close_transfer_system(L, seed).pairs == least
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("symmetric:4", "dihedral:16*cyclic:2", "dihedral:64")),
+    st.data(),
+)
+def test_closure_properties_on_large_lattices(spec, data):
+    L = lattice(spec)
+    strict = candidate_pairs(L)
+    seed = data.draw(st.lists(st.sampled_from(strict), max_size=3))
+    more = data.draw(st.lists(st.sampled_from(strict), max_size=2))
+    closed = nc.close_transfer_system(L, seed).pairs
+    assert set(seed) | reflexive_pairs(L) <= closed
+    assert nc.close_transfer_system(L, closed).pairs == closed
+    assert closed <= nc.close_transfer_system(L, seed + more).pairs
+    assert closed == worklist_closure(L, seed)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +162,7 @@ def test_enumeration_cp2_exact_shape():
     assert [s.pairs for s in enumeration("cyclic:4").systems] == expected
 
 
-@pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:4", "cyclic:8", "cyclic:27", "symmetric:3", "cyclic:6", "quaternion:8"])
+@pytest.mark.parametrize("spec", BRUTE_FORCE_SPECS)
 def test_enumeration_matches_brute_force(spec):
     got = [s.pairs for s in enumeration(spec).systems]
     assert got == brute_force_transfer_systems(lattice(spec))
