@@ -16,6 +16,7 @@ from .certify import (
     InvalidHeightVector,
     InvalidLocus,
     NormFailure,
+    NotAPrime,
     NotNested,
     Verdict,
     commutative_condition_holds,

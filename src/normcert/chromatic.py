@@ -23,7 +23,7 @@ encoding, with ``None`` as the "nothing vanishes here" sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .groups import DEFAULT_MAX_ORDER, GroupTooLarge, SubgroupLattice, cyclic, subgroup_lattice
@@ -141,6 +141,15 @@ class VanishingLocus:
 
     lattice: SubgroupLattice
     primes: frozenset[BalmerPrime]
+    # membership index built at construction: the (class, height, prime) of
+    # every prime, the classes holding an INFINITY prime, the concrete primes
+    _keys: frozenset = field(init=False, repr=False, compare=False)
+    _inf_classes: frozenset = field(init=False, repr=False, compare=False)
+    _concrete: frozenset = field(init=False, repr=False, compare=False)
+    _sorted: tuple = field(init=False, repr=False, compare=False)
+    # results of the norm criterion on this locus, filled by ``certify``
+    # under the keys "violations" and (kid, hid); they die with the locus
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inf_slots = {
@@ -154,25 +163,36 @@ class VanishingLocus:
             or (q.height == 0 and q.subgroup_class not in inf_classes)
             or (q.height != 0 and (q.subgroup_class, q.prime) not in inf_slots)
         )
-        object.__setattr__(self, "primes", kept)
+        setattr_ = object.__setattr__
+        setattr_(self, "primes", kept)
+        setattr_(self, "_keys", frozenset((q.subgroup_class, q.height, q.prime) for q in kept))
+        setattr_(self, "_inf_classes", frozenset(inf_classes))
+        setattr_(self, "_concrete", frozenset(q.prime for q in kept if q.prime != ANY_PRIME))
+        setattr_(self, "_sorted", tuple(sorted(kept, key=BalmerPrime.sort_key)))
 
     def contains(self, subgroup_class: int, height: Height, prime) -> bool:
-        if height == INFINITY:
-            return BalmerPrime(subgroup_class, INFINITY, prime) in self.primes
-        if balmer_prime(subgroup_class, height, prime) in self.primes:
-            return True
+        """Whether P(class, height, prime) lies in the locus.
+
+        An INFINITY prime at (class, prime) contains every height there, and
+        at height 0 the prime is ignored.  A bad height, or a bad prime at a
+        positive height, raises the ValueError of :class:`BalmerPrime`.
+        """
+        keys = self._keys
         if height == 0:
-            return any(
-                q.height == INFINITY and q.subgroup_class == subgroup_class
-                for q in self.primes
-            )
-        return BalmerPrime(subgroup_class, INFINITY, prime) in self.primes
+            return (subgroup_class, 0, ANY_PRIME) in keys or subgroup_class in self._inf_classes
+        if not is_height(height) or not (
+            type(prime) is int and prime in self._concrete or _is_prime(prime)
+        ):
+            BalmerPrime(subgroup_class, height, prime)  # raises its ValueError
+        return (subgroup_class, height, prime) in keys or (
+            subgroup_class, INFINITY, prime
+        ) in keys
 
     def concrete_primes(self) -> tuple[int, ...]:
-        return tuple(sorted({q.prime for q in self.primes if q.prime != ANY_PRIME}))
+        return tuple(sorted(self._concrete))
 
     def sorted_primes(self) -> tuple[BalmerPrime, ...]:
-        return tuple(sorted(self.primes, key=BalmerPrime.sort_key))
+        return self._sorted
 
     def segment_top(self, subgroup_class: int, prime: int) -> Entry:
         """Maximal height present at (class, prime); None when empty."""
@@ -219,9 +239,13 @@ def uniform_locus(lattice: SubgroupLattice, tops: dict[int, Height]) -> Vanishin
 
 
 def cyclic_p_power(lattice: SubgroupLattice) -> tuple[int, int] | None:
-    """(p, n) when the underlying group is cyclic of order p**n with n >= 1."""
-    G = lattice.group
-    order = G.order
+    """(p, n) when the underlying group is cyclic of order p**n with n >= 1.
+
+    A group of order p**n has a subgroup of every order p**i, and a finite
+    group with at most one subgroup of each order is cyclic, so the group is
+    cyclic exactly when its lattice has n + 1 subgroups.
+    """
+    order = lattice.group.order
     if order == 1:
         return None
     p = min(d for d in range(2, order + 1) if order % d == 0)
@@ -229,9 +253,7 @@ def cyclic_p_power(lattice: SubgroupLattice) -> tuple[int, int] | None:
     while rest % p == 0:
         rest //= p
         n += 1
-    if rest != 1:
-        return None
-    if max(G.element_order(a) for a in range(order)) != order:
+    if rest != 1 or len(lattice) != n + 1:
         return None
     return p, n
 
@@ -247,7 +269,7 @@ def validate_vanishing_locus(VL: VanishingLocus) -> list:
     from .transfers import Violation  # shared record shape
 
     out = []
-    for q in sorted(VL.primes, key=BalmerPrime.sort_key):
+    for q in VL.sorted_primes():
         if q.subgroup_class >= len(VL.lattice.classes):
             out.append(Violation("unknown-class", (q,)))
             continue

@@ -6,9 +6,10 @@ canonical names, so output is deterministic byte for byte.
 
 from __future__ import annotations
 
-from .chromatic import ANY_PRIME
+from .certify import MAX_ENUM_HEIGHT, NotAPrime
+from .chromatic import ANY_PRIME, _is_prime
 from .groups import SubgroupLattice
-from .transfers import TransferEnumeration
+from .transfers import BoundTooLarge, TransferEnumeration
 
 
 def _graph(name: str, nodes, edges) -> str:
@@ -44,6 +45,12 @@ def transfer_poset_dot(L: SubgroupLattice, enum: TransferEnumeration) -> str:
 
 def prime_poset_dot(L: SubgroupLattice, p: int, height_bound: int) -> str:
     """Primes P(H, m, p) for m <= height_bound, with height-inclusion edges."""
+    if not _is_prime(p):
+        raise NotAPrime(f"{p!r} is not a prime")
+    if not 0 <= height_bound <= MAX_ENUM_HEIGHT:
+        raise BoundTooLarge(
+            f"prime posets support 0 <= height_bound <= {MAX_ENUM_HEIGHT}, got {height_bound}"
+        )
 
     def node(c: int, m: int) -> str:
         rep = L.names[L.classes[c][0]]

@@ -76,13 +76,6 @@ class FiniteGroup:
         t = self.table
         return t[t[self.inverse[g]][a]][g]
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     def conj_mask(self, mask: int, g: int) -> int:
         out = 0
         for x in _bits(mask):

@@ -9,6 +9,7 @@ and norm supports are recomputed over every element of H.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import cache
 
@@ -191,6 +192,88 @@ def random_rep_norm_preserves(vl: nc.VanishingLocus, kid: int, hid: int, rng) ->
             else:
                 ok = False
     return ok
+
+
+def element_order(G: nc.FiniteGroup, a: int) -> int:
+    k, x = 1, a
+    while x != G.identity:
+        x = G.mul(x, a)
+        k += 1
+    return k
+
+
+def element_order_cyclic_p_power(L: nc.SubgroupLattice):
+    """(p, n) when the group has order p**n, n >= 1, and an element of that order."""
+    G = L.group
+    if G.order == 1:
+        return None
+    p = min(d for d in range(2, G.order + 1) if G.order % d == 0)
+    n = 0
+    while p ** (n + 1) <= G.order and G.order % p ** (n + 1) == 0:
+        n += 1
+    if p**n != G.order or max(element_order(G, a) for a in range(G.order)) != G.order:
+        return None
+    return p, n
+
+
+def contains_by_definition(vl: nc.VanishingLocus, c: int, height, prime) -> bool:
+    """Locus membership read off the set of Balmer primes itself."""
+    if height == nc.INFINITY:
+        return nc.BalmerPrime(c, nc.INFINITY, prime) in vl.primes
+    if nc.balmer_prime(c, height, prime) in vl.primes:
+        return True
+    if height == 0:
+        return any(q.height == nc.INFINITY and q.subgroup_class == c for q in vl.primes)
+    return nc.BalmerPrime(c, nc.INFINITY, prime) in vl.primes
+
+
+# -- height-vector scans -------------------------------------------------------------
+
+
+def _height_domain(height_bound: int, include_infinity: bool) -> list:
+    return [None, *range(height_bound + 1)] + ([nc.INFINITY] if include_infinity else [])
+
+
+def _rank(e):
+    return -1 if e is None else e
+
+
+@cache
+def brute_force_commutative_heights(n: int, height_bound: int, include_infinity: bool) -> tuple:
+    """Entry tuples of every vector passing both inequality forms, in product order.
+
+    Scans every vector over None, 0..height_bound (and INFINITY) and keeps
+    those with rank(r[i+1]) <= rank(r[i]) <= rank(r[i+1]) + 1.
+    """
+    domain = _height_domain(height_bound, include_infinity)
+    return tuple(
+        e
+        for e in itertools.product(domain, repeat=n + 1)
+        if all(_rank(e[i + 1]) <= _rank(e[i]) <= _rank(e[i + 1]) + 1 for i in range(n))
+    )
+
+
+def brute_force_valid_heights(n: int, height_bound: int) -> tuple:
+    """Entry tuples of every valid vector a cross-validation sweep covers, in product order."""
+    domain = _height_domain(height_bound, True)
+    return tuple(
+        e
+        for e in itertools.product(domain, repeat=n + 1)
+        if all(_rank(e[i]) <= _rank(e[i + 1]) + 1 for i in range(n))
+    )
+
+
+def commutative_count(n: int, height_bound: int, include_infinity: bool) -> int:
+    """Closed form: a top entry t, then at most t + 1 down-steps among n.
+
+    The top ranges over None (rank -1) and 0..height_bound, so the all-None
+    vector counts even for a negative bound.
+    """
+    return sum(
+        math.comb(n, k)
+        for top in range(-1, max(height_bound, -1) + 1)
+        for k in range(min(n, top + 1) + 1)
+    ) + int(include_infinity)
 
 
 # -- randomized generators ---------------------------------------------------------

@@ -1,15 +1,21 @@
+import gc
 import itertools
 import random
+import time
+import weakref
 
 import pytest
 
 import normcert as nc
 from normcert import INFINITY, HeightVector, Verdict
-from normcert.certify import _pair_obstructions
+from normcert.certify import _pair_obstructions, _walk
 from helpers import (
     CORPUS_SPECS,
+    brute_force_commutative_heights,
     brute_force_norm_preserves,
     brute_force_norm_support,
+    brute_force_valid_heights,
+    commutative_count,
     enumeration,
     lattice,
     random_pair,
@@ -159,6 +165,93 @@ def test_enumerate_commutative_heights_examples():
         nc.enumerate_commutative_heights(7, 3)
     with pytest.raises(nc.BoundTooLarge):
         nc.enumerate_commutative_heights(1, 11)
+
+
+@pytest.mark.parametrize("include_infinity", [False, True])
+def test_enumerate_commutative_heights_matches_brute_force(include_infinity):
+    for n in range(6):
+        for hb in range(-2, 7):
+            want = list(brute_force_commutative_heights(n, hb, include_infinity))
+            assert len(want) == commutative_count(n, hb, include_infinity)
+            for p in (2, 3):
+                got = nc.enumerate_commutative_heights(n, hb, include_infinity, p)
+                assert [v.entries for v in got] == want
+                assert all(v.p == p for v in got)
+
+
+def test_enumerate_commutative_heights_at_the_documented_bound():
+    start = time.perf_counter()
+    got = nc.enumerate_commutative_heights(6, 10, include_infinity=True)
+    elapsed = time.perf_counter() - start
+    assert len(got) == commutative_count(6, 10, True) == 577
+    ranks = [tuple(-1 if e is None else e for e in v.entries) for v in got]
+    assert ranks == sorted(set(ranks))
+    assert got[0].entries == (None,) * 7 and got[-1].entries == (INFINITY,) * 7
+    assert elapsed < 1.0
+
+
+def test_enumerate_commutative_heights_small_bounds():
+    # the all-None vector is there even below height 0
+    for hb in (-2, -1):
+        assert [v.entries for v in nc.enumerate_commutative_heights(2, hb)] == [(None,) * 3]
+        got = nc.enumerate_commutative_heights(2, hb, include_infinity=True)
+        assert [v.entries for v in got] == [(None,) * 3, (INFINITY,) * 3]
+
+
+def test_walk_is_the_filtered_product_in_order():
+    def valid(a, b):
+        return (-1 if a is None else a) <= (-1 if b is None else b) + 1
+
+    def commutative(a, b):
+        ra, rb = (-1 if a is None else a), (-1 if b is None else b)
+        return rb <= ra <= rb + 1
+
+    for follows in (valid, commutative):
+        for hb in (-1, 0, 2):
+            domain = [None, *range(hb + 1), INFINITY]
+            for length in range(1, 5):
+                want = [
+                    e
+                    for e in itertools.product(domain, repeat=length)
+                    if all(follows(e[i], e[i + 1]) for i in range(length - 1))
+                ]
+                assert list(_walk(length, domain, follows)) == want
+
+
+def test_chain_arguments_are_checked_up_front():
+    with pytest.raises(nc.IndexOutOfRange):
+        nc.enumerate_commutative_heights(-1, 3)
+    with pytest.raises(nc.NotAPrime):
+        nc.enumerate_commutative_heights(2, 2, p=4)
+    with pytest.raises(nc.IndexOutOfRange):
+        nc.cross_validate_cyclic(-1, 2, 2)
+    with pytest.raises(nc.NotAPrime):
+        nc.cross_validate_cyclic(2, 4, 2)
+    # the group order is bounded before the lattice is built
+    for n, p in ((1, 1009), (2, 31), (3, 11)):
+        with pytest.raises(nc.BoundTooLarge):
+            nc.cross_validate_cyclic(n, p, 0)
+
+
+def test_cross_validation_counts_match_brute_force_sweep():
+    for n in range(4):
+        for hb in range(-2, 6):
+            vectors = len(brute_force_valid_heights(n, hb))
+            report = nc.cross_validate_cyclic(n, 2, hb)
+            assert report.ok, report.disagreements
+            assert report.vectors_checked == report.operad_comparisons == vectors
+            assert report.norm_comparisons == vectors * (n + 1) * (n + 2) // 2
+
+
+def test_criterion_memos_die_with_the_lattice():
+    L = nc.subgroup_lattice(nc.cyclic(8))
+    vl = nc.heights_to_locus(HeightVector(2, (0, 1, 1, 0)), L)
+    assert not nc.localization_preserves(vl, nc.complete_system(L)).certified
+    assert nc.norm_preserves_locus(vl, 1, 2).certified
+    ref = weakref.ref(L)
+    del L, vl
+    gc.collect()
+    assert ref() is None
 
 
 def test_cross_validation_small():

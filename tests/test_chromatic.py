@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 
 import normcert as nc
 from normcert import ANY_PRIME, INFINITY, BalmerPrime, HeightVector
-from normcert.chromatic import cyclic_p_power
-from helpers import CORPUS_SPECS, lattice, random_support_data, random_valid_locus
+from normcert.chromatic import MAX_PRIME, cyclic_p_power
+from helpers import (
+    CORPUS_SPECS,
+    contains_by_definition,
+    element_order_cyclic_p_power,
+    lattice,
+    random_support_data,
+    random_valid_locus,
+)
 
 
 def test_balmer_prime_markers():
@@ -253,3 +260,56 @@ def test_uniform_locus_validity_and_shape():
         for c in range(len(L.classes)):
             assert vl.segment_top(c, 2) == 2
             assert vl.segment_top(c, 3) == INFINITY
+
+
+def test_cyclic_p_power_matches_element_orders():
+    specs = CORPUS_SPECS + (
+        "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:5", "cyclic:16", "cyclic:25",
+        "cyclic:27", "cyclic:32", "cyclic:64", "cyclic:2*cyclic:2", "cyclic:2*cyclic:4",
+        "dihedral:64", "dihedral:16*cyclic:2", "symmetric:4",
+    )
+    seen = set()
+    for spec in specs:
+        L = lattice(spec)
+        pn = cyclic_p_power(L)
+        assert pn == element_order_cyclic_p_power(L), spec
+        seen.add(pn is not None)
+    assert seen == {True, False}
+
+
+def _outcome(contains, *query):
+    try:
+        return contains(*query)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    except nc.PrimeTooLarge:
+        return "PrimeTooLarge"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(("cyclic:4", "cyclic:8", "symmetric:3", "dihedral:8")),
+    st.lists(
+        st.tuples(
+            st.integers(0, 6), st.sampled_from((0, 1, 2, 3, INFINITY)), st.sampled_from((2, 3, 5))
+        ),
+        max_size=14,
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.sampled_from((0, 1, 2, 3, 4, INFINITY, False, True, -1, 1.0, 2.5)),
+            st.sampled_from((2, 3, 5, 7, ANY_PRIME, 4, 1, 0, True, 3.0, MAX_PRIME)),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_contains_matches_the_prime_set(spec, raw, queries):
+    # arbitrary prime sets: not downward closed, INFINITY primes mixed in,
+    # classes beyond the lattice's; queries include bad heights and primes
+    L = lattice(spec)
+    vl = nc.vanishing_locus(L, [nc.balmer_prime(c, h, p) for c, h, p in raw])
+    for query in queries:
+        assert _outcome(vl.contains, *query) == _outcome(contains_by_definition, vl, *query)
+    assert vl.sorted_primes() == tuple(sorted(vl.primes, key=BalmerPrime.sort_key))

@@ -175,6 +175,37 @@ def test_bound_env_variables(capsys):
     assert code == 0 and "disagreements: 0" in out
 
 
+def test_chain_arguments_are_input_errors(capsys):
+    assert main(["ell-enumerate", "--n", "-1", "--height-bound", "3"]) == 2
+    assert main(["ell-enumerate", "--n", "2", "--height-bound", "2", "--prime", "4"]) == 2
+    assert main(["cross-validate", "--n", "2", "--height-bound", "2", "--prime", "4"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "need n >= 0" in captured.err and captured.err.count("4 is not a prime") == 2
+
+
+def test_cross_validate_group_order_bound():
+    # C1009 and C961 ran past 30 s before the order bound
+    for n, p in (("1", "1009"), ("2", "31")):
+        code, out, err = run_cli(
+            ["cross-validate", "--n", n, "--prime", p, "--height-bound", "0"], timeout=5
+        )
+        assert code == 2 and "p^n <= 343" in err and not out
+
+
+def test_dot_prime_poset_input_checked(capsys):
+    base = ["dot", "--group", "cyclic:2", "--what", "prime-poset"]
+    assert main(base + ["--prime", "4", "--height-bound", "1"]) == 2
+    assert main(base + ["--height-bound", "-1"]) == 2
+    assert main(base + ["--height-bound", "11"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "4 is not a prime" in captured.err
+    assert main(base + ["--prime", "3", "--height-bound", "10"]) == 0
+    assert '"P(C2#0,10,3)";' in capsys.readouterr().out
+    code, out, err = run_cli(base + ["--height-bound", "100000000"], timeout=5)
+    assert code == 2 and "height_bound" in err and not out
+
+
 def test_large_inline_prime_returns_promptly():
     # 10**18 + 3 is prime: trial division would run for minutes
     code, out, err = run_cli(
