@@ -238,7 +238,6 @@ def _rank(e):
     return -1 if e is None else e
 
 
-@cache
 def brute_force_commutative_heights(n: int, height_bound: int, include_infinity: bool) -> tuple:
     """Entry tuples of every vector passing both inequality forms, in product order.
 

@@ -188,6 +188,7 @@ def test_enumerate_commutative_heights_at_the_documented_bound():
     assert ranks == sorted(set(ranks))
     assert got[0].entries == (None,) * 7 and got[-1].entries == (INFINITY,) * 7
     assert elapsed < 1.0
+    assert len(nc.enumerate_commutative_heights(6, 10)) == commutative_count(6, 10, False)
 
 
 def test_enumerate_commutative_heights_small_bounds():
