@@ -191,14 +191,6 @@ def test_enumerate_commutative_heights_at_the_documented_bound():
     assert len(nc.enumerate_commutative_heights(6, 10)) == commutative_count(6, 10, False)
 
 
-def test_enumerate_commutative_heights_small_bounds():
-    # the all-None vector is there even below height 0
-    for hb in (-2, -1):
-        assert [v.entries for v in nc.enumerate_commutative_heights(2, hb)] == [(None,) * 3]
-        got = nc.enumerate_commutative_heights(2, hb, include_infinity=True)
-        assert [v.entries for v in got] == [(None,) * 3, (INFINITY,) * 3]
-
-
 def test_walk_is_the_filtered_product_in_order():
     def valid(a, b):
         return (-1 if a is None else a) <= (-1 if b is None else b) + 1
