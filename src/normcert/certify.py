@@ -26,6 +26,8 @@ from .chromatic import (
     HeightVector,
     LatticeMismatch,
     VanishingLocus,
+    _closed_step,
+    _commutative_step,
     _entry_rank,
     _is_prime,
     cyclic_power_lattice,
@@ -191,8 +193,7 @@ def commutative_condition_holds(v: HeightVector) -> bool:
     """Inequality form of the full commutative-ring certificate on C_{p^n}."""
     if not validate_height_vector(v):
         raise InvalidHeightVector(f"{v.entries} violates the closure inequalities")
-    r = [_entry_rank(e) for e in v.entries]
-    return all(r[i + 1] <= r[i] <= r[i + 1] + 1 for i in range(len(r) - 1))
+    return all(map(_commutative_step, v.entries, v.entries[1:]))
 
 
 MAX_ENUM_LENGTH = 6
@@ -250,11 +251,8 @@ def enumerate_commutative_heights(
     domain: list[Entry] = [None] + list(range(height_bound + 1))
     if include_infinity:
         domain.append(INFINITY)
-
-    def follows(a: Entry, b: Entry) -> bool:
-        return _entry_rank(b) <= _entry_rank(a) <= _entry_rank(b) + 1
-
-    return tuple(HeightVector(p, entries) for entries in _walk(n + 1, domain, follows))
+    walk = _walk(n + 1, domain, _commutative_step)
+    return tuple(HeightVector(p, entries) for entries in walk)
 
 
 MAX_XVAL_LENGTH = 3
@@ -312,7 +310,7 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
     domain: list[Entry] = [None] + list(range(height_bound + 1)) + [INFINITY]
     vectors = norms = operads = 0
     disagreements = []
-    for entries in _walk(n + 1, domain, lambda a, b: _entry_rank(a) <= _entry_rank(b) + 1):
+    for entries in _walk(n + 1, domain, _closed_step):
         v = HeightVector(p, entries)
         vectors += 1
         vl = heights_to_locus(v, lattice)

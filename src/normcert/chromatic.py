@@ -286,7 +286,7 @@ def validate_vanishing_locus(VL: VanishingLocus) -> list:
         if p in VL.concrete_primes() or any(q.prime == ANY_PRIME for q in VL.primes):
             tops = _chain_tops(VL, p)
             for i in range(n):
-                if _entry_rank(tops[i]) > _entry_rank(tops[i + 1]) + 1:
+                if not _closed_step(tops[i], tops[i + 1]):
                     out.append(Violation("chain-inequality", (p, i, tops[i], tops[i + 1])))
     return out
 
@@ -326,24 +326,25 @@ def _entry_rank(e: Entry) -> float:
     return -1 if e is None else e
 
 
+def _closed_step(a: Entry, b: Entry) -> bool:
+    """Adjacent entries of a valid vector: a is at most one above b."""
+    return _entry_rank(a) <= _entry_rank(b) + 1
+
+
+def _commutative_step(a: Entry, b: Entry) -> bool:
+    """Adjacent entries of a commutativity-certifying vector: a is b or one above."""
+    return _entry_rank(b) <= _entry_rank(a) <= _entry_rank(b) + 1
+
+
 def validate_height_vector(v: HeightVector) -> bool:
     """The necessary closure condition: each entry at most one above the next."""
-    r = [_entry_rank(e) for e in v.entries]
-    return all(r[i] <= r[i + 1] + 1 for i in range(len(r) - 1))
+    return all(map(_closed_step, v.entries, v.entries[1:]))
 
 
 @lru_cache(maxsize=None)
 def cyclic_power_lattice(p: int, n: int) -> SubgroupLattice:
     """The (cached) subgroup lattice of the cyclic group of order p**n."""
     return subgroup_lattice(cyclic(p**n), max_order=max(64, p**n))
-
-
-def _chain_class(lattice: SubgroupLattice, p: int, i: int) -> int:
-    want = p**i
-    for sid, s in enumerate(lattice.subgroups):
-        if s.order == want:
-            return lattice.class_of[sid]
-    raise NotCyclicPGroupLattice(f"no subgroup of order {want}")
 
 
 def heights_to_locus(
@@ -369,11 +370,12 @@ def heights_to_locus(
             raise NotCyclicPGroupLattice(
                 f"lattice of {lattice.group.name} does not match p={v.p}, n={n}"
             )
+    # on C_{p^n} lattice id i is the subgroup of order p**i
     primes = []
     for i, e in enumerate(v.entries):
         if e is None:
             continue
-        c = _chain_class(lattice, v.p, i)
+        c = lattice.class_of[i]
         if e == INFINITY:
             primes.append(BalmerPrime(c, INFINITY, v.p))
         else:
@@ -388,9 +390,7 @@ def _chain_tops(VL: VanishingLocus, p: int) -> list[Entry]:
         raise NotCyclicPGroupLattice(
             f"{VL.lattice.group.name} is not a cyclic p-group"
         )
-    return [
-        VL.segment_top(_chain_class(VL.lattice, p, i), p) for i in range(n + 1)
-    ]
+    return [VL.segment_top(VL.lattice.class_of[i], p) for i in range(n + 1)]
 
 
 def locus_to_heights(VL: VanishingLocus, p: int | None = None) -> HeightVector:

@@ -64,7 +64,8 @@ def _max_group_order() -> int:
 
 
 def _build_lattice(spec: str):
-    return subgroup_lattice(build_group(spec), max_order=_max_group_order())
+    bound = _max_group_order()
+    return subgroup_lattice(build_group(spec, max_order=bound), max_order=bound)
 
 
 def _load_json(path: str) -> dict:
@@ -94,7 +95,7 @@ def _load_locus(args, L=None):
     doc = _load_json(spec)
     if L is None:
         raise iomod.ParseError("--group is required with a locus document")
-    if doc.get("kind") == "height-vector":
+    if isinstance(doc, dict) and doc.get("kind") == "height-vector":
         v = iomod.parse_heights(doc)
         return L, heights_to_locus(v, L)
     return L, iomod.parse_locus(L, doc)

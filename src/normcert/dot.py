@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .certify import MAX_ENUM_HEIGHT, NotAPrime
 from .chromatic import ANY_PRIME, _is_prime
-from .groups import SubgroupLattice
+from .groups import SubgroupLattice, hasse_covers
 from .transfers import BoundTooLarge, TransferEnumeration
 
 
@@ -31,15 +31,8 @@ def transfer_poset_dot(L: SubgroupLattice, enum: TransferEnumeration) -> str:
     nodes = [
         f'"T{i}" [label="T{i} ({len(enum.systems[i].pairs)} pairs)"]' for i in range(n)
     ]
-    # systems are sorted by size, so the lowest index left above i after
-    # striking out what lies above the covers found so far is a cover
-    edges = []
-    for i, up in enumerate(enum.up):
-        rest = up & ~(1 << i)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            edges.append((f'"T{i}"', f'"T{j}"'))
-            rest &= ~enum.up[j]
+    # systems are sorted by size, so their indices extend containment
+    edges = [(f'"T{i}"', f'"T{j}"') for i, j in hasse_covers(enum.up)]
     return _graph("transfer_systems", nodes, sorted(edges))
 
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 
@@ -234,43 +237,57 @@ def from_table(rows, name: str = "G") -> FiniteGroup:
     return _validated_group(name, rows)
 
 
-def from_table_csv(path: str, name: str | None = None) -> FiniteGroup:
+def _read_table_csv(path: str) -> tuple[list[list[int]], str]:
+    """The rows of a CSV multiplication table and the name its file gives."""
     with open(path, newline="") as fh:
         rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    if name is None:
-        base = path.replace("\\", "/").rsplit("/", 1)[-1]
-        name = base.rsplit(".", 1)[0] or "G"
-    return from_table(rows, name)
+    base = path.replace("\\", "/").rsplit("/", 1)[-1]
+    return rows, base.rsplit(".", 1)[0] or "G"
 
 
-def build_group(spec: str) -> FiniteGroup:
+def from_table_csv(path: str, name: str | None = None) -> FiniteGroup:
+    rows, default = _read_table_csv(path)
+    return from_table(rows, default if name is None else name)
+
+
+def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:
     """Build a group from a spec string.
 
     Grammar: ``atom ('*' atom)*`` with atoms ``cyclic:N``, ``dihedral:N``
     (N the order), ``symmetric:N`` (N <= 5), ``quaternion:8`` and
-    ``table:PATH`` (CSV of element indices, row i column j = i*j).
+    ``table:PATH`` (CSV of element indices, row i column j = i*j).  Given
+    ``max_order``, a factor or product of larger order raises GroupTooLarge
+    before any table is built; a ``table:`` factor counts its CSV rows.
     """
     parts = [p.strip() for p in spec.split("*")]
     if any(not p for p in parts):
         raise UnsupportedSpec(f"malformed group spec {spec!r}")
-    groups = [_atom(p) for p in parts]
+    atoms = [_atom(p) for p in parts]
+    if max_order is not None:
+        order = math.prod(n for n, _ in atoms)
+        if order > max_order or any(n > max_order for n, _ in atoms):
+            raise GroupTooLarge(f"|{spec}| = {order} exceeds bound {max_order}")
+    groups = [build() for _, build in atoms]
     return groups[0] if len(groups) == 1 else direct_product(*groups)
 
 
-def _atom(s: str) -> FiniteGroup:
+def _atom(s: str) -> tuple[int, Callable[[], FiniteGroup]]:
+    """One factor of a spec as (its order, its constructor); nothing is built."""
     kind, sep, arg = s.partition(":")
-    if kind == "cyclic" and sep:
-        return cyclic(_int_arg(s, arg))
-    if kind == "dihedral" and sep:
-        return dihedral(_int_arg(s, arg))
+    if kind in ("cyclic", "dihedral") and sep:
+        n = _int_arg(s, arg)
+        return n, partial(cyclic if kind == "cyclic" else dihedral, n)
     if kind == "symmetric" and sep:
-        return symmetric(_int_arg(s, arg))
+        n = _int_arg(s, arg)
+        # symmetric() rejects a degree outside 1..5 itself
+        return (math.factorial(n) if 1 <= n <= 5 else n), partial(symmetric, n)
     if kind == "quaternion":
         if arg not in ("", "8"):
             raise UnsupportedSpec(f"only quaternion:8 is supported, got {s!r}")
-        return quaternion()
+        return 8, quaternion
     if kind == "table" and sep:
-        return from_table_csv(arg)
+        rows, name = _read_table_csv(arg)
+        return len(rows), partial(from_table, rows, name)
     raise UnsupportedSpec(f"unrecognised group spec {s!r}")
 
 
@@ -305,7 +322,9 @@ class SubgroupLattice:
     """The complete poset of subgroups of a finite group.
 
     Subgroups are sorted by (order, member tuple); the position in
-    ``subgroups`` is the stable lattice id.  Conjugacy classes are sorted by
+    ``subgroups`` is the stable lattice id.  ``conj[sid][g]`` is the id of
+    the conjugate of subgroup ``sid`` by element ``g``, so the conjugacy
+    class of ``sid`` is the set of its row.  Conjugacy classes are sorted by
     their smallest member id, which is also the chosen class representative.
     """
 
@@ -313,10 +332,10 @@ class SubgroupLattice:
     subgroups: tuple[Subgroup, ...]
     names: tuple[str, ...]
     class_of: tuple[int, ...]
+    conj: tuple[tuple[int, ...], ...] = field(repr=False)
     classes: tuple[tuple[int, ...], ...]
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
-    _conj_cache: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _cuts_cache: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = field(
         default_factory=dict, repr=False
     )
@@ -348,12 +367,7 @@ class SubgroupLattice:
         return self.subgroups[kid].mask & ~self.subgroups[hid].mask == 0
 
     def conj_id(self, sid: int, g: int) -> int:
-        key = (sid, g)
-        out = self._conj_cache.get(key)
-        if out is None:
-            out = self._id_of_mask[self.group.conj_mask(self.subgroups[sid].mask, g)]
-            self._conj_cache[key] = out
-        return out
+        return self.conj[sid][g]
 
     def intersect_ids(self, aid: int, bid: int) -> int:
         return self._id_of_mask[self.subgroups[aid].mask & self.subgroups[bid].mask]
@@ -365,20 +379,13 @@ class SubgroupLattice:
         return len(self.class_members(sid)) == 1
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Covering relations (kid, hid) of the inclusion order."""
-        n = len(self.subgroups)
-        out = []
-        for k in range(n):
-            for h in range(n):
-                if k == h or not self.leq(k, h):
-                    continue
-                if any(
-                    m != k and m != h and self.leq(k, m) and self.leq(m, h)
-                    for m in range(n)
-                ):
-                    continue
-                out.append((k, h))
-        return tuple(sorted(out))
+        """Covering relations (kid, hid) of the inclusion order, sorted.
+
+        Ids are sorted by order, so they extend inclusion.
+        """
+        masks = [s.mask for s in self.subgroups]
+        up = [sum(1 << h for h, big in enumerate(masks) if small & ~big == 0) for small in masks]
+        return tuple(hasse_covers(up))
 
     def double_coset_blocks(
         self, kid: int, hid: int, aid: int
@@ -469,39 +476,47 @@ def subgroup_lattice(
         per_order[s.order] = idx + 1
         names.append(f"C{s.order}#{idx}")
 
-    unassigned = set(range(len(subgroups)))
-    classes = []
+    conj = tuple(
+        tuple(id_of_mask[G.conj_mask(s.mask, g)] for g in range(G.order)) for s in subgroups
+    )
+    # a row is its subgroup's orbit; the orbit's least member opens its class
+    classes = tuple(tuple(sorted(set(row))) for sid, row in enumerate(conj) if min(row) == sid)
     class_of = [0] * len(subgroups)
-    while unassigned:
-        seed = min(unassigned)
-        orbit = {seed}
-        stack = [seed]
-        while stack:
-            sid = stack.pop()
-            mask = subgroups[sid].mask
-            for g in range(G.order):
-                other = id_of_mask[G.conj_mask(mask, g)]
-                if other not in orbit:
-                    orbit.add(other)
-                    stack.append(other)
-        orbit_t = tuple(sorted(orbit))
-        for sid in orbit_t:
-            class_of[sid] = len(classes)
-        classes.append(orbit_t)
-        unassigned -= orbit
+    for c, members in enumerate(classes):
+        for sid in members:
+            class_of[sid] = c
 
     return SubgroupLattice(
         group=G,
         subgroups=subgroups,
         names=tuple(names),
         class_of=tuple(class_of),
-        classes=tuple(classes),
+        conj=conj,
+        classes=classes,
         _id_of_mask=id_of_mask,
         _id_of_name={n: i for i, n in enumerate(names)},
     )
 
 
 # -- lattice operations -------------------------------------------------------
+
+
+def hasse_covers(up: Sequence[int]) -> list[tuple[int, int]]:
+    """The covering pairs (i, j), sorted, of a finite order given by up-sets.
+
+    ``up[i]`` has bit ``j`` set when i <= j, bit ``i`` included.  Indices
+    must extend the order (i < j whenever i lies strictly below j): then the
+    lowest index left above i, once everything above the covers found so
+    far is struck out, is the next cover.
+    """
+    out = []
+    for i, above in enumerate(up):
+        rest = above & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            out.append((i, j))
+            rest &= ~up[j]
+    return out
 
 
 def conjugate_subgroup(L: SubgroupLattice, H: Subgroup, g: int) -> Subgroup:
@@ -517,8 +532,8 @@ def is_subconjugate(
     L: SubgroupLattice, K: Subgroup, H: Subgroup
 ) -> tuple[bool, int | None]:
     """Whether some conjugate K^g lies in H, with the least witness g."""
-    for g in range(L.group.order):
-        if L.group.conj_mask(K.mask, g) & ~H.mask == 0:
+    for g, kg in enumerate(L.conj[K.lattice_id]):
+        if L.leq(kg, H.lattice_id):
             return True, g
     return False, None
 

@@ -7,7 +7,8 @@ back to an equal in-memory value.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
-shared height-0 marker.
+shared height-0 marker.  Every finite height read from input is at most
+``MAX_ENUM_HEIGHT``, checked before a range is expanded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .certify import CrossValidationReport, Decision
+from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision
 from .chromatic import (
     ANY_PRIME,
     INFINITY,
@@ -54,11 +55,17 @@ def _height_doc(h):
     return "inf" if h == INFINITY else h
 
 
+def _bounded(h: int) -> int:
+    if h > MAX_ENUM_HEIGHT:
+        raise ParseError(f"height {h} exceeds the input bound {MAX_ENUM_HEIGHT}")
+    return h
+
+
 def _height_from(x):
     if x == "inf":
         return INFINITY
     if isinstance(x, int) and not isinstance(x, bool) and x >= 0:
-        return x
+        return _bounded(x)
     raise ParseError(f"bad height {x!r}")
 
 
@@ -237,7 +244,7 @@ def _heights_from(field) -> list:
                 raise ParseError(f"bad height range {field!r}") from None
             if not 0 <= a <= b:
                 raise ParseError(f"bad height range {field!r}")
-            return list(range(a, b + 1))
+            return list(range(a, _bounded(b) + 1))
         raise ParseError(f"bad heights field {field!r}")
     if isinstance(field, list):
         return [_height_from(x) for x in field]
@@ -321,9 +328,10 @@ def parse_heights_inline(text: str) -> HeightVector:
             entries.append(INFINITY)
         else:
             try:
-                entries.append(int(tok))
+                h = int(tok)
             except ValueError:
                 raise ParseError(f"bad height entry {tok!r}") from None
+            entries.append(_bounded(h))
     if not entries or entries == [""]:
         raise ParseError(f"empty entry list in {text!r}")
     try:

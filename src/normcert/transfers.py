@@ -7,13 +7,15 @@ closure axioms are:
 * reflexivity: (H, H) for every H;
 * transitivity: (L, K) and (K, H) give (L, H);
 * conjugation: (K, H) gives (K^g, H^g) for every g;
-* restriction: (K, H) and J <= H give (K^h n J, J) for every double coset
-  KhJ in K\\H/J.
+* restriction: (K, H) and J <= H give (K n J, J).
 
-These four rules are exactly what closure of the corresponding family of
-finite H-sets under subobjects, products, restriction and self-induction
-amounts to; ``indexing_closure_oracle`` checks that equivalence concretely
-on small H-sets and is kept independent of the relational code paths.
+On a conjugation-closed set this restriction rule is equivalent to the
+Mackey form "(K^h n J, J) for every double coset KhJ in K\\H/J", since
+(K, H) gives (K^h, H) for every h in H.  These four rules are exactly what
+closure of the corresponding family of finite H-sets under subobjects,
+products, restriction and self-induction amounts to;
+``indexing_closure_oracle`` checks that equivalence concretely on small
+H-sets and is kept independent of the relational code paths.
 
 Closure works on conjugation orbits of strict pairs, so conjugation never
 has to be applied pair by pair: a system is the reflexive pairs plus a set
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .groups import Subgroup, SubgroupLattice, _bits
 
@@ -133,13 +134,8 @@ def complete_system(L: SubgroupLattice) -> TransferSystem:
 
 
 def _restriction_consequences(L: SubgroupLattice, kid: int, hid: int) -> tuple[Pair, ...]:
-    out = {
-        (cut, jid)
-        for jid in range(len(L))
-        if L.leq(jid, hid)
-        for _, cut in L.mackey_cuts(kid, jid, hid)
-    }
-    return tuple(sorted(out))
+    """(K n J, J) for every J <= H, in order of J."""
+    return tuple((L.intersect_ids(kid, jid), jid) for jid in range(len(L)) if L.leq(jid, hid))
 
 
 def validate_transfer_system(R: TransferSystem) -> list[Violation]:
@@ -161,8 +157,7 @@ def validate_transfer_system(R: TransferSystem) -> list[Violation]:
             if (lid, hid) not in R.pairs:
                 out.append(Violation("transitivity", (lid, kid, hid)))
     for kid, hid in pairs:
-        for g in range(L.group.order):
-            image = (L.conj_id(kid, g), L.conj_id(hid, g))
+        for g, image in enumerate(zip(L.conj[kid], L.conj[hid])):
             if image not in R.pairs:
                 out.append(Violation("conjugation", (kid, hid, g, image)))
     for kid, hid in pairs:
@@ -183,15 +178,19 @@ class _OrbitTables:
     ``a``.  The tables are:
 
     * ``orbit_of``: strict pair -> orbit id;
-    * ``step[a]``: the orbits of the restrictions of a's representative;
+    * ``step[a]``: the orbits of the restrictions (K n J, J), J <= H, of
+      a's representative (K, H);
     * ``comp[a][b]``: the orbits of (l, h) for the representative (l, k)
       of ``a`` and every (k, h) in ``b``.
 
     Conjugation is free on orbit masks, and conjugating a composite or a
     restriction of one pair gives those of its conjugate, so representatives
-    suffice.  ``starts[c]`` and ``ends[c]`` mask the orbits whose bottom,
-    respectively top, subgroup lies in conjugacy class ``c``: only those can
-    compose with an orbit ending, respectively starting, in ``c``.
+    suffice.  For the same reason the intersection form of restriction is
+    enough: the Mackey cut K^h n J of (K, H) is the restriction
+    K n J^(h^-1) conjugated by h, and J^(h^-1) <= H.  ``starts[c]`` and
+    ``ends[c]`` mask the orbits whose bottom, respectively top, subgroup lies
+    in conjugacy class ``c``: only those can compose with an orbit ending,
+    respectively starting, in ``c``.
     """
 
     def __init__(self, L: SubgroupLattice):
@@ -210,9 +209,7 @@ class _OrbitTables:
         a = self.orbit_of.get((kid, hid))
         if a is None:
             L = self.lattice
-            orbit = tuple(sorted(
-                {(L.conj_id(kid, g), L.conj_id(hid, g)) for g in range(L.group.order)}
-            ))
+            orbit = tuple(sorted(set(zip(L.conj[kid], L.conj[hid]))))
             a = len(self.members)
             for p in orbit:
                 self.orbit_of[p] = a
@@ -324,8 +321,7 @@ class TransferEnumeration:
     """All transfer systems on a lattice plus their containment order.
 
     ``up[i]`` has bit ``j`` set when ``systems[i]`` is contained in
-    ``systems[j]`` (bit ``i`` included); ``leq`` is the same order as a
-    matrix of booleans, built on first use.
+    ``systems[j]`` (bit ``i`` included).
     """
 
     systems: tuple[TransferSystem, ...]
@@ -333,11 +329,6 @@ class TransferEnumeration:
 
     def __len__(self) -> int:
         return len(self.systems)
-
-    @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        n = len(self.systems)
-        return tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in self.up)
 
     def bottom(self) -> TransferSystem:
         return self.systems[0]

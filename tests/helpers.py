@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: subgroup
-lattices come from closing small generating sets, transfer-system validity
-is re-derived with element-by-element restriction instead of double cosets,
+lattices come from closing small generating sets, lattice covers from their
+definition, transfer-system validity is re-derived with element-by-element
+restriction, closure restricts along double cosets instead of intersections,
 and norm supports are recomputed over every element of H.
 """
 
@@ -14,7 +15,7 @@ import re
 from functools import cache
 
 import normcert as nc
-from normcert.transfers import _restriction_consequences, candidate_pairs, reflexive_pairs
+from normcert.transfers import candidate_pairs, reflexive_pairs
 
 CORPUS_SPECS = (
     "cyclic:4",
@@ -58,6 +59,34 @@ def brute_force_subgroup_masks(G: nc.FiniteGroup, max_gen: int = 3) -> set[int]:
     return masks
 
 
+def covers_by_definition(L: nc.SubgroupLattice) -> tuple:
+    """Covering pairs of inclusion: K < H with no subgroup strictly between."""
+    n = len(L)
+    return tuple(
+        (k, h)
+        for k in range(n)
+        for h in range(n)
+        if k != h
+        and L.leq(k, h)
+        and not any(m != k and m != h and L.leq(k, m) and L.leq(m, h) for m in range(n))
+    )
+
+
+def mackey_restrictions(L: nc.SubgroupLattice, kid: int, hid: int) -> tuple:
+    """The restriction axiom in double-coset form, sorted.
+
+    (K^h n J, J) for every J <= H and every double coset KhJ of K\\H/J.  The
+    engine restricts by (K n J, J) alone, which is equivalent on
+    conjugation-closed sets.
+    """
+    return tuple(sorted({
+        (cut, jid)
+        for jid in range(len(L))
+        if L.leq(jid, hid)
+        for _, cut in L.mackey_cuts(kid, jid, hid)
+    }))
+
+
 def independent_transfer_valid(L: nc.SubgroupLattice, pairs: frozenset) -> bool:
     """Axiom check written against the definitions, not the library's closure.
 
@@ -90,15 +119,17 @@ def independent_transfer_valid(L: nc.SubgroupLattice, pairs: frozenset) -> bool:
     return True
 
 
-def brute_force_transfer_systems(L: nc.SubgroupLattice) -> list[frozenset]:
-    """All valid pair sets by filtering every subset of the candidate pairs."""
+def reflexive_pair_sets(L: nc.SubgroupLattice):
+    """Every pair set made of the reflexive pairs and some candidate pairs."""
     strict = sorted(candidate_pairs(L))
     refl = reflexive_pairs(L)
-    out = []
     for bits in range(2 ** len(strict)):
-        pairs = frozenset(refl | {strict[i] for i in range(len(strict)) if bits >> i & 1})
-        if independent_transfer_valid(L, pairs):
-            out.append(pairs)
+        yield frozenset(refl | {strict[i] for i in range(len(strict)) if bits >> i & 1})
+
+
+def brute_force_transfer_systems(L: nc.SubgroupLattice) -> list[frozenset]:
+    """All valid pair sets by filtering every subset of the candidate pairs."""
+    out = [pairs for pairs in reflexive_pair_sets(L) if independent_transfer_valid(L, pairs)]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 
@@ -107,8 +138,9 @@ def worklist_closure(L: nc.SubgroupLattice, seed) -> frozenset:
     """Smallest transfer system containing the seed, pair by pair.
 
     The reference for the orbit-mask closure: each new pair is pushed once
-    and its conjugates, its restrictions and its composites with the pairs
-    seen so far are added until nothing new appears.
+    and its conjugates, its restrictions (double-coset form) and its
+    composites with the pairs seen so far are added until nothing new
+    appears.
     """
     pairs: set = set()
     stack: list = []
@@ -131,7 +163,7 @@ def worklist_closure(L: nc.SubgroupLattice, seed) -> frozenset:
         kid, hid = stack.pop()
         for g in range(L.group.order):
             add((L.conj_id(kid, g), L.conj_id(hid, g)))
-        for q in _restriction_consequences(L, kid, hid):
+        for q in mackey_restrictions(L, kid, hid):
             add(q)
         for lid in lower.get(kid, ()):
             add((lid, hid))

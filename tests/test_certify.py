@@ -297,7 +297,7 @@ def test_operad_monotonicity():
         enum = enumeration(spec)
         n = len(enum.systems)
         i, j = rng.randrange(n), rng.randrange(n)
-        if not enum.leq[i][j]:
+        if not enum.up[i] >> j & 1:
             continue
         vl = random_valid_locus(L, rng)
         if nc.localization_preserves(vl, enum.systems[j]).certified:

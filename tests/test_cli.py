@@ -175,6 +175,47 @@ def test_bound_env_variables(capsys):
     assert code == 0 and "disagreements: 0" in out
 
 
+def test_group_order_bound_checked_before_building(tmp_path):
+    # each of these ran past 30 s, exited 2 only after 12 s, or grew memory
+    # until killed, because the bound was checked after the table was built
+    for spec in ("cyclic:1000", "symmetric:5*symmetric:5", "dihedral:600", "cyclic:99999999999"):
+        code, out, err = run_cli(["lattice", "--group", spec], timeout=5)
+        assert code == 2 and "exceeds bound 64" in err and not out
+    table = tmp_path / "c8.csv"
+    table.write_text("\n".join(",".join(str((i + j) % 8) for j in range(8)) for i in range(8)))
+    code, out, err = run_cli(
+        ["lattice", "--group", f"table:{table}*cyclic:2"], timeout=5, NORMCERT_MAX_GROUP_ORDER="8"
+    )
+    assert code == 2 and "= 16 exceeds bound 8" in err
+    code, out, err = run_cli(
+        ["lattice", "--group", "symmetric:5"], timeout=30, NORMCERT_MAX_GROUP_ORDER="120"
+    )
+    assert code == 0 and "subgroups: 156" in out
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "C1#0", 7])
+def test_non_object_locus_document_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "locus.json"
+    path.write_text(json.dumps(doc))
+    for command in (["decide", "--operad", "complete"], ["spectrum-validate"]):
+        assert main(command + ["--group", "cyclic:2", "--locus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.count("error:") == 2
+
+
+def test_input_heights_bounded_before_expansion(tmp_path):
+    # both hung: the heights were expanded one prime at a time
+    locus = tmp_path / "locus.json"
+    locus.write_text(json.dumps({"entries": [
+        {"subgroup": "C1#0", "prime": 2, "heights": "0..99999999"}]}))
+    for args in (
+        ["spectrum-validate", "--ell", "2,(99999999999999999999,0)"],
+        ["decide", "--group", "cyclic:2", "--operad", "complete", "--locus", str(locus)],
+    ):
+        code, out, err = run_cli(args, timeout=5)
+        assert code == 2 and "exceeds the input bound 10" in err and not out
+
+
 def test_chain_arguments_are_input_errors(capsys):
     assert main(["ell-enumerate", "--n", "-1", "--height-bound", "3"]) == 2
     assert main(["ell-enumerate", "--n", "2", "--height-bound", "2", "--prime", "4"]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from helpers import CORPUS_SPECS, brute_force_subgroup_masks, lattice
+from helpers import CORPUS_SPECS, brute_force_subgroup_masks, covers_by_definition, lattice
 
 
 def perm_index(n, perm):
@@ -52,6 +52,15 @@ def test_unsupported_specs():
 def test_group_too_large():
     with pytest.raises(nc.GroupTooLarge):
         nc.subgroup_lattice(nc.symmetric(5))
+    # build_group is unbounded unless given a bound, which it checks per
+    # factor and on the product before building anything
+    assert nc.build_group("cyclic:65").order == 65
+    for spec in ("cyclic:65", "cyclic:8*cyclic:9", "symmetric:5", "cyclic:10000000000"):
+        with pytest.raises(nc.GroupTooLarge):
+            nc.build_group(spec, max_order=64)
+    assert nc.build_group("cyclic:8*cyclic:8", max_order=64).order == 64
+    with pytest.raises(nc.UnsupportedSpec):
+        nc.build_group("symmetric:6", max_order=64)
 
 
 def test_direct_product_order_and_lattice():
@@ -76,6 +85,20 @@ def test_lattice_order_and_conjugacy_invariants():
         for cls in L.classes:
             orders = {L.subgroups[i].order for i in cls}
             assert len(orders) == 1
+        G = L.group
+        for s in L.subgroups:
+            row = L.conj[s.lattice_id]
+            assert row == tuple(L.id_of_mask(G.conj_mask(s.mask, g)) for g in range(G.order))
+            assert L.class_members(s.lattice_id) == tuple(sorted(set(row)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    CORPUS_SPECS + ("dihedral:64", "symmetric:4", "cyclic:2*cyclic:2*cyclic:2*cyclic:2"),
+)
+def test_covers_match_definition(spec):
+    L = lattice(spec)
+    assert L.covers() == covers_by_definition(L)
 
 
 def test_conjugate_transposition_in_s3():

@@ -94,6 +94,28 @@ def test_heights_inline_parse():
             iomod.parse_heights_inline(bad)
 
 
+def test_input_heights_are_bounded():
+    # every finite height read from input is at most MAX_ENUM_HEIGHT (10),
+    # checked before a range is expanded; inf stays allowed
+    L = lattice("cyclic:2")
+
+    def entry(heights):
+        return {"entries": [{"subgroup": "C1#0", "prime": 2, "heights": heights}]}
+
+    for heights in ("0..11", "0..99999999", 11, [0, 11]):
+        with pytest.raises(iomod.ParseError, match="exceeds the input bound 10"):
+            iomod.parse_locus(L, entry(heights))
+    for heights in ("0..10", 10, [0, 10], "all"):
+        iomod.parse_locus(L, entry(heights))
+    with pytest.raises(iomod.ParseError, match="exceeds the input bound 10"):
+        iomod.parse_heights({"p": 2, "ell": [11, 0]})
+    assert iomod.parse_heights({"p": 2, "ell": [10, "inf"]}) == HeightVector(2, (10, INFINITY))
+    for bad in ("2,(11,0)", "2,(99999999999999999999,0)"):
+        with pytest.raises(iomod.ParseError, match="exceeds the input bound 10"):
+            iomod.parse_heights_inline(bad)
+    assert iomod.parse_heights_inline("2,(10,inf)") == HeightVector(2, (10, INFINITY))
+
+
 def test_decision_document_shape():
     L = lattice("cyclic:2")
     vl = nc.heights_to_locus(HeightVector(2, (0, 1)), L)
