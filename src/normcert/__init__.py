@@ -60,33 +60,23 @@ from .groups import (
     SubgroupLattice,
     UnsupportedSpec,
     build_group,
-    conjugate_subgroup,
     cyclic,
     dihedral,
     direct_product,
-    double_cosets,
     from_table,
-    intersect,
-    is_subconjugate,
     quaternion,
     subgroup_lattice,
     symmetric,
 )
 from .transfers import (
     BoundTooLarge,
-    ClosureCounterexample,
-    GSet,
     LatticeTooLarge,
     TransferEnumeration,
     TransferSystem,
     Violation,
     close_transfer_system,
     complete_system,
-    conjugate_gset,
     enumerate_transfer_systems,
-    g_set,
-    indexing_closure_oracle,
-    is_admissible,
     trivial_system,
     validate_transfer_system,
 )

@@ -69,8 +69,11 @@ def _build_lattice(spec: str):
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError:
+            raise iomod.ParseError(f"{path} is not UTF-8 text") from None
 
 
 def _structured(doc) -> str:

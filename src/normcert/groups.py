@@ -239,8 +239,17 @@ def from_table(rows, name: str = "G") -> FiniteGroup:
 
 def _read_table_csv(path: str) -> tuple[list[list[int]], str]:
     """The rows of a CSV multiplication table and the name its file gives."""
-    with open(path, newline="") as fh:
-        rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError:
+        raise InvalidTable(f"{path} is not UTF-8 text") from None
+    rows = []
+    for row in cells:
+        try:
+            rows.append([int(x) for x in row])
+        except ValueError:
+            raise InvalidTable(f"row {len(rows)} of {path} has a non-integer entry") from None
     base = path.replace("\\", "/").rsplit("/", 1)[-1]
     return rows, base.rsplit(".", 1)[0] or "G"
 
@@ -517,29 +526,3 @@ def hasse_covers(up: Sequence[int]) -> list[tuple[int, int]]:
             out.append((i, j))
             rest &= ~up[j]
     return out
-
-
-def conjugate_subgroup(L: SubgroupLattice, H: Subgroup, g: int) -> Subgroup:
-    """The lattice member equal to H^g = g^-1 H g."""
-    return L.subgroups[L.conj_id(H.lattice_id, g)]
-
-
-def intersect(L: SubgroupLattice, H1: Subgroup, H2: Subgroup) -> Subgroup:
-    return L.subgroups[L.intersect_ids(H1.lattice_id, H2.lattice_id)]
-
-
-def is_subconjugate(
-    L: SubgroupLattice, K: Subgroup, H: Subgroup
-) -> tuple[bool, int | None]:
-    """Whether some conjugate K^g lies in H, with the least witness g."""
-    for g, kg in enumerate(L.conj[K.lattice_id]):
-        if L.leq(kg, H.lattice_id):
-            return True, g
-    return False, None
-
-
-def double_cosets(
-    L: SubgroupLattice, K: Subgroup, H: Subgroup, A: Subgroup
-) -> tuple[int, ...]:
-    """Canonical representatives of K\\A/H, in increasing order."""
-    return tuple(r for r, _ in L.mackey_cuts(K.lattice_id, H.lattice_id, A.lattice_id))

@@ -12,10 +12,9 @@ closure axioms are:
 On a conjugation-closed set this restriction rule is equivalent to the
 Mackey form "(K^h n J, J) for every double coset KhJ in K\\H/J", since
 (K, H) gives (K^h, H) for every h in H.  These four rules are exactly what
-closure of the corresponding family of finite H-sets under subobjects,
-products, restriction and self-induction amounts to;
-``indexing_closure_oracle`` checks that equivalence concretely on small
-H-sets and is kept independent of the relational code paths.
+closure of the corresponding family of finite H-sets (an indexing system)
+under subobjects, products, restriction and self-induction amounts to
+(Rubin; Balchin-Barnes-Roitzheim), so the engine never builds H-sets.
 
 Closure works on conjugation orbits of strict pairs, so conjugation never
 has to be applied pair by pair: a system is the reflexive pairs plus a set
@@ -28,10 +27,9 @@ later closure there, so a single closure does only the work it needs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .groups import Subgroup, SubgroupLattice, _bits
+from .groups import SubgroupLattice, _bits
 
 
 class TransferError(Exception):
@@ -43,11 +41,10 @@ class LatticeTooLarge(TransferError):
 
 
 class BoundTooLarge(TransferError):
-    """Requested oracle window exceeds the supported size."""
+    """A requested chain length, height bound or group order exceeds its bound."""
 
 
 DEFAULT_MAX_PAIRS = 30
-DEFAULT_ORACLE_BOUND = 8
 
 Pair = tuple[int, int]
 
@@ -74,35 +71,6 @@ class TransferSystem:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class GSet:
-    """A finite H-set, recorded as the multiset of its orbit stabilizers."""
-
-    base: int
-    orbits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "orbits", tuple(sorted(self.orbits)))
-
-
-def g_set(L: SubgroupLattice, base: Subgroup | int, orbits) -> GSet:
-    bid = base if isinstance(base, int) else base.lattice_id
-    orbs = tuple(sorted(orbits))
-    for kid in orbs:
-        if not L.leq(kid, bid):
-            raise ValueError(f"orbit stabilizer {kid} is not contained in {bid}")
-    return GSet(bid, orbs)
-
-
-def gset_cardinality(L: SubgroupLattice, T: GSet) -> int:
-    b = L.subgroups[T.base].order
-    return sum(b // L.subgroups[k].order for k in T.orbits)
-
-
-def conjugate_gset(L: SubgroupLattice, T: GSet, g: int) -> GSet:
-    return GSet(L.conj_id(T.base, g), tuple(L.conj_id(k, g) for k in T.orbits))
 
 
 @dataclass(frozen=True)
@@ -305,17 +273,6 @@ def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
     return TransferSystem(L, tables.pairs(tables.close(mask)))
 
 
-def is_admissible(R: TransferSystem, T: GSet) -> bool:
-    """Whether every orbit of T carries an admissible transfer up to its base."""
-    L = R.lattice
-    base = T.base
-    for kid in set(T.orbits):
-        members = L.subgroups[base].members
-        if not any((L.conj_id(kid, h), base) in R.pairs for h in members):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class TransferEnumeration:
     """All transfer systems on a lattice plus their containment order.
@@ -392,135 +349,3 @@ def enumerate_transfer_systems(
             above &= holders[a]
         up.append(above)
     return TransferEnumeration(tuple(s for s, _ in ranked), tuple(up))
-
-
-# -- set-level oracle ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosureCounterexample:
-    """A set-level closure failure: operation, inputs, inadmissible result."""
-
-    operation: str
-    inputs: tuple[GSet, ...]
-    result: GSet
-
-
-def _canonical_in(L: SubgroupLattice, base: int, kid: int) -> int:
-    """Least lattice id in the conjugacy class of kid under the base subgroup."""
-    return min(L.conj_id(kid, h) for h in L.subgroups[base].members)
-
-
-def _orbit_labels(L: SubgroupLattice, base: int) -> tuple[int, ...]:
-    return tuple(
-        sorted(
-            {
-                _canonical_in(L, base, kid)
-                for kid in range(len(L))
-                if L.leq(kid, base)
-            }
-        )
-    )
-
-
-def _window(L: SubgroupLattice, base: int, size_bound: int) -> list[GSet]:
-    """All base-sets of total cardinality <= size_bound, up to isomorphism."""
-    labels = _orbit_labels(L, base)
-    border = L.subgroups[base].order
-    out = []
-
-    def rec(i: int, budget: int, acc: list[int]):
-        out.append(GSet(base, tuple(acc)))
-        for j in range(i, len(labels)):
-            c = border // L.subgroups[labels[j]].order
-            if c <= budget:
-                acc.append(labels[j])
-                rec(j, budget - c, acc)
-                acc.pop()
-
-    rec(0, size_bound, [])
-    return out
-
-
-def product_gset(L: SubgroupLattice, S: GSet, T: GSet) -> GSet:
-    if S.base != T.base:
-        raise ValueError("product needs a common base subgroup")
-    # base/U x base/V has one orbit per double coset U\base/V
-    orbits = tuple(
-        cut for u in S.orbits for v in T.orbits for _, cut in L.mackey_cuts(u, v, S.base)
-    )
-    return GSet(S.base, orbits)
-
-
-def restrict_gset(L: SubgroupLattice, T: GSet, jid: int) -> GSet:
-    if not L.leq(jid, T.base):
-        raise ValueError("can only restrict to a subgroup of the base")
-    orbits = tuple(cut for kid in T.orbits for _, cut in L.mackey_cuts(kid, jid, T.base))
-    return GSet(jid, orbits)
-
-
-def induce_gset(L: SubgroupLattice, T: GSet, hid: int) -> GSet:
-    if not L.leq(T.base, hid):
-        raise ValueError("can only induce to an oversubgroup of the base")
-    return GSet(hid, T.orbits)
-
-
-def indexing_closure_oracle(
-    R: TransferSystem, H: Subgroup | int, size_bound: int = 6
-) -> ClosureCounterexample | None:
-    """Brute-force check that the admissible-set family below H is closed.
-
-    Enumerates all J-sets of cardinality <= size_bound for every J <= H and
-    verifies closure under subobjects, binary products (decomposed orbit by
-    orbit through double cosets), restriction to smaller subgroups, and
-    self-induction along admissible orbits.  Returns the first failure, or
-    None when the family is closed.
-    """
-    if size_bound > DEFAULT_ORACLE_BOUND:
-        raise BoundTooLarge(f"size bound {size_bound} exceeds {DEFAULT_ORACLE_BOUND}")
-    L = R.lattice
-    hid = H if isinstance(H, int) else H.lattice_id
-    bases = [j for j in range(len(L)) if L.leq(j, hid)]
-    windows = {b: _window(L, b, size_bound) for b in bases}
-    admissible = {
-        b: [T for T in windows[b] if is_admissible(R, T)] for b in bases
-    }
-
-    for b in bases:
-        for T in admissible[b]:
-            seen = set()
-            for r in range(len(T.orbits)):
-                for sub in itertools.combinations(T.orbits, r):
-                    S = GSet(b, sub)
-                    if S.orbits in seen:
-                        continue
-                    seen.add(S.orbits)
-                    if not is_admissible(R, S):
-                        return ClosureCounterexample("subobject", (T,), S)
-
-    for b in bases:
-        adm = admissible[b]
-        for i, S in enumerate(adm):
-            for T in adm[i:]:
-                P = product_gset(L, S, T)
-                if not is_admissible(R, P):
-                    return ClosureCounterexample("product", (S, T), P)
-
-    for b in bases:
-        for T in admissible[b]:
-            for j in bases:
-                if j == b or not L.leq(j, b):
-                    continue
-                res = restrict_gset(L, T, j)
-                if not is_admissible(R, res):
-                    return ClosureCounterexample("restriction", (T,), res)
-
-    for kid, hid2 in sorted(R.pairs):
-        if kid == hid2 or not L.leq(hid2, hid):
-            continue
-        for T in admissible[kid]:
-            ind = induce_gset(L, T, hid2)
-            if not is_admissible(R, ind):
-                return ClosureCounterexample("induction", (T,), ind)
-
-    return None

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: subgroup
 lattices come from closing small generating sets, lattice covers from their
 definition, transfer-system validity is re-derived with element-by-element
 restriction, closure restricts along double cosets instead of intersections,
-and norm supports are recomputed over every element of H.
+norm supports are recomputed over every element of H, and transfer systems
+are checked against the finite H-sets they make admissible.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from functools import cache
 
 import normcert as nc
@@ -257,6 +259,191 @@ def contains_by_definition(vl: nc.VanishingLocus, c: int, height, prime) -> bool
     if height == 0:
         return any(q.height == nc.INFINITY and q.subgroup_class == c for q in vl.primes)
     return nc.BalmerPrime(c, nc.INFINITY, prime) in vl.primes
+
+
+def subconjugate_witness(L: nc.SubgroupLattice, kid: int, hid: int) -> int | None:
+    """The least g with K^g <= H, or None when K is not subconjugate to H."""
+    return next((g for g, kg in enumerate(L.conj[kid]) if L.leq(kg, hid)), None)
+
+
+# -- set-level oracle ----------------------------------------------------------------
+#
+# A transfer system R makes an H-set admissible when each of its orbits H/K
+# carries an admissible transfer (K', H) with K' conjugate to K in H.  The
+# admissible sets form an indexing system exactly when R is a transfer system
+# (Rubin; Balchin-Barnes-Roitzheim); the oracle below checks that closure
+# directly on every H-set of bounded cardinality.
+
+DEFAULT_ORACLE_BOUND = 8
+
+
+@dataclass(frozen=True)
+class GSet:
+    """A finite H-set, recorded as the multiset of its orbit stabilizers."""
+
+    base: int
+    orbits: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "orbits", tuple(sorted(self.orbits)))
+
+
+@dataclass(frozen=True)
+class ClosureCounterexample:
+    """A set-level closure failure: operation, inputs, inadmissible result."""
+
+    operation: str
+    inputs: tuple[GSet, ...]
+    result: GSet
+
+
+def g_set(L: nc.SubgroupLattice, base, orbits) -> GSet:
+    bid = base if isinstance(base, int) else base.lattice_id
+    orbs = tuple(sorted(orbits))
+    for kid in orbs:
+        if not L.leq(kid, bid):
+            raise ValueError(f"orbit stabilizer {kid} is not contained in {bid}")
+    return GSet(bid, orbs)
+
+
+def gset_cardinality(L: nc.SubgroupLattice, T: GSet) -> int:
+    b = L.subgroups[T.base].order
+    return sum(b // L.subgroups[k].order for k in T.orbits)
+
+
+def conjugate_gset(L: nc.SubgroupLattice, T: GSet, g: int) -> GSet:
+    return GSet(L.conj_id(T.base, g), tuple(L.conj_id(k, g) for k in T.orbits))
+
+
+def is_admissible(R: nc.TransferSystem, T: GSet) -> bool:
+    """Whether every orbit of T carries an admissible transfer up to its base."""
+    L = R.lattice
+    base = T.base
+    for kid in set(T.orbits):
+        members = L.subgroups[base].members
+        if not any((L.conj_id(kid, h), base) in R.pairs for h in members):
+            return False
+    return True
+
+
+def _canonical_in(L: nc.SubgroupLattice, base: int, kid: int) -> int:
+    """Least lattice id in the conjugacy class of kid under the base subgroup."""
+    return min(L.conj_id(kid, h) for h in L.subgroups[base].members)
+
+
+def _orbit_labels(L: nc.SubgroupLattice, base: int) -> tuple[int, ...]:
+    return tuple(
+        sorted(
+            {
+                _canonical_in(L, base, kid)
+                for kid in range(len(L))
+                if L.leq(kid, base)
+            }
+        )
+    )
+
+
+def _window(L: nc.SubgroupLattice, base: int, size_bound: int) -> list[GSet]:
+    """All base-sets of total cardinality <= size_bound, up to isomorphism."""
+    labels = _orbit_labels(L, base)
+    border = L.subgroups[base].order
+    out = []
+
+    def rec(i: int, budget: int, acc: list[int]):
+        out.append(GSet(base, tuple(acc)))
+        for j in range(i, len(labels)):
+            c = border // L.subgroups[labels[j]].order
+            if c <= budget:
+                acc.append(labels[j])
+                rec(j, budget - c, acc)
+                acc.pop()
+
+    rec(0, size_bound, [])
+    return out
+
+
+def product_gset(L: nc.SubgroupLattice, S: GSet, T: GSet) -> GSet:
+    if S.base != T.base:
+        raise ValueError("product needs a common base subgroup")
+    # base/U x base/V has one orbit per double coset U\base/V
+    orbits = tuple(
+        cut for u in S.orbits for v in T.orbits for _, cut in L.mackey_cuts(u, v, S.base)
+    )
+    return GSet(S.base, orbits)
+
+
+def restrict_gset(L: nc.SubgroupLattice, T: GSet, jid: int) -> GSet:
+    if not L.leq(jid, T.base):
+        raise ValueError("can only restrict to a subgroup of the base")
+    orbits = tuple(cut for kid in T.orbits for _, cut in L.mackey_cuts(kid, jid, T.base))
+    return GSet(jid, orbits)
+
+
+def induce_gset(L: nc.SubgroupLattice, T: GSet, hid: int) -> GSet:
+    if not L.leq(T.base, hid):
+        raise ValueError("can only induce to an oversubgroup of the base")
+    return GSet(hid, T.orbits)
+
+
+def indexing_closure_oracle(
+    R: nc.TransferSystem, H, size_bound: int = 6
+) -> ClosureCounterexample | None:
+    """Brute-force check that the admissible-set family below H is closed.
+
+    Enumerates all J-sets of cardinality <= size_bound for every J <= H and
+    verifies closure under subobjects, binary products (decomposed orbit by
+    orbit through double cosets), restriction to smaller subgroups, and
+    self-induction along admissible orbits.  Returns the first failure, or
+    None when the family is closed.
+    """
+    if size_bound > DEFAULT_ORACLE_BOUND:
+        raise nc.BoundTooLarge(f"size bound {size_bound} exceeds {DEFAULT_ORACLE_BOUND}")
+    L = R.lattice
+    hid = H if isinstance(H, int) else H.lattice_id
+    bases = [j for j in range(len(L)) if L.leq(j, hid)]
+    windows = {b: _window(L, b, size_bound) for b in bases}
+    admissible = {
+        b: [T for T in windows[b] if is_admissible(R, T)] for b in bases
+    }
+
+    for b in bases:
+        for T in admissible[b]:
+            seen = set()
+            for r in range(len(T.orbits)):
+                for sub in itertools.combinations(T.orbits, r):
+                    S = GSet(b, sub)
+                    if S.orbits in seen:
+                        continue
+                    seen.add(S.orbits)
+                    if not is_admissible(R, S):
+                        return ClosureCounterexample("subobject", (T,), S)
+
+    for b in bases:
+        adm = admissible[b]
+        for i, S in enumerate(adm):
+            for T in adm[i:]:
+                P = product_gset(L, S, T)
+                if not is_admissible(R, P):
+                    return ClosureCounterexample("product", (S, T), P)
+
+    for b in bases:
+        for T in admissible[b]:
+            for j in bases:
+                if j == b or not L.leq(j, b):
+                    continue
+                res = restrict_gset(L, T, j)
+                if not is_admissible(R, res):
+                    return ClosureCounterexample("restriction", (T,), res)
+
+    for kid, hid2 in sorted(R.pairs):
+        if kid == hid2 or not L.leq(hid2, hid):
+            continue
+        for T in admissible[kid]:
+            ind = induce_gset(L, T, hid2)
+            if not is_admissible(R, ind):
+                return ClosureCounterexample("induction", (T,), ind)
+
+    return None
 
 
 # -- height-vector scans -------------------------------------------------------------

@@ -15,6 +15,7 @@ from helpers import (
     brute_force_norm_support,
     brute_force_transfer_systems,
     enumeration,
+    indexing_closure_oracle,
     lattice,
     random_pair,
     random_rep_norm_preserves,
@@ -112,7 +113,7 @@ def test_criterion_6_indexing_oracle_on_enumerated_systems():
         L = lattice(spec)
         for R in enumeration(spec).systems:
             for H in L.subgroups:
-                if nc.indexing_closure_oracle(R, H, 6) is not None:
+                if indexing_closure_oracle(R, H, 6) is not None:
                     ok = False
     _report(6, "set-level closure oracle", ok)
 

@@ -5,10 +5,13 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normcert as nc
 from normcert import INFINITY, HeightVector, Verdict
 from normcert.certify import _pair_obstructions, _walk
+from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
     brute_force_commutative_heights,
@@ -302,6 +305,23 @@ def test_operad_monotonicity():
         vl = random_valid_locus(L, rng)
         if nc.localization_preserves(vl, enum.systems[j]).certified:
             assert nc.localization_preserves(vl, enum.systems[i]).certified
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CORPUS_SPECS), st.data(), st.randoms(use_true_random=False))
+def test_certification_is_downward_closed_in_the_operad(spec, data, rng):
+    # R' adds one nested pair to R and closes: every obstruction for R is
+    # one for R', so certifying R' certifies R
+    L = lattice(spec)
+    R = data.draw(st.sampled_from(enumeration(spec).systems))
+    extra = data.draw(st.sampled_from(candidate_pairs(L)))
+    R2 = nc.close_transfer_system(L, R.pairs | {extra})
+    assert R.pairs <= R2.pairs
+    vl = random_valid_locus(L, rng)
+    d, d2 = nc.localization_preserves(vl, R), nc.localization_preserves(vl, R2)
+    assert set(d.witnesses) <= set(d2.witnesses)
+    if d2.certified:
+        assert d.certified
 
 
 def test_uniform_loci_pass_everything():

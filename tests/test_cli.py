@@ -203,6 +203,28 @@ def test_non_object_locus_document_exits_2(doc, tmp_path, capsys):
     assert not captured.out and captured.err.count("error:") == 2
 
 
+def test_non_integer_table_cell_exits_2(tmp_path):
+    table = tmp_path / "bad.csv"
+    table.write_text("0,1\n1,0\na,b\n")
+    code, out, err = run_cli(["lattice", "--group", f"table:{table}"], timeout=5)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "row 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["locus", "operad", "table"])
+def test_non_utf8_input_file_exits_2(kind, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe{}")
+    args = {
+        "locus": ["decide", "--group", "cyclic:2", "--operad", "complete", "--locus", str(path)],
+        "operad": ["decide", "--group", "cyclic:2", "--operad", str(path), "--ell", "2,(0,0)"],
+        "table": ["lattice", "--group", f"table:{path}"],
+    }[kind]
+    code, out, err = run_cli(args, timeout=5)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+
+
 def test_input_heights_bounded_before_expansion(tmp_path):
     # both hung: the heights were expanded one prime at a time
     locus = tmp_path / "locus.json"

@@ -2,11 +2,19 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from helpers import CORPUS_SPECS, brute_force_subgroup_masks, covers_by_definition, lattice
+from helpers import (
+    CORPUS_SPECS,
+    brute_force_subgroup_masks,
+    covers_by_definition,
+    enumeration,
+    lattice,
+    random_valid_locus,
+    subconjugate_witness,
+)
 
 
 def perm_index(n, perm):
@@ -108,22 +116,22 @@ def test_conjugate_transposition_in_s3():
     g123 = perm_index(3, (1, 2, 0))
     g23 = perm_index(3, (0, 2, 1))
     H = L.subgroups[L.id_of_mask((1 << 0) | (1 << g12))]
-    out = nc.conjugate_subgroup(L, H, g123)
+    out = L.subgroups[L.conj_id(H.lattice_id, g123)]
     assert out.mask == (1 << 0) | (1 << g23)
 
 
 def test_conjugation_trivial_cases():
     L = lattice("cyclic:4")
     for s in L.subgroups:
-        assert nc.conjugate_subgroup(L, s, L.group.identity) == s
+        assert L.conj_id(s.lattice_id, L.group.identity) == s.lattice_id
         for g in range(4):
-            assert nc.conjugate_subgroup(L, s, g) == s  # abelian
+            assert L.conj_id(s.lattice_id, g) == s.lattice_id  # abelian
 
 
 def test_double_cosets_in_c4():
     L = lattice("cyclic:4")
     c2, c4 = L.subgroups[1], L.subgroups[2]
-    assert len(nc.double_cosets(L, c2, c2, c4)) == 2
+    assert len(L.mackey_cuts(c2.lattice_id, c2.lattice_id, c4.lattice_id)) == 2
 
 
 def test_double_cosets_transposition_in_s3():
@@ -133,14 +141,15 @@ def test_double_cosets_transposition_in_s3():
     top = L.top
     blocks = L.double_coset_blocks(K.lattice_id, K.lattice_id, top.lattice_id)
     assert sorted(len(b) for b in blocks) == [2, 4]
-    assert len(nc.double_cosets(L, K, K, top)) == 2
+    assert len(L.mackey_cuts(K.lattice_id, K.lattice_id, top.lattice_id)) == 2
 
 
 def test_double_cosets_edge_cases():
     L = lattice("symmetric:3")
-    assert nc.double_cosets(L, L.bottom, L.top, L.top) == (0,)
+    bottom, top = L.bottom.lattice_id, L.top.lattice_id
+    assert [r for r, _ in L.mackey_cuts(bottom, top, top)] == [0]
     with pytest.raises(nc.NotSubgroupOfAmbient):
-        nc.double_cosets(L, L.top, L.bottom, L.subgroups[1])
+        L.mackey_cuts(top, bottom, 1)
 
 
 def test_double_cosets_partition_and_orbit_stabilizer():
@@ -173,16 +182,15 @@ def test_intersect_and_subconjugate():
     L = lattice("symmetric:3")
     g12 = perm_index(3, (1, 0, 2))
     g13 = perm_index(3, (2, 1, 0))
-    A = L.subgroups[L.id_of_mask((1 << 0) | (1 << g12))]
-    B = L.subgroups[L.id_of_mask((1 << 0) | (1 << g13))]
-    assert nc.intersect(L, A, B) == L.bottom
-    assert nc.intersect(L, A, A) == A
-    ok, g = nc.is_subconjugate(L, A, B)
-    assert ok and nc.conjugate_subgroup(L, A, g) == B
-    ok, g = nc.is_subconjugate(L, L.bottom, A)
-    assert ok and g == 0
-    ok, g = nc.is_subconjugate(L, L.top, A)
-    assert not ok and g is None
+    a = L.id_of_mask((1 << 0) | (1 << g12))
+    b = L.id_of_mask((1 << 0) | (1 << g13))
+    bottom, top = L.bottom.lattice_id, L.top.lattice_id
+    assert L.intersect_ids(a, b) == bottom
+    assert L.intersect_ids(a, a) == a
+    g = subconjugate_witness(L, a, b)
+    assert g is not None and L.conj_id(a, g) == b
+    assert subconjugate_witness(L, bottom, a) == 0
+    assert subconjugate_witness(L, top, a) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,28 +199,31 @@ def test_conjugation_is_an_order_isomorphism(spec, data):
     L = lattice(spec)
     sid = data.draw(st.integers(0, len(L) - 1))
     g = data.draw(st.integers(0, L.group.order - 1))
-    s = L.subgroups[sid]
-    out = nc.conjugate_subgroup(L, s, g)
-    assert out.order == s.order
-    back = nc.conjugate_subgroup(L, out, L.group.inv(g))
-    assert back == s
+    out = L.conj_id(sid, g)
+    assert L.subgroups[out].order == L.subgroups[sid].order
+    assert L.conj_id(out, L.group.inv(g)) == sid
 
 
-def test_double_cosets_stable_under_relabeling():
-    rng = random.Random(11)
-    G = lattice("symmetric:3").group
-    perm = list(range(G.order))
-    rng.shuffle(perm)
-    inv = [0] * G.order
-    for i, x in enumerate(perm):
-        inv[x] = i
+def relabeled(G, perm):
+    """The table of G with each element a renamed perm[a]."""
     rows = [[0] * G.order for _ in range(G.order)]
     for a in range(G.order):
         for b in range(G.order):
             rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
-    H = nc.from_table(rows, "S3-relabeled")
-    LH = nc.subgroup_lattice(H)
-    L = lattice("symmetric:3")
+    return nc.from_table(rows, f"{G.name}-relabeled")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CORPUS_SPECS), st.randoms(use_true_random=False))
+@example("symmetric:3", random.Random(11))
+def test_double_cosets_stable_under_relabeling(spec, rng):
+    # subgroups, class sizes, double cosets of every nested triple, the
+    # transfer-system count and decide verdicts survive renaming elements
+    L = lattice(spec)
+    G = L.group
+    perm = list(range(G.order))
+    rng.shuffle(perm)
+    LH = nc.subgroup_lattice(relabeled(G, perm))
 
     def transport(mask):
         out = 0
@@ -222,14 +233,29 @@ def test_double_cosets_stable_under_relabeling():
         return out
 
     assert {transport(s.mask) for s in L.subgroups} == {s.mask for s in LH.subgroups}
-    for kid, hid, aid in [(1, 1, 5), (0, 4, 5), (1, 4, 5)]:
-        blocks = L.double_coset_blocks(kid, hid, aid)
-        kid2 = LH.id_of_mask(transport(L.subgroups[kid].mask))
-        hid2 = LH.id_of_mask(transport(L.subgroups[hid].mask))
-        aid2 = LH.id_of_mask(transport(L.subgroups[aid].mask))
-        blocks2 = LH.double_coset_blocks(kid2, hid2, aid2)
-        transported = sorted(tuple(sorted(perm[x] for x in b)) for b in blocks)
-        assert transported == sorted(tuple(b) for b in blocks2)
+    to = [LH.id_of_mask(transport(s.mask)) for s in L.subgroups]
+    assert sorted(map(len, L.classes)) == sorted(map(len, LH.classes))
+    n = len(L)
+    for aid in range(n):
+        inside = [i for i in range(n) if L.leq(i, aid)]
+        for kid, hid in itertools.product(inside, repeat=2):
+            blocks = L.double_coset_blocks(kid, hid, aid)
+            blocks2 = LH.double_coset_blocks(to[kid], to[hid], to[aid])
+            transported = sorted(tuple(sorted(perm[x] for x in b)) for b in blocks)
+            assert transported == sorted(blocks2)
+            cuts2 = LH.mackey_cuts(to[kid], to[hid], to[aid])
+            assert len(L.mackey_cuts(kid, hid, aid)) == len(cuts2)
+    assert len(nc.enumerate_transfer_systems(LH)) == len(enumeration(spec))
+
+    vl = random_valid_locus(L, rng)
+    class_to = [LH.class_of[to[members[0]]] for members in L.classes]
+    vl2 = nc.vanishing_locus(
+        LH, [nc.BalmerPrime(class_to[q.subgroup_class], q.height, q.prime) for q in vl.primes]
+    )
+    for system in (nc.complete_system, nc.trivial_system):
+        d1 = nc.localization_preserves(vl, system(L))
+        d2 = nc.localization_preserves(vl2, system(LH))
+        assert d1.verdict == d2.verdict and len(d1.witnesses) == len(d2.witnesses)
 
 
 def test_table_csv_round_trip(tmp_path):

@@ -10,9 +10,15 @@ from normcert.transfers import TransferSystem, candidate_pairs, reflexive_pairs
 from helpers import (
     CORPUS_SPECS,
     brute_force_transfer_systems,
+    conjugate_gset,
     enumeration,
+    g_set,
+    gset_cardinality,
     independent_transfer_valid,
+    indexing_closure_oracle,
+    is_admissible,
     lattice,
+    product_gset,
     reflexive_pair_sets,
     worklist_closure,
 )
@@ -215,14 +221,14 @@ def test_is_admissible_basics():
     L = lattice("symmetric:3")
     R = nc.trivial_system(L)
     top = L.top.lattice_id
-    assert nc.is_admissible(R, nc.g_set(L, top, [top, top]))
-    assert not nc.is_admissible(R, nc.g_set(L, top, [0]))
+    assert is_admissible(R, g_set(L, top, [top, top]))
+    assert not is_admissible(R, g_set(L, top, [0]))
     complete = nc.complete_system(L)
-    assert nc.is_admissible(complete, nc.g_set(L, top, [0, 1, 4]))
+    assert is_admissible(complete, g_set(L, top, [0, 1, 4]))
     # one admissible and one inadmissible orbit
     R2 = nc.close_transfer_system(L, [(4, top)])
-    assert nc.is_admissible(R2, nc.g_set(L, top, [4]))
-    assert not nc.is_admissible(R2, nc.g_set(L, top, [4, 1]))
+    assert is_admissible(R2, g_set(L, top, [4]))
+    assert not is_admissible(R2, g_set(L, top, [4, 1]))
 
 
 def test_admissibility_uses_base_conjugacy():
@@ -230,7 +236,7 @@ def test_admissibility_uses_base_conjugacy():
     L = lattice("symmetric:3")
     R = nc.close_transfer_system(L, [(1, 5)])
     for r in (1, 2, 3):
-        assert nc.is_admissible(R, nc.g_set(L, 5, [r]))
+        assert is_admissible(R, g_set(L, 5, [r]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,22 +249,20 @@ def test_admissibility_is_conjugation_invariant(spec, data):
     orbit_pool = [i for i in range(len(L)) if L.leq(i, base)]
     orbits = data.draw(st.lists(st.sampled_from(orbit_pool), min_size=0, max_size=3))
     g = data.draw(st.integers(0, L.group.order - 1))
-    T = nc.g_set(L, base, orbits)
-    assert nc.is_admissible(R, T) == nc.is_admissible(R, nc.conjugate_gset(L, T, g))
+    T = g_set(L, base, orbits)
+    assert is_admissible(R, T) == is_admissible(R, conjugate_gset(L, T, g))
 
 
 def test_gset_cardinality_of_products():
     # |T x T'| = |T| * |T'| checks the double-coset decomposition
-    from normcert.transfers import gset_cardinality, product_gset
-
     rng = random.Random(3)
     for spec in ("symmetric:3", "dihedral:8", "cyclic:8"):
         L = lattice(spec)
         for _ in range(25):
             base = rng.randrange(len(L))
             pool = [i for i in range(len(L)) if L.leq(i, base)]
-            S = nc.g_set(L, base, rng.choices(pool, k=rng.randint(1, 3)))
-            T = nc.g_set(L, base, rng.choices(pool, k=rng.randint(1, 3)))
+            S = g_set(L, base, rng.choices(pool, k=rng.randint(1, 3)))
+            T = g_set(L, base, rng.choices(pool, k=rng.randint(1, 3)))
             P = product_gset(L, S, T)
             assert gset_cardinality(L, P) == gset_cardinality(L, S) * gset_cardinality(L, T)
 
@@ -268,22 +272,22 @@ def test_oracle_ok_for_complete_and_enumerated():
         L = lattice(spec)
         for R in enumeration(spec).systems:
             for H in L.subgroups:
-                assert nc.indexing_closure_oracle(R, H, 6) is None
+                assert indexing_closure_oracle(R, H, 6) is None
 
 
 def test_oracle_catches_injected_restriction_failure():
     L = lattice("cyclic:4")
     bad = TransferSystem(L, reflexive_pairs(L) | {(0, 2)})
-    cx = nc.indexing_closure_oracle(bad, L.top, 6)
+    cx = indexing_closure_oracle(bad, L.top, 6)
     assert cx is not None
     assert cx.operation == "restriction"
-    assert not nc.is_admissible(bad, cx.result)
+    assert not is_admissible(bad, cx.result)
 
 
 def test_oracle_catches_injected_transitivity_failure():
     L = lattice("cyclic:4")
     bad = TransferSystem(L, reflexive_pairs(L) | {(0, 1), (1, 2)})
-    cx = nc.indexing_closure_oracle(bad, L.top, 6)
+    cx = indexing_closure_oracle(bad, L.top, 6)
     assert cx is not None
     assert cx.operation in ("product", "induction")
 
@@ -291,4 +295,4 @@ def test_oracle_catches_injected_transitivity_failure():
 def test_oracle_bound_checked():
     L = lattice("cyclic:4")
     with pytest.raises(nc.BoundTooLarge):
-        nc.indexing_closure_oracle(nc.complete_system(L), L.top, 9)
+        indexing_closure_oracle(nc.complete_system(L), L.top, 9)
