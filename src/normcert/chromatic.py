@@ -147,9 +147,6 @@ class VanishingLocus:
     _inf_classes: frozenset = field(init=False, repr=False, compare=False)
     _concrete: frozenset = field(init=False, repr=False, compare=False)
     _sorted: tuple = field(init=False, repr=False, compare=False)
-    # results of the norm criterion on this locus, filled by ``certify``
-    # under the keys "violations" and (kid, hid); they die with the locus
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inf_slots = {

@@ -307,13 +307,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, flagged = args.fn(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 1 if flagged and args.strict else 0
 

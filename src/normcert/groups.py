@@ -254,11 +254,6 @@ def _read_table_csv(path: str) -> tuple[list[list[int]], str]:
     return rows, base.rsplit(".", 1)[0] or "G"
 
 
-def from_table_csv(path: str, name: str | None = None) -> FiniteGroup:
-    rows, default = _read_table_csv(path)
-    return from_table(rows, default if name is None else name)
-
-
 def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:
     """Build a group from a spec string.
 
@@ -412,18 +407,18 @@ class SubgroupLattice:
             )
         table = self.group.table
         kmem, hmem = K.members, H.members
-        seen = 0
+        rest = A.mask
         blocks = []
-        for a in A.members:
-            if seen >> a & 1:
-                continue
+        # the least unassigned element is the least element of its block
+        while rest:
+            a = (rest & -rest).bit_length() - 1
             block = 0
             for k in kmem:
                 ka = table[k][a]
                 row = table[ka]
                 for h in hmem:
                     block |= 1 << row[h]
-            seen |= block
+            rest &= ~block
             blocks.append(_bits(block))
         return tuple(blocks)
 

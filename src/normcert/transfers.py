@@ -60,9 +60,6 @@ class TransferSystem:
     lattice: SubgroupLattice
     pairs: frozenset[Pair]
 
-    def admits(self, kid: int, hid: int) -> bool:
-        return (kid, hid) in self.pairs
-
     def strict_pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(p for p in self.pairs if p[0] != p[1]))
 

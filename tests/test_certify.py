@@ -324,6 +324,19 @@ def test_certification_is_downward_closed_in_the_operad(spec, data, rng):
         assert d.certified
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CORPUS_SPECS), st.data(), st.randoms(use_true_random=False))
+def test_operad_decision_is_the_norm_decisions_in_pair_order(spec, data, rng):
+    # cross_validate_cyclic reads each norm's verdict off one operad decision,
+    # and localization_preserves skips the reflexive pairs, which never fail
+    L = lattice(spec)
+    R = nc.close_transfer_system(L, data.draw(st.sets(st.sampled_from(candidate_pairs(L)))))
+    vl = random_valid_locus(L, rng)
+    per_norm = [nc.norm_preserves_locus(vl, k, h).witnesses for k, h in sorted(R.pairs)]
+    assert nc.localization_preserves(vl, R).witnesses == tuple(itertools.chain(*per_norm))
+    assert all(nc.norm_preserves_locus(vl, h, h).certified for h in range(len(L)))
+
+
 def test_uniform_loci_pass_everything():
     rng = random.Random(24)
     for spec in CORPUS_SPECS:

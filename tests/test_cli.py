@@ -225,6 +225,14 @@ def test_non_utf8_input_file_exits_2(kind, tmp_path):
     assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
 
 
+def test_unwritable_out_path_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(["lattice", "--group", "cyclic:4", "--out", str(target)], timeout=5)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_input_heights_bounded_before_expansion(tmp_path):
     # both hung: the heights were expanded one prime at a time
     locus = tmp_path / "locus.json"

@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normcert as nc
 from normcert import io as iomod
+from normcert.cli import _INPUT_ERRORS
 from normcert import INFINITY, HeightVector
 from helpers import CORPUS_SPECS, enumeration, lattice, random_valid_locus
 
@@ -135,3 +138,91 @@ def test_group_and_lattice_docs():
     ldoc = iomod.lattice_doc(L)
     assert [s["name"] for s in ldoc["subgroups"]] == list(L.names)
     assert ldoc["covers"][0] == ["C1#0", "C2#0"]
+
+
+# -- fuzzed parsers: a bad document is an input error, never a crash --------------
+
+_S3 = lattice("symmetric:3")
+_WORDS = st.sampled_from(
+    list(_S3.names) + ["all", "any", "inf", "none", "complete", "trivial", "C9#0", ""]
+)
+_NUMERAL = st.text("0123456789-+ .e_", max_size=4)
+_RANGES = st.builds(
+    "{}..{}".format,
+    st.integers(-3, 12) | _NUMERAL,
+    st.integers(-3, 12) | st.sampled_from([10**30]) | _NUMERAL,
+)
+# near-miss heights and primes: bools, floats, negatives, just above the bound
+_SMALL = st.sampled_from(
+    [0, 1, 2, 3, 4, 10, 11, -1, -2, True, False, 2.0, float("nan"), float("inf"),
+     "inf", "none", "all", "any", None, 2**64, 1000000000000000003]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | _SMALL | _WORDS | _RANGES
+)
+_KEYS = st.sampled_from(["entries", "subgroup", "prime", "heights", "pairs", "p", "ell"])
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# each document strategy also draws well-formed values, so parsing gets past
+# its first check often enough to reach the later ones
+_PRIME = st.sampled_from([2, 3, "any"]) | _SMALL | _JSON
+_HEIGHT = st.sampled_from([0, 1, 2, "inf", "none", None, -1]) | _SMALL | _JSON
+_LOCUS = st.fixed_dictionaries({"entries": st.lists(
+    st.fixed_dictionaries({
+        "subgroup": st.sampled_from(_S3.names) | _WORDS | _JSON,
+        "prime": _PRIME,
+        "heights": st.sampled_from(["0..2", "all", [0, 1], 1]) | _RANGES
+        | st.lists(_HEIGHT, max_size=4) | _JSON,
+    }) | _JSON,
+    max_size=3,
+)})
+_OPERAD = st.fixed_dictionaries(
+    {"pairs": st.lists(st.lists(_WORDS | _JSON, min_size=2, max_size=2) | _JSON, max_size=4)}
+)
+_HEIGHTS = st.fixed_dictionaries({"p": _PRIME, "ell": st.lists(_HEIGHT, max_size=5)})
+_INLINE_CHARS = "0123456789,()-infoe ."
+_INLINE = st.builds(
+    "{},({})".format,
+    st.sampled_from(["2", "3", "4", " 5", "-2", "1e3", ""]) | st.text(_INLINE_CHARS, max_size=4),
+    st.lists(
+        st.sampled_from(["0", "1", "10", "11", "inf", "none", "-1", "-2", "", " 3 ", "1e1"])
+        | st.text(_INLINE_CHARS, max_size=4),
+        max_size=5,
+    ).map(",".join),
+) | st.text(_INLINE_CHARS, max_size=30)
+
+
+def _only_input_errors(parse, *args):
+    try:
+        parse(*args)
+    except _INPUT_ERRORS:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOCUS | _JSON)
+def test_fuzzed_locus_documents_raise_only_input_errors(doc):
+    _only_input_errors(iomod.parse_locus, _S3, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPERAD | _JSON)
+def test_fuzzed_operad_documents_raise_only_input_errors(doc):
+    _only_input_errors(iomod.parse_system, _S3, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_HEIGHTS | _JSON)
+def test_fuzzed_height_documents_raise_only_input_errors(doc):
+    _only_input_errors(iomod.parse_heights, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INLINE)
+def test_fuzzed_inline_heights_raise_only_input_errors(text):
+    _only_input_errors(iomod.parse_heights_inline, text)
