@@ -7,6 +7,13 @@ Geometric fixed points of a norm split along double cosets, and a smash
 product is K(m, p)-acyclic exactly when one factor is, so the criterion is
 a finite, exact computation on the lattice.
 
+The existential runs over the distinct H-conjugates K^h of K rather than
+over double cosets: cuts from one double coset are J-conjugate, so both give
+the same classes of K^h n J.  Each locus keeps a bitmask of classes per
+(height, prime), each triple (K, H, J) one bitmask of cut classes, and a
+triple fails when the two are disjoint.  Only a failing triple computes its
+double cosets, for the witness it reports.
+
 Verdicts are one-sided by design: ``CERTIFIED_PRESERVES`` means the
 sufficient criterion holds for every admissible norm of the operad;
 ``NO_GUARANTEE`` only reports that the certificate failed, never that the
@@ -35,7 +42,7 @@ from .chromatic import (
     validate_height_vector,
     validate_vanishing_locus,
 )
-from .groups import Subgroup
+from .groups import Subgroup, _bits
 from .transfers import BoundTooLarge, TransferSystem, complete_system
 
 
@@ -72,8 +79,10 @@ class Verdict(Enum):
 class NormFailure:
     """One failing instance of the double-coset criterion.
 
-    ``checked`` lists every (representative, intersection subgroup id) that
-    was tried for the existential before giving up: all of
+    The existential was tried over every H-conjugate of K, which covers
+    every double coset.  ``checked`` is still the Mackey decomposition of
+    the failing triple, one (representative, intersection subgroup id) per
+    double coset: all of
     :meth:`~normcert.groups.SubgroupLattice.mackey_cuts` for the pair at
     ``subgroup``.
     """
@@ -128,14 +137,28 @@ def norm_support(
 
 def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFailure, ...]:
     L = vl.lattice
+    subgroups, id_of_mask, class_of = L.subgroups, L.id_of_mask, L.class_of
+    hmask = subgroups[hid].mask
+    # the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
+    # every h in it, so the H-conjugates K^h of K give the same cut classes
+    row = L.conj[kid]
+    ids = {kid} if L.is_normal(kid) else {row[h] for h in _bits(hmask)}
+    conjugates = [subgroups[c].mask for c in ids]
+    cut_classes: dict[int, int] = {}
     failures = []
     for q in vl.sorted_primes():
+        in_locus = vl.class_mask(q.height, q.prime)
         for jid in L.classes[q.subgroup_class]:
-            if not L.leq(jid, hid):
+            jmask = subgroups[jid].mask
+            if jmask & ~hmask:
                 continue
-            cuts = L.mackey_cuts(kid, jid, hid)
-            if not any(vl.contains(L.class_of[cut], q.height, q.prime) for _, cut in cuts):
-                failures.append(NormFailure(kid, hid, jid, q, cuts))
+            cuts = cut_classes.get(jid)
+            if cuts is None:
+                cuts = cut_classes[jid] = sum(
+                    {1 << class_of[id_of_mask(k & jmask)] for k in conjugates}
+                )
+            if not cuts & in_locus:
+                failures.append(NormFailure(kid, hid, jid, q, L.mackey_cuts(kid, jid, hid)))
     return tuple(failures)
 
 

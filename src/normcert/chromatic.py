@@ -142,11 +142,13 @@ class VanishingLocus:
     lattice: SubgroupLattice
     primes: frozenset[BalmerPrime]
     # membership index built at construction: the (class, height, prime) of
-    # every prime, the classes holding an INFINITY prime, the concrete primes
+    # every prime, the classes holding an INFINITY prime, the concrete primes,
+    # and per (height, prime) of a prime the bitmask of lattice classes there
     _keys: frozenset = field(init=False, repr=False, compare=False)
     _inf_classes: frozenset = field(init=False, repr=False, compare=False)
     _concrete: frozenset = field(init=False, repr=False, compare=False)
     _sorted: tuple = field(init=False, repr=False, compare=False)
+    _class_masks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inf_slots = {
@@ -166,6 +168,19 @@ class VanishingLocus:
         setattr_(self, "_inf_classes", frozenset(inf_classes))
         setattr_(self, "_concrete", frozenset(q.prime for q in kept if q.prime != ANY_PRIME))
         setattr_(self, "_sorted", tuple(sorted(kept, key=BalmerPrime.sort_key)))
+        classes = range(len(self.lattice.classes))
+        setattr_(self, "_class_masks", {
+            slot: sum(1 << c for c in classes if self._holds(c, *slot))
+            for slot in {(q.height, q.prime) for q in kept}
+        })
+
+    def _holds(self, subgroup_class: int, height: Height, prime) -> bool:
+        keys = self._keys
+        if height == 0:
+            return (subgroup_class, 0, ANY_PRIME) in keys or subgroup_class in self._inf_classes
+        return (subgroup_class, height, prime) in keys or (
+            subgroup_class, INFINITY, prime
+        ) in keys
 
     def contains(self, subgroup_class: int, height: Height, prime) -> bool:
         """Whether P(class, height, prime) lies in the locus.
@@ -174,16 +189,19 @@ class VanishingLocus:
         at height 0 the prime is ignored.  A bad height, or a bad prime at a
         positive height, raises the ValueError of :class:`BalmerPrime`.
         """
-        keys = self._keys
-        if height == 0:
-            return (subgroup_class, 0, ANY_PRIME) in keys or subgroup_class in self._inf_classes
-        if not is_height(height) or not (
+        if height != 0 and (not is_height(height) or not (
             type(prime) is int and prime in self._concrete or _is_prime(prime)
-        ):
+        )):
             BalmerPrime(subgroup_class, height, prime)  # raises its ValueError
-        return (subgroup_class, height, prime) in keys or (
-            subgroup_class, INFINITY, prime
-        ) in keys
+        return self._holds(subgroup_class, height, prime)
+
+    def class_mask(self, height: Height, prime) -> int:
+        """Bitmask of the lattice classes c with ``contains(c, height, prime)``.
+
+        Defined for the (height, prime) of each prime of the locus, the only
+        ones the norm criterion asks about.
+        """
+        return self._class_masks[height, prime]
 
     def concrete_primes(self) -> tuple[int, ...]:
         return tuple(sorted(self._concrete))

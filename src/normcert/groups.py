@@ -448,26 +448,29 @@ def subgroup_lattice(
 
     Starts from the cyclic subgroups and closes under joins; every subgroup
     arises by adjoining cyclic generators one at a time, so the sweep is
-    complete.
+    complete.  Each subgroup keeps the generators it was found with, so a
+    join closes those few elements rather than every member of both sides.
     """
     if G.order > max_order:
         raise GroupTooLarge(f"|{G.name}| = {G.order} exceeds bound {max_order}")
-    trivial = 1 << G.identity
-    cyclics = sorted({G.generated_mask(1 << g) for g in range(G.order)})
-    masks = {trivial} | set(cyclics)
-    frontier = sorted(masks)
+    gens = {1 << G.identity: 0}
+    for g in range(G.order):
+        gens.setdefault(G.generated_mask(1 << g), 1 << g)
+    cyclics = sorted(gens)
+    frontier = cyclics
     while frontier:
         fresh = set()
         for u in frontier:
             for c in cyclics:
                 if c & ~u:
-                    v = G.generated_mask(u | c)
-                    if v not in masks:
-                        masks.add(v)
+                    both = gens[u] | gens[c]
+                    v = G.generated_mask(both)
+                    if v not in gens:
+                        gens[v] = both
                         fresh.add(v)
         frontier = sorted(fresh)
 
-    ordered = sorted(masks, key=lambda m: (m.bit_count(), _bits(m)))
+    ordered = sorted(gens, key=lambda m: (m.bit_count(), _bits(m)))
     subgroups = tuple(
         Subgroup(i, m, m.bit_count()) for i, m in enumerate(ordered)
     )
@@ -480,9 +483,7 @@ def subgroup_lattice(
         per_order[s.order] = idx + 1
         names.append(f"C{s.order}#{idx}")
 
-    conj = tuple(
-        tuple(id_of_mask[G.conj_mask(s.mask, g)] for g in range(G.order)) for s in subgroups
-    )
+    conj = _conjugation_table(G, subgroups, id_of_mask)
     # a row is its subgroup's orbit; the orbit's least member opens its class
     classes = tuple(tuple(sorted(set(row))) for sid, row in enumerate(conj) if min(row) == sid)
     class_of = [0] * len(subgroups)
@@ -500,6 +501,40 @@ def subgroup_lattice(
         _id_of_mask=id_of_mask,
         _id_of_name={n: i for i, n in enumerate(names)},
     )
+
+
+def _conjugation_table(
+    G: FiniteGroup, subgroups: Sequence[Subgroup], id_of_mask: dict[int, int]
+) -> tuple[tuple[int, ...], ...]:
+    """``conj[sid][g]``, the id of the conjugate of subgroup ``sid`` by ``g``.
+
+    Conjugates by a greedy generating set of G are computed from masks; every
+    other column follows along a breadth-first sweep of G, since
+    K^(xg) = (K^x)^g.
+    """
+    gens: list[int] = []
+    genmask, span = 0, 1 << G.identity
+    for g in range(G.order):
+        if not span >> g & 1:
+            gens.append(g)
+            genmask |= 1 << g
+            span = G.generated_mask(genmask)
+    by_gen = [tuple(id_of_mask[G.conj_mask(s.mask, g)] for s in subgroups) for g in gens]
+    cols: list = [None] * G.order
+    cols[G.identity] = tuple(range(len(subgroups)))
+    frontier = [G.identity]
+    table = G.table
+    while frontier:
+        nxt = []
+        for x in frontier:
+            col, row = cols[x], table[x]
+            for g, step in zip(gens, by_gen):
+                y = row[g]
+                if cols[y] is None:
+                    cols[y] = tuple(map(step.__getitem__, col))
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(zip(*cols))
 
 
 # -- lattice operations -------------------------------------------------------

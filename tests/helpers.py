@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: subgroup
 lattices come from closing small generating sets, lattice covers from their
 definition, transfer-system validity is re-derived with element-by-element
 restriction, closure restricts along double cosets instead of intersections,
-norm supports are recomputed over every element of H, and transfer systems
-are checked against the finite H-sets they make admissible.
+norm supports are recomputed over every element of H, the norm criterion's
+witnesses are found by walking double cosets, and transfer systems are
+checked against the finite H-sets they make admissible.
 """
 
 from __future__ import annotations
@@ -204,6 +205,25 @@ def brute_force_norm_preserves(vl: nc.VanishingLocus, kid: int, hid: int) -> boo
             if not any(hits):
                 return False
     return True
+
+
+def double_coset_obstructions(vl: nc.VanishingLocus, kid: int, hid: int) -> tuple:
+    """The norm criterion's witnesses for (K, H), read off double cosets.
+
+    For each prime q of the locus and each J <= H in its class, in that
+    order, the triple fails when no double coset KrJ of K\\H/J has a cut
+    K^r n J whose class carries (height, prime) of q in the locus.
+    """
+    L = vl.lattice
+    failures = []
+    for q in vl.sorted_primes():
+        for jid in L.classes[q.subgroup_class]:
+            if not L.leq(jid, hid):
+                continue
+            cuts = L.mackey_cuts(kid, jid, hid)
+            if not any(vl.contains(L.class_of[cut], q.height, q.prime) for _, cut in cuts):
+                failures.append(nc.NormFailure(kid, hid, jid, q, cuts))
+    return tuple(failures)
 
 
 def random_rep_norm_preserves(vl: nc.VanishingLocus, kid: int, hid: int, rng) -> bool:

@@ -19,6 +19,7 @@ from helpers import (
     brute_force_norm_support,
     brute_force_valid_heights,
     commutative_count,
+    double_coset_obstructions,
     enumeration,
     lattice,
     random_pair,
@@ -335,6 +336,61 @@ def test_operad_decision_is_the_norm_decisions_in_pair_order(spec, data, rng):
     per_norm = [nc.norm_preserves_locus(vl, k, h).witnesses for k, h in sorted(R.pairs)]
     assert nc.localization_preserves(vl, R).witnesses == tuple(itertools.chain(*per_norm))
     assert all(nc.norm_preserves_locus(vl, h, h).certified for h in range(len(L)))
+
+
+def _fields(witnesses):
+    return [
+        (w.norm_source, w.norm_target, w.subgroup, w.prime, w.checked) for w in witnesses
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CORPUS_SPECS + ("symmetric:4", "dihedral:16*cyclic:2")),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_witnesses_match_the_double_coset_oracle(spec, data, rng):
+    # the engine reads cut classes off the H-conjugates of K; the oracle walks
+    # the double cosets K\H/J, and both report the Mackey cuts of a failure
+    L = lattice(spec)
+    seed = data.draw(st.lists(st.sampled_from(candidate_pairs(L)), max_size=3))
+    R = nc.close_transfer_system(L, seed)
+    vl = random_valid_locus(L, rng)
+    expected = [w for k, h in R.strict_pairs() for w in double_coset_obstructions(vl, k, h)]
+    assert _fields(nc.localization_preserves(vl, R).witnesses) == _fields(expected)
+    for _ in range(5):
+        kid, hid = random_pair(L, rng)
+        got = nc.norm_preserves_locus(vl, kid, hid).witnesses
+        assert _fields(got) == _fields(double_coset_obstructions(vl, kid, hid))
+
+
+def test_only_failing_triples_compute_double_cosets(monkeypatch):
+    # the criterion reads cut classes off conjugates; Mackey cuts are built
+    # for a witness's ``checked`` and for nothing else
+    calls = {"cuts": 0, "blocks": 0}
+    cuts, blocks = nc.SubgroupLattice.mackey_cuts, nc.SubgroupLattice.double_coset_blocks
+
+    def counted_cuts(L, *args):
+        calls["cuts"] += 1
+        return cuts(L, *args)
+
+    def counted_blocks(L, *args):
+        calls["blocks"] += 1
+        return blocks(L, *args)
+
+    monkeypatch.setattr(nc.SubgroupLattice, "mackey_cuts", counted_cuts)
+    monkeypatch.setattr(nc.SubgroupLattice, "double_coset_blocks", counted_blocks)
+    rng = random.Random(26)
+    witnesses = 0
+    for spec in ("symmetric:4", "dihedral:16*cyclic:2"):
+        L = nc.subgroup_lattice(nc.build_group(spec))
+        for _ in range(4):
+            d = nc.localization_preserves(random_valid_locus(L, rng), nc.complete_system(L))
+            witnesses += len(d.witnesses)
+    assert witnesses > 0
+    assert calls["cuts"] == witnesses
+    assert calls["blocks"] <= witnesses
 
 
 def test_uniform_loci_pass_everything():

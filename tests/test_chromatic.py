@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
@@ -305,6 +305,11 @@ def _outcome(contains, *query):
         max_size=25,
     ),
 )
+@example(
+    "dihedral:8",
+    [(1, INFINITY, 2), (2, 0, 3), (3, 0, 5), (3, 1, 3), (0, 2, 2), (4, INFINITY, 3)],
+    [(1, 0, ANY_PRIME)],
+)
 def test_contains_matches_the_prime_set(spec, raw, queries):
     # arbitrary prime sets: not downward closed, INFINITY primes mixed in,
     # classes beyond the lattice's; queries include bad heights and primes
@@ -313,3 +318,10 @@ def test_contains_matches_the_prime_set(spec, raw, queries):
     for query in queries:
         assert _outcome(vl.contains, *query) == _outcome(contains_by_definition, vl, *query)
     assert vl.sorted_primes() == tuple(sorted(vl.primes, key=BalmerPrime.sort_key))
+    # the class mask of every stored (height, prime) is contains over the lattice
+    n = len(L.classes)
+    for height, prime in {(q.height, q.prime) for q in vl.primes}:
+        mask = vl.class_mask(height, prime)
+        assert mask >> n == 0
+        for c in range(n):
+            assert bool(mask >> c & 1) == contains_by_definition(vl, c, height, prime)

@@ -78,14 +78,29 @@ def test_direct_product_order_and_lattice():
     assert len(L) == 5  # Klein four group: trivial, three C2, total
 
 
-@pytest.mark.parametrize("spec", CORPUS_SPECS + ("cyclic:2*cyclic:2", "symmetric:4"))
+# the groups of the decide-mix benchmark, each with the largest number of
+# generators one of its subgroups needs (S4 needs 2 but keeps the default 3)
+DECIDE_MIX_GENERATORS = {
+    "symmetric:4": 3,
+    "dihedral:32": 2,
+    "cyclic:2*cyclic:2*cyclic:2*cyclic:2": 4,
+    "cyclic:8*cyclic:8": 2,
+    "dihedral:16*cyclic:2": 3,
+    "dihedral:64": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "spec", CORPUS_SPECS + ("cyclic:2*cyclic:2",) + tuple(DECIDE_MIX_GENERATORS)
+)
 def test_lattice_matches_small_generating_set_oracle(spec):
     L = lattice(spec)
-    assert {s.mask for s in L.subgroups} == brute_force_subgroup_masks(L.group)
+    max_gen = DECIDE_MIX_GENERATORS.get(spec, 3)
+    assert {s.mask for s in L.subgroups} == brute_force_subgroup_masks(L.group, max_gen)
 
 
 def test_lattice_order_and_conjugacy_invariants():
-    for spec in CORPUS_SPECS:
+    for spec in CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS):
         L = lattice(spec)
         keys = [(s.order, s.members) for s in L.subgroups]
         assert keys == sorted(keys)
@@ -98,6 +113,24 @@ def test_lattice_order_and_conjugacy_invariants():
             row = L.conj[s.lattice_id]
             assert row == tuple(L.id_of_mask(G.conj_mask(s.mask, g)) for g in range(G.order))
             assert L.class_members(s.lattice_id) == tuple(sorted(set(row)))
+
+
+def test_conjugation_table_conjugates_by_generators_only(monkeypatch):
+    # each element past a greedy generating set at least doubles its span, so
+    # the table needs at most log2 |G| columns of conj_mask calls
+    calls = 0
+    conj_mask = nc.FiniteGroup.conj_mask
+
+    def counted(G, mask, g):
+        nonlocal calls
+        calls += 1
+        return conj_mask(G, mask, g)
+
+    monkeypatch.setattr(nc.FiniteGroup, "conj_mask", counted)
+    for spec in ("symmetric:4", "dihedral:64", "cyclic:2*cyclic:2*cyclic:2*cyclic:2"):
+        calls = 0
+        L = nc.subgroup_lattice(nc.build_group(spec))
+        assert 0 < calls <= (L.group.order.bit_length() - 1) * len(L)
 
 
 @pytest.mark.parametrize(

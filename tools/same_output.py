@@ -1,0 +1,108 @@
+"""Check that the CLI prints the same bytes as a base revision.
+
+    python3 tools/same_output.py BASE_REV [--seeds 1 2]
+
+BASE_REV is checked out into a temporary ``git worktree``.  Each workload's
+input documents are written once, with the base tree.  Then every request of
+the given seeds of all three benchmark workloads runs through the base tree
+and through this working tree, each request in its own ``python -m
+normcert.cli`` subprocess, and the sha256 of its stdout and its exit code
+are compared.  The request streams come from ``perfbench/workloads.py``.
+
+Exits 0 when every request agrees and 1 at the first request that differs,
+naming it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
+
+
+def tree_env(tree: str, *extra: str) -> dict[str, str]:
+    """A clean environment that imports ``normcert`` from ``tree``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NORMCERT_")}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(tree, "src"), *extra])
+    env["PYTHONHASHSEED"] = "0"
+    return env
+
+
+def write_inputs(tree: str, workload: str, workdir: str) -> None:
+    code = "import sys, workloads; workloads.write_inputs(*sys.argv[1:])"
+    subprocess.run([sys.executable, "-c", code, workload, workdir],
+                   env=tree_env(tree, PERFBENCH), cwd=workdir, check=True)
+
+
+def outcomes(trees: list[str], argv: list[str], cwd: str) -> list[tuple[str, int]]:
+    """(sha256 of stdout, exit code) of one request in each tree, run side by side."""
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "normcert.cli", *argv], env=tree_env(tree),
+                         cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        for tree in trees
+    ]
+    out = []
+    for proc in procs:
+        stdout, _ = proc.communicate()
+        out.append((hashlib.sha256(stdout).hexdigest(), proc.returncode))
+    return out
+
+
+def compare(base: str, seeds: list[int], scratch: str) -> str | None:
+    """The first request whose output differs between the trees, or None."""
+    for workload in workloads.WORKLOADS:
+        workdir = os.path.join(scratch, workload)
+        os.makedirs(workdir)
+        write_inputs(base, workload, workdir)
+        for seed in seeds:
+            requests = workloads.stream(workload, seed)
+            for req in requests:
+                argv = [os.path.join(workdir, a[1:]) if a.startswith("@") else a
+                        for a in req["argv"]]
+                (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, workdir)
+                if (base_sha, base_rc) != (head_sha, head_rc):
+                    return (f"{workload} seed {seed} request {req['id']} "
+                            f"({' '.join(req['argv'])}): base exit {base_rc} "
+                            f"sha256 {base_sha[:12]}, this tree exit {head_rc} "
+                            f"sha256 {head_sha[:12]}")
+            print(f"{workload} seed {seed}: {len(requests)} requests identical", flush=True)
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_rev", metavar="BASE_REV")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args(argv)
+
+    scratch = tempfile.mkdtemp(prefix="same-output-")
+    base = os.path.join(scratch, "base")
+    try:
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach",
+                        base, args.base_rev], check=True)
+        try:
+            differs = compare(base, args.seeds, scratch)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base],
+                           check=False)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    if differs is not None:
+        print(f"differs: {differs}")
+        return 1
+    print("same output on every request")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
