@@ -22,6 +22,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Any
 
 
@@ -87,63 +88,92 @@ class FiniteGroup:
 
     def generated_mask(self, mask: int) -> int:
         """Bitmask of the subgroup generated by the elements of ``mask``."""
-        members = 1 << self.identity
-        gens = _bits(mask)
-        frontier = [self.identity]
-        table = self.table
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row = table[x]
-                for g in gens:
-                    y = row[g]
-                    b = 1 << y
-                    if not members & b:
-                        members |= b
-                        nxt.append(y)
-            frontier = nxt
-        return members
+        return _span(self.table, self.identity, _bits(mask))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+def _span(table: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> int:
+    """Bitmask of what right multiplication by ``gens`` reaches from ``identity``.
+
+    In a group this is the subgroup that ``gens`` generate.
+    """
+    members = 1 << identity
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                b = 1 << y
+                if not members & b:
+                    members |= b
+                    nxt.append(y)
+        frontier = nxt
+    return members
+
+
+def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+    """Each element, in index order, that the ones taken before it do not span.
+
+    ``identity`` must be a left identity of ``table``; then every element
+    ends up in the span.  In a group each generator at least doubles the
+    span, so there are at most log2 |G| of them.
+    """
+    gens: list[int] = []
+    span = 1 << identity
+    for g in range(len(table)):
+        if not span >> g & 1:
+            gens.append(g)
+            span = _span(table, identity, gens)
+    return tuple(gens)
+
+
 def _validated_group(name: str, rows) -> FiniteGroup:
+    """Check the group axioms on ``rows`` and wrap them as a FiniteGroup.
+
+    Associativity uses Light's test: ``(xy)g = x(yg)`` is checked for all
+    x, y but only for g in a greedy generating set.  The elements g that
+    pass contain the identity and are closed under products, and the
+    generators reach every element by right multiplication from the
+    identity, so passing for the generators means passing for all of G.
+    That costs O(n^2 log n) on a group rather than n^3.
+    """
     n = len(rows)
     if n == 0:
         raise InvalidTable("empty multiplication table")
-    table = tuple(tuple(int(x) for x in row) for row in rows)
+    table = tuple(tuple(map(int, row)) for row in rows)
     for i, row in enumerate(table):
         if len(row) != n:
             raise InvalidTable(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise InvalidTable(f"entry {x} in row {i} out of range 0..{n - 1}")
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise InvalidTable(f"entry {x} in row {i} out of range 0..{n - 1}")
+    identity_row = tuple(range(n))
     idents = [
         e
         for e in range(n)
-        if all(table[e][j] == j for j in range(n))
-        and all(table[i][e] == i for i in range(n))
+        if table[e] == identity_row and tuple(row[e] for row in table) == identity_row
     ]
     if len(idents) != 1:
         raise InvalidTable("table has no unique two-sided identity")
     e = idents[0]
-    for a in range(n):
-        ta = table[a]
-        for b in range(n):
-            tab = table[ta[b]]
-            tb = table[b]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    raise InvalidTable(f"associativity fails at ({a}, {b}, {c})")
+    for g in _greedy_generators(table, e):
+        col = tuple(row[g] for row in table)
+        times_g = itemgetter(*col)
+        for a, ta in enumerate(table):
+            # (ab)g against a(bg), for every b at once
+            if itemgetter(*ta)(col) != times_g(ta):
+                b = next(b for b in range(n) if col[ta[b]] != ta[col[b]])
+                raise InvalidTable(f"associativity fails at ({a}, {b}, {g})")
+    # in a finite monoid ab = e forces ba = e, so a's inverse is where e sits in its row
     inverse = []
-    for a in range(n):
-        inv_a = next(
-            (b for b in range(n) if table[a][b] == e and table[b][a] == e), None
-        )
-        if inv_a is None:
+    for a, row in enumerate(table):
+        if e not in row:
             raise InvalidTable(f"element {a} has no two-sided inverse")
-        inverse.append(inv_a)
+        inverse.append(row.index(e))
     return FiniteGroup(name, n, table, e, tuple(inverse))
 
 
@@ -225,9 +255,9 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
 def _binary_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n = a.order * b.order
     nb = b.order
+    # element x encodes the pair (x // nb, x % nb)
     rows = [
-        [a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb) for y in range(n)]
-        for x in range(n)
+        [p * nb + q for p in a.table[x // nb] for q in b.table[x % nb]] for x in range(n)
     ]
     return _validated_group(f"{a.name}x{b.name}", rows)
 
@@ -237,19 +267,36 @@ def from_table(rows, name: str = "G") -> FiniteGroup:
     return _validated_group(name, rows)
 
 
-def _read_table_csv(path: str) -> tuple[list[list[int]], str]:
-    """The rows of a CSV multiplication table and the name its file gives."""
+def _read_table_csv(path: str, max_order: int | None) -> tuple[list[list[int]], str]:
+    """The rows of a CSV multiplication table and the name its file gives.
+
+    Given ``max_order``, reading stops at the first row past that many rows
+    (GroupTooLarge) or wider than that (InvalidTable); each row is still
+    parsed whole before its width is known.
+    """
+    rows: list[list[int]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            cells = [row for row in csv.reader(fh) if row]
+            for row in csv.reader(fh):
+                if not row:
+                    continue
+                if max_order is not None:
+                    if len(rows) == max_order:
+                        raise GroupTooLarge(
+                            f"{path} has more than {max_order} rows, exceeds bound {max_order}"
+                        )
+                    if len(row) > max_order:
+                        raise InvalidTable(
+                            f"row {len(rows)} of {path} has more than {max_order} entries"
+                        )
+                try:
+                    rows.append([int(x) for x in row])
+                except ValueError:
+                    raise InvalidTable(
+                        f"row {len(rows)} of {path} has a non-integer entry"
+                    ) from None
     except UnicodeDecodeError:
         raise InvalidTable(f"{path} is not UTF-8 text") from None
-    rows = []
-    for row in cells:
-        try:
-            rows.append([int(x) for x in row])
-        except ValueError:
-            raise InvalidTable(f"row {len(rows)} of {path} has a non-integer entry") from None
     base = path.replace("\\", "/").rsplit("/", 1)[-1]
     return rows, base.rsplit(".", 1)[0] or "G"
 
@@ -261,12 +308,14 @@ def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:
     (N the order), ``symmetric:N`` (N <= 5), ``quaternion:8`` and
     ``table:PATH`` (CSV of element indices, row i column j = i*j).  Given
     ``max_order``, a factor or product of larger order raises GroupTooLarge
-    before any table is built; a ``table:`` factor counts its CSV rows.
+    before any table is built; a ``table:`` factor counts its CSV rows, and
+    its CSV is read no further than the first row past the bound or wider
+    than it.
     """
     parts = [p.strip() for p in spec.split("*")]
     if any(not p for p in parts):
         raise UnsupportedSpec(f"malformed group spec {spec!r}")
-    atoms = [_atom(p) for p in parts]
+    atoms = [_atom(p, max_order) for p in parts]
     if max_order is not None:
         order = math.prod(n for n, _ in atoms)
         if order > max_order or any(n > max_order for n, _ in atoms):
@@ -275,8 +324,11 @@ def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:
     return groups[0] if len(groups) == 1 else direct_product(*groups)
 
 
-def _atom(s: str) -> tuple[int, Callable[[], FiniteGroup]]:
-    """One factor of a spec as (its order, its constructor); nothing is built."""
+def _atom(s: str, max_order: int | None) -> tuple[int, Callable[[], FiniteGroup]]:
+    """One factor of a spec as (its order, its constructor); nothing is built.
+
+    A ``table:`` factor is read here, and no further than ``max_order`` allows.
+    """
     kind, sep, arg = s.partition(":")
     if kind in ("cyclic", "dihedral") and sep:
         n = _int_arg(s, arg)
@@ -290,7 +342,7 @@ def _atom(s: str) -> tuple[int, Callable[[], FiniteGroup]]:
             raise UnsupportedSpec(f"only quaternion:8 is supported, got {s!r}")
         return 8, quaternion
     if kind == "table" and sep:
-        rows, name = _read_table_csv(arg)
+        rows, name = _read_table_csv(arg, max_order)
         return len(rows), partial(from_table, rows, name)
     raise UnsupportedSpec(f"unrecognised group spec {s!r}")
 
@@ -446,28 +498,40 @@ def subgroup_lattice(
 ) -> SubgroupLattice:
     """Enumerate every subgroup of G.
 
-    Starts from the cyclic subgroups and closes under joins; every subgroup
-    arises by adjoining cyclic generators one at a time, so the sweep is
-    complete.  Each subgroup keeps the generators it was found with, so a
-    join closes those few elements rather than every member of both sides.
+    Starts from the cyclic subgroups and closes under joins with them;
+    every subgroup arises by adjoining cyclic generators one at a time, so
+    the sweep is complete.  Each subgroup u keeps the generators it was
+    found with, and a join ``<u, g>`` is built from whole right cosets of u
+    (Dimino's algorithm), so it costs about one table lookup per element.
+    Since ``<u, g> = <u, agb>`` for a, b in u, a cyclic whose generator
+    lies in a u-double coset already joined is skipped.
     """
     if G.order > max_order:
         raise GroupTooLarge(f"|{G.name}| = {G.order} exceeds bound {max_order}")
-    gens = {1 << G.identity: 0}
+    table, e = G.table, G.identity
+    # each cyclic subgroup with its least generator
+    cyclic_gen: dict[int, int] = {}
     for g in range(G.order):
-        gens.setdefault(G.generated_mask(1 << g), 1 << g)
-    cyclics = sorted(gens)
-    frontier = cyclics
+        cyclic_gen.setdefault(G.generated_mask(1 << g), g)
+    del cyclic_gen[1 << e]
+    cyclics = sorted(cyclic_gen.items())
+    gens: dict[int, tuple[int, ...]] = {1 << e: ()}
+    gens.update((c, (g,)) for c, g in cyclics)
+    frontier = sorted(gens)
     while frontier:
         fresh = set()
         for u in frontier:
-            for c in cyclics:
-                if c & ~u:
-                    both = gens[u] | gens[c]
-                    v = G.generated_mask(both)
-                    if v not in gens:
-                        gens[v] = both
-                        fresh.add(v)
+            ugens, umem = gens[u], _bits(u)
+            joined = u
+            for _, g in cyclics:
+                if joined >> g & 1:
+                    continue
+                both = ugens + (g,)
+                v = _coset_union(table, umem, both, e)
+                joined |= _coset_union(table, umem, ugens, g)
+                if v not in gens:
+                    gens[v] = both
+                    fresh.add(v)
         frontier = sorted(fresh)
 
     ordered = sorted(gens, key=lambda m: (m.bit_count(), _bits(m)))
@@ -503,6 +567,32 @@ def subgroup_lattice(
     )
 
 
+def _coset_union(
+    table: Sequence[Sequence[int]], umem: Sequence[int], gens: Sequence[int], start: int
+) -> int:
+    """The least union of right cosets ``u·x`` that holds ``start`` and is
+    closed under right multiplication by ``gens``; ``umem`` lists u.
+
+    Coset representatives are visited breadth first, and each one reached
+    outside the union adds its whole coset.  With ``start`` the identity and
+    ``gens`` holding generators of u this is the subgroup they generate;
+    with ``gens`` generating u it is the double coset ``u·start·u``.
+    """
+    members = 0
+    for a in umem:
+        members |= 1 << table[a][start]
+    reps = [start]
+    for x in reps:  # appended to while iterated: breadth first
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if not members >> y & 1:
+                for a in umem:
+                    members |= 1 << table[a][y]
+                reps.append(y)
+    return members
+
+
 def _conjugation_table(
     G: FiniteGroup, subgroups: Sequence[Subgroup], id_of_mask: dict[int, int]
 ) -> tuple[tuple[int, ...], ...]:
@@ -512,13 +602,7 @@ def _conjugation_table(
     other column follows along a breadth-first sweep of G, since
     K^(xg) = (K^x)^g.
     """
-    gens: list[int] = []
-    genmask, span = 0, 1 << G.identity
-    for g in range(G.order):
-        if not span >> g & 1:
-            gens.append(g)
-            genmask |= 1 << g
-            span = G.generated_mask(genmask)
+    gens = _greedy_generators(G.table, G.identity)
     by_gen = [tuple(id_of_mask[G.conj_mask(s.mask, g)] for s in subgroups) for g in gens]
     cols: list = [None] * G.order
     cols[G.identity] = tuple(range(len(subgroups)))

@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own algorithms: subgroup
-lattices come from closing small generating sets, lattice covers from their
+The oracles here deliberately avoid the library's own algorithms: group
+axioms are checked on every triple of a table, subgroup lattices come from
+closing small generating sets element by element, lattice covers from their
 definition, transfer-system validity is re-derived with element-by-element
 restriction, closure restricts along double cosets instead of intersections,
 norm supports are recomputed over every element of H, the norm criterion's
@@ -50,15 +51,51 @@ def corpus_lattices():
 # -- independent oracles ---------------------------------------------------------
 
 
+def associativity_failure(table) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c), in lexicographic order, with (ab)c != a(bc)."""
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+def group_axiom_failure(table) -> str | None:
+    """Why a square table of entries in 0..n-1 is not a group, or None.
+
+    Every axiom is checked on every element (associativity on all n^3
+    triples), independently of ``groups._validated_group``.
+    """
+    n = len(table)
+    idents = [
+        e for e in range(n)
+        if all(table[e][x] == x and table[x][e] == x for x in range(n))
+    ]
+    if len(idents) != 1:
+        return "identity"
+    if associativity_failure(table) is not None:
+        return "associativity"
+    e = idents[0]
+    if not all(any(table[a][b] == e == table[b][a] for b in range(n)) for a in range(n)):
+        return "inverse"
+    return None
+
+
+def _closure(G: nc.FiniteGroup, elems) -> int:
+    """Bitmask of the subgroup generated by ``elems``: products until nothing is new."""
+    members = {G.identity, *elems}
+    while True:
+        more = {G.mul(x, y) for x in members for y in elems} - members
+        if not more:
+            return sum(1 << x for x in members)
+        members |= more
+
+
 def brute_force_subgroup_masks(G: nc.FiniteGroup, max_gen: int = 3) -> set[int]:
     """Closures of all generating sets of size <= max_gen."""
-    masks = {G.generated_mask(0)}
+    masks = {1 << G.identity}
     for r in range(1, max_gen + 1):
-        for combo in itertools.combinations(range(G.order), r):
-            m = 0
-            for g in combo:
-                m |= 1 << g
-            masks.add(G.generated_mask(m))
+        masks.update(_closure(G, combo) for combo in itertools.combinations(range(G.order), r))
     return masks
 
 

@@ -203,6 +203,22 @@ def test_non_object_locus_document_exits_2(doc, tmp_path, capsys):
     assert not captured.out and captured.err.count("error:") == 2
 
 
+@pytest.mark.parametrize("shape", ["wide", "tall"])
+def test_oversized_table_csv_exits_2_while_reading(shape, tmp_path):
+    # parsing every cell before the order and squareness checks took over 4 s
+    # and 200 MB for each of these files before exiting 2
+    table = tmp_path / f"{shape}.csv"
+    if shape == "wide":
+        table.write_text(("0," * 200_000 + "0\n") * 64)
+        expect = "row 0 of"
+    else:
+        table.write_text("0\n" * 2_000_000)
+        expect = "more than 64 rows"
+    code, out, err = run_cli(["lattice", "--group", f"table:{table}"], timeout=5)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and expect in err and "more than 64" in err
+
+
 def test_non_integer_table_cell_exits_2(tmp_path):
     table = tmp_path / "bad.csv"
     table.write_text("0,1\n1,0\na,b\n")

@@ -6,11 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
+from normcert.groups import _greedy_generators
 from helpers import (
     CORPUS_SPECS,
+    associativity_failure,
     brute_force_subgroup_masks,
     covers_by_definition,
     enumeration,
+    group_axiom_failure,
     lattice,
     random_valid_locus,
     subconjugate_witness,
@@ -42,13 +45,121 @@ def test_q8_all_normal():
     assert all(L.is_normal(i) for i in range(len(L)))
 
 
+# the groups of the decide-mix benchmark, each with the largest number of
+# generators one of its subgroups needs (S4 needs 2 but keeps the default 3)
+DECIDE_MIX_GENERATORS = {
+    "symmetric:4": 3,
+    "dihedral:32": 2,
+    "cyclic:2*cyclic:2*cyclic:2*cyclic:2": 4,
+    "cyclic:8*cyclic:8": 2,
+    "dihedral:16*cyclic:2": 3,
+    "dihedral:64": 2,
+}
+
+
+def relabeled_rows(G, perm):
+    """The table of G with each element a renamed perm[a], as lists."""
+    rows = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    return rows
+
+
 def test_invalid_table_rejected():
-    # 3x3 latin square that is not associative: the rock-paper-scissors table
-    rows = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
-    with pytest.raises(nc.InvalidTable):
-        nc.from_table(rows)
-    with pytest.raises(nc.InvalidTable):
+    # constant rows: no element is a left identity
+    with pytest.raises(nc.InvalidTable, match="identity"):
+        nc.from_table([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    # an associative monoid in which 1 has no inverse
+    assert group_axiom_failure([[0, 1], [1, 1]]) == "inverse"
+    with pytest.raises(nc.InvalidTable, match="inverse"):
         nc.from_table([[0, 1], [1, 1]])
+
+
+# a latin square with identity 0 in which every element is its own inverse:
+# a loop of order 5 that is not a group
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_nonassociative_loop_rejected():
+    assert associativity_failure(LOOP5) == (1, 1, 2)
+    assert group_axiom_failure(LOOP5) == "associativity"
+    with pytest.raises(nc.InvalidTable, match="associativity fails"):
+        nc.from_table(LOOP5)
+
+
+def test_nonassociativity_seen_only_past_the_first_generator():
+    # C2 x LOOP5 with the C2 coordinate fastest: the first greedy generator is
+    # (1, e), which is central, so only a later generator shows the failure
+    rows = [[LOOP5[x // 2][y // 2] * 2 + (x + y) % 2 for y in range(10)] for x in range(10)]
+    first = _greedy_generators(rows, 0)[0]
+    assert all(
+        rows[rows[x][y]][first] == rows[x][rows[y][first]] for x in range(10) for y in range(10)
+    )
+    assert group_axiom_failure(rows) == "associativity"
+    with pytest.raises(nc.InvalidTable, match="associativity fails"):
+        nc.from_table(rows)
+
+
+# the message of each check of from_table, keyed by the oracle's verdict
+AXIOM_MESSAGE = {
+    "identity": "no unique two-sided identity",
+    "associativity": "associativity fails",
+    "inverse": "has no two-sided inverse",
+}
+
+
+def assert_rejected_exactly_when_not_a_group(rows):
+    """Check from_table against the cubic oracle; return the oracle's verdict."""
+    reason = group_axiom_failure(rows)
+    if reason is None:
+        nc.from_table(rows)
+    else:
+        with pytest.raises(nc.InvalidTable, match=AXIOM_MESSAGE[reason]):
+            nc.from_table(rows)
+    return reason
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS))
+def test_constructor_tables_pass_the_cubic_check(spec):
+    assert group_axiom_failure(lattice(spec).group.table) is None
+
+
+@pytest.mark.parametrize("spec", ("symmetric:3", "dihedral:8", "cyclic:6"))
+def test_every_one_entry_corruption_rejected(spec):
+    # Light's test checks only greedy generators as the third factor; many of
+    # these tables first fail the cubic scan at a third factor outside them
+    G = lattice(spec).group
+    perm = list(range(G.order))
+    random.Random(spec).shuffle(perm)
+    table = relabeled_rows(G, perm)
+    outside = 0
+    for a, b, v in itertools.product(range(G.order), repeat=3):
+        if v == table[a][b]:
+            continue
+        rows = [list(r) for r in table]
+        rows[a][b] = v
+        if assert_rejected_exactly_when_not_a_group(rows) == "associativity":
+            c = associativity_failure(rows)[2]
+            outside += c not in _greedy_generators(rows, perm[G.identity])
+    assert outside > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS)),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_corrupted_table_rejected_exactly_when_not_a_group(spec, rng, corrupt):
+    G = lattice(spec).group
+    perm = list(range(G.order))
+    rng.shuffle(perm)
+    rows = relabeled_rows(G, perm)
+    if corrupt:
+        a, b = rng.randrange(G.order), rng.randrange(G.order)
+        rows[a][b] = rng.randrange(G.order)
+    assert_rejected_exactly_when_not_a_group(rows)
 
 
 def test_unsupported_specs():
@@ -78,25 +189,30 @@ def test_direct_product_order_and_lattice():
     assert len(L) == 5  # Klein four group: trivial, three C2, total
 
 
-# the groups of the decide-mix benchmark, each with the largest number of
-# generators one of its subgroups needs (S4 needs 2 but keeps the default 3)
-DECIDE_MIX_GENERATORS = {
-    "symmetric:4": 3,
-    "dihedral:32": 2,
-    "cyclic:2*cyclic:2*cyclic:2*cyclic:2": 4,
-    "cyclic:8*cyclic:8": 2,
-    "dihedral:16*cyclic:2": 3,
-    "dihedral:64": 2,
-}
-
-
 @pytest.mark.parametrize(
-    "spec", CORPUS_SPECS + ("cyclic:2*cyclic:2",) + tuple(DECIDE_MIX_GENERATORS)
+    "spec", CORPUS_SPECS + ("cyclic:2*cyclic:2", "symmetric:5") + tuple(DECIDE_MIX_GENERATORS)
 )
 def test_lattice_matches_small_generating_set_oracle(spec):
-    L = lattice(spec)
-    max_gen = DECIDE_MIX_GENERATORS.get(spec, 3)
+    # every subgroup of S5 is generated by two elements
+    L = nc.subgroup_lattice(nc.build_group(spec), max_order=120)
+    max_gen = {**DECIDE_MIX_GENERATORS, "symmetric:5": 2}.get(spec, 3)
     assert {s.mask for s in L.subgroups} == brute_force_subgroup_masks(L.group, max_gen)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(("dihedral:64", "symmetric:4")), st.randoms(use_true_random=False))
+def test_lattice_shape_stable_under_relabeling(spec, rng):
+    # renaming elements reorders the joins of the search, not what they find
+    L = lattice(spec)
+    perm = list(range(L.group.order))
+    rng.shuffle(perm)
+    LH = nc.subgroup_lattice(relabeled(L.group, perm))
+
+    def shape(L):
+        return sorted((L.subgroups[c[0]].order, len(c)) for c in L.classes)
+
+    assert shape(LH) == shape(L)
+    assert len(LH.covers()) == len(L.covers())
 
 
 def test_lattice_order_and_conjugacy_invariants():
@@ -238,12 +354,8 @@ def test_conjugation_is_an_order_isomorphism(spec, data):
 
 
 def relabeled(G, perm):
-    """The table of G with each element a renamed perm[a]."""
-    rows = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
-    return nc.from_table(rows, f"{G.name}-relabeled")
+    """G with each element a renamed perm[a]."""
+    return nc.from_table(relabeled_rows(G, perm), f"{G.name}-relabeled")
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,9 @@ the given seeds of all three benchmark workloads runs through the base tree
 and through this working tree, each request in its own ``python -m
 normcert.cli`` subprocess, and the sha256 of its stdout and its exit code
 are compared.  The request streams come from ``perfbench/workloads.py``.
+No stream prints a subgroup lattice, so a fixed list of ``lattice`` (text
+and structured) and ``dot --what subgroup-lattice`` requests over every
+group of the three workloads runs as well.
 
 Exits 0 when every request agrees and 1 at the first request that differs,
 naming it.
@@ -58,8 +61,39 @@ def outcomes(trees: list[str], argv: list[str], cwd: str) -> list[tuple[str, int
     return out
 
 
+def lattice_requests() -> list[list[str]]:
+    """Every way to print the subgroup lattice of every workload group."""
+    specs = dict.fromkeys(
+        [spec for _, spec in workloads.DECIDE_GROUPS]
+        + [spec for _, spec, _ in workloads.ENUM_GROUPS]
+        + [f"cyclic:{p**n}" for p, n in workloads.CYCLIC_GROUPS]
+    )
+    return [
+        argv
+        for spec in specs
+        for argv in (["lattice", "--group", spec],
+                     ["lattice", "--group", spec, "--format", "structured"],
+                     ["dot", "--group", spec, "--what", "subgroup-lattice"])
+    ]
+
+
+def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
+    """A description of how one request's outcome differs between the trees, or None."""
+    (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, cwd)
+    if (base_sha, base_rc) == (head_sha, head_rc):
+        return None
+    return (f"{label} ({' '.join(argv)}): base exit {base_rc} sha256 {base_sha[:12]}, "
+            f"this tree exit {head_rc} sha256 {head_sha[:12]}")
+
+
 def compare(base: str, seeds: list[int], scratch: str) -> str | None:
     """The first request whose output differs between the trees, or None."""
+    requests = lattice_requests()
+    for i, argv in enumerate(requests):
+        diff = differs(base, argv, scratch, f"lattice request {i}")
+        if diff is not None:
+            return diff
+    print(f"lattice list: {len(requests)} requests identical", flush=True)
     for workload in workloads.WORKLOADS:
         workdir = os.path.join(scratch, workload)
         os.makedirs(workdir)
@@ -69,12 +103,9 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
             for req in requests:
                 argv = [os.path.join(workdir, a[1:]) if a.startswith("@") else a
                         for a in req["argv"]]
-                (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, workdir)
-                if (base_sha, base_rc) != (head_sha, head_rc):
-                    return (f"{workload} seed {seed} request {req['id']} "
-                            f"({' '.join(req['argv'])}): base exit {base_rc} "
-                            f"sha256 {base_sha[:12]}, this tree exit {head_rc} "
-                            f"sha256 {head_sha[:12]}")
+                diff = differs(base, argv, workdir, f"{workload} seed {seed} request {req['id']}")
+                if diff is not None:
+                    return diff
             print(f"{workload} seed {seed}: {len(requests)} requests identical", flush=True)
     return None
 
@@ -91,14 +122,14 @@ def main(argv=None) -> int:
         subprocess.run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach",
                         base, args.base_rev], check=True)
         try:
-            differs = compare(base, args.seeds, scratch)
+            diff = compare(base, args.seeds, scratch)
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base],
                            check=False)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    if differs is not None:
-        print(f"differs: {differs}")
+    if diff is not None:
+        print(f"differs: {diff}")
         return 1
     print("same output on every request")
     return 0
