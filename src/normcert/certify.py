@@ -138,27 +138,25 @@ def norm_support(
 def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFailure, ...]:
     L = vl.lattice
     subgroups, id_of_mask, class_of = L.subgroups, L.id_of_mask, L.class_of
-    hmask = subgroups[hid].mask
     # the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
     # every h in it, so the H-conjugates K^h of K give the same cut classes
     row = L.conj[kid]
-    ids = {kid} if L.is_normal(kid) else {row[h] for h in _bits(hmask)}
+    ids = {kid} if L.is_normal(kid) else {row[h] for h in _bits(subgroups[hid].mask)}
     conjugates = [subgroups[c].mask for c in ids]
-    cut_classes: dict[int, int] = {}
     failures = []
-    for q in vl.sorted_primes():
-        in_locus = vl.class_mask(q.height, q.prime)
-        for jid in L.classes[q.subgroup_class]:
+    # primes sort by class first, so walking classes in order keeps prime order
+    for c, jids in L.classes_below(hid):
+        primes = vl.primes_at_class(c)
+        if not primes:
+            continue
+        cuts = []
+        for jid in jids:
             jmask = subgroups[jid].mask
-            if jmask & ~hmask:
-                continue
-            cuts = cut_classes.get(jid)
-            if cuts is None:
-                cuts = cut_classes[jid] = sum(
-                    {1 << class_of[id_of_mask(k & jmask)] for k in conjugates}
-                )
-            if not cuts & in_locus:
-                failures.append(NormFailure(kid, hid, jid, q, L.mackey_cuts(kid, jid, hid)))
+            cuts.append(sum({1 << class_of[id_of_mask(k & jmask)] for k in conjugates}))
+        for q, in_locus in primes:
+            for jid, cut in zip(jids, cuts):
+                if not cut & in_locus:
+                    failures.append(NormFailure(kid, hid, jid, q, L.mackey_cuts(kid, jid, hid)))
     return tuple(failures)
 
 

@@ -143,12 +143,13 @@ class VanishingLocus:
     primes: frozenset[BalmerPrime]
     # membership index built at construction: the (class, height, prime) of
     # every prime, the classes holding an INFINITY prime, the concrete primes,
-    # and per (height, prime) of a prime the bitmask of lattice classes there
+    # and per class its primes in sorted order, each with the bitmask of the
+    # lattice classes that carry its (height, prime)
     _keys: frozenset = field(init=False, repr=False, compare=False)
     _inf_classes: frozenset = field(init=False, repr=False, compare=False)
     _concrete: frozenset = field(init=False, repr=False, compare=False)
     _sorted: tuple = field(init=False, repr=False, compare=False)
-    _class_masks: dict = field(init=False, repr=False, compare=False)
+    _by_class: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inf_slots = {
@@ -169,10 +170,16 @@ class VanishingLocus:
         setattr_(self, "_concrete", frozenset(q.prime for q in kept if q.prime != ANY_PRIME))
         setattr_(self, "_sorted", tuple(sorted(kept, key=BalmerPrime.sort_key)))
         classes = range(len(self.lattice.classes))
-        setattr_(self, "_class_masks", {
+        class_masks = {
             slot: sum(1 << c for c in classes if self._holds(c, *slot))
             for slot in {(q.height, q.prime) for q in kept}
-        })
+        }
+        by_class: dict = {}
+        for q in self._sorted:
+            by_class.setdefault(q.subgroup_class, []).append(
+                (q, class_masks[q.height, q.prime])
+            )
+        setattr_(self, "_by_class", {c: tuple(qs) for c, qs in by_class.items()})
 
     def _holds(self, subgroup_class: int, height: Height, prime) -> bool:
         keys = self._keys
@@ -195,13 +202,13 @@ class VanishingLocus:
             BalmerPrime(subgroup_class, height, prime)  # raises its ValueError
         return self._holds(subgroup_class, height, prime)
 
-    def class_mask(self, height: Height, prime) -> int:
-        """Bitmask of the lattice classes c with ``contains(c, height, prime)``.
+    def primes_at_class(self, subgroup_class: int) -> tuple[tuple[BalmerPrime, int], ...]:
+        """The primes q at one class in sorted order, each with a class bitmask.
 
-        Defined for the (height, prime) of each prime of the locus, the only
-        ones the norm criterion asks about.
+        The bitmask has bit c set when ``contains(c, q.height, q.prime)``;
+        these are the only memberships the norm criterion asks about.
         """
-        return self._class_masks[height, prime]
+        return self._by_class.get(subgroup_class, ())
 
     def concrete_primes(self) -> tuple[int, ...]:
         return tuple(sorted(self._concrete))

@@ -13,6 +13,7 @@ NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,10 +75,12 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
         except UnicodeDecodeError:
             raise iomod.ParseError(f"{path} is not UTF-8 text") from None
+        except RecursionError:
+            raise iomod.ParseError(f"{path} nests too deeply") from None
 
 
 def _structured(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return iomod.indented_json(doc)
 
 
 def _load_locus(args, L=None):
@@ -235,7 +238,9 @@ def _cmd_dot(args):
 # -- wiring ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="normcert",
         description="Exact certificates for norm-compatibility of chromatic localizations.",

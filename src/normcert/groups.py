@@ -395,6 +395,12 @@ class SubgroupLattice:
     _cuts_cache: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = field(
         default_factory=dict, repr=False
     )
+    # per subgroup id J, x -> bitmask of the left coset xJ, built on first use
+    _coset_masks: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    # per subgroup id H, the classes with a member J <= H and those members
+    _classes_below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = field(
+        default_factory=dict, repr=False
+    )
     # conjugation-orbit tables of transfer-system closure, built by
     # ``transfers`` on the first closure over this lattice
     _orbit_tables: Any = field(default=None, repr=False)
@@ -443,6 +449,54 @@ class SubgroupLattice:
         up = [sum(1 << h for h, big in enumerate(masks) if small & ~big == 0) for small in masks]
         return tuple(hasse_covers(up))
 
+    def coset_masks(self, sid: int) -> tuple[int, ...]:
+        """``coset_masks(sid)[x]``, the bitmask of the left coset xJ of J = ``sid``.
+
+        Built in O(|G|) on first use, one coset at a time, and kept on the
+        lattice.
+        """
+        out = self._coset_masks.get(sid)
+        if out is None:
+            table = self.group.table
+            jmem = _bits(self.subgroups[sid].mask)
+            masks = [0] * self.group.order
+            for x, row in enumerate(table):
+                if not masks[x]:
+                    coset = 0
+                    for j in jmem:
+                        coset |= 1 << row[j]
+                    for j in jmem:
+                        masks[row[j]] = coset
+            out = self._coset_masks[sid] = tuple(masks)
+        return out
+
+    def _double_cosets(self, kid: int, hid: int, aid: int) -> list[tuple[int, int]]:
+        """``(least element, bitmask)`` of each double coset of K\\A/H, in that order.
+
+        A block KaH is the union of the left cosets kaH, k in K, so it costs
+        one coset-mask lookup per element of K, not |K|·|H| products.
+        """
+        K, H, A = self.subgroups[kid], self.subgroups[hid], self.subgroups[aid]
+        if K.mask & ~A.mask or H.mask & ~A.mask:
+            raise NotSubgroupOfAmbient(
+                f"double cosets need K, H <= A; got ids {kid}, {hid} inside {aid}"
+            )
+        table, coset = self.group.table, self.coset_masks(hid)
+        kmem = _bits(K.mask)
+        rest = A.mask
+        out = []
+        # the least unassigned element is the least element of its block
+        while rest:
+            a = (rest & -rest).bit_length() - 1
+            block = 0
+            for k in kmem:
+                ka = table[k][a]
+                if not block >> ka & 1:
+                    block |= coset[ka]
+            rest &= ~block
+            out.append((a, block))
+        return out
+
     def double_coset_blocks(
         self, kid: int, hid: int, aid: int
     ) -> tuple[tuple[int, ...], ...]:
@@ -450,29 +504,9 @@ class SubgroupLattice:
 
         Blocks are ordered by their minimal element, which is the canonical
         representative.  Not cached; :meth:`mackey_cuts` caches what callers
-        need from it.
+        need from the same walk.
         """
-        K, H, A = self.subgroups[kid], self.subgroups[hid], self.subgroups[aid]
-        if K.mask & ~A.mask or H.mask & ~A.mask:
-            raise NotSubgroupOfAmbient(
-                f"double cosets need K, H <= A; got ids {kid}, {hid} inside {aid}"
-            )
-        table = self.group.table
-        kmem, hmem = K.members, H.members
-        rest = A.mask
-        blocks = []
-        # the least unassigned element is the least element of its block
-        while rest:
-            a = (rest & -rest).bit_length() - 1
-            block = 0
-            for k in kmem:
-                ka = table[k][a]
-                row = table[ka]
-                for h in hmem:
-                    block |= 1 << row[h]
-            rest &= ~block
-            blocks.append(_bits(block))
-        return tuple(blocks)
+        return tuple(_bits(block) for _, block in self._double_cosets(kid, hid, aid))
 
     def mackey_cuts(self, kid: int, jid: int, hid: int) -> tuple[tuple[int, int], ...]:
         """The Mackey decomposition of H/K restricted to J.
@@ -486,10 +520,26 @@ class SubgroupLattice:
         out = self._cuts_cache.get(key)
         if out is None:
             out = tuple(
-                (b[0], self.intersect_ids(self.conj_id(kid, b[0]), jid))
-                for b in self.double_coset_blocks(kid, jid, hid)
+                (r, self.intersect_ids(self.conj_id(kid, r), jid))
+                for r, _ in self._double_cosets(kid, jid, hid)
             )
             self._cuts_cache[key] = out
+        return out
+
+    def classes_below(self, hid: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(class, members J <= H)`` for each class with such a member, by class.
+
+        Built on first use and kept on the lattice.
+        """
+        out = self._classes_below.get(hid)
+        if out is None:
+            hmask = self.subgroups[hid].mask
+            below = []
+            for c, members in enumerate(self.classes):
+                inside = tuple(j for j in members if not self.subgroups[j].mask & ~hmask)
+                if inside:
+                    below.append((c, inside))
+            out = self._classes_below[hid] = tuple(below)
         return out
 
 

@@ -1,9 +1,15 @@
 """Structured (JSON) documents for inputs and reports.
 
 One dialect for everything: plain JSON with a ``schema_version`` field.
-Serialization is canonical (sorted keys, fixed separators), so identical
-inputs always produce identical bytes, and every emitted document parses
-back to an equal in-memory value.
+Serialization is canonical, so identical inputs always produce identical
+bytes, and every emitted document parses back to an equal in-memory value.
+The CLI writes a document with :func:`indented_json`: keys sorted, each
+item on its own line indented two spaces per level, ``,`` ending every item
+line but the last, ``": "`` after each key, ASCII only (JSON's escapes for
+quotes, backslashes and control characters, ``\\uXXXX`` for the rest),
+and a final newline; byte for byte that is
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.  Digests hash the
+compact form of :func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -49,6 +55,72 @@ def canonical_json(doc) -> str:
 
 def digest(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def indented_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, built directly.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder; this writer
+    joins each container from its children's strings, with strings escaped
+    by the C ``encode_basestring_ascii``, ints by ``int.__repr__`` and any
+    other value by ``json.dumps``.  Dict keys must be strings.
+    """
+    return _indented(doc, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as indented JSON; ``newline`` is a newline and this level's indent.
+
+    A container is one ``join`` over its separators and its items' strings,
+    so no item is copied before that join, and the peak memory stays near
+    twice the output.  Items of the exact types str and int are written in
+    place, which saves a call per leaf; everything else recurses and takes
+    json's branch order.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        pieces = ["," + inner] * (2 * len(value))
+        pieces[0] = "[" + inner
+        pieces[1::2] = [
+            _encode_str(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _indented(v, inner)
+            for v in value
+        ]
+        pieces.append(newline + "]")
+        return "".join(pieces)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = sorted(value.items())
+        pieces = ["," + inner] * (3 * len(items))
+        pieces[0] = "{" + inner
+        pieces[1::3] = [_encode_str(k) + ": " for k, _ in items]
+        pieces[2::3] = [
+            _encode_str(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _indented(v, inner)
+            for _, v in items
+        ]
+        pieces.append(newline + "}")
+        return "".join(pieces)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def _height_doc(h):

@@ -112,6 +112,34 @@ def covers_by_definition(L: nc.SubgroupLattice) -> tuple:
     )
 
 
+def product_double_coset_blocks(L: nc.SubgroupLattice, kid: int, hid: int, aid: int) -> tuple:
+    """K\\A/H as sorted blocks, each built from all |K|·|H| products k·a·h.
+
+    The reference for the coset-mask walk of ``double_coset_blocks``: the
+    least unassigned element of A opens each block.
+    """
+    K, H, A = L.subgroups[kid], L.subgroups[hid], L.subgroups[aid]
+    if K.mask & ~A.mask or H.mask & ~A.mask:
+        raise nc.NotSubgroupOfAmbient(f"ids {kid}, {hid} not inside {aid}")
+    table = L.group.table
+    rest = set(A.members)
+    blocks = []
+    while rest:
+        a = min(rest)
+        block = {table[table[k][a]][h] for k in K.members for h in H.members}
+        rest -= block
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def product_mackey_cuts(L: nc.SubgroupLattice, kid: int, jid: int, hid: int) -> tuple:
+    """``(least element r, id of K^r n J)`` per block of the product oracle."""
+    return tuple(
+        (b[0], L.intersect_ids(L.conj_id(kid, b[0]), jid))
+        for b in product_double_coset_blocks(L, kid, jid, hid)
+    )
+
+
 def mackey_restrictions(L: nc.SubgroupLattice, kid: int, hid: int) -> tuple:
     """The restriction axiom in double-coset form, sorted.
 

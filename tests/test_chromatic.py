@@ -318,10 +318,15 @@ def test_contains_matches_the_prime_set(spec, raw, queries):
     for query in queries:
         assert _outcome(vl.contains, *query) == _outcome(contains_by_definition, vl, *query)
     assert vl.sorted_primes() == tuple(sorted(vl.primes, key=BalmerPrime.sort_key))
-    # the class mask of every stored (height, prime) is contains over the lattice
+    # each class lists its primes in sorted order, and the class mask of each
+    # prime's (height, prime) is contains over the lattice
     n = len(L.classes)
-    for height, prime in {(q.height, q.prime) for q in vl.primes}:
-        mask = vl.class_mask(height, prime)
-        assert mask >> n == 0
-        for c in range(n):
-            assert bool(mask >> c & 1) == contains_by_definition(vl, c, height, prime)
+    for cls in {q.subgroup_class for q in vl.primes} | set(range(n)):
+        listed = vl.primes_at_class(cls)
+        assert tuple(q for q, _ in listed) == tuple(
+            q for q in vl.sorted_primes() if q.subgroup_class == cls
+        )
+        for q, mask in listed:
+            assert mask >> n == 0
+            for c in range(n):
+                assert bool(mask >> c & 1) == contains_by_definition(vl, c, q.height, q.prime)

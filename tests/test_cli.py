@@ -1,11 +1,21 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import normcert as nc
+from normcert import cli
+from normcert import io as iomod
 from normcert.cli import main
+from normcert.transfers import candidate_pairs
+from helpers import CORPUS_SPECS, enumeration, lattice, random_valid_locus
 
 
 def run_cli(args, timeout=None, **env_extra):
@@ -337,17 +347,229 @@ def test_byte_determinism_across_hash_seeds(args):
     assert out1 == out2 and out1
 
 
-def test_structured_outputs_reparse_to_equal_values(tmp_path, capsys):
-    # emit a locus document via decide inputs, then feed it back
-    import normcert as nc
-    from normcert import io as iomod
+def _in_process(argv) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process run; argparse's SystemExit gives its code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
-    L = nc.cyclic_power_lattice(2, 2)
-    vl = nc.heights_to_locus(nc.HeightVector(2, (2, 1, 1)), L)
-    path = tmp_path / "locus.json"
-    path.write_text(json.dumps(iomod.locus_doc(vl)))
-    rc = main(
-        ["decide", "--group", "cyclic:4", "--operad", "complete", "--locus", str(path)]
-    )
-    assert rc == 0
-    assert "CertifiedPreserves" in capsys.readouterr().out
+
+def _write_json(path, doc) -> str:
+    path.write_text(iomod.indented_json(doc))
+    return str(path)
+
+
+def _random_height_vector(rng, p: int, n: int) -> nc.HeightVector:
+    while True:
+        entries = tuple(rng.choice([None, 0, 1, 2, nc.INFINITY]) for _ in range(n + 1))
+        v = nc.HeightVector(p, entries)
+        if nc.validate_height_vector(v):
+            return v
+
+
+def test_structured_outputs_reparse_to_equal_values(tmp_path):
+    # every structured document the CLI prints is the io builder's document,
+    # byte for byte, and reads back with json.loads; the locus, transfer-system
+    # and height-vector documents it takes parse back through io to equal values
+    rng = random.Random(41)
+
+    def check(argv, doc):
+        code, out = _in_process(argv + ["--format", "structured"])
+        assert code == 0, argv
+        assert out == iomod.indented_json(doc)
+        assert json.loads(out) == doc
+
+    for i, spec in enumerate(CORPUS_SPECS):
+        L = lattice(spec)
+        seed = rng.sample(candidate_pairs(L), min(2, len(candidate_pairs(L))))
+        R = nc.close_transfer_system(L, seed)
+        vl = random_valid_locus(L, rng)
+        locus = _write_json(tmp_path / f"locus{i}.json", iomod.locus_doc(vl))
+        operad = _write_json(tmp_path / f"operad{i}.json", iomod.system_doc(R))
+        with open(locus) as fh:
+            assert iomod.parse_locus(L, json.load(fh)) == vl
+        with open(operad) as fh:
+            assert iomod.parse_system(L, json.load(fh)) == R
+        check(["lattice", "--group", spec], iomod.lattice_doc(L))
+        check(["transfer-enumerate", "--group", spec], iomod.enumeration_doc(L, enumeration(spec)))
+        check(
+            ["spectrum-validate", "--group", spec, "--locus", locus],
+            iomod.locus_validation_doc(vl, nc.validate_vanishing_locus(vl)),
+        )
+        check(
+            ["decide", "--group", spec, "--operad", operad, "--locus", locus],
+            iomod.decision_doc(nc.localization_preserves(vl, R), L, R, vl),
+        )
+    for p, n in ((2, 2), (2, 3), (3, 2)):
+        L = nc.cyclic_power_lattice(p, n)
+        R = nc.complete_system(L)
+        v = _random_height_vector(rng, p, n)
+        heights = _write_json(tmp_path / f"heights{p}-{n}.json", iomod.heights_doc(v))
+        with open(heights) as fh:
+            assert iomod.parse_heights(json.load(fh)) == v
+        vl = nc.heights_to_locus(v, L)
+        check(
+            ["decide", "--group", f"cyclic:{p**n}", "--operad", "complete", "--locus", heights],
+            iomod.decision_doc(nc.localization_preserves(vl, R), L, R, vl),
+        )
+        hb, inf = rng.randint(0, 3), rng.random() < 0.5
+        check(
+            ["ell-enumerate", "--n", str(n), "--height-bound", str(hb), "--prime", str(p)]
+            + ["--include-infinity"] * inf,
+            iomod.heights_enumeration_doc(
+                nc.enumerate_commutative_heights(n, hb, inf, p), n, hb, inf, p
+            ),
+        )
+        check(
+            ["cross-validate", "--n", str(n), "--height-bound", str(hb), "--prime", str(p)],
+            iomod.cross_validation_doc(nc.cross_validate_cyclic(n, p, hb)),
+        )
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    # one cached parser serves every request in a process; after a bad argv
+    # the next requests print what a fresh process prints
+    assert cli._build_parser() is cli._build_parser()
+    assert _in_process(["lattice"])[0] == 2
+    for argv in (
+        ["decide", "--operad", "complete", "--ell", "2,(0,1,1)"],
+        ["ell-enumerate", "--n", "2", "--height-bound", "2"],
+        ["lattice", "--group", "symmetric:3"],
+    ):
+        code, out = _in_process(argv)
+        assert (code, out) == run_cli(argv, timeout=30)[:2]
+
+
+@pytest.mark.parametrize("flag", ["--locus", "--operad"])
+def test_deeply_nested_json_input_exits_2(flag, tmp_path):
+    # json.load raised RecursionError here, a traceback with exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    args = {"--locus": ["--operad", "complete", "--locus", str(deep)],
+            "--operad": ["--operad", str(deep), "--ell", "2,(0,0)"]}[flag]
+    code, out, err = run_cli(["decide", "--group", "cyclic:2", *args], timeout=5)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "nests too deeply" in err and "Traceback" not in err
+
+
+_FUZZ_SPECS = ("cyclic:2", "cyclic:4", "symmetric:3", "quaternion:8", "dihedral:8",
+               "cyclic:2*cyclic:2", "socle:3", "cyclic:0", "cyclic:999", "cyclic:x", "",
+               "symmetric:9", "table:missing.csv")
+_FUZZ_NUMBERS = ("0", "1", "2", "3", "-1", "7", "11", "x", "1000000", "")
+_FUZZ_ELLS = ("2,(1,0)", "2,(0,1,1)", "3,(0)", "5,(inf,none)", "4,(1)", "2,(11,0)", "2,(1,", "")
+
+
+# each subcommand's flags, required ones first
+_FUZZ_FLAGS = {
+    "lattice": ["--group", "--format", "--out", "--strict"],
+    "transfer-enumerate": ["--group", "--format", "--out", "--strict"],
+    "spectrum-validate": ["--locus", "--group", "--ell", "--format", "--out", "--strict"],
+    "decide": ["--operad", "--locus", "--group", "--ell", "--format", "--out", "--strict"],
+    "ell-enumerate": ["--n", "--height-bound", "--include-infinity", "--prime", "--format",
+                      "--out", "--strict"],
+    "cross-validate": ["--n", "--height-bound", "--prime", "--format", "--out", "--strict"],
+    "dot": ["--group", "--what", "--prime", "--height-bound", "--out", "--strict"],
+    "nosuch": [],
+    "": [],
+}
+_FUZZ_REQUIRED = {"decide": 2, "ell-enumerate": 2, "cross-validate": 2, "nosuch": 0, "": 0}
+
+
+def _fuzz_argv(files):
+    """A subcommand, usually with its required flags, then a few flags of its
+    own or, less often, of any subcommand, with valid and broken values."""
+    values = {
+        "--group": _FUZZ_SPECS,
+        "--format": ("text", "structured", "json"),
+        "--operad": ("complete", "trivial", *files),
+        "--locus": ("ell:2,(1,0)", "ell:2,(0,1)", "ell:x", *files),
+        "--ell": _FUZZ_ELLS,
+        "--n": _FUZZ_NUMBERS,
+        "--height-bound": _FUZZ_NUMBERS,
+        "--prime": _FUZZ_NUMBERS,
+        "--what": ("subgroup-lattice", "transfer-poset", "prime-poset", "x"),
+        "--out": (files[0] + ".out", files[0] + "/missing/out"),
+    }
+
+    def option(flags):
+        return st.sampled_from(flags).flatmap(
+            lambda f: st.sampled_from(values[f]).map(lambda v: [f, v]) if f in values
+            else st.just([f])
+        )
+
+    every = sorted({f for flags in _FUZZ_FLAGS.values() for f in flags})
+    stray = st.sampled_from([["--nosuch"], ["--help"], ["--group"], ["stray"]])
+
+    def for_command(command):
+        flags = _FUZZ_FLAGS[command]
+        required = flags[:_FUZZ_REQUIRED.get(command, 1)]
+        own = option(flags) if flags else option(every)
+        return st.builds(
+            lambda head, keep, rest: [command, *(t for o in head[:keep] for t in o),
+                                      *(t for o in rest for t in o)],
+            st.tuples(*(option([f]) for f in required)),
+            st.integers(0, len(required)) | st.just(len(required)),
+            st.lists(own | own | own | option(every) | stray, max_size=3),
+        )
+
+    return st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(for_command)
+
+
+def test_fuzzed_argument_vectors_exit_0_1_or_2(tmp_path):
+    # in process with the shared parser: every argv ends in exit 0, 1 or 2
+    # (argparse's SystemExit included), never in another exception, and a
+    # fixed request prints the same bytes before and after the fuzzed ones
+    L = lattice("symmetric:3")
+    docs = {
+        "locus.json": iomod.locus_doc(random_valid_locus(L, random.Random(3))),
+        "operad.json": iomod.system_doc(nc.close_transfer_system(L, [(0, 1)])),
+        "heights.json": iomod.heights_doc(nc.HeightVector(2, (1, 0))),
+        "list.json": [1, 2],
+    }
+    files = [_write_json(tmp_path / name, doc) for name, doc in docs.items()]
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    files += [str(deep), str(tmp_path / "missing.json")]
+    fixed = ["decide", "--group", "symmetric:3", "--operad", files[1], "--locus", files[0],
+             "--format", "structured"]
+    before = _in_process(fixed)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fuzz_argv(files))
+    def run(argv):
+        assert _in_process(argv)[0] in (0, 1, 2), argv
+
+    run()
+    assert _in_process(fixed) == before
+
+
+def test_hostile_group_name_is_escaped_like_json_dumps(tmp_path):
+    # a table: group whose name needs JSON escapes; the backslash separates
+    # directories when the name is read off the path, so the name starts after it
+    table = tmp_path / '\\S3 "hostile", [x] {y} é.csv'
+    table.write_text("\n".join(",".join(map(str, row)) for row in nc.symmetric(3).table))
+    locus_doc = {"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]}
+    locus = _write_json(tmp_path / "hostile-locus.json", locus_doc)
+    spec = f"table:{table}"
+    L = nc.subgroup_lattice(nc.build_group(spec))
+    assert L.group.name == 'S3 "hostile", [x] {y} é'
+    vl = iomod.parse_locus(L, locus_doc)
+    R = nc.complete_system(L)
+    decision = nc.localization_preserves(vl, R)
+    assert not decision.certified
+    for argv, doc in (
+        (["lattice", "--group", spec], iomod.lattice_doc(L)),
+        (["transfer-enumerate", "--group", spec],
+         iomod.enumeration_doc(L, nc.enumerate_transfer_systems(L))),
+        (["decide", "--group", spec, "--operad", "complete", "--locus", locus],
+         iomod.decision_doc(decision, L, R, vl)),
+    ):
+        code, out = _in_process(argv + ["--format", "structured"])
+        assert code == 0
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert "\\u00e9" in out and '\\"hostile\\"' in out

@@ -15,6 +15,8 @@ from helpers import (
     enumeration,
     group_axiom_failure,
     lattice,
+    product_double_coset_blocks,
+    product_mackey_cuts,
     random_valid_locus,
     subconjugate_witness,
 )
@@ -325,6 +327,38 @@ def test_double_cosets_partition_and_orbit_stabilizer():
                 conjugates = {L.conj_id(stab, y) for y in H.members}
                 for x in b:
                     assert L.intersect_ids(L.conj_id(kid, x), hid) in conjugates
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS))
+def test_double_cosets_match_the_product_oracle(spec):
+    # the coset-mask walk against all |K|·|J| products, on every nested triple
+    L = lattice(spec)
+    n = len(L)
+    for hid in range(n):
+        inside = [i for i in range(n) if L.leq(i, hid)]
+        for kid, jid in itertools.product(inside, repeat=2):
+            assert L.double_coset_blocks(kid, jid, hid) == product_double_coset_blocks(
+                L, kid, jid, hid
+            )
+            assert L.mackey_cuts(kid, jid, hid) == product_mackey_cuts(L, kid, jid, hid)
+
+
+def test_coset_masks_and_classes_below_by_definition():
+    for spec in ("symmetric:3", "dihedral:8", "cyclic:2*cyclic:2"):
+        L = lattice(spec)
+        G = L.group
+        for sid, s in enumerate(L.subgroups):
+            cosets = L.coset_masks(sid)
+            assert cosets == tuple(
+                sum({1 << G.mul(x, j) for j in s.members}) for x in range(G.order)
+            )
+            assert L.coset_masks(sid) is cosets  # built once per lattice
+            below = L.classes_below(sid)
+            assert below == tuple(
+                (c, tuple(j for j in members if L.leq(j, sid)))
+                for c, members in enumerate(L.classes)
+                if any(L.leq(j, sid) for j in members)
+            )
 
 
 def test_intersect_and_subconjugate():

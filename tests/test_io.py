@@ -226,3 +226,49 @@ def test_fuzzed_height_documents_raise_only_input_errors(doc):
 @given(_INLINE)
 def test_fuzzed_inline_heights_raise_only_input_errors(text):
     _only_input_errors(iomod.parse_heights_inline, text)
+
+
+# -- the indented writer against json.dumps ----------------------------------------
+
+_HOSTILE = st.sampled_from(
+    ['"', "\\", "\\\\\"", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "  ", "😀", "\ud800",
+     "/", "</script>", ",[{", "", " "]
+)
+_WRITER_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**200), 10**40])
+    | st.floats() | st.text() | _HOSTILE
+)
+_WRITER_TREES = st.recursive(
+    _WRITER_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5) | _HOSTILE, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WRITER_TREES)
+def test_indented_writer_equals_json_dumps(doc):
+    assert iomod.indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_indented_writer_on_every_document_kind():
+    L = lattice("symmetric:3")
+    rng = random.Random(5)
+    vl = random_valid_locus(L, rng)
+    R = nc.complete_system(L)
+    docs = [
+        iomod.group_doc(L.group),
+        iomod.lattice_doc(L),
+        iomod.system_doc(R),
+        iomod.enumeration_doc(L, enumeration("symmetric:3")),
+        iomod.locus_doc(vl),
+        iomod.locus_validation_doc(vl, nc.validate_vanishing_locus(vl)),
+        iomod.heights_doc(HeightVector(2, (INFINITY, 1, None))),
+        iomod.decision_doc(nc.localization_preserves(vl, R), L, R, vl),
+        iomod.cross_validation_doc(nc.cross_validate_cyclic(1, 2, 1)),
+        iomod.heights_enumeration_doc(nc.enumerate_commutative_heights(2, 1), 2, 1, False, 2),
+    ]
+    for doc in docs:
+        assert iomod.indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"

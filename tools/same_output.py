@@ -10,7 +10,11 @@ normcert.cli`` subprocess, and the sha256 of its stdout and its exit code
 are compared.  The request streams come from ``perfbench/workloads.py``.
 No stream prints a subgroup lattice, so a fixed list of ``lattice`` (text
 and structured) and ``dot --what subgroup-lattice`` requests over every
-group of the three workloads runs as well.
+group of the three workloads runs as well.  The fixed list also runs
+structured ``lattice``, ``transfer-enumerate`` and ``decide --operad
+complete`` on a ``table:`` CSV of S3, written into the scratch directory,
+whose file name holds ``"``, ``\\``, ``,``, ``[``, ``{`` and ``é``, so the
+JSON escaping of the group name is compared too.
 
 Exits 0 when every request agrees and 1 at the first request that differs,
 naming it.
@@ -77,6 +81,32 @@ def lattice_requests() -> list[list[str]]:
     ]
 
 
+# S3 as a multiplication table, permutations of 0, 1, 2 in lexicographic order
+S3_TABLE = ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 4, 0, 5, 1, 3),
+            (3, 5, 1, 4, 0, 2), (4, 2, 5, 0, 3, 1), (5, 3, 4, 1, 2, 0))
+HOSTILE_CSV = '\\S3 "hostile", [x] {y} é.csv'
+
+
+def hostile_requests(scratch: str) -> list[list[str]]:
+    """Structured requests on S3 under a name that needs JSON escapes.
+
+    Writes the table and a locus document into ``scratch``.
+    """
+    table = os.path.join(scratch, HOSTILE_CSV)
+    with open(table, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(",".join(map(str, row)) for row in S3_TABLE) + "\n")
+    locus = os.path.join(scratch, "hostile-locus.json")
+    with open(locus, "w", encoding="utf-8") as fh:
+        fh.write('{"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]}\n')
+    spec = f"table:{table}"
+    return [
+        ["lattice", "--group", spec, "--format", "structured"],
+        ["transfer-enumerate", "--group", spec, "--format", "structured"],
+        ["decide", "--group", spec, "--operad", "complete", "--locus", locus,
+         "--format", "structured"],
+    ]
+
+
 def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
     """A description of how one request's outcome differs between the trees, or None."""
     (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, cwd)
@@ -88,7 +118,7 @@ def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
 
 def compare(base: str, seeds: list[int], scratch: str) -> str | None:
     """The first request whose output differs between the trees, or None."""
-    requests = lattice_requests()
+    requests = lattice_requests() + hostile_requests(scratch)
     for i, argv in enumerate(requests):
         diff = differs(base, argv, scratch, f"lattice request {i}")
         if diff is not None:
