@@ -141,53 +141,68 @@ class VanishingLocus:
 
     lattice: SubgroupLattice
     primes: frozenset[BalmerPrime]
-    # membership index built at construction: the (class, height, prime) of
-    # every prime, the classes holding an INFINITY prime, the concrete primes,
-    # and per class its primes in sorted order, each with the bitmask of the
-    # lattice classes that carry its (height, prime)
-    _keys: frozenset = field(init=False, repr=False, compare=False)
-    _inf_classes: frozenset = field(init=False, repr=False, compare=False)
-    _concrete: frozenset = field(init=False, repr=False, compare=False)
+    # the height table: class -> concrete prime -> sorted positive heights,
+    # (INFINITY,) for a whole tower; the classes holding height 0, which an
+    # INFINITY prime does; and per class its sorted primes, each with the
+    # bitmask of the lattice classes that carry its (height, prime)
+    _table: dict = field(init=False, repr=False, compare=False)
+    _zero: frozenset = field(init=False, repr=False, compare=False)
     _sorted: tuple = field(init=False, repr=False, compare=False)
     _by_class: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inf_slots = {
-            (q.subgroup_class, q.prime) for q in self.primes if q.height == INFINITY
-        }
-        inf_classes = {c for c, _ in inf_slots}
-        kept = frozenset(
-            q
-            for q in self.primes
-            if q.height == INFINITY
-            or (q.height == 0 and q.subgroup_class not in inf_classes)
-            or (q.height != 0 and (q.subgroup_class, q.prime) not in inf_slots)
-        )
+        table: dict = {}
+        zero = set()
+        for q in self.primes:
+            if q.height == 0:
+                zero.add(q.subgroup_class)
+            else:
+                table.setdefault(q.subgroup_class, {}).setdefault(q.prime, []).append(q.height)
+        n = len(self.lattice.classes)
+        inf_classes = set()
+        at: dict = {}  # (height, prime) -> bitmask of the lattice classes whose slot lists it
+        for c, slots in table.items():
+            for p, heights in slots.items():
+                if INFINITY in heights:
+                    inf_classes.add(c)
+                    heights = slots[p] = (INFINITY,)
+                else:
+                    heights = slots[p] = tuple(sorted(heights))
+                if 0 <= c < n:
+                    for h in heights:
+                        at[h, p] = at.get((h, p), 0) | 1 << c
+        kept = self.primes
+        if inf_classes:
+            kept = frozenset(
+                q
+                for q in kept
+                if (q.height in table[q.subgroup_class][q.prime] if q.height != 0
+                    else q.subgroup_class not in inf_classes)
+            )
+            zero |= inf_classes
+        zero_mask = sum(1 << c for c in zero if 0 <= c < n)
+        ordered = tuple(sorted(kept, key=BalmerPrime.sort_key))
+        by_class: dict = {}
+        for q in ordered:
+            mask = (
+                zero_mask if q.height == 0
+                else at.get((q.height, q.prime), 0) | at.get((INFINITY, q.prime), 0)
+            )
+            by_class.setdefault(q.subgroup_class, []).append((q, mask))
         setattr_ = object.__setattr__
         setattr_(self, "primes", kept)
-        setattr_(self, "_keys", frozenset((q.subgroup_class, q.height, q.prime) for q in kept))
-        setattr_(self, "_inf_classes", frozenset(inf_classes))
-        setattr_(self, "_concrete", frozenset(q.prime for q in kept if q.prime != ANY_PRIME))
-        setattr_(self, "_sorted", tuple(sorted(kept, key=BalmerPrime.sort_key)))
-        classes = range(len(self.lattice.classes))
-        class_masks = {
-            slot: sum(1 << c for c in classes if self._holds(c, *slot))
-            for slot in {(q.height, q.prime) for q in kept}
-        }
-        by_class: dict = {}
-        for q in self._sorted:
-            by_class.setdefault(q.subgroup_class, []).append(
-                (q, class_masks[q.height, q.prime])
-            )
+        setattr_(self, "_table", table)
+        setattr_(self, "_zero", frozenset(zero))
+        setattr_(self, "_sorted", ordered)
         setattr_(self, "_by_class", {c: tuple(qs) for c, qs in by_class.items()})
 
-    def _holds(self, subgroup_class: int, height: Height, prime) -> bool:
-        keys = self._keys
-        if height == 0:
-            return (subgroup_class, 0, ANY_PRIME) in keys or subgroup_class in self._inf_classes
-        return (subgroup_class, height, prime) in keys or (
-            subgroup_class, INFINITY, prime
-        ) in keys
+    def _slot(self, subgroup_class: int, height: Height, prime) -> tuple:
+        """The heights at (class, prime); a bad height or prime raises as BalmerPrime does."""
+        slot = self._table.get(subgroup_class, {}).get(prime) if type(prime) is int else None
+        if slot is None or not is_height(height):
+            BalmerPrime(subgroup_class, height, prime)  # raises its ValueError if bad
+            return ()
+        return slot
 
     def contains(self, subgroup_class: int, height: Height, prime) -> bool:
         """Whether P(class, height, prime) lies in the locus.
@@ -196,11 +211,10 @@ class VanishingLocus:
         at height 0 the prime is ignored.  A bad height, or a bad prime at a
         positive height, raises the ValueError of :class:`BalmerPrime`.
         """
-        if height != 0 and (not is_height(height) or not (
-            type(prime) is int and prime in self._concrete or _is_prime(prime)
-        )):
-            BalmerPrime(subgroup_class, height, prime)  # raises its ValueError
-        return self._holds(subgroup_class, height, prime)
+        if height == 0:
+            return subgroup_class in self._zero
+        slot = self._slot(subgroup_class, height, prime)
+        return height in slot or INFINITY in slot
 
     def primes_at_class(self, subgroup_class: int) -> tuple[tuple[BalmerPrime, int], ...]:
         """The primes q at one class in sorted order, each with a class bitmask.
@@ -210,28 +224,26 @@ class VanishingLocus:
         """
         return self._by_class.get(subgroup_class, ())
 
+    def segments(self, subgroup_class: int) -> list[tuple[int, tuple[Height, ...]]]:
+        """The (prime, heights) slots at one class, primes ascending.
+
+        ``heights`` are the positive heights there, ascending, and ``(INFINITY,)``
+        for the whole tower.  Height 0 is ``contains(class, 0, ANY_PRIME)``.
+        """
+        return sorted(self._table.get(subgroup_class, {}).items())
+
     def concrete_primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self._concrete))
+        return tuple(sorted({p for slots in self._table.values() for p in slots}))
 
     def sorted_primes(self) -> tuple[BalmerPrime, ...]:
         return self._sorted
 
     def segment_top(self, subgroup_class: int, prime: int) -> Entry:
         """Maximal height present at (class, prime); None when empty."""
-        if BalmerPrime(subgroup_class, INFINITY, prime) in self.primes:
-            return INFINITY
-        finite = [
-            q.height
-            for q in self.primes
-            if q.subgroup_class == subgroup_class
-            and q.prime == prime
-            and q.height != INFINITY
-        ]
-        if finite:
-            return max(finite)
-        if self.contains(subgroup_class, 0, ANY_PRIME):
-            return 0
-        return None
+        slot = self._slot(subgroup_class, INFINITY, prime)
+        if slot:
+            return slot[-1]
+        return 0 if subgroup_class in self._zero else None
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -251,13 +263,17 @@ def uniform_locus(lattice: SubgroupLattice, tops: dict[int, Height]) -> Vanishin
     primes = []
     for c in range(len(lattice.classes)):
         for p, top in tops.items():
-            if top is None:
-                continue
-            if top == INFINITY:
-                primes.append(BalmerPrime(c, INFINITY, p))
-            else:
-                primes.extend(balmer_prime(c, m, p) for m in range(top + 1))
+            primes.extend(_segment(c, top, p))
     return vanishing_locus(lattice, primes)
+
+
+def _segment(subgroup_class: int, top: Entry, prime: int) -> list[BalmerPrime]:
+    """The primes P(class, m, prime) for m <= top: none for None, one for INFINITY."""
+    if top is None:
+        return []
+    if top == INFINITY:
+        return [BalmerPrime(subgroup_class, INFINITY, prime)]
+    return [balmer_prime(subgroup_class, m, prime) for m in range(top + 1)]
 
 
 def cyclic_p_power(lattice: SubgroupLattice) -> tuple[int, int] | None:
@@ -291,8 +307,9 @@ def validate_vanishing_locus(VL: VanishingLocus) -> list:
     from .transfers import Violation  # shared record shape
 
     out = []
+    n_classes = len(VL.lattice.classes)
     for q in VL.sorted_primes():
-        if q.subgroup_class >= len(VL.lattice.classes):
+        if not 0 <= q.subgroup_class < n_classes:
             out.append(Violation("unknown-class", (q,)))
             continue
         if q.height == INFINITY or q.height == 0:
@@ -304,12 +321,12 @@ def validate_vanishing_locus(VL: VanishingLocus) -> list:
 
     pn = cyclic_p_power(VL.lattice)
     if pn is not None:
+        # tops read only 0 or None when p is absent, and those never violate
         p, n = pn
-        if p in VL.concrete_primes() or any(q.prime == ANY_PRIME for q in VL.primes):
-            tops = _chain_tops(VL, p)
-            for i in range(n):
-                if not _closed_step(tops[i], tops[i + 1]):
-                    out.append(Violation("chain-inequality", (p, i, tops[i], tops[i + 1])))
+        tops = _chain_tops(VL, p, n)
+        for i in range(n):
+            if not _closed_step(tops[i], tops[i + 1]):
+                out.append(Violation("chain-inequality", (p, i, tops[i], tops[i + 1])))
     return out
 
 
@@ -395,23 +412,12 @@ def heights_to_locus(
     # on C_{p^n} lattice id i is the subgroup of order p**i
     primes = []
     for i, e in enumerate(v.entries):
-        if e is None:
-            continue
-        c = lattice.class_of[i]
-        if e == INFINITY:
-            primes.append(BalmerPrime(c, INFINITY, v.p))
-        else:
-            primes.extend(balmer_prime(c, j, v.p) for j in range(e + 1))
+        primes.extend(_segment(lattice.class_of[i], e, v.p))
     return vanishing_locus(lattice, primes)
 
 
-def _chain_tops(VL: VanishingLocus, p: int) -> list[Entry]:
-    pn = cyclic_p_power(VL.lattice)
-    n = 0 if pn is None else pn[1]
-    if pn is None and VL.lattice.group.order != 1:
-        raise NotCyclicPGroupLattice(
-            f"{VL.lattice.group.name} is not a cyclic p-group"
-        )
+def _chain_tops(VL: VanishingLocus, p: int, n: int) -> list[Entry]:
+    """The tops at p along the chain of C_{p^n}, whose lattice id i has order p**i."""
     return [VL.segment_top(VL.lattice.class_of[i], p) for i in range(n + 1)]
 
 
@@ -420,10 +426,11 @@ def locus_to_heights(VL: VanishingLocus, p: int | None = None) -> HeightVector:
     pn = cyclic_p_power(VL.lattice)
     if pn is None and VL.lattice.group.order != 1:
         raise NotCyclicPGroupLattice(f"{VL.lattice.group.name} is not a cyclic p-group")
+    n = 0
     if pn is not None:
         if p is not None and p != pn[0]:
             raise NotPLocal(f"lattice prime is {pn[0]}, requested {p}")
-        p = pn[0]
+        p, n = pn
     elif p is None:
         concrete = VL.concrete_primes()
         if len(concrete) != 1:
@@ -432,7 +439,7 @@ def locus_to_heights(VL: VanishingLocus, p: int | None = None) -> HeightVector:
     stray = [q for q in VL.concrete_primes() if q != p]
     if stray:
         raise NotPLocal(f"locus mentions primes {stray} besides {p}")
-    return HeightVector(p, tuple(_chain_tops(VL, p)))
+    return HeightVector(p, tuple(_chain_tops(VL, p, n)))
 
 
 # -- support profiles of spectra ------------------------------------------------

@@ -79,10 +79,6 @@ def _load_json(path: str) -> dict:
             raise iomod.ParseError(f"{path} nests too deeply") from None
 
 
-def _structured(doc) -> str:
-    return iomod.indented_json(doc)
-
-
 def _load_locus(args, L=None):
     """Resolve --locus / --ell to a lattice and a vanishing locus."""
     ell, spec = args.ell, args.locus
@@ -119,7 +115,7 @@ def _load_operad(L, spec: str):
 def _cmd_lattice(args):
     L = _build_lattice(args.group)
     if args.format == "structured":
-        return _structured(iomod.lattice_doc(L)), False
+        return iomod.indented_json(iomod.lattice_doc(L)), False
     lines = [f"group {L.group.name} (order {L.group.order})", f"subgroups: {len(L)}"]
     for s in L.subgroups:
         members = ",".join(str(m) for m in s.members)
@@ -138,7 +134,7 @@ def _cmd_transfer_enumerate(args):
     bound = _env_int("NORMCERT_MAX_PAIRS", DEFAULT_MAX_PAIRS)
     enum = enumerate_transfer_systems(L, max_pairs=bound)
     if args.format == "structured":
-        return _structured(iomod.enumeration_doc(L, enum)), False
+        return iomod.indented_json(iomod.enumeration_doc(L, enum)), False
     lines = [f"transfer systems on {L.group.name}: {len(enum.systems)}"]
     for i, s in enumerate(enum.systems):
         pairs = " ".join(f"({L.names[k]}<{L.names[h]})" for k, h in s.strict_pairs())
@@ -151,7 +147,7 @@ def _cmd_spectrum_validate(args):
     L, vl = _load_locus(args, L)
     violations = validate_vanishing_locus(vl)
     if args.format == "structured":
-        return _structured(iomod.locus_validation_doc(vl, violations)), bool(violations)
+        return iomod.indented_json(iomod.locus_validation_doc(vl, violations)), bool(violations)
     lines = [f"locus on {L.group.name}: {len(vl.primes)} primes"]
     if violations:
         lines.extend(f"violation {v.axiom}: {v.witness!r}" for v in violations)
@@ -167,7 +163,7 @@ def _cmd_decide(args):
     decision = localization_preserves(vl, R)
     flagged = not decision.certified
     if args.format == "structured":
-        return _structured(iomod.decision_doc(decision, L, R, vl)), flagged
+        return iomod.indented_json(iomod.decision_doc(decision, L, R, vl)), flagged
     lines = [
         f"group: {L.group.name}",
         f"operad: {len(R.pairs)} admissible pairs",
@@ -194,7 +190,7 @@ def _cmd_ell_enumerate(args):
         doc = iomod.heights_enumeration_doc(
             vectors, args.n, args.height_bound, args.include_infinity, args.prime
         )
-        return _structured(doc), False
+        return iomod.indented_json(doc), False
     lines = [
         f"commutative height vectors: n={args.n} height_bound={args.height_bound}"
         f" p={args.prime} include_infinity={args.include_infinity}",
@@ -210,7 +206,7 @@ def _cmd_ell_enumerate(args):
 def _cmd_cross_validate(args):
     report = cross_validate_cyclic(args.n, args.prime, args.height_bound)
     if args.format == "structured":
-        return _structured(iomod.cross_validation_doc(report)), not report.ok
+        return iomod.indented_json(iomod.cross_validation_doc(report)), not report.ok
     lines = [
         f"cross-validation: n={report.n} p={report.p} height_bound={report.height_bound}",
         f"vectors: {report.vectors_checked} norm checks: {report.norm_comparisons}"

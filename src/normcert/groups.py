@@ -88,31 +88,11 @@ class FiniteGroup:
 
     def generated_mask(self, mask: int) -> int:
         """Bitmask of the subgroup generated by the elements of ``mask``."""
-        return _span(self.table, self.identity, _bits(mask))
+        e = self.identity
+        return _coset_union(self.table, (e,), _bits(mask), e)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-
-def _span(table: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> int:
-    """Bitmask of what right multiplication by ``gens`` reaches from ``identity``.
-
-    In a group this is the subgroup that ``gens`` generate.
-    """
-    members = 1 << identity
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = table[x]
-            for g in gens:
-                y = row[g]
-                b = 1 << y
-                if not members & b:
-                    members |= b
-                    nxt.append(y)
-        frontier = nxt
-    return members
 
 
 def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
@@ -127,7 +107,7 @@ def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[i
     for g in range(len(table)):
         if not span >> g & 1:
             gens.append(g)
-            span = _span(table, identity, gens)
+            span = _coset_union(table, (identity,), gens, identity)
     return tuple(gens)
 
 
@@ -625,8 +605,9 @@ def _coset_union(
 
     Coset representatives are visited breadth first, and each one reached
     outside the union adds its whole coset.  With ``start`` the identity and
-    ``gens`` holding generators of u this is the subgroup they generate;
-    with ``gens`` generating u it is the double coset ``u·start·u``.
+    ``gens`` holding generators of u this is the subgroup they generate (for
+    u trivial, ``umem == (start,)``, the subgroup ``gens`` generate); with
+    ``gens`` generating u it is the double coset ``u·start·u``.
     """
     members = 0
     for a in umem:

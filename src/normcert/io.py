@@ -146,13 +146,10 @@ def _entry_doc(e):
 
 
 def _entry_from(x):
-    if x in ("none", -1, None):
+    """A height-vector entry: ``"none"``, null or the int -1 is the sentinel."""
+    if x is None or x == "none" or (type(x) is int and x == -1):
         return None
     return _height_from(x)
-
-
-def _prime_doc(p):
-    return p
 
 
 def _prime_from(x):
@@ -269,31 +266,20 @@ def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
 def locus_doc(VL: VanishingLocus) -> dict:
     L = VL.lattice
     entries = []
-    for c in range(len(L.classes)):
-        rep = L.names[L.classes[c][0]]
+    for c, members in enumerate(L.classes):
+        rep = L.names[members[0]]
         zero = VL.contains(c, 0, ANY_PRIME)
-        used_zero = False
-        concrete = sorted(
-            {q.prime for q in VL.primes if q.subgroup_class == c and q.prime != ANY_PRIME}
-        )
-        for p in concrete:
-            if BalmerPrime(c, INFINITY, p) in VL.primes:
-                entries.append({"subgroup": rep, "prime": p, "heights": "all"})
-                used_zero = True
-                continue
-            finite = sorted(
-                q.height
-                for q in VL.primes
-                if q.subgroup_class == c and q.prime == p and q.height != INFINITY
-            )
-            if zero and finite == list(range(1, len(finite) + 1)):
-                entries.append(
-                    {"subgroup": rep, "prime": p, "heights": f"0..{len(finite)}"}
-                )
-                used_zero = True
+        zero_written = False
+        for p, heights in VL.segments(c):
+            if heights == (INFINITY,):
+                field = "all"
+            elif zero and heights == tuple(range(1, len(heights) + 1)):
+                field = f"0..{len(heights)}"
             else:
-                entries.append({"subgroup": rep, "prime": p, "heights": finite})
-        if zero and not used_zero:
+                field = list(heights)
+            zero_written = zero_written or isinstance(field, str)  # "all" and "0..k"
+            entries.append({"subgroup": rep, "prime": p, "heights": field})
+        if zero and not zero_written:
             entries.append({"subgroup": rep, "prime": "any", "heights": [0]})
     entries.sort(key=lambda e: (e["subgroup"], str(e["prime"])))
     return {
@@ -394,18 +380,11 @@ def parse_heights_inline(text: str) -> HeightVector:
     entries = []
     for tok in rest[1:-1].split(","):
         tok = tok.strip()
-        if tok in ("none", "-1"):
-            entries.append(None)
-        elif tok == "inf":
-            entries.append(INFINITY)
-        else:
-            try:
-                h = int(tok)
-            except ValueError:
-                raise ParseError(f"bad height entry {tok!r}") from None
-            entries.append(_bounded(h))
-    if not entries or entries == [""]:
-        raise ParseError(f"empty entry list in {text!r}")
+        try:
+            tok = int(tok)
+        except ValueError:
+            pass
+        entries.append(_entry_from(tok))
     try:
         return HeightVector(p, tuple(entries))
     except ValueError as exc:
@@ -419,7 +398,7 @@ def _prime_entry(L: SubgroupLattice, q: BalmerPrime) -> dict:
     return {
         "subgroup": L.names[L.classes[q.subgroup_class][0]],
         "height": _height_doc(q.height),
-        "prime": _prime_doc(q.prime),
+        "prime": q.prime,
     }
 
 

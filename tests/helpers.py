@@ -346,6 +346,20 @@ def contains_by_definition(vl: nc.VanishingLocus, c: int, height, prime) -> bool
     return nc.BalmerPrime(c, nc.INFINITY, prime) in vl.primes
 
 
+def segment_top_by_definition(vl: nc.VanishingLocus, c: int, prime):
+    """The maximal height at (class, prime) read off the set of Balmer primes itself."""
+    if nc.BalmerPrime(c, nc.INFINITY, prime) in vl.primes:
+        return nc.INFINITY
+    finite = [
+        q.height
+        for q in vl.primes
+        if q.subgroup_class == c and q.prime == prime and q.height != nc.INFINITY
+    ]
+    if finite:
+        return max(finite)
+    return 0 if contains_by_definition(vl, c, 0, nc.ANY_PRIME) else None
+
+
 def subconjugate_witness(L: nc.SubgroupLattice, kid: int, hid: int) -> int | None:
     """The least g with K^g <= H, or None when K is not subconjugate to H."""
     return next((g for g, kg in enumerate(L.conj[kid]) if L.leq(kg, hid)), None)

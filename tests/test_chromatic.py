@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import normcert as nc
 from normcert import ANY_PRIME, INFINITY, BalmerPrime, HeightVector
+from normcert import io as iomod
 from normcert.chromatic import MAX_PRIME, cyclic_p_power
 from helpers import (
     CORPUS_SPECS,
@@ -15,6 +16,7 @@ from helpers import (
     lattice,
     random_support_data,
     random_valid_locus,
+    segment_top_by_definition,
 )
 
 
@@ -245,10 +247,13 @@ def test_supports_equal_is_an_equivalence(spec, data):
 
 def test_unknown_class_reported_and_engine_refuses():
     L = lattice("cyclic:4")
-    vl = nc.vanishing_locus(L, [nc.balmer_prime(9, 0, 2)])
-    assert any(v.axiom == "unknown-class" for v in nc.validate_vanishing_locus(vl))
-    with pytest.raises(nc.InvalidLocus):
-        nc.norm_preserves_locus(vl, 0, 1)
+    for c in (9, -1):
+        vl = nc.vanishing_locus(L, [nc.balmer_prime(c, 0, 2)])
+        assert [v.axiom for v in nc.validate_vanishing_locus(vl)] == ["unknown-class"]
+        with pytest.raises(nc.InvalidLocus):
+            nc.norm_preserves_locus(vl, 0, 1)
+        with pytest.raises(nc.InvalidLocus):
+            nc.localization_preserves(vl, nc.complete_system(L))
 
 
 def test_uniform_locus_validity_and_shape():
@@ -317,10 +322,19 @@ def test_contains_matches_the_prime_set(spec, raw, queries):
     vl = nc.vanishing_locus(L, [nc.balmer_prime(c, h, p) for c, h, p in raw])
     for query in queries:
         assert _outcome(vl.contains, *query) == _outcome(contains_by_definition, vl, *query)
+        c, _, prime = query
+        assert _outcome(vl.segment_top, c, prime) == _outcome(
+            segment_top_by_definition, vl, c, prime
+        )
+    n = len(L.classes)
+    for c in range(n):
+        for p in (2, 3, 5):
+            assert vl.segment_top(c, p) == segment_top_by_definition(vl, c, p)
+    if all(q.subgroup_class < n for q in vl.primes):
+        assert iomod.parse_locus(L, iomod.locus_doc(vl)) == vl
     assert vl.sorted_primes() == tuple(sorted(vl.primes, key=BalmerPrime.sort_key))
     # each class lists its primes in sorted order, and the class mask of each
     # prime's (height, prime) is contains over the lattice
-    n = len(L.classes)
     for cls in {q.subgroup_class for q in vl.primes} | set(range(n)):
         listed = vl.primes_at_class(cls)
         assert tuple(q for q, _ in listed) == tuple(

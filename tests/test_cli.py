@@ -116,6 +116,11 @@ def test_spectrum_validate(tmp_path, capsys):
     rc = main(["spectrum-validate", "--locus", "ell:2,(1,0)", "--strict"])
     assert rc == 0
     assert "ok" in capsys.readouterr().out
+    # the sentinel is "none", null or the int -1; -1.0 == -1 was read as it too
+    vector = tmp_path / "vector.json"
+    for entry, code in ((-1, 0), ("none", 0), (None, 0), (-1.0, 2), (0.0, 2), (True, 2), ("-1", 2)):
+        vector.write_text(json.dumps({"kind": "height-vector", "p": 2, "ell": [entry, 0]}))
+        assert main(["spectrum-validate", "--group", "cyclic:2", "--locus", str(vector)]) == code
 
 
 def test_ell_enumerate(capsys):

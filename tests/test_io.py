@@ -92,7 +92,7 @@ def test_heights_inline_parse():
     assert iomod.parse_heights_inline("3,(inf,none,-1)") == HeightVector(
         3, (INFINITY, None, None)
     )
-    for bad in ("2", "2,(1,", "x,(1)", "2,(1,q)", "4,(1)"):
+    for bad in ("2", "2,(1,", "x,(1)", "2,(1,q)", "4,(1)", "2,()", "2,(1,-2)", "2,(-1.0,0)"):
         with pytest.raises(iomod.ParseError):
             iomod.parse_heights_inline(bad)
 

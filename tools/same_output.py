@@ -14,7 +14,11 @@ group of the three workloads runs as well.  The fixed list also runs
 structured ``lattice``, ``transfer-enumerate`` and ``decide --operad
 complete`` on a ``table:`` CSV of S3, written into the scratch directory,
 whose file name holds ``"``, ``\\``, ``,``, ``[``, ``{`` and ``é``, so the
-JSON escaping of the group name is compared too.
+JSON escaping of the group name is compared too.  No stream validates a
+locus either, so the fixed list ends with ``spectrum-validate --strict``,
+text and structured, on each decide-mix group's ``u0``, ``r0`` and ``r1``
+locus documents and on two inline ``--ell`` vectors, one of which breaks
+the chain inequality.
 
 Exits 0 when every request agrees and 1 at the first request that differs,
 naming it.
@@ -107,6 +111,27 @@ def hostile_requests(scratch: str) -> list[list[str]]:
     ]
 
 
+# the second vector breaks the chain inequality: 2 is more than one above 0
+ELL_VECTORS = ("2,(1,0,none,inf)", "3,(2,0)")
+
+
+def locus_requests(decide_dir: str) -> list[list[str]]:
+    """``spectrum-validate`` on decide-mix locus documents and inline vectors.
+
+    ``decide_dir`` holds the decide-mix inputs.
+    """
+    loci = [
+        ["--group", spec, "--locus", os.path.join(decide_dir, f"{short}-{loc}.json")]
+        for short, spec in workloads.DECIDE_GROUPS
+        for loc in ("u0", "r0", "r1")
+    ] + [["--ell", ell] for ell in ELL_VECTORS]
+    return [
+        ["spectrum-validate", *locus, "--strict", "--format", fmt]
+        for locus in loci
+        for fmt in ("text", "structured")
+    ]
+
+
 def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
     """A description of how one request's outcome differs between the trees, or None."""
     (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, cwd)
@@ -118,16 +143,19 @@ def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
 
 def compare(base: str, seeds: list[int], scratch: str) -> str | None:
     """The first request whose output differs between the trees, or None."""
-    requests = lattice_requests() + hostile_requests(scratch)
-    for i, argv in enumerate(requests):
-        diff = differs(base, argv, scratch, f"lattice request {i}")
-        if diff is not None:
-            return diff
-    print(f"lattice list: {len(requests)} requests identical", flush=True)
+    workdirs = {}
     for workload in workloads.WORKLOADS:
-        workdir = os.path.join(scratch, workload)
+        workdir = workdirs[workload] = os.path.join(scratch, workload)
         os.makedirs(workdir)
         write_inputs(base, workload, workdir)
+    requests = (lattice_requests() + hostile_requests(scratch)
+                + locus_requests(workdirs["decide-mix"]))
+    for i, argv in enumerate(requests):
+        diff = differs(base, argv, scratch, f"fixed request {i}")
+        if diff is not None:
+            return diff
+    print(f"fixed list: {len(requests)} requests identical", flush=True)
+    for workload, workdir in workdirs.items():
         for seed in seeds:
             requests = workloads.stream(workload, seed)
             for req in requests:
