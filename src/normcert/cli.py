@@ -162,24 +162,8 @@ def _cmd_decide(args):
     R = _load_operad(L, args.operad)
     decision = localization_preserves(vl, R)
     flagged = not decision.certified
-    if args.format == "structured":
-        return iomod.indented_json(iomod.decision_doc(decision, L, R, vl)), flagged
-    lines = [
-        f"group: {L.group.name}",
-        f"operad: {len(R.pairs)} admissible pairs",
-        f"locus: {len(vl.primes)} primes",
-        f"verdict: {decision.verdict.value}",
-    ]
-    for w in decision.witnesses:
-        q = w.prime
-        rep = L.names[L.classes[q.subgroup_class][0]]
-        checked = " ".join(f"({r},{L.names[c]})" for r, c in w.checked)
-        lines.append(
-            f"witness: norm {L.names[w.norm_source]}->{L.names[w.norm_target]}"
-            f" fails at P({rep},{iomod._height_doc(q.height)},{q.prime})"
-            f" via {L.names[w.subgroup]}; checked {checked}"
-        )
-    return "\n".join(lines) + "\n", flagged
+    write = iomod.decision_json if args.format == "structured" else iomod.decision_text
+    return write(decision, L, R, vl), flagged
 
 
 def _cmd_ell_enumerate(args):

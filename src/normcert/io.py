@@ -8,8 +8,10 @@ item on its own line indented two spaces per level, ``,`` ending every item
 line but the last, ``": "`` after each key, ASCII only (JSON's escapes for
 quotes, backslashes and control characters, ``\\uXXXX`` for the rest),
 and a final newline; byte for byte that is
-``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.  Digests hash the
-compact form of :func:`canonical_json`.
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.  Decision reports,
+the largest documents, are written by :func:`decision_json` to the same
+bytes without building their witness dicts.  Digests hash the compact form
+of :func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -402,33 +404,132 @@ def _prime_entry(L: SubgroupLattice, q: BalmerPrime) -> dict:
     }
 
 
-def decision_doc(
+def _decision_head(
     d: Decision,
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
 ) -> dict:
+    """Every key of the decision report but ``witnesses``; each sorts before it."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "decision-report",
         "group": L.group.name,
         "verdict": d.verdict.value,
-        "witnesses": [
-            {
-                "norm_source": L.names[w.norm_source],
-                "norm_target": L.names[w.norm_target],
-                "subgroup": L.names[w.subgroup],
-                "prime": _prime_entry(L, w.prime),
-                "checked": [[rep, L.names[cut]] for rep, cut in w.checked],
-            }
-            for w in d.witnesses
-        ],
         "inputs": {
             "group": {"name": L.group.name, "digest": digest(group_doc(L.group))},
             "operad": {"digest": digest(system_doc(R))},
             "locus": {"digest": digest(locus_doc(VL))},
         },
     }
+
+
+def decision_doc(
+    d: Decision,
+    L: SubgroupLattice,
+    R: TransferSystem,
+    VL: VanishingLocus,
+) -> dict:
+    doc = _decision_head(d, L, R, VL)
+    doc["witnesses"] = [
+        {
+            "norm_source": L.names[w.norm_source],
+            "norm_target": L.names[w.norm_target],
+            "subgroup": L.names[w.subgroup],
+            "prime": _prime_entry(L, w.prime),
+            "checked": [[rep, L.names[cut]] for rep, cut in w.checked],
+        }
+        for w in d.witnesses
+    ]
+    return doc
+
+
+def decision_json(
+    d: Decision,
+    L: SubgroupLattice,
+    R: TransferSystem,
+    VL: VanishingLocus,
+) -> str:
+    """``indented_json(decision_doc(d, L, R, VL))``, written without the witness dicts.
+
+    The head goes through :func:`indented_json`; ``witnesses`` sorts last,
+    so the list closes the document.  Each witness is one template over
+    names escaped once per report.  Witnesses at one (K, H, J) share their
+    ``checked`` tuple (``mackey_cuts`` is cached per lattice), so its text
+    is written once per tuple, and once per prime for the prime block.
+    The result is one join over head, witnesses, separators and tail.
+    """
+    head = _indented(_decision_head(d, L, R, VL), "\n")
+    if not d.witnesses:
+        return "".join((head[:-2], ',\n  "witnesses": []\n}\n'))
+    names = [_encode_str(n) for n in L.names]
+    reps = [names[members[0]] for members in L.classes]
+    checked_text: dict[int, str] = {}
+    prime_text: dict[int, str] = {}
+    pieces = [head[:-2], ',\n  "witnesses": [\n    ']
+    for w in d.witnesses:
+        checked = checked_text.get(id(w.checked))
+        if checked is None:
+            rows = ",\n        ".join(
+                f"[\n          {r},\n          {names[c]}\n        ]" for r, c in w.checked
+            )
+            checked = checked_text[id(w.checked)] = f"[\n        {rows}\n      ]"
+        q = w.prime
+        prime = prime_text.get(id(q))
+        if prime is None:
+            h = '"inf"' if q.height == INFINITY else q.height
+            p = _encode_str(q.prime) if type(q.prime) is str else q.prime
+            prime = prime_text[id(q)] = (
+                f'{{\n        "height": {h},\n        "prime": {p},\n'
+                f'        "subgroup": {reps[q.subgroup_class]}\n      }}'
+            )
+        pieces.append(
+            f'{{\n      "checked": {checked},\n      "norm_source": {names[w.norm_source]},\n'
+            f'      "norm_target": {names[w.norm_target]},\n      "prime": {prime},\n'
+            f'      "subgroup": {names[w.subgroup]}\n    }}'
+        )
+        pieces.append(",\n    ")
+    pieces[-1] = "\n  ]\n}\n"
+    return "".join(pieces)
+
+
+def decision_text(
+    d: Decision,
+    L: SubgroupLattice,
+    R: TransferSystem,
+    VL: VanishingLocus,
+) -> str:
+    """The text decision report: a four-line head, then one line per witness.
+
+    Like :func:`decision_json`, it writes each ``checked`` tuple and each
+    prime once.
+    """
+    names = L.names
+    lines = [
+        f"group: {L.group.name}",
+        f"operad: {len(R.pairs)} admissible pairs",
+        f"locus: {len(VL.primes)} primes",
+        f"verdict: {d.verdict.value}",
+    ]
+    checked_text: dict[int, str] = {}
+    prime_text: dict[int, str] = {}
+    for w in d.witnesses:
+        checked = checked_text.get(id(w.checked))
+        if checked is None:
+            checked = checked_text[id(w.checked)] = " ".join(
+                f"({r},{names[c]})" for r, c in w.checked
+            )
+        q = w.prime
+        prime = prime_text.get(id(q))
+        if prime is None:
+            rep = names[L.classes[q.subgroup_class][0]]
+            prime = prime_text[id(q)] = f"P({rep},{_height_doc(q.height)},{q.prime})"
+        lines.append(
+            f"witness: norm {names[w.norm_source]}->{names[w.norm_target]}"
+            f" fails at {prime} via {names[w.subgroup]}; checked {checked}"
+        )
+    lines.append("")
+    return "\n".join(lines)
 
 
 def cross_validation_doc(report: CrossValidationReport) -> dict:

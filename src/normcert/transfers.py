@@ -83,10 +83,17 @@ def reflexive_pairs(L: SubgroupLattice) -> frozenset[Pair]:
 
 
 def candidate_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
-    """All strictly nested pairs (kid, hid), the ground set for enumeration."""
-    n = len(L)
+    """All strictly nested pairs (kid, hid), the ground set for enumeration.
+
+    Sorted.  Ids are sorted by order, so a strict superset of K has a
+    larger id than K and only those ids are tested.
+    """
+    outside = [~s.mask for s in L.subgroups]
     return tuple(
-        (k, h) for k in range(n) for h in range(n) if k != h and L.leq(k, h)
+        (k, h)
+        for k, s in enumerate(L.subgroups)
+        for h, out in enumerate(outside[k + 1:], k + 1)
+        if not s.mask & out
     )
 
 

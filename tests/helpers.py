@@ -6,8 +6,9 @@ closing small generating sets element by element, lattice covers from their
 definition, transfer-system validity is re-derived with element-by-element
 restriction, closure restricts along double cosets instead of intersections,
 norm supports are recomputed over every element of H, the norm criterion's
-witnesses are found by walking double cosets, and transfer systems are
-checked against the finite H-sets they make admissible.
+witnesses are found by walking double cosets, transfer systems are
+checked against the finite H-sets they make admissible, and text decision
+reports are written one witness at a time.
 """
 
 from __future__ import annotations
@@ -591,6 +592,32 @@ def commutative_count(n: int, height_bound: int, include_infinity: bool) -> int:
         for top in range(-1, max(height_bound, -1) + 1)
         for k in range(min(n, top + 1) + 1)
     ) + int(include_infinity)
+
+
+# -- reports ---------------------------------------------------------------------
+
+
+def decision_text_by_loop(
+    d: nc.Decision, L: nc.SubgroupLattice, R: nc.TransferSystem, vl: nc.VanishingLocus
+) -> str:
+    """The text decision report, one witness at a time with nothing shared."""
+    lines = [
+        f"group: {L.group.name}",
+        f"operad: {len(R.pairs)} admissible pairs",
+        f"locus: {len(vl.primes)} primes",
+        f"verdict: {d.verdict.value}",
+    ]
+    for w in d.witnesses:
+        q = w.prime
+        rep = L.names[L.classes[q.subgroup_class][0]]
+        height = "inf" if q.height == nc.INFINITY else q.height
+        checked = " ".join(f"({r},{L.names[c]})" for r, c in w.checked)
+        lines.append(
+            f"witness: norm {L.names[w.norm_source]}->{L.names[w.norm_target]}"
+            f" fails at P({rep},{height},{q.prime})"
+            f" via {L.names[w.subgroup]}; checked {checked}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- randomized generators ---------------------------------------------------------

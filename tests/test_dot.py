@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -31,6 +32,21 @@ def test_transfer_poset_cp2():
     # covering edges only: bottom covers two systems, not the top directly
     assert '"T0" -> "T1";' in out
     assert '"T0" -> "T4";' not in out
+
+
+@pytest.mark.parametrize(
+    "spec,n,edges",
+    [("cyclic:2", 1, 1), ("cyclic:4", 2, 5), ("cyclic:8", 3, 21), ("cyclic:16", 4, 84),
+     ("cyclic:32", 5, 330), ("cyclic:9", 2, 5), ("cyclic:27", 3, 21), ("cyclic:25", 2, 5)],
+)
+def test_transfer_poset_on_chains_has_tamari_cover_count(spec, n, edges):
+    # the transfer systems of C_{p^n} form the Tamari lattice on m = n + 1
+    # (Balchin-Barnes-Roitzheim), whose Hasse diagram has (m-1) Cat(m) / 2 edges
+    m = n + 1
+    assert (m - 1) * math.comb(2 * m, m) // (m + 1) // 2 == edges
+    out = dotmod.transfer_poset_dot(lattice(spec), enumeration(spec))
+    check_dot_syntax(out)
+    assert out.count(" -> ") == edges
 
 
 @pytest.mark.parametrize("spec", ["dihedral:8", "cyclic:2*cyclic:4", "quaternion:8"])

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 import normcert as nc
 from normcert import io as iomod
 from normcert.cli import _INPUT_ERRORS
+from normcert.transfers import candidate_pairs
 from normcert import INFINITY, HeightVector
-from helpers import CORPUS_SPECS, enumeration, lattice, random_valid_locus
+from helpers import (
+    CORPUS_SPECS,
+    decision_text_by_loop,
+    enumeration,
+    lattice,
+    random_valid_locus,
+)
 
 
 def test_canonical_json_is_stable_and_strict():
@@ -129,6 +136,42 @@ def test_decision_document_shape():
     assert doc["witnesses"][0]["prime"] == {"subgroup": "C2#0", "height": 1, "prime": 2}
     assert set(doc["inputs"]) == {"group", "operad", "locus"}
     json.loads(iomod.canonical_json(doc))
+
+
+def _check_decision_writers(L, R, vl, seen):
+    d = nc.localization_preserves(vl, R)
+    assert iomod.decision_json(d, L, R, vl) == iomod.indented_json(iomod.decision_doc(d, L, R, vl))
+    assert iomod.decision_text(d, L, R, vl) == decision_text_by_loop(d, L, R, vl)
+    seen["certified"] |= d.certified
+    for w in d.witnesses:
+        seen["any"] |= w.prime.prime == nc.ANY_PRIME
+        seen["inf"] |= w.prime.height == INFINITY
+        seen["cosets"] |= not L.is_normal(w.norm_source) and len(w.checked) > 1
+
+
+def test_decision_writers_match_their_oracles():
+    # the structured writer against the generic one over decision_doc, and the
+    # text writer against the one-witness-at-a-time loop, on random valid loci
+    rng = random.Random(12)
+    seen = dict.fromkeys(("certified", "any", "inf", "cosets"), False)
+    for spec in ("symmetric:4", "dihedral:32", "cyclic:2*cyclic:2*cyclic:2*cyclic:2",
+                 "dihedral:16*cyclic:2"):
+        L = lattice(spec)
+        strict = candidate_pairs(L)
+        operads = [nc.complete_system(L), nc.trivial_system(L),
+                   nc.close_transfer_system(L, rng.sample(strict, 2))]
+        for _ in range(3):
+            vl = random_valid_locus(L, rng)
+            for R in operads:
+                _check_decision_writers(L, R, vl, seen)
+    # S3 under a name that needs JSON escapes; its height-0 locus fails with
+    # "any" primes at non-normal K of several double cosets
+    G = nc.from_table(nc.symmetric(3).table, name='S3 "hostile", [x] {y} \u00e9')
+    L = nc.subgroup_lattice(G)
+    vl = iomod.parse_locus(L, {"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]})
+    for R in (nc.complete_system(L), nc.trivial_system(L)):
+        _check_decision_writers(L, R, vl, seen)
+    assert all(seen.values()), seen
 
 
 def test_group_and_lattice_docs():

@@ -15,10 +15,15 @@ structured ``lattice``, ``transfer-enumerate`` and ``decide --operad
 complete`` on a ``table:`` CSV of S3, written into the scratch directory,
 whose file name holds ``"``, ``\\``, ``,``, ``[``, ``{`` and ``é``, so the
 JSON escaping of the group name is compared too.  No stream validates a
-locus either, so the fixed list ends with ``spectrum-validate --strict``,
+locus either, so the fixed list goes on with ``spectrum-validate --strict``,
 text and structured, on each decide-mix group's ``u0``, ``r0`` and ``r1``
 locus documents and on two inline ``--ell`` vectors, one of which breaks
-the chain inequality.
+the chain inequality.  No stream's decision report has an INFINITY height
+either, so the fixed list ends with ``decide --operad complete --strict``,
+text and structured, on each decide-mix group against a locus document,
+written into the scratch directory, whose one entry puts the whole 2-local
+tower (``"heights": "all"``) at G itself: every norm K -> G fails there,
+each witness at height ``"inf"`` (68 of them on D64, exit 1).
 
 Exits 0 when every request agrees and 1 at the first request that differs,
 naming it.
@@ -132,6 +137,34 @@ def locus_requests(decide_dir: str) -> list[list[str]]:
     ]
 
 
+# the whole 2-local tower at G, heights 0 to INFINITY; every norm K -> G
+# fails at it, and each witness names the prime of height "inf"
+INF_LOCUS = """import json, sys, normcert as nc
+for spec, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    top = f"C{nc.build_group(spec).order}#0"
+    with open(path, "w") as fh:
+        json.dump({"entries": [{"subgroup": top, "prime": 2, "heights": "all"}]}, fh)
+"""
+
+
+def inf_locus_requests(tree: str, scratch: str) -> list[list[str]]:
+    """``decide --operad complete --strict`` on each decide-mix group's INFINITY locus.
+
+    Writes the locus documents into ``scratch`` with ``tree``.
+    """
+    paths = {spec: os.path.join(scratch, f"{short}-inf.json")
+             for short, spec in workloads.DECIDE_GROUPS}
+    subprocess.run([sys.executable, "-c", INF_LOCUS,
+                    *(a for spec, path in paths.items() for a in (spec, path))],
+                   env=tree_env(tree), cwd=scratch, check=True)
+    return [
+        ["decide", "--group", spec, "--operad", "complete", "--locus", path, "--strict",
+         "--format", fmt]
+        for spec, path in paths.items()
+        for fmt in ("text", "structured")
+    ]
+
+
 def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
     """A description of how one request's outcome differs between the trees, or None."""
     (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, cwd)
@@ -149,7 +182,7 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
         os.makedirs(workdir)
         write_inputs(base, workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
-                + locus_requests(workdirs["decide-mix"]))
+                + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch))
     for i, argv in enumerate(requests):
         diff = differs(base, argv, scratch, f"fixed request {i}")
         if diff is not None:
