@@ -12,7 +12,9 @@ over double cosets: cuts from one double coset are J-conjugate, so both give
 the same classes of K^h n J.  Each locus keeps a bitmask of classes per
 (height, prime), each triple (K, H, J) one bitmask of cut classes, and a
 triple fails when the two are disjoint.  Only a failing triple computes its
-double cosets, for the witness it reports.
+double cosets, for the witness it reports.  The cut bitmasks do not depend
+on the locus, so the cross-validation sweep builds them once per pair and
+reads each verdict off them without building a witness.
 
 Verdicts are one-sided by design: ``CERTIFIED_PRESERVES`` means the
 sufficient criterion holds for every admissible norm of the operad;
@@ -135,29 +137,60 @@ def norm_support(
     return frozenset(parts[0]).intersection(*parts[1:])
 
 
-def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFailure, ...]:
-    L = vl.lattice
-    subgroups, id_of_mask, class_of = L.subgroups, L.id_of_mask, L.class_of
+def _conjugate_masks(L, kid: int, hid: int) -> list[int]:
     # the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
     # every h in it, so the H-conjugates K^h of K give the same cut classes
     row = L.conj[kid]
-    ids = {kid} if L.is_normal(kid) else {row[h] for h in _bits(subgroups[hid].mask)}
-    conjugates = [subgroups[c].mask for c in ids]
-    failures = []
-    # primes sort by class first, so walking classes in order keeps prime order
-    for c, jids in L.classes_below(hid):
-        primes = vl.primes_at_class(c)
-        if not primes:
-            continue
-        cuts = []
-        for jid in jids:
-            jmask = subgroups[jid].mask
-            cuts.append(sum({1 << class_of[id_of_mask(k & jmask)] for k in conjugates}))
-        for q, in_locus in primes:
-            for jid, cut in zip(jids, cuts):
+    ids = {kid} if L.is_normal(kid) else {row[h] for h in _bits(L.subgroups[hid].mask)}
+    return [L.subgroups[c].mask for c in ids]
+
+
+def _class_cuts(L, conjugates: list[int], jids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Each J of one class with the bitmask of the classes of its cuts K^h n J."""
+    subgroups, id_of_mask, class_of = L.subgroups, L.id_of_mask, L.class_of
+    out = []
+    for jid in jids:
+        jmask = subgroups[jid].mask
+        out.append((jid, sum({1 << class_of[id_of_mask(k & jmask)] for k in conjugates})))
+    return tuple(out)
+
+
+def _pair_cuts(L, kid: int, hid: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The cut table of the norm K -> H, which does not depend on the locus.
+
+    One ``(class, ((J, cut-class bitmask), ...))`` per class with a member
+    J <= H, in the order of :meth:`~normcert.groups.SubgroupLattice.classes_below`.
+    """
+    conjugates = _conjugate_masks(L, kid, hid)
+    return tuple((c, _class_cuts(L, conjugates, jids)) for c, jids in L.classes_below(hid))
+
+
+def _failures(vl: VanishingLocus, cuts) -> Iterator[tuple[int, BalmerPrime]]:
+    """``(J, prime)`` for each prime of the locus at J that no cut carries.
+
+    Yields by class, then prime, then J: primes sort by class first, so
+    walking the classes in order keeps the order of the witnesses.
+    """
+    for c, row in cuts:
+        for q, in_locus in vl.primes_at_class(c):
+            for jid, cut in row:
                 if not cut & in_locus:
-                    failures.append(NormFailure(kid, hid, jid, q, L.mackey_cuts(kid, jid, hid)))
-    return tuple(failures)
+                    yield jid, q
+
+
+def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFailure, ...]:
+    L = vl.lattice
+    conjugates = _conjugate_masks(L, kid, hid)
+    # a class that holds no primes never fails, so its cuts are not computed
+    cuts = (
+        (c, _class_cuts(L, conjugates, jids))
+        for c, jids in L.classes_below(hid)
+        if vl.primes_at_class(c)
+    )
+    return tuple(
+        NormFailure(kid, hid, jid, q, L.mackey_cuts(kid, jid, hid))
+        for jid, q in _failures(vl, cuts)
+    )
 
 
 def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:
@@ -271,7 +304,7 @@ def enumerate_commutative_heights(
 
 MAX_XVAL_LENGTH = 3
 MAX_XVAL_HEIGHT = 5
-MAX_XVAL_ORDER = 343  # C343 sweeps in about 0.3 s, C529 (n = 2) in about 0.25 s
+MAX_XVAL_ORDER = 343  # C343 sweeps in about 0.2 s, C529 (n = 2) in about 0.3 s, mostly its lattice
 
 
 @dataclass(frozen=True)
@@ -303,12 +336,15 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
     Sweeps every valid height vector on C_{p^n} with entries bounded by
     height_bound (sentinel and infinity included) and compares the engine
     verdict with the inequality form, for every nested norm and for the
-    complete operad.  The engine decides each vector once, for the complete
-    operad: the norm from chain[k] to chain[j] is certified exactly when no
-    witness of that decision has (norm_source, norm_target) = (k, j), as
-    chain index i is lattice id i.  The valid vectors are walked depth first
-    in lexicographic order: after an entry of rank r the next one has rank
-    at least r - 1, so no vector outside the sweep is ever built.
+    complete operad.  The lattice is fixed, so the cut table of each strict
+    pair of the complete operad is built once; chain index i is lattice id
+    i.  Per vector, the norm from chain[k] to chain[j] is certified exactly
+    when the criterion finds no failing prime in that table, a reflexive
+    norm always is, and the complete operad is certified when no strict
+    norm fails.  No decision or witness is built.  The valid vectors are
+    walked depth first in lexicographic order: after an entry of rank r the
+    next one has rank at least r - 1, so no vector outside the sweep is
+    ever built.
     """
     if n > MAX_XVAL_LENGTH or height_bound > MAX_XVAL_HEIGHT:
         raise BoundTooLarge(
@@ -321,16 +357,18 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
             f"cross-validation supports p^n <= {MAX_XVAL_ORDER}, got {p}^{n} = {p**n}"
         )
     lattice = cyclic_power_lattice(p, n)
-    complete = complete_system(lattice)
     assert all(s.order == p**i for i, s in enumerate(lattice.subgroups))
+    tables = [(pair, _pair_cuts(lattice, *pair))
+              for pair in complete_system(lattice).strict_pairs()]
     domain: list[Entry] = [None] + list(range(height_bound + 1)) + [INFINITY]
     vectors = norms = operads = 0
     disagreements = []
     for entries in _walk(n + 1, domain, _closed_step):
         v = HeightVector(p, entries)
         vectors += 1
-        decision = localization_preserves(heights_to_locus(v, lattice), complete)
-        failing = {(w.norm_source, w.norm_target) for w in decision.witnesses}
+        vl = heights_to_locus(v, lattice)
+        _require_valid(vl)
+        failing = {pair for pair, cuts in tables if next(_failures(vl, cuts), None) is not None}
         for k in range(n + 1):
             for j in range(k, n + 1):
                 norms += 1
@@ -341,7 +379,7 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
                         Disagreement(entries, f"norm[{k},{j}]", engine, shortcut)
                     )
         operads += 1
-        engine = decision.certified
+        engine = not failing
         shortcut = commutative_condition_holds(v)
         if engine != shortcut:
             disagreements.append(

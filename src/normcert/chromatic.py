@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .groups import DEFAULT_MAX_ORDER, GroupTooLarge, SubgroupLattice, cyclic, subgroup_lattice
 
@@ -130,6 +131,16 @@ def balmer_prime(subgroup_class: int, height: Height, prime) -> BalmerPrime:
     return BalmerPrime(subgroup_class, height, prime)
 
 
+# the order of BalmerPrime.sort_key on valid primes, read off the fields:
+# INFINITY is a float above every int, and height 0 carries only ANY_PRIME,
+# so an int prime is never compared with the marker
+_SORT_FIELDS = attrgetter("subgroup_class", "height", "prime")
+
+# the primes of _segment, shared between loci; typed, so that 2.0 or True
+# never finds the prime made for 2 or 1, and a rejected prime is never kept
+_segment_prime = lru_cache(maxsize=4096, typed=True)(balmer_prime)
+
+
 @dataclass(frozen=True)
 class VanishingLocus:
     """A set of Balmer primes, e.g. the vanishing locus of a thick subcategory.
@@ -181,7 +192,7 @@ class VanishingLocus:
             )
             zero |= inf_classes
         zero_mask = sum(1 << c for c in zero if 0 <= c < n)
-        ordered = tuple(sorted(kept, key=BalmerPrime.sort_key))
+        ordered = tuple(sorted(kept, key=_SORT_FIELDS))
         by_class: dict = {}
         for q in ordered:
             mask = (
@@ -272,8 +283,8 @@ def _segment(subgroup_class: int, top: Entry, prime: int) -> list[BalmerPrime]:
     if top is None:
         return []
     if top == INFINITY:
-        return [BalmerPrime(subgroup_class, INFINITY, prime)]
-    return [balmer_prime(subgroup_class, m, prime) for m in range(top + 1)]
+        return [_segment_prime(subgroup_class, INFINITY, prime)]
+    return [_segment_prime(subgroup_class, m, prime) for m in range(top + 1)]
 
 
 def cyclic_p_power(lattice: SubgroupLattice) -> tuple[int, int] | None:
@@ -286,7 +297,7 @@ def cyclic_p_power(lattice: SubgroupLattice) -> tuple[int, int] | None:
     order = lattice.group.order
     if order == 1:
         return None
-    p = min(d for d in range(2, order + 1) if order % d == 0)
+    p = next(d for d in range(2, order + 1) if order % d == 0)
     n, rest = 0, order
     while rest % p == 0:
         rest //= p

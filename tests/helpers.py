@@ -6,7 +6,8 @@ closing small generating sets element by element, lattice covers from their
 definition, transfer-system validity is re-derived with element-by-element
 restriction, closure restricts along double cosets instead of intersections,
 norm supports are recomputed over every element of H, the norm criterion's
-witnesses are found by walking double cosets, transfer systems are
+witnesses are found by walking double cosets, the cross-validation sweep
+decides every height vector in full, transfer systems are
 checked against the finite H-sets they make admissible, and text decision
 reports are written one witness at a time.
 """
@@ -592,6 +593,43 @@ def commutative_count(n: int, height_bound: int, include_infinity: bool) -> int:
         for top in range(-1, max(height_bound, -1) + 1)
         for k in range(min(n, top + 1) + 1)
     ) + int(include_infinity)
+
+
+def cross_validate_by_decisions(n: int, p: int, height_bound: int) -> nc.CrossValidationReport:
+    """The cross-validation sweep with one complete-operad decision per vector.
+
+    Each norm's verdict is read off that decision's witnesses, and the
+    operad verdict is the decision's; bounds are not checked.
+    """
+    from normcert.certify import Disagreement, _walk
+    from normcert.chromatic import _closed_step
+
+    lattice = nc.cyclic_power_lattice(p, n)
+    complete = nc.complete_system(lattice)
+    domain = [None] + list(range(height_bound + 1)) + [nc.INFINITY]
+    vectors = norms = operads = 0
+    disagreements = []
+    for entries in _walk(n + 1, domain, _closed_step):
+        v = nc.HeightVector(p, entries)
+        vectors += 1
+        decision = nc.localization_preserves(nc.heights_to_locus(v, lattice), complete)
+        failing = {(w.norm_source, w.norm_target) for w in decision.witnesses}
+        for k in range(n + 1):
+            for j in range(k, n + 1):
+                norms += 1
+                engine = (k, j) not in failing
+                shortcut = nc.norm_condition_holds(v, k, j)
+                if engine != shortcut:
+                    disagreements.append(Disagreement(entries, f"norm[{k},{j}]", engine, shortcut))
+        operads += 1
+        shortcut = nc.commutative_condition_holds(v)
+        if decision.certified != shortcut:
+            disagreements.append(
+                Disagreement(entries, "complete-operad", decision.certified, shortcut)
+            )
+    return nc.CrossValidationReport(
+        n, p, height_bound, vectors, norms, operads, tuple(disagreements)
+    )
 
 
 # -- reports ---------------------------------------------------------------------

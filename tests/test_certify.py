@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import normcert as nc
 from normcert import INFINITY, HeightVector, Verdict
-from normcert.certify import _pair_obstructions, _walk
+from normcert import certify
+from normcert.certify import _failures, _pair_cuts, _pair_obstructions, _walk
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
@@ -19,6 +20,7 @@ from helpers import (
     brute_force_norm_support,
     brute_force_valid_heights,
     commutative_count,
+    cross_validate_by_decisions,
     double_coset_obstructions,
     enumeration,
     lattice,
@@ -251,6 +253,53 @@ def test_criterion_memos_die_with_the_lattice():
     assert ref() is None
 
 
+def test_cross_validation_matches_the_sweep_by_decisions():
+    # the oracle decides each vector in full and reads the failing norms
+    # off its witnesses; the sweep reads them off one cut table per pair
+    cases = [(n, p, hb) for n in range(3) for p in (2, 3) for hb in range(-1, 4)]
+    for case in cases + [(3, 2, 5), (3, 7, 5)]:
+        assert nc.cross_validate_cyclic(*case) == cross_validate_by_decisions(*case), case
+
+
+@pytest.mark.parametrize("flip", [(0, 2), (1, 3), (2, 2)])
+def test_cross_validation_compares_every_norm(monkeypatch, flip):
+    # flipping the shortcut at one norm must show at exactly that norm, once
+    # per vector, so no pair is left out of the comparison
+    n, p, hb = 3, 2, 2
+    holds = certify.norm_condition_holds
+    vectors = list(_walk(n + 1, [None, 0, 1, 2, INFINITY], certify._closed_step))
+    want = []
+    for entries in vectors:
+        truth = holds(HeightVector(p, entries), *flip)
+        want.append(certify.Disagreement(entries, f"norm[{flip[0]},{flip[1]}]", truth, not truth))
+
+    def flipped(v, k, j):
+        return holds(v, k, j) != ((k, j) == flip)
+
+    monkeypatch.setattr(certify, "norm_condition_holds", flipped)
+    report = nc.cross_validate_cyclic(n, p, hb)
+    assert report.vectors_checked == len(vectors)
+    assert report.disagreements == tuple(want)
+
+
+def test_failures_over_the_cut_table_are_the_obstructions():
+    # the full table of a pair and the decide path's lazy one (classes with
+    # no primes skipped) give the same failures in the same order
+    rng = random.Random(31)
+    seen_failure = False
+    for spec in CORPUS_SPECS + ("symmetric:4", "dihedral:16*cyclic:2"):
+        L = lattice(spec)
+        cand = candidate_pairs(L)
+        for _ in range(5):
+            R = nc.close_transfer_system(L, rng.sample(cand, rng.randint(1, min(4, len(cand)))))
+            vl = random_valid_locus(L, rng)
+            for k, h in R.strict_pairs():
+                got = list(_failures(vl, _pair_cuts(L, k, h)))
+                assert got == [(w.subgroup, w.prime) for w in _pair_obstructions(vl, k, h)]
+                seen_failure |= bool(got)
+    assert seen_failure
+
+
 def test_cross_validation_small():
     for n, p, bound in [(1, 2, 3), (1, 3, 2), (2, 2, 2)]:
         report = nc.cross_validate_cyclic(n, p, bound)
@@ -328,8 +377,7 @@ def test_certification_is_downward_closed_in_the_operad(spec, data, rng):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(CORPUS_SPECS), st.data(), st.randoms(use_true_random=False))
 def test_operad_decision_is_the_norm_decisions_in_pair_order(spec, data, rng):
-    # cross_validate_cyclic reads each norm's verdict off one operad decision,
-    # and localization_preserves skips the reflexive pairs, which never fail
+    # localization_preserves skips the reflexive pairs, which never fail
     L = lattice(spec)
     R = nc.close_transfer_system(L, data.draw(st.sets(st.sampled_from(candidate_pairs(L)))))
     vl = random_valid_locus(L, rng)

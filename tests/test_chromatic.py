@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import normcert as nc
 from normcert import ANY_PRIME, INFINITY, BalmerPrime, HeightVector
 from normcert import io as iomod
+from normcert import chromatic
 from normcert.chromatic import MAX_PRIME, cyclic_p_power
 from helpers import (
     CORPUS_SPECS,
@@ -273,13 +274,48 @@ def test_cyclic_p_power_matches_element_orders():
         "cyclic:27", "cyclic:32", "cyclic:64", "cyclic:2*cyclic:2", "cyclic:2*cyclic:4",
         "dihedral:64", "dihedral:16*cyclic:2", "symmetric:4",
     )
-    seen = set()
-    for spec in specs:
-        L = lattice(spec)
-        pn = cyclic_p_power(L)
-        assert pn == element_order_cyclic_p_power(L), spec
-        seen.add(pn is not None)
-    assert seen == {True, False}
+    lattices = {spec: lattice(spec) for spec in specs}
+    lattices["cyclic:343"] = nc.cyclic_power_lattice(7, 3)  # above the default order bound
+    for spec, L in lattices.items():
+        assert cyclic_p_power(L) == element_order_cyclic_p_power(L), spec
+    got = {spec: cyclic_p_power(lattices[spec]) for spec in (
+        "cyclic:343", "cyclic:64", "cyclic:25", "cyclic:6", "symmetric:3", "cyclic:2*cyclic:2",
+        "cyclic:1")}
+    assert got == {"cyclic:343": (7, 3), "cyclic:64": (2, 6), "cyclic:25": (5, 2),
+                   "cyclic:6": None, "symmetric:3": None, "cyclic:2*cyclic:2": None,
+                   "cyclic:1": None}
+
+
+def test_sorted_primes_follow_the_sort_key():
+    # the fields sort as the key does: INFINITY above every height, and
+    # height 0 (the ANY marker) once per class, below its concrete primes,
+    # also at a class beyond the eight of D8;
+    # test_contains_matches_the_prime_set compares the two on random sets
+    want = (
+        BalmerPrime(0, 0, ANY_PRIME), BalmerPrime(0, 1, 2), BalmerPrime(0, 1, 3),
+        BalmerPrime(0, 2, 2), BalmerPrime(1, 1, 2), BalmerPrime(1, INFINITY, 3),
+        BalmerPrime(2, 0, ANY_PRIME), BalmerPrime(9, 0, ANY_PRIME), BalmerPrime(9, 4, 5),
+    )
+    assert tuple(sorted(want, key=BalmerPrime.sort_key)) == want
+    vl = nc.vanishing_locus(lattice("dihedral:8"), reversed(want))
+    assert vl.sorted_primes() == want
+
+
+def test_a_warm_prime_memo_changes_no_rejection():
+    for p in (2, 3):
+        nc.heights_to_locus(HeightVector(p, (2, 1, INFINITY)))
+        nc.uniform_locus(lattice("symmetric:3"), {p: 3})
+    assert chromatic._segment_prime(0, 2, 2) == BalmerPrime(0, 2, 2)
+    assert chromatic._segment_prime(0, 1, 2) == BalmerPrime(0, 1, 2)
+    for bad in ((0, 2.0, 2), (0, True, 2), (0, 1, 4), (0, 1, 2.0), (0, 1, True)):
+        with pytest.raises(ValueError):
+            nc.balmer_prime(*bad)
+        with pytest.raises(ValueError):
+            chromatic._segment_prime(*bad)
+    # rejections are not kept either: a bad prime raises every time
+    with pytest.raises(ValueError):
+        chromatic._segment_prime(0, 1, 4)
+    assert chromatic._segment_prime.cache_info().maxsize == 4096
 
 
 def _outcome(contains, *query):

@@ -23,7 +23,11 @@ either, so the fixed list ends with ``decide --operad complete --strict``,
 text and structured, on each decide-mix group against a locus document,
 written into the scratch directory, whose one entry puts the whole 2-local
 tower (``"heights": "all"``) at G itself: every norm K -> G fails there,
-each witness at height ``"inf"`` (68 of them on D64, exit 1).
+each witness at height ``"inf"`` (68 of them on D64, exit 1).  The streams
+sweep only C8, C27 and C25 with ``cross-validate``, so the fixed list also
+runs it, text and structured, on C343 at the order bound (``--n 3 --prime 7
+--height-bound 5``), on the trivial group (``--n 0``), at height bound 0
+(``--n 1 --prime 2``) and on C1331 (``--n 3 --prime 11``), which exits 2.
 
 Exits 0 when every request agrees and 1 at the first request that differs,
 naming it.
@@ -165,6 +169,19 @@ def inf_locus_requests(tree: str, scratch: str) -> list[list[str]]:
     ]
 
 
+# C343 at the order bound, the trivial group, height bound 0, and C1331 past the bound
+XVAL_ARGS = (("3", "7", "5"), ("0", "2", "5"), ("1", "2", "0"), ("3", "11", "0"))
+
+
+def xval_requests() -> list[list[str]]:
+    """``cross-validate``, text and structured, on sweeps no stream sends."""
+    return [
+        ["cross-validate", "--n", n, "--prime", p, "--height-bound", hb, "--format", fmt]
+        for n, p, hb in XVAL_ARGS
+        for fmt in ("text", "structured")
+    ]
+
+
 def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
     """A description of how one request's outcome differs between the trees, or None."""
     (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, cwd)
@@ -182,7 +199,8 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
         os.makedirs(workdir)
         write_inputs(base, workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
-                + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch))
+                + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch)
+                + xval_requests())
     for i, argv in enumerate(requests):
         diff = differs(base, argv, scratch, f"fixed request {i}")
         if diff is not None:
