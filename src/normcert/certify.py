@@ -12,9 +12,9 @@ over double cosets: cuts from one double coset are J-conjugate, so both give
 the same classes of K^h n J.  Each locus keeps a bitmask of classes per
 (height, prime), each triple (K, H, J) one bitmask of cut classes, and a
 triple fails when the two are disjoint.  Only a failing triple computes its
-double cosets, for the witness it reports.  The cut bitmasks do not depend
-on the locus, so the cross-validation sweep builds them once per pair and
-reads each verdict off them without building a witness.
+double cosets, once, for the witnesses it reports.  The cut bitmasks do not
+depend on the locus, so the cross-validation sweep builds them once per pair
+and reads each verdict off them without building a witness.
 
 Verdicts are one-sided by design: ``CERTIFIED_PRESERVES`` means the
 sufficient criterion holds for every admissible norm of the operad;
@@ -86,7 +86,8 @@ class NormFailure:
     the failing triple, one (representative, intersection subgroup id) per
     double coset: all of
     :meth:`~normcert.groups.SubgroupLattice.mackey_cuts` for the pair at
-    ``subgroup``.
+    ``subgroup``.  It is computed once per triple, so the witnesses of one
+    (K, H, J), one per failing prime, share one ``checked`` tuple.
     """
 
     norm_source: int
@@ -179,18 +180,24 @@ def _failures(vl: VanishingLocus, cuts) -> Iterator[tuple[int, BalmerPrime]]:
 
 
 def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFailure, ...]:
+    """The witnesses of the norm K -> H, read off its cut table."""
     L = vl.lattice
-    conjugates = _conjugate_masks(L, kid, hid)
-    # a class that holds no primes never fails, so its cuts are not computed
-    cuts = (
-        (c, _class_cuts(L, conjugates, jids))
-        for c, jids in L.classes_below(hid)
-        if vl.primes_at_class(c)
-    )
-    return tuple(
-        NormFailure(kid, hid, jid, q, L.mackey_cuts(kid, jid, hid))
-        for jid, q in _failures(vl, cuts)
-    )
+    checked: dict[int, tuple[tuple[int, int], ...]] = {}
+    out = []
+    for jid, q in _failures(vl, _pair_cuts(L, kid, hid)):
+        cuts = checked.get(jid)
+        if cuts is None:
+            cuts = checked[jid] = L.mackey_cuts(kid, jid, hid)
+        out.append(NormFailure(kid, hid, jid, q, cuts))
+    return tuple(out)
+
+
+def _decide(vl: VanishingLocus, pairs) -> Decision:
+    """The decision over ``pairs``: their witnesses, in order, and the verdict."""
+    _require_valid(vl)
+    witnesses = tuple(w for kid, hid in pairs for w in _pair_obstructions(vl, kid, hid))
+    verdict = Verdict.NO_GUARANTEE if witnesses else Verdict.CERTIFIED_PRESERVES
+    return Decision(verdict, witnesses)
 
 
 def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:
@@ -198,10 +205,7 @@ def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | in
     kid, hid = _sid(K), _sid(H)
     if not VL.lattice.leq(kid, hid):
         raise NotNested(f"subgroup {kid} is not contained in {hid}")
-    _require_valid(VL)
-    witnesses = _pair_obstructions(VL, kid, hid)
-    verdict = Verdict.NO_GUARANTEE if witnesses else Verdict.CERTIFIED_PRESERVES
-    return Decision(verdict, witnesses)
+    return _decide(VL, [(kid, hid)])
 
 
 def localization_preserves(VL: VanishingLocus, R: TransferSystem) -> Decision:
@@ -215,14 +219,9 @@ def localization_preserves(VL: VanishingLocus, R: TransferSystem) -> Decision:
     """
     if R.lattice is not VL.lattice:
         raise LatticeMismatch("locus and transfer system live on different lattices")
-    _require_valid(VL)
-    witnesses: list[NormFailure] = []
     # a reflexive pair (H, H) never fails: its one double coset is H, whose
     # cut H n J is J itself, the subgroup the prime sits at
-    for kid, hid in R.strict_pairs():
-        witnesses.extend(_pair_obstructions(VL, kid, hid))
-    verdict = Verdict.NO_GUARANTEE if witnesses else Verdict.CERTIFIED_PRESERVES
-    return Decision(verdict, tuple(witnesses))
+    return _decide(VL, R.strict_pairs())
 
 
 # -- the cyclic p-power shortcut --------------------------------------------------

@@ -372,9 +372,6 @@ class SubgroupLattice:
     classes: tuple[tuple[int, ...], ...]
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
-    _cuts_cache: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = field(
-        default_factory=dict, repr=False
-    )
     # per subgroup id J, x -> bitmask of the left coset xJ, built on first use
     _coset_masks: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     # per subgroup id H, the classes with a member J <= H and those members
@@ -483,8 +480,8 @@ class SubgroupLattice:
         """Partition of A into K\\A/H double cosets, each block sorted.
 
         Blocks are ordered by their minimal element, which is the canonical
-        representative.  Not cached; :meth:`mackey_cuts` caches what callers
-        need from the same walk.
+        representative.  Not cached; it walks the double cosets the way
+        :meth:`mackey_cuts` does.
         """
         return tuple(_bits(block) for _, block in self._double_cosets(kid, hid, aid))
 
@@ -493,18 +490,13 @@ class SubgroupLattice:
 
         One ``(r, cut_id)`` per double coset KrJ of K\\H/J, in the block
         order of :meth:`double_coset_blocks`: ``r`` is the least element of
-        the block and ``cut_id`` the lattice id of K^r n J.  Cached per
-        lattice.
+        the block and ``cut_id`` the lattice id of K^r n J.  Not cached: a
+        decision computes it once per failing triple.
         """
-        key = (kid, jid, hid)
-        out = self._cuts_cache.get(key)
-        if out is None:
-            out = tuple(
-                (r, self.intersect_ids(self.conj_id(kid, r), jid))
-                for r, _ in self._double_cosets(kid, jid, hid)
-            )
-            self._cuts_cache[key] = out
-        return out
+        return tuple(
+            (r, self.intersect_ids(self.conj_id(kid, r), jid))
+            for r, _ in self._double_cosets(kid, jid, hid)
+        )
 
     def classes_below(self, hid: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``(class, members J <= H)`` for each class with such a member, by class.

@@ -455,7 +455,7 @@ def decision_json(
     The head goes through :func:`indented_json`; ``witnesses`` sorts last,
     so the list closes the document.  Each witness is one template over
     names escaped once per report.  Witnesses at one (K, H, J) share their
-    ``checked`` tuple (``mackey_cuts`` is cached per lattice), so its text
+    ``checked`` tuple (the decision computes it once per triple), so its text
     is written once per tuple, and once per prime for the prime block.
     The result is one join over head, witnesses, separators and tail.
     """

@@ -283,8 +283,8 @@ def test_cross_validation_compares_every_norm(monkeypatch, flip):
 
 
 def test_failures_over_the_cut_table_are_the_obstructions():
-    # the full table of a pair and the decide path's lazy one (classes with
-    # no primes skipped) give the same failures in the same order
+    # the decide path reads its witnesses off the pair's cut table: the same
+    # failures in the same order, each with the Mackey cuts of its triple
     rng = random.Random(31)
     seen_failure = False
     for spec in CORPUS_SPECS + ("symmetric:4", "dihedral:16*cyclic:2"):
@@ -295,7 +295,9 @@ def test_failures_over_the_cut_table_are_the_obstructions():
             vl = random_valid_locus(L, rng)
             for k, h in R.strict_pairs():
                 got = list(_failures(vl, _pair_cuts(L, k, h)))
-                assert got == [(w.subgroup, w.prime) for w in _pair_obstructions(vl, k, h)]
+                witnesses = _pair_obstructions(vl, k, h)
+                assert got == [(w.subgroup, w.prime) for w in witnesses]
+                assert all(w.checked == L.mackey_cuts(k, w.subgroup, h) for w in witnesses)
                 seen_failure |= bool(got)
     assert seen_failure
 
@@ -413,9 +415,28 @@ def test_witnesses_match_the_double_coset_oracle(spec, data, rng):
         assert _fields(got) == _fields(double_coset_obstructions(vl, kid, hid))
 
 
+@pytest.mark.parametrize("spec", ["cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2",
+                                  "dihedral:8*dihedral:8"])
+def test_witnesses_match_the_oracle_on_the_largest_lattices(spec):
+    # C2^5 (374 subgroups) and D8xD8 (389), the largest lattices under the
+    # order bound: witness for witness on sampled strict pairs
+    L = lattice(spec)
+    rng = random.Random(41)
+    cand = sorted(candidate_pairs(L))
+    witnesses = 0
+    for _ in range(3):
+        vl = random_valid_locus(L, rng)
+        for kid, hid in rng.sample(cand, 30):
+            got = _pair_obstructions(vl, kid, hid)
+            assert _fields(got) == _fields(double_coset_obstructions(vl, kid, hid))
+            witnesses += len(got)
+    assert witnesses > 0
+
+
 def test_only_failing_triples_compute_double_cosets(monkeypatch):
     # the criterion reads cut classes off conjugates; Mackey cuts are built
-    # for a witness's ``checked`` and for nothing else
+    # once per failing (K, H, J), for its witnesses' shared ``checked``, and
+    # for nothing else
     calls = {"cuts": 0, "blocks": 0}
     cuts, blocks = nc.SubgroupLattice.mackey_cuts, nc.SubgroupLattice.double_coset_blocks
 
@@ -430,15 +451,20 @@ def test_only_failing_triples_compute_double_cosets(monkeypatch):
     monkeypatch.setattr(nc.SubgroupLattice, "mackey_cuts", counted_cuts)
     monkeypatch.setattr(nc.SubgroupLattice, "double_coset_blocks", counted_blocks)
     rng = random.Random(26)
-    witnesses = 0
+    witnesses = triples = 0
     for spec in ("symmetric:4", "dihedral:16*cyclic:2"):
         L = nc.subgroup_lattice(nc.build_group(spec))
         for _ in range(4):
             d = nc.localization_preserves(random_valid_locus(L, rng), nc.complete_system(L))
+            checked = {}
+            for w in d.witnesses:
+                first = checked.setdefault((w.norm_source, w.norm_target, w.subgroup), w.checked)
+                assert w.checked is first
             witnesses += len(d.witnesses)
-    assert witnesses > 0
-    assert calls["cuts"] == witnesses
-    assert calls["blocks"] <= witnesses
+            triples += len(checked)
+    assert witnesses > triples > 0
+    assert calls["cuts"] == triples
+    assert calls["blocks"] <= triples
 
 
 def test_uniform_loci_pass_everything():

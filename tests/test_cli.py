@@ -376,6 +376,33 @@ def _random_height_vector(rng, p: int, n: int) -> nc.HeightVector:
             return v
 
 
+def test_warm_caches_do_not_change_output(tmp_path):
+    # the C_{p^n} lattices with their tables, the prime memo and the parser
+    # live as long as the process: a second pass over the same requests,
+    # with every cache warm, prints the same bytes as the first, and one
+    # request prints them in a fresh process too
+    L = lattice("symmetric:4")
+    rng = random.Random(7)
+    while True:
+        vl = random_valid_locus(L, rng)
+        if not nc.localization_preserves(vl, nc.complete_system(L)).certified:
+            break
+    locus = _write_json(tmp_path / "s4-locus.json", iomod.locus_doc(vl))
+    s4 = ["decide", "--group", "symmetric:4", "--operad", "complete", "--locus", locus,
+          "--strict"]
+    requests = [
+        ["decide", "--operad", "complete", "--ell", "2,(0,1,1)", "--strict"],
+        ["decide", "--operad", "complete", "--ell", "2,(2,1,0)", "--strict"],
+        s4,
+        s4 + ["--format", "structured"],
+        ["cross-validate", "--n", "2", "--prime", "3", "--height-bound", "2", "--strict"],
+    ]
+    first = [_in_process(argv) for argv in requests]
+    assert [code for code, _ in first] == [1, 0, 1, 1, 0]
+    assert [_in_process(argv) for argv in requests] == first
+    assert run_cli(s4 + ["--format", "structured"])[:2] == first[3]
+
+
 def test_structured_outputs_reparse_to_equal_values(tmp_path):
     # every structured document the CLI prints is the io builder's document,
     # byte for byte, and reads back with json.loads; the locus, transfer-system

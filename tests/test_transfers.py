@@ -201,6 +201,32 @@ def test_enumeration_is_complete_and_valid(spec):
                 assert nc.close_transfer_system(L, s.pairs | {pair}).pairs in found
 
 
+@pytest.mark.parametrize(
+    "spec, count",
+    [("dihedral:16", 6528), ("cyclic:2*cyclic:8", 8105), ("symmetric:4", 8691)],
+)
+def test_enumeration_counts_above_the_pair_bound(spec, count):
+    # counts past DEFAULT_MAX_PAIRS, checked on samples: emitted systems
+    # validate, intersections of two stay in the set, and closures of
+    # two-pair seeds agree with the worklist oracle and are in the set
+    L = lattice(spec)
+    cand = sorted(candidate_pairs(L))
+    systems = nc.enumerate_transfer_systems(L, max_pairs=len(cand)).systems
+    assert len(systems) == count
+    found = {s.pairs for s in systems}
+    rng = random.Random(53)
+    for s in rng.sample(systems, 200):
+        assert nc.validate_transfer_system(s) == []
+    for _ in range(200):
+        a, b = rng.sample(systems, 2)
+        assert a.pairs & b.pairs in found
+    for _ in range(20):
+        seed = rng.sample(cand, 2)
+        closed = nc.close_transfer_system(L, seed).pairs
+        assert closed == worklist_closure(L, seed)
+        assert closed in found
+
+
 def test_enumeration_poset_bottom_top():
     for spec in CORPUS_SPECS:
         enum = enumeration(spec)
