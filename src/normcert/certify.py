@@ -99,16 +99,20 @@ class NormFailure:
 
 @dataclass(frozen=True)
 class Decision:
-    verdict: Verdict
+    """The witnesses of one decision, in order; the verdict is read off them.
+
+    ``NO_GUARANTEE`` exactly when there is a witness.
+    """
+
     witnesses: tuple[NormFailure, ...]
 
-    def __post_init__(self):
-        if bool(self.witnesses) != (self.verdict is Verdict.NO_GUARANTEE):
-            raise ValueError("witnesses exactly when the verdict is NO_GUARANTEE")
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.NO_GUARANTEE if self.witnesses else Verdict.CERTIFIED_PRESERVES
 
     @property
     def certified(self) -> bool:
-        return self.verdict is Verdict.CERTIFIED_PRESERVES
+        return not self.witnesses
 
 
 def _sid(s: Subgroup | int) -> int:
@@ -138,32 +142,27 @@ def norm_support(
     return frozenset(parts[0]).intersection(*parts[1:])
 
 
-def _conjugate_masks(L, kid: int, hid: int) -> list[int]:
-    # the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
-    # every h in it, so the H-conjugates K^h of K give the same cut classes
-    row = L.conj[kid]
-    ids = {kid} if L.is_normal(kid) else {row[h] for h in _bits(L.subgroups[hid].mask)}
-    return [L.subgroups[c].mask for c in ids]
-
-
-def _class_cuts(L, conjugates: list[int], jids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Each J of one class with the bitmask of the classes of its cuts K^h n J."""
-    subgroups, id_of_mask, class_of = L.subgroups, L.id_of_mask, L.class_of
-    out = []
-    for jid in jids:
-        jmask = subgroups[jid].mask
-        out.append((jid, sum({1 << class_of[id_of_mask(k & jmask)] for k in conjugates})))
-    return tuple(out)
-
-
 def _pair_cuts(L, kid: int, hid: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """The cut table of the norm K -> H, which does not depend on the locus.
 
     One ``(class, ((J, cut-class bitmask), ...))`` per class with a member
-    J <= H, in the order of :meth:`~normcert.groups.SubgroupLattice.classes_below`.
+    J <= H, in the order of :meth:`~normcert.groups.SubgroupLattice.classes_below`;
+    the bitmask has a bit for the class of each cut K^h n J, h in H.
     """
-    conjugates = _conjugate_masks(L, kid, hid)
-    return tuple((c, _class_cuts(L, conjugates, jids)) for c, jids in L.classes_below(hid))
+    subgroups, id_of_mask, class_of = L.subgroups, L.id_of_mask, L.class_of
+    # the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
+    # every h in it, so the H-conjugates K^h of K give the same cut classes
+    kconj = L.conj[kid]
+    ids = {kid} if L.is_normal(kid) else {kconj[h] for h in _bits(subgroups[hid].mask)}
+    conjugates = [subgroups[c].mask for c in ids]
+    table = []
+    for c, jids in L.classes_below(hid):
+        row = []
+        for jid in jids:
+            jmask = subgroups[jid].mask
+            row.append((jid, sum({1 << class_of[id_of_mask(k & jmask)] for k in conjugates})))
+        table.append((c, tuple(row)))
+    return tuple(table)
 
 
 def _failures(vl: VanishingLocus, cuts) -> Iterator[tuple[int, BalmerPrime]]:
@@ -193,11 +192,9 @@ def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFail
 
 
 def _decide(vl: VanishingLocus, pairs) -> Decision:
-    """The decision over ``pairs``: their witnesses, in order, and the verdict."""
+    """The decision over ``pairs``: their witnesses, in order."""
     _require_valid(vl)
-    witnesses = tuple(w for kid, hid in pairs for w in _pair_obstructions(vl, kid, hid))
-    verdict = Verdict.NO_GUARANTEE if witnesses else Verdict.CERTIFIED_PRESERVES
-    return Decision(verdict, witnesses)
+    return Decision(tuple(w for kid, hid in pairs for w in _pair_obstructions(vl, kid, hid)))
 
 
 def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:

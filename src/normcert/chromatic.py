@@ -95,14 +95,6 @@ def _is_prime(p) -> bool:
     return True
 
 
-def _prime_key(p) -> tuple:
-    return (1, 0) if p == ANY_PRIME else (0, p)
-
-
-def _height_key(h) -> tuple:
-    return (1, 0) if h == INFINITY else (0, h)
-
-
 @dataclass(frozen=True)
 class BalmerPrime:
     """The prime P(H, m, p), with H recorded as a conjugacy-class index."""
@@ -120,9 +112,6 @@ class BalmerPrime:
         elif not _is_prime(self.prime):
             raise ValueError(f"positive heights need a concrete prime, got {self.prime!r}")
 
-    def sort_key(self) -> tuple:
-        return (self.subgroup_class, _height_key(self.height), _prime_key(self.prime))
-
 
 def balmer_prime(subgroup_class: int, height: Height, prime) -> BalmerPrime:
     """Construct a prime, normalising the height-0 marker automatically."""
@@ -131,8 +120,9 @@ def balmer_prime(subgroup_class: int, height: Height, prime) -> BalmerPrime:
     return BalmerPrime(subgroup_class, height, prime)
 
 
-# the order of BalmerPrime.sort_key on valid primes, read off the fields:
-# INFINITY is a float above every int, and height 0 carries only ANY_PRIME,
+# the order of primes: by class, then height with INFINITY last, then prime
+# with ANY_PRIME last; on valid primes the fields give it directly, since
+# INFINITY is a float above every int and height 0 carries only ANY_PRIME,
 # so an int prime is never compared with the marker
 _SORT_FIELDS = attrgetter("subgroup_class", "height", "prime")
 
@@ -154,11 +144,11 @@ class VanishingLocus:
     primes: frozenset[BalmerPrime]
     # the height table: class -> concrete prime -> sorted positive heights,
     # (INFINITY,) for a whole tower; the classes holding height 0, which an
-    # INFINITY prime does; and per class its sorted primes, each with the
-    # bitmask of the lattice classes that carry its (height, prime)
+    # INFINITY prime does; and per class, classes ascending, its sorted
+    # primes, each with the bitmask of the lattice classes that carry its
+    # (height, prime)
     _table: dict = field(init=False, repr=False, compare=False)
     _zero: frozenset = field(init=False, repr=False, compare=False)
-    _sorted: tuple = field(init=False, repr=False, compare=False)
     _by_class: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -192,9 +182,8 @@ class VanishingLocus:
             )
             zero |= inf_classes
         zero_mask = sum(1 << c for c in zero if 0 <= c < n)
-        ordered = tuple(sorted(kept, key=_SORT_FIELDS))
         by_class: dict = {}
-        for q in ordered:
+        for q in sorted(kept, key=_SORT_FIELDS):
             mask = (
                 zero_mask if q.height == 0
                 else at.get((q.height, q.prime), 0) | at.get((INFINITY, q.prime), 0)
@@ -204,7 +193,6 @@ class VanishingLocus:
         setattr_(self, "primes", kept)
         setattr_(self, "_table", table)
         setattr_(self, "_zero", frozenset(zero))
-        setattr_(self, "_sorted", ordered)
         setattr_(self, "_by_class", {c: tuple(qs) for c, qs in by_class.items()})
 
     def _slot(self, subgroup_class: int, height: Height, prime) -> tuple:
@@ -247,7 +235,8 @@ class VanishingLocus:
         return tuple(sorted({p for slots in self._table.values() for p in slots}))
 
     def sorted_primes(self) -> tuple[BalmerPrime, ...]:
-        return self._sorted
+        # _by_class was filled in sorted order, so its classes ascend
+        return tuple(q for qs in self._by_class.values() for q, _ in qs)
 
     def segment_top(self, subgroup_class: int, prime: int) -> Entry:
         """Maximal height present at (class, prime); None when empty."""

@@ -293,7 +293,9 @@ def main(argv=None) -> int:
     try:
         text, flagged = args.fn(args)
         if args.out:
-            with open(args.out, "w") as fh:
+            # UTF-8 whatever the locale, and an argv byte that did not
+            # decode is written back as itself
+            with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
                 fh.write(text)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

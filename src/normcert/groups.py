@@ -23,7 +23,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Any
 
 
 class GroupError(Exception):
@@ -378,9 +377,6 @@ class SubgroupLattice:
     _classes_below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = field(
         default_factory=dict, repr=False
     )
-    # conjugation-orbit tables of transfer-system closure, built by
-    # ``transfers`` on the first closure over this lattice
-    _orbit_tables: Any = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)

@@ -21,8 +21,10 @@ has to be applied pair by pair: a system is the reflexive pairs plus a set
 of orbits, held as an int bitmask.  One closure operator serves
 :func:`close_transfer_system` and :func:`enumerate_transfer_systems`.  Its
 tables (orbit ids, the restriction step of each orbit, the composites of
-two orbits) are filled lazily, kept on the lattice and reused by every
-later closure there, so a single closure does only the work it needs.
+two orbits) are filled lazily, so a closure does only the work it needs.
+Each call builds its own tables and drops them on return: within one
+closure every orbit joins once, so only the many closures of one
+enumeration reuse them, and the lattice holds nothing of transfers.
 """
 
 from __future__ import annotations
@@ -142,8 +144,10 @@ def validate_transfer_system(R: TransferSystem) -> list[Violation]:
 class _OrbitTables:
     """Conjugation orbits of strict pairs and their one-step consequences.
 
-    One instance per lattice, kept on it and filled on demand, so a closure
-    pays only for the orbits it reaches and later closures reuse the work.
+    One instance per :func:`close_transfer_system` or
+    :func:`enumerate_transfer_systems` call, filled on demand, so a closure
+    pays only for the orbits it reaches and the closures of one enumeration
+    share the work.
     Orbit ids count orbits in order of discovery; ``members[a]`` lists the
     pairs of orbit ``a`` in sorted order and ``members[a][0]`` is its
     representative.  A set of orbits is an int with bit ``a`` for orbit
@@ -251,23 +255,15 @@ class _OrbitTables:
         return frozenset(out)
 
 
-def _orbit_tables(L: SubgroupLattice) -> _OrbitTables:
-    tables = L._orbit_tables
-    if tables is None:
-        tables = L._orbit_tables = _OrbitTables(L)
-    return tables
-
-
 def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
     """Smallest transfer system containing the seed pairs.
 
     The seed is mapped to a bitmask of conjugation orbits of strict pairs
     and closed under restriction and composition there (see
-    :class:`_OrbitTables`); the lattice keeps the orbit tables, so repeated
-    closures on one lattice share them.  Uniqueness of the result follows
-    from the axioms being closed under intersection.
+    :class:`_OrbitTables`), on tables built for this call alone.  Uniqueness
+    of the result follows from the axioms being closed under intersection.
     """
-    tables = _orbit_tables(L)
+    tables = _OrbitTables(L)
     mask = 0
     for kid, hid in seed:
         if not L.leq(kid, hid):
@@ -304,9 +300,9 @@ def enumerate_transfer_systems(
     """Every transfer system on L, sorted by size then pair list.
 
     The scan runs Ganter's next-closure over int bitmasks of conjugation
-    orbits of the strictly nested pairs, with the lattice's memoized orbit
-    closure (the one behind :func:`close_transfer_system`) as the closure
-    operator, so each system is produced exactly once.  Containment is
+    orbits of the strictly nested pairs, with the orbit closure of
+    :func:`close_transfer_system` as the closure operator, memoized over
+    this one scan, so each system is produced exactly once.  Containment is
     read off the masks: system i lies below system j exactly when j
     contains every orbit of i.
     """
@@ -315,7 +311,7 @@ def enumerate_transfer_systems(
         raise LatticeTooLarge(
             f"{len(strict)} candidate pairs exceed the enumeration bound {max_pairs}"
         )
-    tables = _orbit_tables(L)
+    tables = _OrbitTables(L)
     for p in strict:
         tables.orbit_id(*p)
     m = len(tables.members)

@@ -5,7 +5,8 @@ axioms are checked on every triple of a table, subgroup lattices come from
 closing small generating sets element by element, lattice covers from their
 definition, transfer-system validity is re-derived with element-by-element
 restriction, closure restricts along double cosets instead of intersections,
-norm supports are recomputed over every element of H, the norm criterion's
+norm supports are recomputed over every element of H, primes sort by an
+explicit key instead of their fields, the norm criterion's
 witnesses are found by walking double cosets, the cross-validation sweep
 decides every height vector in full, transfer systems are
 checked against the finite H-sets they make admissible, and text decision
@@ -360,6 +361,20 @@ def segment_top_by_definition(vl: nc.VanishingLocus, c: int, prime):
     if finite:
         return max(finite)
     return 0 if contains_by_definition(vl, c, 0, nc.ANY_PRIME) else None
+
+
+def _height_key(h) -> tuple:
+    return (1, 0) if h == nc.INFINITY else (0, h)
+
+
+def _prime_key(p) -> tuple:
+    return (1, 0) if p == nc.ANY_PRIME else (0, p)
+
+
+def prime_sort_key(q: nc.BalmerPrime) -> tuple:
+    """The order of primes spelled out: class, then height with INFINITY
+    last, then prime with the ANY marker last."""
+    return (q.subgroup_class, _height_key(q.height), _prime_key(q.prime))
 
 
 def subconjugate_witness(L: nc.SubgroupLattice, kid: int, hid: int) -> int | None:

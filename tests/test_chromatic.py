@@ -15,6 +15,7 @@ from helpers import (
     contains_by_definition,
     element_order_cyclic_p_power,
     lattice,
+    prime_sort_key,
     random_support_data,
     random_valid_locus,
     segment_top_by_definition,
@@ -287,16 +288,16 @@ def test_cyclic_p_power_matches_element_orders():
 
 
 def test_sorted_primes_follow_the_sort_key():
-    # the fields sort as the key does: INFINITY above every height, and
-    # height 0 (the ANY marker) once per class, below its concrete primes,
-    # also at a class beyond the eight of D8;
+    # the fields sort as helpers.prime_sort_key does: INFINITY above every
+    # height, and height 0 (the ANY marker) once per class, below its
+    # concrete primes, also at a class beyond the eight of D8;
     # test_contains_matches_the_prime_set compares the two on random sets
     want = (
         BalmerPrime(0, 0, ANY_PRIME), BalmerPrime(0, 1, 2), BalmerPrime(0, 1, 3),
         BalmerPrime(0, 2, 2), BalmerPrime(1, 1, 2), BalmerPrime(1, INFINITY, 3),
         BalmerPrime(2, 0, ANY_PRIME), BalmerPrime(9, 0, ANY_PRIME), BalmerPrime(9, 4, 5),
     )
-    assert tuple(sorted(want, key=BalmerPrime.sort_key)) == want
+    assert tuple(sorted(want, key=prime_sort_key)) == want
     vl = nc.vanishing_locus(lattice("dihedral:8"), reversed(want))
     assert vl.sorted_primes() == want
 
@@ -368,7 +369,7 @@ def test_contains_matches_the_prime_set(spec, raw, queries):
             assert vl.segment_top(c, p) == segment_top_by_definition(vl, c, p)
     if all(q.subgroup_class < n for q in vl.primes):
         assert iomod.parse_locus(L, iomod.locus_doc(vl)) == vl
-    assert vl.sorted_primes() == tuple(sorted(vl.primes, key=BalmerPrime.sort_key))
+    assert vl.sorted_primes() == tuple(sorted(vl.primes, key=prime_sort_key))
     # each class lists its primes in sorted order, and the class mask of each
     # prime's (height, prime) is contains over the lattice
     for cls in {q.subgroup_class for q in vl.primes} | set(range(n)):

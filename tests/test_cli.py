@@ -380,7 +380,8 @@ def test_warm_caches_do_not_change_output(tmp_path):
     # the C_{p^n} lattices with their tables, the prime memo and the parser
     # live as long as the process: a second pass over the same requests,
     # with every cache warm, prints the same bytes as the first, and one
-    # request prints them in a fresh process too
+    # request prints them in a fresh process too.  The operad document is
+    # closed on the cached lattice of C4 in both passes.
     L = lattice("symmetric:4")
     rng = random.Random(7)
     while True:
@@ -390,15 +391,17 @@ def test_warm_caches_do_not_change_output(tmp_path):
     locus = _write_json(tmp_path / "s4-locus.json", iomod.locus_doc(vl))
     s4 = ["decide", "--group", "symmetric:4", "--operad", "complete", "--locus", locus,
           "--strict"]
+    operad = _write_json(tmp_path / "c4-operad.json", {"pairs": [["C1#0", "C2#0"]]})
     requests = [
         ["decide", "--operad", "complete", "--ell", "2,(0,1,1)", "--strict"],
         ["decide", "--operad", "complete", "--ell", "2,(2,1,0)", "--strict"],
         s4,
         s4 + ["--format", "structured"],
         ["cross-validate", "--n", "2", "--prime", "3", "--height-bound", "2", "--strict"],
+        ["decide", "--ell", "2,(0,1,1)", "--operad", operad, "--strict"],
     ]
     first = [_in_process(argv) for argv in requests]
-    assert [code for code, _ in first] == [1, 0, 1, 1, 0]
+    assert [code for code, _ in first] == [1, 0, 1, 1, 0, 1]
     assert [_in_process(argv) for argv in requests] == first
     assert run_cli(s4 + ["--format", "structured"])[:2] == first[3]
 
@@ -605,3 +608,21 @@ def test_hostile_group_name_is_escaped_like_json_dumps(tmp_path):
         assert code == 0
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert "\\u00e9" in out and '\\"hostile\\"' in out
+
+
+def test_out_file_matches_utf8_stdout_under_a_c_locale(tmp_path):
+    # under the C locale, with locale coercion and UTF-8 mode off, the name
+    # read off a non-ASCII table path reaches --out as undecoded argv bytes;
+    # the file gets the bytes stdout gets under UTF-8 mode, as does stdout
+    table = tmp_path / "tbl-é.csv"
+    table.write_text("\n".join(",".join(map(str, row)) for row in nc.cyclic(3).table))
+    argv = [sys.executable, "-m", "normcert.cli", "lattice", "--group", f"table:{table}"]
+    out = tmp_path / "lattice.txt"
+    c_locale = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    want = subprocess.run(argv, capture_output=True, env=dict(os.environ, PYTHONUTF8="1"))
+    assert want.returncode == 0 and "tbl-é".encode() in want.stdout
+    to_file = subprocess.run(argv + ["--out", str(out)], capture_output=True, env=c_locale)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert out.read_bytes() == want.stdout
+    to_stdout = subprocess.run(argv, capture_output=True, env=c_locale)
+    assert (to_stdout.returncode, to_stdout.stdout) == (0, want.stdout)
