@@ -9,12 +9,18 @@ a finite, exact computation on the lattice.
 
 The existential runs over the distinct H-conjugates K^h of K rather than
 over double cosets: cuts from one double coset are J-conjugate, so both give
-the same classes of K^h n J.  Each locus keeps a bitmask of classes per
-(height, prime), each triple (K, H, J) one bitmask of cut classes, and a
-triple fails when the two are disjoint.  Only a failing triple computes its
-double cosets, once, for the witnesses it reports.  The cut bitmasks do not
-depend on the locus, so the cross-validation sweep builds them once per pair
-and reads each verdict off them without building a witness.
+the same classes of K^h n J.  When K is normal in H the cut K n J does not
+depend on H, so the criterion is read off one cut table per subgroup K: per
+class, the bitmask of the J <= G whose cut K n J lies in it, built by
+Möbius inversion over sub(K) from the lattice's inclusion index.  A locus
+turns each table into one failure mask, the J at which some prime has no
+carrying cut, and a pair (K, H) fails exactly when that mask meets
+``down[H]``; a K not normal in H takes the union of its H-conjugates'
+tables instead.  Only a failing triple computes its double cosets, once:
+the classes of their cuts pick the primes that fail there, and they are
+the ``checked`` list of its witnesses.  The tables do not depend on the
+locus, so the cross-validation sweep builds them once and reads each
+verdict off the failure masks without building a witness.
 
 Verdicts are one-sided by design: ``CERTIFIED_PRESERVES`` means the
 sufficient criterion holds for every admissible norm of the operad;
@@ -45,7 +51,7 @@ from .chromatic import (
     validate_vanishing_locus,
 )
 from .groups import Subgroup, _bits
-from .transfers import BoundTooLarge, TransferSystem, complete_system
+from .transfers import BoundTooLarge, TransferSystem
 
 
 class CertifyError(Exception):
@@ -142,59 +148,110 @@ def norm_support(
     return frozenset(parts[0]).intersection(*parts[1:])
 
 
-def _pair_cuts(L, kid: int, hid: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The cut table of the norm K -> H, which does not depend on the locus.
+def _cut_table(L, kids: tuple[int, ...]) -> dict[int, int]:
+    """The cut table of the conjugates ``kids`` of K; it does not depend on the locus.
 
-    One ``(class, ((J, cut-class bitmask), ...))`` per class with a member
-    J <= H, in the order of :meth:`~normcert.groups.SubgroupLattice.classes_below`;
-    the bitmask has a bit for the class of each cut K^h n J, h in H.
+    Per class, the bitmask of the J <= G with K' n J in that class for some
+    K' in ``kids``.  By Möbius inversion over sub(K') (P. Hall, "The
+    Eulerian functions of a group", 1936), K' n J = X exactly when J lies
+    above X and above no cover of X inside K'.
     """
-    subgroups, id_of_mask, class_of = L.subgroups, L.id_of_mask, L.class_of
-    # the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
-    # every h in it, so the H-conjugates K^h of K give the same cut classes
-    kconj = L.conj[kid]
-    ids = {kid} if L.is_normal(kid) else {kconj[h] for h in _bits(subgroups[hid].mask)}
-    conjugates = [subgroups[c].mask for c in ids]
-    table = []
-    for c, jids in L.classes_below(hid):
-        row = []
-        for jid in jids:
-            jmask = subgroups[jid].mask
-            row.append((jid, sum({1 << class_of[id_of_mask(k & jmask)] for k in conjugates})))
-        table.append((c, tuple(row)))
-    return tuple(table)
+    up, covers, class_of = L.up, L.cover_masks, L.class_of
+    table: dict[int, int] = {}
+    for kid in kids:
+        inside = L.down[kid]
+        for x in _bits(inside):
+            exact = up[x]
+            rest = covers[x] & inside
+            while rest:
+                low = rest & -rest
+                exact &= ~up[low.bit_length() - 1]
+                rest ^= low
+            c = class_of[x]
+            table[c] = table.get(c, 0) | exact
+    return table
 
 
-def _failures(vl: VanishingLocus, cuts) -> Iterator[tuple[int, BalmerPrime]]:
-    """``(J, prime)`` for each prime of the locus at J that no cut carries.
+def _slots(vl: VanishingLocus) -> dict[int, int]:
+    """The locus's primes, grouped by their class bitmask of in-locus classes.
 
-    Yields by class, then prime, then J: primes sort by class first, so
-    walking the classes in order keeps the order of the witnesses.
+    Each distinct bitmask of :meth:`VanishingLocus.primes_at_class` maps to
+    the mask of the subgroups J at which a prime with that bitmask sits.
     """
-    for c, row in cuts:
-        for q, in_locus in vl.primes_at_class(c):
-            for jid, cut in row:
-                if not cut & in_locus:
-                    yield jid, q
+    class_masks = vl.lattice.class_masks
+    slots: dict[int, int] = {}
+    for c, at in enumerate(class_masks):
+        for _, in_locus in vl.primes_at_class(c):
+            slots[in_locus] = slots.get(in_locus, 0) | at
+    return slots
 
 
-def _pair_obstructions(vl: VanishingLocus, kid: int, hid: int) -> tuple[NormFailure, ...]:
-    """The witnesses of the norm K -> H, read off its cut table."""
+def _failure(table: dict[int, int], slots: dict[int, int]) -> int:
+    """The J at which some prime of the locus has no carrying cut in ``table``.
+
+    A prime in a slot is carried at J when the cut at J lies in one of the
+    slot's in-locus classes.
+    """
+    fail = 0
+    cuts = table.items()
+    for in_locus, at in slots.items():
+        carried = 0
+        for c, js in cuts:
+            if in_locus >> c & 1:
+                carried |= js
+        fail |= at & ~carried
+    return fail
+
+
+def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
+    """The witnesses of the norms in ``pairs``, pair by pair.
+
+    The cuts K^h n J, h in H, are the cuts of the distinct H-conjugates of
+    K: the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
+    every h in it.  So a J carries a prime when the cut table of one of
+    those conjugates does, and (K, H) fails exactly when the failure mask
+    of that conjugate set meets ``down[H]``.  A K normal in H is its own
+    set, whose mask serves every H.  Each failing J fails for some prime,
+    so it computes its Mackey decomposition, whose cut classes tell which
+    primes fail there; the witnesses of one triple share it.  Witnesses
+    come by class, then prime, then J.
+    """
     L = vl.lattice
-    checked: dict[int, tuple[tuple[int, int], ...]] = {}
-    out = []
-    for jid, q in _failures(vl, _pair_cuts(L, kid, hid)):
-        cuts = checked.get(jid)
-        if cuts is None:
-            cuts = checked[jid] = L.mackey_cuts(kid, jid, hid)
-        out.append(NormFailure(kid, hid, jid, q, cuts))
-    return tuple(out)
+    subgroups, conj, down, class_of = L.subgroups, L.conj, L.down, L.class_of
+    slots = _slots(vl)
+    normal = [len(L.classes[c]) == 1 for c in class_of]
+    failures: dict[tuple[int, ...], int] = {}  # H-conjugates of K -> failure mask
+    for kid, hid in pairs:
+        if normal[kid]:
+            key: tuple[int, ...] = (kid,)
+        else:
+            kconj = conj[kid]
+            key = tuple(sorted({kconj[h] for h in _bits(subgroups[hid].mask)}))
+        fail = failures.get(key)
+        if fail is None:
+            fail = failures[key] = _failure(_cut_table(L, key), slots)
+        bad = fail & down[hid]
+        if not bad:
+            continue
+        by_class: dict[int, list] = {}
+        for jid in _bits(bad):
+            checked = L.mackey_cuts(kid, jid, hid)
+            cut_classes = 0
+            for _, cut in checked:
+                cut_classes |= 1 << class_of[cut]
+            by_class.setdefault(class_of[jid], []).append((jid, checked, cut_classes))
+        for c in sorted(by_class):
+            triples = by_class[c]
+            for q, in_locus in vl.primes_at_class(c):
+                for jid, checked, cut_classes in triples:
+                    if not cut_classes & in_locus:
+                        yield NormFailure(kid, hid, jid, q, checked)
 
 
 def _decide(vl: VanishingLocus, pairs) -> Decision:
     """The decision over ``pairs``: their witnesses, in order."""
     _require_valid(vl)
-    return Decision(tuple(w for kid, hid in pairs for w in _pair_obstructions(vl, kid, hid)))
+    return Decision(tuple(_witnesses(vl, pairs)))
 
 
 def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:
@@ -300,7 +357,7 @@ def enumerate_commutative_heights(
 
 MAX_XVAL_LENGTH = 3
 MAX_XVAL_HEIGHT = 5
-MAX_XVAL_ORDER = 343  # C343 sweeps in about 0.2 s, C529 (n = 2) in about 0.3 s, mostly its lattice
+MAX_XVAL_ORDER = 343  # C343 sweeps in about 0.1 s; C529 (n = 2) would too, its lattice in 4 ms
 
 
 @dataclass(frozen=True)
@@ -332,12 +389,14 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
     Sweeps every valid height vector on C_{p^n} with entries bounded by
     height_bound (sentinel and infinity included) and compares the engine
     verdict with the inequality form, for every nested norm and for the
-    complete operad.  The lattice is fixed, so the cut table of each strict
-    pair of the complete operad is built once; chain index i is lattice id
-    i.  Per vector, the norm from chain[k] to chain[j] is certified exactly
-    when the criterion finds no failing prime in that table, a reflexive
-    norm always is, and the complete operad is certified when no strict
-    norm fails.  No decision or witness is built.  The valid vectors are
+    complete operad.  The lattice is fixed, so the cut table of each
+    subgroup is built once; chain index i is lattice id i, and every
+    subgroup is normal.  Per vector, each table gives a failure mask, and
+    the norm from chain[k] to chain[j] is certified exactly when chain[k]'s
+    mask misses ``down[j]`` (for k = j it always does).  The complete
+    operad is certified when every mask is empty: the top's down-set holds
+    every subgroup, and the top's own mask is always empty.  No decision or
+    witness is built.  The valid vectors are
     walked depth first in lexicographic order: after an entry of rank r the
     next one has rank at least r - 1, so no vector outside the sweep is
     ever built.
@@ -354,8 +413,8 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
         )
     lattice = cyclic_power_lattice(p, n)
     assert all(s.order == p**i for i, s in enumerate(lattice.subgroups))
-    tables = [(pair, _pair_cuts(lattice, *pair))
-              for pair in complete_system(lattice).strict_pairs()]
+    tables = [_cut_table(lattice, (k,)) for k in range(n + 1)]
+    down = lattice.down
     domain: list[Entry] = [None] + list(range(height_bound + 1)) + [INFINITY]
     vectors = norms = operads = 0
     disagreements = []
@@ -364,18 +423,19 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
         vectors += 1
         vl = heights_to_locus(v, lattice)
         _require_valid(vl)
-        failing = {pair for pair, cuts in tables if next(_failures(vl, cuts), None) is not None}
+        slots = _slots(vl)
+        fails = [_failure(table, slots) for table in tables]
         for k in range(n + 1):
             for j in range(k, n + 1):
                 norms += 1
-                engine = (k, j) not in failing
+                engine = not fails[k] & down[j]
                 shortcut = norm_condition_holds(v, k, j)
                 if engine != shortcut:
                     disagreements.append(
                         Disagreement(entries, f"norm[{k},{j}]", engine, shortcut)
                     )
         operads += 1
-        engine = not failing
+        engine = not any(fails)
         shortcut = commutative_condition_holds(v)
         if engine != shortcut:
             disagreements.append(

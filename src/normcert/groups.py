@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -361,6 +361,12 @@ class SubgroupLattice:
     the conjugate of subgroup ``sid`` by element ``g``, so the conjugacy
     class of ``sid`` is the set of its row.  Conjugacy classes are sorted by
     their smallest member id, which is also the chosen class representative.
+
+    The inclusion order is indexed once, as id bitmasks: ``up[k]`` has bit
+    h set when K <= H and ``down[h]`` bit k (both with the subgroup's own
+    bit), ``cover_masks[k]`` the subgroups that cover K, and
+    ``class_masks[c]`` the members of class c.  Ids extend inclusion, so
+    every walk over the bits of a mask visits subgroups in id order.
     """
 
     group: FiniteGroup
@@ -369,14 +375,14 @@ class SubgroupLattice:
     class_of: tuple[int, ...]
     conj: tuple[tuple[int, ...], ...] = field(repr=False)
     classes: tuple[tuple[int, ...], ...]
+    up: tuple[int, ...] = field(repr=False)
+    down: tuple[int, ...] = field(repr=False)
+    cover_masks: tuple[int, ...] = field(repr=False)
+    class_masks: tuple[int, ...] = field(repr=False)
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
     # per subgroup id J, x -> bitmask of the left coset xJ, built on first use
     _coset_masks: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    # per subgroup id H, the classes with a member J <= H and those members
-    _classes_below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = field(
-        default_factory=dict, repr=False
-    )
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -414,13 +420,8 @@ class SubgroupLattice:
         return len(self.class_members(sid)) == 1
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Covering relations (kid, hid) of the inclusion order, sorted.
-
-        Ids are sorted by order, so they extend inclusion.
-        """
-        masks = [s.mask for s in self.subgroups]
-        up = [sum(1 << h for h, big in enumerate(masks) if small & ~big == 0) for small in masks]
-        return tuple(hasse_covers(up))
+        """Covering relations (kid, hid) of the inclusion order, sorted."""
+        return tuple((k, h) for k, above in enumerate(self.cover_masks) for h in _bits(above))
 
     def coset_masks(self, sid: int) -> tuple[int, ...]:
         """``coset_masks(sid)[x]``, the bitmask of the left coset xJ of J = ``sid``.
@@ -443,21 +444,21 @@ class SubgroupLattice:
             out = self._coset_masks[sid] = tuple(masks)
         return out
 
-    def _double_cosets(self, kid: int, hid: int, aid: int) -> list[tuple[int, int]]:
+    def _double_cosets(self, kid: int, hid: int, aid: int) -> Iterator[tuple[int, int]]:
         """``(least element, bitmask)`` of each double coset of K\\A/H, in that order.
 
         A block KaH is the union of the left cosets kaH, k in K, so it costs
         one coset-mask lookup per element of K, not |K|·|H| products.
         """
-        K, H, A = self.subgroups[kid], self.subgroups[hid], self.subgroups[aid]
-        if K.mask & ~A.mask or H.mask & ~A.mask:
+        subgroups = self.subgroups
+        kmask, amask = subgroups[kid].mask, subgroups[aid].mask
+        if kmask & ~amask or subgroups[hid].mask & ~amask:
             raise NotSubgroupOfAmbient(
                 f"double cosets need K, H <= A; got ids {kid}, {hid} inside {aid}"
             )
         table, coset = self.group.table, self.coset_masks(hid)
-        kmem = _bits(K.mask)
-        rest = A.mask
-        out = []
+        kmem = _bits(kmask)
+        rest = amask
         # the least unassigned element is the least element of its block
         while rest:
             a = (rest & -rest).bit_length() - 1
@@ -467,8 +468,7 @@ class SubgroupLattice:
                 if not block >> ka & 1:
                     block |= coset[ka]
             rest &= ~block
-            out.append((a, block))
-        return out
+            yield a, block
 
     def double_coset_blocks(
         self, kid: int, hid: int, aid: int
@@ -489,26 +489,12 @@ class SubgroupLattice:
         the block and ``cut_id`` the lattice id of K^r n J.  Not cached: a
         decision computes it once per failing triple.
         """
+        subgroups, id_of_mask, kconj = self.subgroups, self._id_of_mask, self.conj[kid]
+        jmask = subgroups[jid].mask
         return tuple(
-            (r, self.intersect_ids(self.conj_id(kid, r), jid))
+            (r, id_of_mask[subgroups[kconj[r]].mask & jmask])
             for r, _ in self._double_cosets(kid, jid, hid)
         )
-
-    def classes_below(self, hid: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``(class, members J <= H)`` for each class with such a member, by class.
-
-        Built on first use and kept on the lattice.
-        """
-        out = self._classes_below.get(hid)
-        if out is None:
-            hmask = self.subgroups[hid].mask
-            below = []
-            for c, members in enumerate(self.classes):
-                inside = tuple(j for j in members if not self.subgroups[j].mask & ~hmask)
-                if inside:
-                    below.append((c, inside))
-            out = self._classes_below[hid] = tuple(below)
-        return out
 
 
 def subgroup_lattice(
@@ -527,11 +513,23 @@ def subgroup_lattice(
     if G.order > max_order:
         raise GroupTooLarge(f"|{G.name}| = {G.order} exceeds bound {max_order}")
     table, e = G.table, G.identity
-    # each cyclic subgroup with its least generator
+    # each nontrivial cyclic subgroup with its least generator: the powers
+    # g^k with k prime to the order of g generate <g> too, so they are
+    # marked when <g> is found and never generate it again
     cyclic_gen: dict[int, int] = {}
+    marked = 1 << e
     for g in range(G.order):
-        cyclic_gen.setdefault(G.generated_mask(1 << g), g)
-    del cyclic_gen[1 << e]
+        if marked >> g & 1:
+            continue
+        powers, x = [e], g
+        while x != e:
+            powers.append(x)
+            x = table[x][g]
+        n = len(powers)
+        cyclic_gen[sum(1 << x for x in powers)] = g
+        for k in range(1, n):
+            if math.gcd(k, n) == 1:
+                marked |= 1 << powers[k]
     cyclics = sorted(cyclic_gen.items())
     gens: dict[int, tuple[int, ...]] = {1 << e: ()}
     gens.update((c, (g,)) for c, g in cyclics)
@@ -557,6 +555,7 @@ def subgroup_lattice(
         Subgroup(i, m, m.bit_count()) for i, m in enumerate(ordered)
     )
     id_of_mask = {s.mask: s.lattice_id for s in subgroups}
+    up, down, cover_masks = _inclusion_index(subgroups, [gens[m] for m in ordered])
 
     per_order: dict[int, int] = {}
     names = []
@@ -580,9 +579,44 @@ def subgroup_lattice(
         class_of=tuple(class_of),
         conj=conj,
         classes=classes,
+        up=up,
+        down=down,
+        cover_masks=cover_masks,
+        class_masks=tuple(sum(1 << sid for sid in members) for members in classes),
         _id_of_mask=id_of_mask,
         _id_of_name={n: i for i, n in enumerate(names)},
     )
+
+
+def _inclusion_index(
+    subgroups: Sequence[Subgroup], generators: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(up, down, cover_masks)`` of the inclusion order, as id bitmasks.
+
+    ``generators[k]`` generates subgroup k, and H contains K exactly when
+    it holds each of them, so ``up[k]`` is the AND, over those generators,
+    of the masks of subgroups holding them.  Covers come from the up-sets,
+    and ``down`` gathers along them in id order, which extends inclusion.
+    """
+    n = len(subgroups)
+    holding = [0] * subgroups[-1].order  # per element, the subgroups holding it
+    for s in subgroups:
+        bit = 1 << s.lattice_id
+        for x in _bits(s.mask):
+            holding[x] |= bit
+    everything = (1 << n) - 1
+    up = []
+    for gs in generators:
+        above = everything
+        for g in gs:
+            above &= holding[g]
+        up.append(above)
+    cover_masks = hasse_cover_masks(up)
+    down = [1 << k for k in range(n)]
+    for k, above in enumerate(cover_masks):
+        for h in _bits(above):
+            down[h] |= down[k]
+    return tuple(up), tuple(down), tuple(cover_masks)
 
 
 def _coset_union(
@@ -643,8 +677,8 @@ def _conjugation_table(
 # -- lattice operations -------------------------------------------------------
 
 
-def hasse_covers(up: Sequence[int]) -> list[tuple[int, int]]:
-    """The covering pairs (i, j), sorted, of a finite order given by up-sets.
+def hasse_cover_masks(up: Sequence[int]) -> list[int]:
+    """Per element i of a finite order given by up-sets, the mask of its covers.
 
     ``up[i]`` has bit ``j`` set when i <= j, bit ``i`` included.  Indices
     must extend the order (i < j whenever i lies strictly below j): then the
@@ -654,8 +688,18 @@ def hasse_covers(up: Sequence[int]) -> list[tuple[int, int]]:
     out = []
     for i, above in enumerate(up):
         rest = above & ~(1 << i)
+        covers = 0
         while rest:
-            j = (rest & -rest).bit_length() - 1
-            out.append((i, j))
-            rest &= ~up[j]
+            low = rest & -rest
+            covers |= low
+            rest &= ~up[low.bit_length() - 1]
+        out.append(covers)
     return out
+
+
+def hasse_covers(up: Sequence[int]) -> list[tuple[int, int]]:
+    """The covering pairs (i, j), sorted, of a finite order given by up-sets.
+
+    Same input as :func:`hasse_cover_masks`.
+    """
+    return [(i, j) for i, covers in enumerate(hasse_cover_masks(up)) for j in _bits(covers)]

@@ -87,16 +87,9 @@ def reflexive_pairs(L: SubgroupLattice) -> frozenset[Pair]:
 def candidate_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
     """All strictly nested pairs (kid, hid), the ground set for enumeration.
 
-    Sorted.  Ids are sorted by order, so a strict superset of K has a
-    larger id than K and only those ids are tested.
+    Sorted: the bits of each up-set ascend.
     """
-    outside = [~s.mask for s in L.subgroups]
-    return tuple(
-        (k, h)
-        for k, s in enumerate(L.subgroups)
-        for h, out in enumerate(outside[k + 1:], k + 1)
-        if not s.mask & out
-    )
+    return tuple((k, h) for k, above in enumerate(L.up) for h in _bits(above & ~(1 << k)))
 
 
 def trivial_system(L: SubgroupLattice) -> TransferSystem:
@@ -109,7 +102,7 @@ def complete_system(L: SubgroupLattice) -> TransferSystem:
 
 def _restriction_consequences(L: SubgroupLattice, kid: int, hid: int) -> tuple[Pair, ...]:
     """(K n J, J) for every J <= H, in order of J."""
-    return tuple((L.intersect_ids(kid, jid), jid) for jid in range(len(L)) if L.leq(jid, hid))
+    return tuple((L.intersect_ids(kid, jid), jid) for jid in _bits(L.down[hid]))
 
 
 def validate_transfer_system(R: TransferSystem) -> list[Violation]:

@@ -3,14 +3,15 @@
 The oracles here deliberately avoid the library's own algorithms: group
 axioms are checked on every triple of a table, subgroup lattices come from
 closing small generating sets element by element, lattice covers from their
-definition, transfer-system validity is re-derived with element-by-element
-restriction, closure restricts along double cosets instead of intersections,
-norm supports are recomputed over every element of H, primes sort by an
-explicit key instead of their fields, the norm criterion's
-witnesses are found by walking double cosets, the cross-validation sweep
-decides every height vector in full, transfer systems are
-checked against the finite H-sets they make admissible, and text decision
-reports are written one witness at a time.
+definition, inclusion from scanning every pair of masks, transfer-system
+validity is re-derived with element-by-element restriction, closure
+restricts along double cosets instead of intersections, norm supports are
+recomputed over every element of H, primes sort by an explicit key instead
+of their fields, the norm criterion's witnesses are found by walking double
+cosets or off a cut table per pair over every J <= H, the cross-validation
+sweep decides every height vector in full, transfer systems are checked
+against the finite H-sets they make admissible, and text decision reports
+are written one witness at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import normcert as nc
+from normcert.groups import hasse_covers
 from normcert.transfers import candidate_pairs, reflexive_pairs
 
 CORPUS_SPECS = (
@@ -112,6 +114,28 @@ def covers_by_definition(L: nc.SubgroupLattice) -> tuple:
         if k != h
         and L.leq(k, h)
         and not any(m != k and m != h and L.leq(k, m) and L.leq(m, h) for m in range(n))
+    )
+
+
+def up_sets_by_scan(L: nc.SubgroupLattice) -> list[int]:
+    """``up[k]``, the ids of the subgroups containing K, by comparing every pair of masks."""
+    masks = [s.mask for s in L.subgroups]
+    return [sum(1 << h for h, big in enumerate(masks) if small & ~big == 0) for small in masks]
+
+
+def covers_by_up_scan(L: nc.SubgroupLattice) -> tuple:
+    """Covering pairs, from up-sets found by a scan over every pair of subgroups."""
+    return tuple(hasse_covers(up_sets_by_scan(L)))
+
+
+def candidate_pairs_by_scan(L: nc.SubgroupLattice) -> tuple:
+    """Strictly nested pairs (kid, hid), sorted, by testing each larger id for each K."""
+    outside = [~s.mask for s in L.subgroups]
+    return tuple(
+        (k, h)
+        for k, s in enumerate(L.subgroups)
+        for h, out in enumerate(outside[k + 1:], k + 1)
+        if not s.mask & out
     )
 
 
@@ -292,6 +316,63 @@ def double_coset_obstructions(vl: nc.VanishingLocus, kid: int, hid: int) -> tupl
             if not any(vl.contains(L.class_of[cut], q.height, q.prime) for _, cut in cuts):
                 failures.append(nc.NormFailure(kid, hid, jid, q, cuts))
     return tuple(failures)
+
+
+def classes_below_by_scan(L: nc.SubgroupLattice, hid: int) -> tuple:
+    """``(class, members J <= H)`` for each class with such a member, by class."""
+    hmask = L.subgroups[hid].mask
+    below = []
+    for c, members in enumerate(L.classes):
+        inside = tuple(j for j in members if not L.subgroups[j].mask & ~hmask)
+        if inside:
+            below.append((c, inside))
+    return tuple(below)
+
+
+def pair_cut_table(L: nc.SubgroupLattice, kid: int, hid: int) -> tuple:
+    """The cut table of the norm K -> H, one pair at a time.
+
+    One ``(class, ((J, cut-class bitmask), ...))`` per class with a member
+    J <= H, in class order; the bitmask has a bit for the class of each cut
+    K^h n J, h in H, each cut found by intersecting member masks.
+    """
+    subgroups, class_of = L.subgroups, L.class_of
+    kconj = L.conj[kid]
+    conjugates = [subgroups[c].mask for c in {kconj[h] for h in subgroups[hid].members}]
+    table = []
+    for c, jids in classes_below_by_scan(L, hid):
+        row = []
+        for jid in jids:
+            jmask = subgroups[jid].mask
+            row.append((jid, sum({1 << class_of[L.id_of_mask(k & jmask)] for k in conjugates})))
+        table.append((c, tuple(row)))
+    return tuple(table)
+
+
+def cut_table_failures(vl: nc.VanishingLocus, cuts) -> list:
+    """``(J, prime)`` for each prime of the locus at J that no cut carries.
+
+    By class, then prime, then J, over a :func:`pair_cut_table`.
+    """
+    return [
+        (jid, q)
+        for c, row in cuts
+        for q, in_locus in vl.primes_at_class(c)
+        for jid, cut in row
+        if not cut & in_locus
+    ]
+
+
+def cut_table_obstructions(vl: nc.VanishingLocus, kid: int, hid: int) -> tuple:
+    """The witnesses of the norm K -> H, read off its :func:`pair_cut_table`."""
+    L = vl.lattice
+    checked = {}
+    out = []
+    for jid, q in cut_table_failures(vl, pair_cut_table(L, kid, hid)):
+        if jid not in checked:
+            checked[jid] = L.mackey_cuts(kid, jid, hid)
+        out.append(nc.NormFailure(kid, hid, jid, q, checked[jid]))
+    return tuple(out)
 
 
 def random_rep_norm_preserves(vl: nc.VanishingLocus, kid: int, hid: int, rng) -> bool:

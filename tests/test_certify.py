@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import normcert as nc
 from normcert import INFINITY, HeightVector, Verdict
 from normcert import certify
-from normcert.certify import _failures, _pair_cuts, _pair_obstructions, _walk
+from normcert.certify import _walk
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
@@ -21,9 +21,12 @@ from helpers import (
     brute_force_valid_heights,
     commutative_count,
     cross_validate_by_decisions,
+    cut_table_failures,
+    cut_table_obstructions,
     double_coset_obstructions,
     enumeration,
     lattice,
+    pair_cut_table,
     random_pair,
     random_rep_norm_preserves,
     random_support_data,
@@ -283,23 +286,40 @@ def test_cross_validation_compares_every_norm(monkeypatch, flip):
 
 
 def test_failures_over_the_cut_table_are_the_obstructions():
-    # the decide path reads its witnesses off the pair's cut table: the same
-    # failures in the same order, each with the Mackey cuts of its triple
+    # the decide path reads its witnesses off one failure mask per conjugate
+    # set of K; the oracle builds a cut table per pair over every J <= H.
+    # Same failures in the same order, each with the Mackey cuts of its
+    # triple, on K normal in H but not in G too
     rng = random.Random(31)
-    seen_failure = False
-    for spec in CORPUS_SPECS + ("symmetric:4", "dihedral:16*cyclic:2"):
+    seen_failure = set()
+    seen_normal_in_h = set()
+    specs = CORPUS_SPECS + ("symmetric:4", "dihedral:16*cyclic:2", "dihedral:8*dihedral:8")
+    for spec in specs:
         L = lattice(spec)
         cand = candidate_pairs(L)
-        for _ in range(5):
+        for _ in range(3 if len(L) > 100 else 5):
             R = nc.close_transfer_system(L, rng.sample(cand, rng.randint(1, min(4, len(cand)))))
             vl = random_valid_locus(L, rng)
-            for k, h in R.strict_pairs():
-                got = list(_failures(vl, _pair_cuts(L, k, h)))
-                witnesses = _pair_obstructions(vl, k, h)
-                assert got == [(w.subgroup, w.prime) for w in witnesses]
-                assert all(w.checked == L.mackey_cuts(k, w.subgroup, h) for w in witnesses)
-                seen_failure |= bool(got)
-    assert seen_failure
+            pairs = R.strict_pairs()
+            if len(pairs) > 300:
+                pairs = rng.sample(pairs, 300)
+            for k, h in pairs:
+                want = cut_table_obstructions(vl, k, h)
+                got = nc.norm_preserves_locus(vl, k, h).witnesses
+                assert _fields(got) == _fields(want)
+                assert [(w.subgroup, w.prime) for w in got] == cut_table_failures(
+                    vl, pair_cut_table(L, k, h)
+                )
+                if got:
+                    seen_failure.add(spec)
+                if not L.is_normal(k) and all(
+                    L.conj_id(k, g) == k for g in L.subgroups[h].members
+                ):
+                    seen_normal_in_h.add(spec)
+    assert seen_failure == set(specs)
+    assert {"dihedral:8", "symmetric:4", "dihedral:16*cyclic:2", "dihedral:8*dihedral:8"} <= (
+        seen_normal_in_h
+    )
 
 
 def test_cross_validation_small():
@@ -427,9 +447,34 @@ def test_witnesses_match_the_oracle_on_the_largest_lattices(spec):
     for _ in range(3):
         vl = random_valid_locus(L, rng)
         for kid, hid in rng.sample(cand, 30):
-            got = _pair_obstructions(vl, kid, hid)
+            got = nc.norm_preserves_locus(vl, kid, hid).witnesses
             assert _fields(got) == _fields(double_coset_obstructions(vl, kid, hid))
             witnesses += len(got)
+    assert witnesses > 0
+
+
+def test_witness_triples_are_closed_under_conjugation():
+    # (K, H) fails at (J, q) exactly when (K^g, H^g) fails at (J^g, q): the
+    # criterion is conjugation-invariant and J^g stays in q's class, so the
+    # witnesses of a conjugation-closed operad are a union of orbits
+    rng = random.Random(43)
+    witnesses = 0
+    for spec in ("symmetric:4", "dihedral:16*cyclic:2", "dihedral:32"):
+        L = lattice(spec)
+        cand = candidate_pairs(L)
+        conj = L.conj
+        for _ in range(4):
+            vl = random_valid_locus(L, rng)
+            seed = rng.sample(cand, rng.randint(1, 3))
+            for R in (nc.complete_system(L), nc.close_transfer_system(L, seed)):
+                found = {
+                    (w.norm_source, w.norm_target, w.subgroup, w.prime)
+                    for w in nc.localization_preserves(vl, R).witnesses
+                }
+                for g in range(L.group.order):
+                    moved = {(conj[k][g], conj[h][g], conj[j][g], q) for k, h, j, q in found}
+                    assert moved == found
+                witnesses += len(found)
     assert witnesses > 0
 
 
@@ -559,5 +604,5 @@ def test_pair_obstructions_cover_all_conjugates():
         if L.subgroups[h].order == 4
         and all(L.leq(r, h) for r in others)
     )
-    fails = _pair_obstructions(vl, 0, hid)
+    fails = nc.norm_preserves_locus(vl, 0, hid).witnesses
     assert {w.subgroup for w in fails} == set(others)

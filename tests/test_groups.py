@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 import normcert as nc
 from normcert.groups import _greedy_generators
+from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
     associativity_failure,
     brute_force_subgroup_masks,
+    candidate_pairs_by_scan,
+    classes_below_by_scan,
     covers_by_definition,
+    covers_by_up_scan,
     enumeration,
     group_axiom_failure,
     lattice,
@@ -19,6 +23,7 @@ from helpers import (
     product_mackey_cuts,
     random_valid_locus,
     subconjugate_witness,
+    up_sets_by_scan,
 )
 
 
@@ -343,22 +348,43 @@ def test_double_cosets_match_the_product_oracle(spec):
             assert L.mackey_cuts(kid, jid, hid) == product_mackey_cuts(L, kid, jid, hid)
 
 
-def test_coset_masks_and_classes_below_by_definition():
-    for spec in ("symmetric:3", "dihedral:8", "cyclic:2*cyclic:2"):
+def test_coset_masks_and_inclusion_index_by_definition():
+    for spec in ("symmetric:3", "dihedral:8", "cyclic:2*cyclic:2", "symmetric:4"):
         L = lattice(spec)
         G = L.group
+        n = len(L)
+        covers = covers_by_definition(L)
         for sid, s in enumerate(L.subgroups):
             cosets = L.coset_masks(sid)
             assert cosets == tuple(
                 sum({1 << G.mul(x, j) for j in s.members}) for x in range(G.order)
             )
             assert L.coset_masks(sid) is cosets  # built once per lattice
-            below = L.classes_below(sid)
-            assert below == tuple(
-                (c, tuple(j for j in members if L.leq(j, sid)))
-                for c, members in enumerate(L.classes)
-                if any(L.leq(j, sid) for j in members)
-            )
+            assert L.up[sid] == sum(1 << h for h in range(n) if L.leq(sid, h))
+            assert L.down[sid] == sum(1 << k for k in range(n) if L.leq(k, sid))
+            assert L.cover_masks[sid] == sum(1 << h for k, h in covers if k == sid)
+        assert L.class_masks == tuple(
+            sum(1 << j for j in range(n) if L.class_of[j] == c) for c in range(len(L.classes))
+        )
+
+
+@pytest.mark.parametrize(
+    "spec", CORPUS_SPECS + ("symmetric:5", "cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2")
+)
+def test_inclusion_index_matches_the_scans(spec):
+    # covers, strict pairs and the classes below each H, read off the index,
+    # against the quadratic scans over every pair of subgroup masks
+    L = nc.subgroup_lattice(nc.build_group(spec), max_order=120)
+    assert list(L.up) == up_sets_by_scan(L)
+    assert L.covers() == covers_by_up_scan(L)
+    assert candidate_pairs(L) == candidate_pairs_by_scan(L)
+    for hid in range(len(L)):
+        below = L.down[hid]
+        assert classes_below_by_scan(L, hid) == tuple(
+            (c, tuple(j for j in L.classes[c] if below >> j & 1))
+            for c, members in enumerate(L.class_masks)
+            if members & below
+        )
 
 
 def test_intersect_and_subconjugate():
