@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -376,12 +377,20 @@ def _random_height_vector(rng, p: int, n: int) -> nc.HeightVector:
             return v
 
 
+# the groups of the decide-mix benchmark workload
+DECIDE_MIX_SPECS = ("symmetric:4", "dihedral:32", "cyclic:2*cyclic:2*cyclic:2*cyclic:2",
+                    "cyclic:8*cyclic:8", "dihedral:16*cyclic:2", "dihedral:64")
+
+
 def test_warm_caches_do_not_change_output(tmp_path):
-    # the C_{p^n} lattices with their tables, the prime memo and the parser
-    # live as long as the process: a second pass over the same requests,
-    # with every cache warm, prints the same bytes as the first, and one
-    # request prints them in a fresh process too.  The operad document is
-    # closed on the cached lattice of C4 in both passes.
+    # the C_{p^n} lattices with their tables, the lattices of the last group
+    # specs with their coset tables, the prime memo and the parser live as
+    # long as the process: a second pass over the same requests, with every
+    # cache warm, prints the same bytes as the first, and a fresh process
+    # prints them too.  The operad document is closed on the cached lattice
+    # of C4 in both passes.  Each decide-mix group comes back after the
+    # others, through every subcommand that takes --group; all of them have
+    # more than 30 candidate pairs, so transfer-enumerate exits 2 there.
     L = lattice("symmetric:4")
     rng = random.Random(7)
     while True:
@@ -400,10 +409,55 @@ def test_warm_caches_do_not_change_output(tmp_path):
         ["cross-validate", "--n", "2", "--prime", "3", "--height-bound", "2", "--strict"],
         ["decide", "--ell", "2,(0,1,1)", "--operad", operad, "--strict"],
     ]
-    first = [_in_process(argv) for argv in requests]
-    assert [code for code, _ in first] == [1, 0, 1, 1, 0, 1]
-    assert [_in_process(argv) for argv in requests] == first
-    assert run_cli(s4 + ["--format", "structured"])[:2] == first[3]
+    mix = []
+    for i, spec in enumerate(DECIDE_MIX_SPECS):
+        path = _write_json(tmp_path / f"mix{i}-locus.json",
+                           iomod.locus_doc(random_valid_locus(lattice(spec), rng)))
+        decide = ["decide", "--group", spec, "--operad", "complete", "--locus", path]
+        mix += [
+            decide,
+            decide + ["--format", "structured"],
+            ["lattice", "--group", spec],
+            ["transfer-enumerate", "--group", spec],
+            ["dot", "--group", spec],
+            ["spectrum-validate", "--group", spec, "--locus", path, "--strict"],
+        ]
+    first = [_in_process(argv) for argv in requests + mix]
+    assert [code for code, _ in first] == (
+        [1, 0, 1, 1, 0, 1] + [0, 0, 0, 2, 0, 0] * len(DECIDE_MIX_SPECS))
+    assert [_in_process(argv) for argv in requests + mix] == first
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = list(pool.map(run_cli, [s4 + ["--format", "structured"], *mix]))
+    assert [run[:2] for run in fresh] == [first[3], *first[len(requests):]]
+
+
+def test_lattice_memo_keys_on_the_order_bound(monkeypatch):
+    # a lower bound is a new key, so a kept lattice does not escape it
+    argv = ["lattice", "--group", "cyclic:8*cyclic:8"]
+    assert _in_process(argv)[0] == 0
+    monkeypatch.setenv("NORMCERT_MAX_GROUP_ORDER", "32")
+    assert _in_process(argv) == (2, "")
+
+
+def test_table_spec_is_read_on_each_request(tmp_path):
+    # a CSV rewritten between two requests of one process gives the new group
+    path = tmp_path / "G.csv"
+    argv = ["lattice", "--group", f"table:{path}"]
+    outputs = []
+    for G in (nc.symmetric(3), nc.cyclic(6)):
+        path.write_text("\n".join(",".join(map(str, row)) for row in G.table))
+        outputs.append(_in_process(argv))
+    assert "subgroups: 6" in outputs[0][1] and "subgroups: 4" in outputs[1][1]
+    assert run_cli(argv)[:2] == outputs[1]
+
+
+def test_lattice_memo_returns_one_object_and_stays_bounded():
+    spec = "dihedral:8"
+    assert cli._build_lattice(spec) is cli._build_lattice(spec)
+    bound = cli._lattice_of.cache_parameters()["maxsize"]
+    for n in range(1, 2 * bound + 1):
+        cli._build_lattice(f"cyclic:{n}")
+    assert cli._lattice_of.cache_info().currsize <= bound
 
 
 def test_structured_outputs_reparse_to_equal_values(tmp_path):

@@ -8,6 +8,12 @@ the given seeds of all three benchmark workloads runs through the base tree
 and through this working tree, each request in its own ``python -m
 normcert.cli`` subprocess, and the sha256 of its stdout and its exit code
 are compared.  The request streams come from ``perfbench/workloads.py``.
+Each seed's stream, and the fixed list below, then runs once more on this
+working tree, all of it in one interpreter through ``cli.main`` with stdout
+captured as ``perfbench/child.py`` captures it, and each request's sha256
+and exit code are compared with the base tree's subprocess result: state
+that one request leaves in the process, such as a kept subgroup lattice,
+must not change what a later one prints.
 No stream prints a subgroup lattice, so a fixed list of ``lattice`` (text
 and structured) and ``dot --what subgroup-lattice`` requests over every
 group of the three workloads runs as well.  The fixed list also runs
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -182,13 +189,59 @@ def xval_requests() -> list[list[str]]:
     ]
 
 
-def differs(base: str, argv: list[str], cwd: str, label: str) -> str | None:
-    """A description of how one request's outcome differs between the trees, or None."""
-    (base_sha, base_rc), (head_sha, head_rc) = outcomes([base, ROOT], argv, cwd)
-    if (base_sha, base_rc) == (head_sha, head_rc):
-        return None
-    return (f"{label} ({' '.join(argv)}): base exit {base_rc} sha256 {base_sha[:12]}, "
+# every request of a batch through ``cli.main`` in one interpreter, stdout
+# captured as ``perfbench/child.py`` captures it; argv lists come on stdin
+IN_PROCESS = """import contextlib, hashlib, io, json, sys, traceback
+from normcert import cli
+out = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception:  # a traceback ends python -m normcert.cli with exit 1
+            traceback.print_exc(file=sys.__stderr__)
+            rc = 1
+    out.append((hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc))
+json.dump(out, sys.stdout)
+"""
+
+
+def in_process_outcomes(argvs: list[list[str]], cwd: str) -> list[tuple[str, int]]:
+    """(sha256 of stdout, exit code) of each request, all run in one interpreter of this tree."""
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], input=json.dumps(argvs),
+                          env=tree_env(ROOT), cwd=cwd, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return [tuple(o) for o in json.loads(proc.stdout)]
+
+
+def mismatch(what: str, argv: list[str], base_out: tuple, head_out: tuple) -> str:
+    (base_sha, base_rc), (head_sha, head_rc) = base_out, head_out
+    return (f"{what} ({' '.join(argv)}): base exit {base_rc} sha256 {base_sha[:12]}, "
             f"this tree exit {head_rc} sha256 {head_sha[:12]}")
+
+
+def compare_batch(base: str, label: str, argvs: list[list[str]], cwd: str) -> str | None:
+    """How the first request of a batch differs from the base tree's, or None.
+
+    Each request runs in its own process in both trees, then the whole batch
+    runs once more in one process of this tree, against the base outcomes.
+    """
+    base_outs = []
+    for i, argv in enumerate(argvs):
+        base_out, head_out = outcomes([base, ROOT], argv, cwd)
+        if base_out != head_out:
+            return mismatch(f"{label} request {i}", argv, base_out, head_out)
+        base_outs.append(base_out)
+    in_one = in_process_outcomes(argvs, cwd)
+    for i, (argv, base_out, head_out) in enumerate(zip(argvs, base_outs, in_one)):
+        if base_out != head_out:
+            return mismatch(f"{label} request {i} in one process", argv, base_out, head_out)
+    print(f"{label}: {len(argvs)} requests identical, one process each and all in one",
+          flush=True)
+    return None
 
 
 def compare(base: str, seeds: list[int], scratch: str) -> str | None:
@@ -201,21 +254,16 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
     requests = (lattice_requests() + hostile_requests(scratch)
                 + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch)
                 + xval_requests())
-    for i, argv in enumerate(requests):
-        diff = differs(base, argv, scratch, f"fixed request {i}")
-        if diff is not None:
-            return diff
-    print(f"fixed list: {len(requests)} requests identical", flush=True)
+    diff = compare_batch(base, "fixed list", requests, scratch)
+    if diff is not None:
+        return diff
     for workload, workdir in workdirs.items():
         for seed in seeds:
-            requests = workloads.stream(workload, seed)
-            for req in requests:
-                argv = [os.path.join(workdir, a[1:]) if a.startswith("@") else a
-                        for a in req["argv"]]
-                diff = differs(base, argv, workdir, f"{workload} seed {seed} request {req['id']}")
-                if diff is not None:
-                    return diff
-            print(f"{workload} seed {seed}: {len(requests)} requests identical", flush=True)
+            argvs = [[os.path.join(workdir, a[1:]) if a.startswith("@") else a
+                      for a in req["argv"]] for req in workloads.stream(workload, seed)]
+            diff = compare_batch(base, f"{workload} seed {seed}", argvs, workdir)
+            if diff is not None:
+                return diff
     return None
 
 
