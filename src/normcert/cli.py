@@ -10,12 +10,12 @@ Default bounds can be overridden with the environment variables
 NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 
 A process that calls :func:`main` more than once keeps the subgroup
-lattices of the last 8 built-in group specs, keyed by spec and order bound,
-with the coset tables their requests filled in; a spec with a ``table:``
-factor is read again on each request.  At the default order bound the worst
-case is C2^6, whose lattice with every coset table holds about 10 MB; the
-groups of the benchmark's decide-mix hold 0.07 to 0.21 MB each (Python
-allocations, measured with tracemalloc).
+lattices of the last 8 built-in group specs, keyed by spec and order bound;
+a spec with a ``table:`` factor is read again on each request.  A lattice
+holds every coset table from the start and is never written after it is
+built.  At the default order bound the worst case is C2^6, whose group and
+lattice hold about 9.4 MB; the decide-mix groups of the benchmark hold 0.07
+to 0.21 MB each (Python allocations, measured with tracemalloc).
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ def _build_lattice(spec: str):
 def _lattice_of(spec: str, bound: int):
     """The subgroup lattice of ``spec`` under the order bound ``bound``.
 
-    The last 8 (spec, bound) keys are kept, each with the coset tables its
-    lattice has filled in.  A raised error is not kept, so a bad spec fails
-    on every request.
+    The last 8 (spec, bound) keys are kept; each lattice holds every coset
+    table from the start and is never written after it is built.  A raised
+    error is not kept, so a bad spec fails on every request.
     """
     return subgroup_lattice(build_group(spec, max_order=bound), max_order=bound)
 

@@ -58,7 +58,7 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
@@ -84,11 +84,6 @@ class FiniteGroup:
         for x in _bits(mask):
             out |= 1 << self.conj(x, g)
         return out
-
-    def generated_mask(self, mask: int) -> int:
-        """Bitmask of the subgroup generated by the elements of ``mask``."""
-        e = self.identity
-        return _coset_union(self.table, (e,), _bits(mask), e)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -352,7 +347,7 @@ class Subgroup:
         return f"Subgroup(id={self.lattice_id}, order={self.order}, members={self.members})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SubgroupLattice:
     """The complete poset of subgroups of a finite group.
 
@@ -367,6 +362,7 @@ class SubgroupLattice:
     bit), ``cover_masks[k]`` the subgroups that cover K, and
     ``class_masks[c]`` the members of class c.  Ids extend inclusion, so
     every walk over the bits of a mask visits subgroups in id order.
+    Every table, coset tables included, is built with the lattice.
     """
 
     group: FiniteGroup
@@ -381,8 +377,8 @@ class SubgroupLattice:
     class_masks: tuple[int, ...] = field(repr=False)
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
-    # per subgroup id J, x -> bitmask of the left coset xJ, built on first use
-    _coset_masks: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    # per subgroup id J, x -> bitmask of the left coset xJ
+    _coset_masks: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -424,25 +420,8 @@ class SubgroupLattice:
         return tuple((k, h) for k, above in enumerate(self.cover_masks) for h in _bits(above))
 
     def coset_masks(self, sid: int) -> tuple[int, ...]:
-        """``coset_masks(sid)[x]``, the bitmask of the left coset xJ of J = ``sid``.
-
-        Built in O(|G|) on first use, one coset at a time, and kept on the
-        lattice.
-        """
-        out = self._coset_masks.get(sid)
-        if out is None:
-            table = self.group.table
-            jmem = _bits(self.subgroups[sid].mask)
-            masks = [0] * self.group.order
-            for x, row in enumerate(table):
-                if not masks[x]:
-                    coset = 0
-                    for j in jmem:
-                        coset |= 1 << row[j]
-                    for j in jmem:
-                        masks[row[j]] = coset
-            out = self._coset_masks[sid] = tuple(masks)
-        return out
+        """``coset_masks(sid)[x]``, the bitmask of the left coset xJ of J = ``sid``."""
+        return self._coset_masks[sid]
 
     def _double_cosets(self, kid: int, hid: int, aid: int) -> Iterator[tuple[int, int]]:
         """``(least element, bitmask)`` of each double coset of K\\A/H, in that order.
@@ -585,7 +564,22 @@ def subgroup_lattice(
         class_masks=tuple(sum(1 << sid for sid in members) for members in classes),
         _id_of_mask=id_of_mask,
         _id_of_name={n: i for i, n in enumerate(names)},
+        _coset_masks=tuple(_left_cosets(table, s.mask) for s in subgroups),
     )
+
+
+def _left_cosets(table: Sequence[Sequence[int]], mask: int) -> tuple[int, ...]:
+    """Per element x, the bitmask of xJ for J = ``mask``; O(|G|), one coset at a time."""
+    jmem = _bits(mask)
+    masks = [0] * len(table)
+    for x, row in enumerate(table):
+        if not masks[x]:
+            coset = 0
+            for j in jmem:
+                coset |= 1 << row[j]
+            for j in jmem:
+                masks[row[j]] = coset
+    return tuple(masks)
 
 
 def _inclusion_index(

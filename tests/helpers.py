@@ -53,6 +53,19 @@ def corpus_lattices():
     return [lattice(s) for s in CORPUS_SPECS]
 
 
+def attributes(L: nc.SubgroupLattice) -> dict:
+    """The lattice's attributes, with a copy of each dict so that a later
+    write into one shows."""
+    return {k: (v, dict(v) if isinstance(v, dict) else None) for k, v in vars(L).items()}
+
+
+def assert_attributes_unchanged(L: nc.SubgroupLattice, before: dict) -> None:
+    after = attributes(L)
+    assert after.keys() == before.keys()
+    for k, (v, copy) in before.items():
+        assert after[k][0] is v and after[k][1] == copy, k
+
+
 # -- independent oracles ---------------------------------------------------------
 
 

@@ -15,6 +15,8 @@ from normcert.certify import _walk
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
+    assert_attributes_unchanged,
+    attributes,
     brute_force_commutative_heights,
     brute_force_norm_preserves,
     brute_force_norm_support,
@@ -510,6 +512,16 @@ def test_only_failing_triples_compute_double_cosets(monkeypatch):
     assert witnesses > triples > 0
     assert calls["cuts"] == triples
     assert calls["blocks"] <= triples
+
+
+def test_a_failing_decision_leaves_the_lattice_unchanged():
+    # witnesses read Mackey cuts through the coset tables, which the lattice
+    # holds from the start, so a decision writes nothing to it
+    L = nc.subgroup_lattice(nc.build_group("symmetric:4"))
+    before = attributes(L)
+    d = nc.localization_preserves(random_valid_locus(L, random.Random(0)), nc.complete_system(L))
+    assert d.witnesses
+    assert_attributes_unchanged(L, before)
 
 
 def test_uniform_loci_pass_everything():

@@ -9,6 +9,7 @@ import normcert as nc
 from normcert import ANY_PRIME, INFINITY, BalmerPrime, HeightVector
 from normcert import io as iomod
 from normcert import chromatic
+from normcert.certify import MAX_XVAL_HEIGHT, MAX_XVAL_LENGTH
 from normcert.chromatic import MAX_PRIME, cyclic_p_power
 from helpers import (
     CORPUS_SPECS,
@@ -106,12 +107,17 @@ def test_heights_round_trip_exhaustive():
 
 
 def test_heights_to_locus_valid_iff_vector_valid():
-    domain = [None, 0, 1, 2, INFINITY]
-    for n in range(3):
-        for entries in itertools.product(domain, repeat=n + 1):
-            v = HeightVector(2, entries)
-            ok = not nc.validate_vanishing_locus(nc.heights_to_locus(v))
-            assert ok == nc.validate_height_vector(v)
+    # every vector over the cross-validation domain, on the lattice the sweep
+    # uses, for every p whose chain reaches the sweep's longest n: the sweep
+    # validates no locus, since each vector it walks is valid
+    domain = [None, *range(MAX_XVAL_HEIGHT + 1), INFINITY]
+    for p in (2, 3, 5, 7):
+        for n in range(MAX_XVAL_LENGTH + 1):
+            L = chromatic.cyclic_power_lattice(p, n)
+            for entries in itertools.product(domain, repeat=n + 1):
+                v = HeightVector(p, entries)
+                ok = not nc.validate_vanishing_locus(nc.heights_to_locus(v, L))
+                assert ok == nc.validate_height_vector(v)
 
 
 def test_locus_to_heights_on_valid_loci():

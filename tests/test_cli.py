@@ -383,14 +383,14 @@ DECIDE_MIX_SPECS = ("symmetric:4", "dihedral:32", "cyclic:2*cyclic:2*cyclic:2*cy
 
 
 def test_warm_caches_do_not_change_output(tmp_path):
-    # the C_{p^n} lattices with their tables, the lattices of the last group
-    # specs with their coset tables, the prime memo and the parser live as
-    # long as the process: a second pass over the same requests, with every
-    # cache warm, prints the same bytes as the first, and a fresh process
-    # prints them too.  The operad document is closed on the cached lattice
-    # of C4 in both passes.  Each decide-mix group comes back after the
-    # others, through every subcommand that takes --group; all of them have
-    # more than 30 candidate pairs, so transfer-enumerate exits 2 there.
+    # the C_{p^n} lattices, the lattices of the last group specs, the prime
+    # memo and the parser live as long as the process: a second pass over
+    # the same requests, with every cache warm, prints the same bytes as the
+    # first, and a fresh process prints them too.  The operad document is
+    # closed on the cached lattice of C4 in both passes.  Each decide-mix
+    # group comes back after the others, through every subcommand that
+    # takes --group; all of them have more than 30 candidate pairs, so
+    # transfer-enumerate exits 2 there.
     L = lattice("symmetric:4")
     rng = random.Random(7)
     while True:

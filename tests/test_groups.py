@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -359,13 +360,21 @@ def test_coset_masks_and_inclusion_index_by_definition():
             assert cosets == tuple(
                 sum({1 << G.mul(x, j) for j in s.members}) for x in range(G.order)
             )
-            assert L.coset_masks(sid) is cosets  # built once per lattice
+            assert L.coset_masks(sid) is cosets  # built with the lattice
             assert L.up[sid] == sum(1 << h for h in range(n) if L.leq(sid, h))
             assert L.down[sid] == sum(1 << k for k in range(n) if L.leq(k, sid))
             assert L.cover_masks[sid] == sum(1 << h for k, h in covers if k == sid)
         assert L.class_masks == tuple(
             sum(1 << j for j in range(n) if L.class_of[j] == c) for c in range(len(L.classes))
         )
+
+
+def test_lattice_and_group_are_read_only():
+    L = nc.subgroup_lattice(nc.build_group("symmetric:3"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        L.names = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        L.group.name = "G"
 
 
 @pytest.mark.parametrize(

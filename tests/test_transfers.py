@@ -9,6 +9,8 @@ import normcert as nc
 from normcert.transfers import TransferSystem, candidate_pairs, reflexive_pairs
 from helpers import (
     CORPUS_SPECS,
+    assert_attributes_unchanged,
+    attributes,
     brute_force_transfer_systems,
     conjugate_gset,
     enumeration,
@@ -84,26 +86,12 @@ def test_close_reflection_seed_on_s3():
             assert closed.pairs <= pairs
 
 
-def _attributes(L):
-    """The lattice's attributes, with a copy of each dict so that a later
-    write into one shows."""
-    return {k: (v, dict(v) if isinstance(v, dict) else None) for k, v in vars(L).items()}
-
-
-def _assert_attributes_unchanged(L, before):
-    after = _attributes(L)
-    assert after.keys() == before.keys()
-    for k, (v, copy) in before.items():
-        assert after[k][0] is v and after[k][1] == copy, k
-
-
 def test_close_rejects_non_nested_seed():
     # closures keep no state on the lattice: a second round on the same
     # lattice sees it exactly as the first did
     L = nc.subgroup_lattice(nc.build_group("symmetric:3"))
-    # the oracle fills the lattice's coset tables, so it runs first
+    before = attributes(L)
     want = worklist_closure(L, [(1, 5)])
-    before = _attributes(L)
     for _ in range(2):
         # (5, 0) reverses S3 > e; (1, 4) puts a reflection under C3
         for seed in ([(5, 0)], [(1, 4)], [(1, 5), (1, 4)], [(0, 0), (2, 4)]):
@@ -111,7 +99,7 @@ def test_close_rejects_non_nested_seed():
                 nc.close_transfer_system(L, seed)
         closed = nc.close_transfer_system(L, [(1, 5)])
         assert closed.pairs == want
-    _assert_attributes_unchanged(L, before)
+    assert_attributes_unchanged(L, before)
 
 
 @pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:8", "cyclic:2*cyclic:4"])
@@ -122,7 +110,7 @@ def test_closures_and_enumeration_on_one_lattice_match_fresh_lattices(spec):
         return nc.subgroup_lattice(nc.build_group(spec))
 
     L = fresh()
-    before = _attributes(L)
+    before = attributes(L)
     strict = candidate_pairs(L)
     seeds = [[strict[0]], [strict[-1], strict[len(strict) // 2]]]
     first = [nc.close_transfer_system(L, s).pairs for s in seeds]
@@ -131,7 +119,7 @@ def test_closures_and_enumeration_on_one_lattice_match_fresh_lattices(spec):
     fresh_closures = [nc.close_transfer_system(fresh(), s).pairs for s in seeds]
     assert first == again == fresh_closures
     assert systems == [R.pairs for R in nc.enumerate_transfer_systems(fresh()).systems]
-    _assert_attributes_unchanged(L, before)
+    assert_attributes_unchanged(L, before)
 
 
 @pytest.mark.parametrize("spec", BRUTE_FORCE_SPECS)
