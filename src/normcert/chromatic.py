@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 
-from .groups import DEFAULT_MAX_ORDER, GroupTooLarge, SubgroupLattice, cyclic, subgroup_lattice
+from .groups import DEFAULT_MAX_ORDER, SubgroupLattice, cyclic_power_order, lattice_of
 
 
 class ChromaticError(Exception):
@@ -380,10 +380,10 @@ def validate_height_vector(v: HeightVector) -> bool:
     return all(map(_closed_step, v.entries, v.entries[1:]))
 
 
-@lru_cache(maxsize=None)
 def cyclic_power_lattice(p: int, n: int) -> SubgroupLattice:
-    """The (cached) subgroup lattice of the cyclic group of order p**n."""
-    return subgroup_lattice(cyclic(p**n), max_order=max(64, p**n))
+    """The lattice of C_{p^n}, kept by :func:`normcert.groups.lattice_of` under
+    (``cyclic:{p**n}``, max(p**n, DEFAULT_MAX_ORDER)) and shared while kept."""
+    return lattice_of(f"cyclic:{p**n}", max(DEFAULT_MAX_ORDER, p**n))
 
 
 def heights_to_locus(
@@ -391,24 +391,18 @@ def heights_to_locus(
 ) -> VanishingLocus:
     """The locus with primes P(C_{p^i}, j, p) for all j <= entries[i].
 
-    Without a lattice, C_{p^n} is built (and cached) here, so p**n must not
-    exceed ``DEFAULT_MAX_ORDER``; pass a lattice to go beyond it.
+    Without a lattice, C_{p^n} comes from :func:`normcert.groups.lattice_of`, so
+    p**n must not exceed ``DEFAULT_MAX_ORDER``; pass a lattice to go beyond it.
     """
     n = v.n
     if lattice is None:
-        order = v.p**n
-        if order > DEFAULT_MAX_ORDER:
-            raise GroupTooLarge(f"|C{order}| = {order} exceeds bound {DEFAULT_MAX_ORDER}")
-        lattice = cyclic_power_lattice(v.p, n)
-    else:
-        pn = cyclic_p_power(lattice)
-        if n == 0:
-            if lattice.group.order != 1:
-                raise NotCyclicPGroupLattice("length-1 vectors live on the trivial group")
-        elif pn != (v.p, n):
-            raise NotCyclicPGroupLattice(
-                f"lattice of {lattice.group.name} does not match p={v.p}, n={n}"
-            )
+        lattice = lattice_of(f"cyclic:{cyclic_power_order(v.p, n, DEFAULT_MAX_ORDER)}")
+    elif n == 0 and lattice.group.order != 1:
+        raise NotCyclicPGroupLattice("length-1 vectors live on the trivial group")
+    elif n and cyclic_p_power(lattice) != (v.p, n):
+        raise NotCyclicPGroupLattice(
+            f"lattice of {lattice.group.name} does not match p={v.p}, n={n}"
+        )
     # on C_{p^n} lattice id i is the subgroup of order p**i
     primes = []
     for i, e in enumerate(v.entries):

@@ -9,13 +9,9 @@ disagreements, 2 on input errors.
 Default bounds can be overridden with the environment variables
 NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 
-A process that calls :func:`main` more than once keeps the subgroup
-lattices of the last 8 built-in group specs, keyed by spec and order bound;
-a spec with a ``table:`` factor is read again on each request.  A lattice
-holds every coset table from the start and is never written after it is
-built.  At the default order bound the worst case is C2^6, whose group and
-lattice hold about 9.4 MB; the decide-mix groups of the benchmark hold 0.07
-to 0.21 MB each (Python allocations, measured with tracemalloc).
+Every lattice, from --group or --ell, comes from the one lattice memo
+:func:`normcert.groups.lattice_of`: 16 keys of spec and order bound, ``table:`` specs
+built each time, 134 MB at worst; requests share a lattice only while it is kept.
 """
 
 from __future__ import annotations
@@ -36,11 +32,10 @@ from .certify import (
 )
 from .chromatic import (
     ChromaticError,
-    cyclic_power_lattice,
     heights_to_locus,
     validate_vanishing_locus,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupError, GroupTooLarge, build_group, subgroup_lattice
+from .groups import DEFAULT_MAX_ORDER, GroupError, cyclic_power_order, lattice_of
 from .transfers import (
     DEFAULT_MAX_PAIRS,
     TransferError,
@@ -73,22 +68,7 @@ def _max_group_order() -> int:
 
 
 def _build_lattice(spec: str):
-    bound = _max_group_order()
-    if "table:" in spec:
-        # a CSV can change between requests, so it is read on each one
-        return _lattice_of.__wrapped__(spec, bound)
-    return _lattice_of(spec, bound)
-
-
-@functools.lru_cache(maxsize=8)
-def _lattice_of(spec: str, bound: int):
-    """The subgroup lattice of ``spec`` under the order bound ``bound``.
-
-    The last 8 (spec, bound) keys are kept; each lattice holds every coset
-    table from the start and is never written after it is built.  A raised
-    error is not kept, so a bad spec fails on every request.
-    """
-    return subgroup_lattice(build_group(spec, max_order=bound), max_order=bound)
+    return lattice_of(spec, _max_group_order())
 
 
 def _load_json(path: str) -> dict:
@@ -99,10 +79,15 @@ def _load_json(path: str) -> dict:
             raise iomod.ParseError(f"{path} is not UTF-8 text") from None
         except RecursionError:
             raise iomod.ParseError(f"{path} nests too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            raise iomod.ParseError(f"{path} holds an integer too long to read") from None
 
 
-def _load_locus(args, L=None):
-    """Resolve --locus / --ell to a lattice and a vanishing locus."""
+def _load_locus(args):
+    """Resolve --group and --locus / --ell to a lattice and a vanishing locus."""
+    L = _build_lattice(args.group) if args.group else None
     ell, spec = args.ell, args.locus
     if (spec is None) == (ell is None):
         raise iomod.ParseError("exactly one of --locus and --ell is required")
@@ -111,10 +96,7 @@ def _load_locus(args, L=None):
     if ell is not None:
         v = iomod.parse_heights_inline(ell)
         if L is None:
-            order, bound = v.p**v.n, _max_group_order()
-            if order > bound:
-                raise GroupTooLarge(f"|C{order}| = {order} exceeds bound {bound}")
-            L = cyclic_power_lattice(v.p, v.n)
+            L = _build_lattice(f"cyclic:{cyclic_power_order(v.p, v.n, _max_group_order())}")
         return L, heights_to_locus(v, L)
     doc = _load_json(spec)
     if L is None:
@@ -165,8 +147,7 @@ def _cmd_transfer_enumerate(args):
 
 
 def _cmd_spectrum_validate(args):
-    L = _build_lattice(args.group) if args.group else None
-    L, vl = _load_locus(args, L)
+    L, vl = _load_locus(args)
     violations = validate_vanishing_locus(vl)
     if args.format == "structured":
         return iomod.indented_json(iomod.locus_validation_doc(vl, violations)), bool(violations)
@@ -179,8 +160,7 @@ def _cmd_spectrum_validate(args):
 
 
 def _cmd_decide(args):
-    L = _build_lattice(args.group) if args.group else None
-    L, vl = _load_locus(args, L)
+    L, vl = _load_locus(args)
     R = _load_operad(L, args.operad)
     decision = localization_preserves(vl, R)
     flagged = not decision.certified

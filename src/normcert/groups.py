@@ -21,7 +21,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 
 
@@ -566,6 +566,32 @@ def subgroup_lattice(
         _id_of_name={n: i for i, n in enumerate(names)},
         _coset_masks=tuple(_left_cosets(table, s.mask) for s in subgroups),
     )
+
+
+def lattice_of(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice:
+    """The lattice of ``build_group(spec, max_order)`` from the one lattice memo.
+
+    The memo keeps the last 16 (spec, max_order) keys, so callers share a lattice
+    only while it is kept; errors are not kept, and a ``table:`` spec is built on
+    each call.  Worst case at the default bound: 16 spellings of C2^6, 134 MB.
+    """
+    build = _kept_lattice.__wrapped__ if "table:" in spec else _kept_lattice
+    return build(spec, max_order)
+
+
+@lru_cache(maxsize=16)
+def _kept_lattice(spec: str, max_order: int) -> SubgroupLattice:
+    return subgroup_lattice(build_group(spec, max_order=max_order), max_order=max_order)
+
+
+def cyclic_power_order(p: int, n: int, max_order: int) -> int:
+    """p**n; GroupTooLarge at the first of p, p**2, ..., p**n past ``max_order``."""
+    order = 1
+    for _ in range(n):
+        order *= p
+        if order > max_order:
+            raise GroupTooLarge(f"|C{p}^{n}| exceeds bound {max_order}")
+    return order
 
 
 def _left_cosets(table: Sequence[Sequence[int]], mask: int) -> tuple[int, ...]:

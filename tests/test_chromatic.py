@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import normcert as nc
 from normcert import ANY_PRIME, INFINITY, BalmerPrime, HeightVector
 from normcert import io as iomod
-from normcert import chromatic
+from normcert import chromatic, groups
 from normcert.certify import MAX_XVAL_HEIGHT, MAX_XVAL_LENGTH
 from normcert.chromatic import MAX_PRIME, cyclic_p_power
 from helpers import (
@@ -198,6 +198,22 @@ def test_heights_to_locus_without_lattice_is_bounded():
     assert len(nc.heights_to_locus(HeightVector(2, (0,) * 7)).primes) == 7
     vl = nc.heights_to_locus(HeightVector(5, (0, 0, 0, 0)), nc.cyclic_power_lattice(5, 3))
     assert len(vl.primes) == 4
+    # 2**14999 and 1000000007**500 have more digits than str() converts, and
+    # the bound message raised ValueError for them instead of GroupTooLarge
+    for v in (HeightVector(2, (0,) * 15000), HeightVector(1000000007, (0,) * 501)):
+        with pytest.raises(nc.GroupTooLarge, match="exceeds bound 64"):
+            nc.heights_to_locus(v)
+
+
+def test_cyclic_power_lattices_share_the_bounded_memo():
+    memo = groups._kept_lattice
+    size = memo.cache_parameters()["maxsize"]
+    pairs = [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19) for n in range(1, 7) if p**n <= 64]
+    assert len({p**n for p, n in pairs}) > size
+    for p, n in pairs:
+        L = chromatic.cyclic_power_lattice(p, n)
+        assert L is chromatic.cyclic_power_lattice(p, n) and L.group.order == p**n
+    assert memo.cache_info().currsize == size
 
 
 def test_support_of_pushforward_is_constant():

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from normcert import cli
+from normcert import cli, groups
 from normcert import io as iomod
 from normcert.cli import main
 from normcert.transfers import candidate_pairs
@@ -454,10 +454,26 @@ def test_table_spec_is_read_on_each_request(tmp_path):
 def test_lattice_memo_returns_one_object_and_stays_bounded():
     spec = "dihedral:8"
     assert cli._build_lattice(spec) is cli._build_lattice(spec)
-    bound = cli._lattice_of.cache_parameters()["maxsize"]
+    bound = groups._kept_lattice.cache_parameters()["maxsize"]
     for n in range(1, 2 * bound + 1):
         cli._build_lattice(f"cyclic:{n}")
-    assert cli._lattice_of.cache_info().currsize <= bound
+    assert groups._kept_lattice.cache_info().currsize == bound
+
+
+def test_group_and_ell_requests_share_one_lattice(monkeypatch):
+    # under the default bound, --group cyclic:8 and an inline vector on C8 read
+    # one memo key, so both requests get the lattice the memo keeps
+    monkeypatch.delenv("NORMCERT_MAX_GROUP_ORDER", raising=False)
+    got = []
+
+    def recording(spec, max_order):
+        got.append(groups.lattice_of(spec, max_order))
+        return got[-1]
+
+    monkeypatch.setattr(cli, "lattice_of", recording)
+    assert _in_process(["lattice", "--group", "cyclic:8"])[0] == 0
+    assert _in_process(["decide", "--operad", "complete", "--ell", "2,(0,0,0,0)"])[0] == 0
+    assert len(got) == 2 and got[0] is got[1] is groups.lattice_of("cyclic:8")
 
 
 def test_structured_outputs_reparse_to_equal_values(tmp_path):
@@ -543,6 +559,33 @@ def test_deeply_nested_json_input_exits_2(flag, tmp_path):
     code, out, err = run_cli(["decide", "--group", "cyclic:2", *args], timeout=5)
     assert code == 2 and not out
     assert err.startswith("error: ") and "nests too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--locus", "--operad"])
+def test_over_long_json_integer_exits_2(flag, tmp_path):
+    # json.load raised a plain ValueError past the digit limit, a traceback with exit 1
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    doc = tmp_path / "long.json"
+    doc.write_text('{"entries": [{"subgroup": "C1#0", "prime": 2, "heights": ['
+                   + "7" * (limit + 1) + "]}]}")
+    args = {"--locus": ["--operad", "complete", "--locus", str(doc)],
+            "--operad": ["--operad", str(doc), "--ell", "2,(0,0)"]}[flag]
+    code, out, err = run_cli(["decide", "--group", "cyclic:2", *args], timeout=5)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "integer too long" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p,length", [(2, 15000), (1000000007, 501)])
+@pytest.mark.parametrize("command", [["decide", "--operad", "trivial"], ["spectrum-validate"]])
+def test_long_inline_height_vector_exits_2(command, p, length):
+    # p**n has more digits than str() converts, and writing it into the
+    # bound message raised ValueError, a traceback with exit 1
+    ell = f"{p},({','.join(['0'] * length)})"
+    code, out, err = run_cli([*command, "--ell", ell], timeout=30)
+    assert code == 2 and "exceeds bound 64" in err and not out
+    assert "Traceback" not in err
 
 
 _FUZZ_SPECS = ("cyclic:2", "cyclic:4", "symmetric:3", "quaternion:8", "dihedral:8",

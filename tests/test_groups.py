@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from normcert.groups import _greedy_generators
+from normcert.groups import _greedy_generators, cyclic_power_order
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
@@ -188,6 +188,19 @@ def test_group_too_large():
     assert nc.build_group("cyclic:8*cyclic:8", max_order=64).order == 64
     with pytest.raises(nc.UnsupportedSpec):
         nc.build_group("symmetric:6", max_order=64)
+
+
+def test_cyclic_power_order_stops_past_the_bound():
+    for p in (2, 3, 5, 7, 61):
+        for n in range(8):
+            if p**n <= 64:
+                assert cyclic_power_order(p, n, 64) == p**n
+            else:
+                with pytest.raises(nc.GroupTooLarge, match=rf"\|C{p}\^{n}\| exceeds bound 64"):
+                    cyclic_power_order(p, n, 64)
+    # 2**(10**6) has 301,030 digits; the check stops at its tenth factor
+    with pytest.raises(nc.GroupTooLarge):
+        cyclic_power_order(2, 10**6, 1000)
 
 
 def test_direct_product_order_and_lattice():
