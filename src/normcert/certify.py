@@ -16,11 +16,14 @@ Möbius inversion over sub(K) from the lattice's inclusion index.  A locus
 turns each table into one failure mask, the J at which some prime has no
 carrying cut, and a pair (K, H) fails exactly when that mask meets
 ``down[H]``; a K not normal in H takes the union of its H-conjugates'
-tables instead.  Only a failing triple computes its double cosets, once:
-the classes of their cuts pick the primes that fail there, and they are
-the ``checked`` list of its witnesses.  The tables do not depend on the
-locus, so the cross-validation sweep builds them once and reads each
-verdict off the failure masks without building a witness.
+tables instead.  Normality in H needs no walk over H: K is normal in H
+exactly when H lies in N_G(K), one bit of ``down`` at the lattice's
+``normalizer`` entry for K.  Only a failing triple computes its double
+cosets, once: the classes of their cuts pick the primes that fail there,
+and they are the ``checked`` list of its witnesses.  For K normal in H
+they are the cosets of KJ in H, all with the cut K n J.  The tables do
+not depend on the locus, so the cross-validation sweep builds them once
+and reads each verdict off the failure masks without building a witness.
 
 Verdicts are one-sided by design: ``CERTIFIED_PRESERVES`` means the
 sufficient criterion holds for every admissible norm of the operad;
@@ -204,19 +207,20 @@ def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
     K: the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
     every h in it.  So a J carries a prime when the cut table of one of
     those conjugates does, and (K, H) fails exactly when the failure mask
-    of that conjugate set meets ``down[H]``.  A K normal in H is its own
-    set, whose mask serves every H.  Each failing J fails for some prime,
+    of that conjugate set meets ``down[H]``.  A K normal in H (H lies in
+    N_G(K), one bit of ``down``) is its own set, whose mask serves every
+    such H, and needs no walk over H.  Each failing J fails for some prime,
     so it computes its Mackey decomposition, whose cut classes tell which
     primes fail there; the witnesses of one triple share it.  Witnesses
     come by class, then prime, then J.
     """
     L = vl.lattice
     subgroups, conj, down, class_of = L.subgroups, L.conj, L.down, L.class_of
+    normalizer = L.normalizer
     slots = _slots(vl)
-    normal = [len(L.classes[c]) == 1 for c in class_of]
     failures: dict[tuple[int, ...], int] = {}  # H-conjugates of K -> failure mask
     for kid, hid in pairs:
-        if normal[kid]:
+        if down[normalizer[kid]] >> hid & 1:
             key: tuple[int, ...] = (kid,)
         else:
             kconj = conj[kid]

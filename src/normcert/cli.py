@@ -10,8 +10,9 @@ Default bounds can be overridden with the environment variables
 NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 
 Every lattice, from --group or --ell, comes from the one lattice memo
-:func:`normcert.groups.lattice_of`: 16 keys of spec and order bound, ``table:`` specs
-built each time, 134 MB at worst; requests share a lattice only while it is kept.
+:func:`normcert.groups.lattice_of`: 16 keys of parsed spec and order bound, specs
+with a ``table:`` factor built each time, under 134 MB; requests share a lattice
+only while it is kept.
 """
 
 from __future__ import annotations

@@ -286,38 +286,55 @@ def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:
     its CSV is read no further than the first row past the bound or wider
     than it.
     """
-    parts = [p.strip() for p in spec.split("*")]
-    if any(not p for p in parts):
-        raise UnsupportedSpec(f"malformed group spec {spec!r}")
-    atoms = [_atom(p, max_order) for p in parts]
-    if max_order is not None:
-        order = math.prod(n for n, _ in atoms)
-        if order > max_order or any(n > max_order for n, _ in atoms):
-            raise GroupTooLarge(f"|{spec}| = {order} exceeds bound {max_order}")
-    groups = [build() for _, build in atoms]
+    groups = [build() for _, build in _factors(spec, max_order)]
     return groups[0] if len(groups) == 1 else direct_product(*groups)
 
 
-def _atom(s: str, max_order: int | None) -> tuple[int, Callable[[], FiniteGroup]]:
-    """One factor of a spec as (its order, its constructor); nothing is built.
+Atom = tuple[str, int]
+
+
+def _factors(
+    spec: str, max_order: int | None
+) -> list[tuple[Atom | None, Callable[[], FiniteGroup]]]:
+    """Each factor of ``spec`` as (its atom, its constructor); nothing is built.
+
+    The atom is (kind, integer argument), ``("quaternion", 8)`` for both
+    spellings of Q8, and None for a ``table:`` factor.  Every error that
+    :func:`build_group` raises before it builds a table is raised here.
+    """
+    parts = [p.strip() for p in spec.split("*")]
+    if any(not p for p in parts):
+        raise UnsupportedSpec(f"malformed group spec {spec!r}")
+    factors = [_atom(p, max_order) for p in parts]
+    if max_order is not None:
+        order = math.prod(n for n, _, _ in factors)
+        if order > max_order or any(n > max_order for n, _, _ in factors):
+            raise GroupTooLarge(f"|{spec}| = {order} exceeds bound {max_order}")
+    return [(atom, build) for _, atom, build in factors]
+
+
+def _atom(
+    s: str, max_order: int | None
+) -> tuple[int, Atom | None, Callable[[], FiniteGroup]]:
+    """One factor of a spec as (its order, its atom, its constructor); nothing is built.
 
     A ``table:`` factor is read here, and no further than ``max_order`` allows.
     """
     kind, sep, arg = s.partition(":")
     if kind in ("cyclic", "dihedral") and sep:
         n = _int_arg(s, arg)
-        return n, partial(cyclic if kind == "cyclic" else dihedral, n)
+        return n, (kind, n), partial(cyclic if kind == "cyclic" else dihedral, n)
     if kind == "symmetric" and sep:
         n = _int_arg(s, arg)
         # symmetric() rejects a degree outside 1..5 itself
-        return (math.factorial(n) if 1 <= n <= 5 else n), partial(symmetric, n)
+        return (math.factorial(n) if 1 <= n <= 5 else n), (kind, n), partial(symmetric, n)
     if kind == "quaternion":
         if arg not in ("", "8"):
             raise UnsupportedSpec(f"only quaternion:8 is supported, got {s!r}")
-        return 8, quaternion
+        return 8, (kind, 8), quaternion
     if kind == "table" and sep:
         rows, name = _read_table_csv(arg, max_order)
-        return len(rows), partial(from_table, rows, name)
+        return len(rows), None, partial(from_table, rows, name)
     raise UnsupportedSpec(f"unrecognised group spec {s!r}")
 
 
@@ -362,7 +379,9 @@ class SubgroupLattice:
     bit), ``cover_masks[k]`` the subgroups that cover K, and
     ``class_masks[c]`` the members of class c.  Ids extend inclusion, so
     every walk over the bits of a mask visits subgroups in id order.
-    Every table, coset tables included, is built with the lattice.
+    ``normalizer[k]`` is the id of N_G(K), so K is normal in H exactly
+    when ``down[normalizer[k]]`` has bit h.  Every table, coset tables
+    included, is built with the lattice.
     """
 
     group: FiniteGroup
@@ -375,6 +394,7 @@ class SubgroupLattice:
     down: tuple[int, ...] = field(repr=False)
     cover_masks: tuple[int, ...] = field(repr=False)
     class_masks: tuple[int, ...] = field(repr=False)
+    normalizer: tuple[int, ...] = field(repr=False)
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
     # per subgroup id J, x -> bitmask of the left coset xJ
@@ -467,8 +487,31 @@ class SubgroupLattice:
         order of :meth:`double_coset_blocks`: ``r`` is the least element of
         the block and ``cut_id`` the lattice id of K^r n J.  Not cached: a
         decision computes it once per failing triple.
+
+        When K is normal in H (H <= N_G(K), one bit of ``down``), KrJ is
+        the left coset r(KJ) and every cut is K n J.  KJ is then the least
+        subgroup above K and J, the lowest bit of ``up[K] & up[J]`` since
+        ids sort by order, so the blocks are the cosets of KJ in H, one
+        coset-table lookup each.  Otherwise each block is walked over the
+        elements of K.
         """
-        subgroups, id_of_mask, kconj = self.subgroups, self._id_of_mask, self.conj[kid]
+        up, subgroups = self.up, self.subgroups
+        if (
+            up[kid] >> hid & 1
+            and up[jid] >> hid & 1
+            and self.down[self.normalizer[kid]] >> hid & 1
+        ):
+            above = up[kid] & up[jid]
+            coset = self._coset_masks[(above & -above).bit_length() - 1]
+            cut = self.intersect_ids(kid, jid)
+            cuts = []
+            rest = subgroups[hid].mask
+            while rest:
+                r = (rest & -rest).bit_length() - 1
+                rest &= ~coset[r]
+                cuts.append((r, cut))
+            return tuple(cuts)
+        id_of_mask, kconj = self._id_of_mask, self.conj[kid]
         jmask = subgroups[jid].mask
         return tuple(
             (r, id_of_mask[subgroups[kconj[r]].mask & jmask])
@@ -562,6 +605,7 @@ def subgroup_lattice(
         down=down,
         cover_masks=cover_masks,
         class_masks=tuple(sum(1 << sid for sid in members) for members in classes),
+        normalizer=_normalizers(conj, classes, id_of_mask),
         _id_of_mask=id_of_mask,
         _id_of_name={n: i for i, n in enumerate(names)},
         _coset_masks=tuple(_left_cosets(table, s.mask) for s in subgroups),
@@ -571,16 +615,20 @@ def subgroup_lattice(
 def lattice_of(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice:
     """The lattice of ``build_group(spec, max_order)`` from the one lattice memo.
 
-    The memo keeps the last 16 (spec, max_order) keys, so callers share a lattice
-    only while it is kept; errors are not kept, and a ``table:`` spec is built on
-    each call.  Worst case at the default bound: 16 spellings of C2^6, 134 MB.
+    The memo keeps the last 16 keys of parsed atoms and ``max_order``, so
+    ``cyclic:02``, ``cyclic: 2`` and ``cyclic:2`` are one key, and callers
+    share a lattice only while it is kept.  Errors are not kept, and a spec
+    with a ``table:`` factor is built on each call.  At the default bound no
+    lattice is larger than C2^6's (8.4 MB), so the memo holds under 134 MB.
     """
-    build = _kept_lattice.__wrapped__ if "table:" in spec else _kept_lattice
-    return build(spec, max_order)
+    if "table:" in spec:
+        return subgroup_lattice(build_group(spec, max_order=max_order), max_order=max_order)
+    return _kept_lattice(tuple(atom for atom, _ in _factors(spec, max_order)), max_order)
 
 
 @lru_cache(maxsize=16)
-def _kept_lattice(spec: str, max_order: int) -> SubgroupLattice:
+def _kept_lattice(atoms: tuple[Atom, ...], max_order: int) -> SubgroupLattice:
+    spec = "*".join(f"{kind}:{n}" for kind, n in atoms)
     return subgroup_lattice(build_group(spec, max_order=max_order), max_order=max_order)
 
 
@@ -606,6 +654,27 @@ def _left_cosets(table: Sequence[Sequence[int]], mask: int) -> tuple[int, ...]:
             for j in jmem:
                 masks[row[j]] = coset
     return tuple(masks)
+
+
+def _normalizers(
+    conj: Sequence[Sequence[int]], classes: Sequence[Sequence[int]], id_of_mask: dict[int, int]
+) -> tuple[int, ...]:
+    """``normalizer[k]``, the id of N_G(K) = {g : K^g = K}.
+
+    A class of one member is normal, so it gets the top without a scan.
+    Otherwise the class representative K's normalizer is read off its
+    conjugation row, and N_G(K^g) = N_G(K)^g gives each other member from
+    the first g that conjugates K onto it.
+    """
+    normalizer = [len(conj) - 1] * len(conj)
+    for members in classes:
+        if len(members) > 1:
+            rep = members[0]
+            row = conj[rep]
+            nconj = conj[id_of_mask[sum(1 << g for g, x in enumerate(row) if x == rep)]]
+            for sid in members:
+                normalizer[sid] = nconj[row.index(sid)]
+    return tuple(normalizer)
 
 
 def _inclusion_index(

@@ -30,6 +30,7 @@ enumeration reuse them, and the lattice holds nothing of transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .groups import SubgroupLattice, _bits
 
@@ -63,7 +64,21 @@ class TransferSystem:
     pairs: frozenset[Pair]
 
     def strict_pairs(self) -> tuple[Pair, ...]:
-        return tuple(sorted(p for p in self.pairs if p[0] != p[1]))
+        """The non-reflexive pairs, sorted, by two bucket passes over lattice ids.
+
+        Pairs go into buckets by H, and then, in that order, by K, so each
+        K's bucket holds its pairs by ascending H; no pair is compared.
+        """
+        n = len(self.lattice)
+        by_top: list[list[Pair]] = [[] for _ in range(n)]
+        for p in self.pairs:
+            if p[0] != p[1]:
+                by_top[p[1]].append(p)
+        by_bottom: list[list[Pair]] = [[] for _ in range(n)]
+        for bucket in by_top:
+            for p in bucket:
+                by_bottom[p[0]].append(p)
+        return tuple(chain.from_iterable(by_bottom))
 
     def sorted_pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(self.pairs))

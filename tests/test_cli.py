@@ -460,6 +460,26 @@ def test_lattice_memo_returns_one_object_and_stays_bounded():
     assert groups._kept_lattice.cache_info().currsize == bound
 
 
+def test_spellings_of_one_group_share_one_memo_key(monkeypatch):
+    # the memo is keyed on the parsed atoms, so these spellings build one
+    # lattice on one miss, and each prints what a fresh process prints for it
+    monkeypatch.delenv("NORMCERT_MAX_GROUP_ORDER", raising=False)
+    spellings = ("cyclic:2*quaternion:8", "cyclic:02*quaternion", " cyclic: 2 * quaternion:8")
+    memo = groups._kept_lattice
+    memo.cache_clear()
+    kept = {id(groups.lattice_of(spec)) for spec in spellings}
+    assert len(kept) == 1 and memo.cache_info().misses == 1
+    for spec in spellings:
+        argv = ["lattice", "--group", spec, "--format", "structured"]
+        assert _in_process(argv) == run_cli(argv)[:2]
+    assert memo.cache_info().misses == 1
+    # a spec that fails is not kept
+    for _ in range(2):
+        with pytest.raises(nc.UnsupportedSpec):
+            groups.lattice_of("cyclic:00*quaternion")
+    assert memo.cache_info().currsize == 1
+
+
 def test_group_and_ell_requests_share_one_lattice(monkeypatch):
     # under the default bound, --group cyclic:8 and an inline vector on C8 read
     # one memo key, so both requests get the lattice the memo keeps

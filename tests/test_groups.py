@@ -350,9 +350,13 @@ def test_double_cosets_partition_and_orbit_stabilizer():
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS))
 def test_double_cosets_match_the_product_oracle(spec):
-    # the coset-mask walk against all |K|·|J| products, on every nested triple
+    # the coset-mask walk against all |K|·|J| products, on every nested triple;
+    # Mackey cuts take the coset sweep of KJ when K is normal in H and the walk
+    # over K otherwise, and the non-abelian decide-mix groups reach both,
+    # with K normal in H but not in G among the sweeps
     L = lattice(spec)
     n = len(L)
+    normal_in_h_only = not_normal_in_h = 0
     for hid in range(n):
         inside = [i for i in range(n) if L.leq(i, hid)]
         for kid, jid in itertools.product(inside, repeat=2):
@@ -360,6 +364,20 @@ def test_double_cosets_match_the_product_oracle(spec):
                 L, kid, jid, hid
             )
             assert L.mackey_cuts(kid, jid, hid) == product_mackey_cuts(L, kid, jid, hid)
+            normal_in_h = all(L.conj_id(kid, h) == kid for h in L.subgroups[hid].members)
+            normal_in_h_only += normal_in_h and not L.is_normal(kid)
+            not_normal_in_h += not normal_in_h
+    if spec in ("dihedral:64", "symmetric:4", "dihedral:16*cyclic:2"):
+        assert normal_in_h_only > 0 and not_normal_in_h > 0
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS))
+def test_normalizer_matches_its_definition(spec):
+    # N_G(K) is the g with K^g = K, read off the conjugation table
+    L = lattice(spec)
+    for kid in range(len(L)):
+        stabilizer = sum(1 << g for g in range(L.group.order) if L.conj[kid][g] == kid)
+        assert L.subgroups[L.normalizer[kid]].mask == stabilizer
 
 
 def test_coset_masks_and_inclusion_index_by_definition():

@@ -34,6 +34,27 @@ def ids_by_order(L):
     return {L.subgroups[i].order: i for i in range(len(L))}
 
 
+DECIDE_MIX_SPECS = (
+    "symmetric:4", "dihedral:32", "cyclic:2*cyclic:2*cyclic:2*cyclic:2", "cyclic:8*cyclic:8",
+    "dihedral:16*cyclic:2", "dihedral:64",
+)
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + DECIDE_MIX_SPECS)
+def test_strict_pairs_are_the_sorted_strict_pairs(spec):
+    # the bucket passes against a sort, on the trivial and complete systems,
+    # random closures and a pair set that is not a transfer system at all
+    L = lattice(spec)
+    rng = random.Random(spec)
+    candidates = candidate_pairs(L)
+    systems = [nc.trivial_system(L), nc.complete_system(L)]
+    systems += [nc.close_transfer_system(L, [rng.choice(candidates)]) for _ in range(3)]
+    stray = rng.sample(candidates, min(5, len(candidates))) + [(len(L) - 1, 0)]
+    systems.append(TransferSystem(L, frozenset(stray)))
+    for R in systems:
+        assert R.strict_pairs() == tuple(sorted(p for p in R.pairs if p[0] != p[1]))
+
+
 def test_complete_and_trivial_are_valid():
     for spec in CORPUS_SPECS:
         L = lattice(spec)

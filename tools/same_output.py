@@ -29,7 +29,11 @@ either, so the fixed list ends with ``decide --operad complete --strict``,
 text and structured, on each decide-mix group against a locus document,
 written into the scratch directory, whose one entry puts the whole 2-local
 tower (``"heights": "all"``) at G itself: every norm K -> G fails there,
-each witness at height ``"inf"`` (68 of them on D64, exit 1).  The streams
+each witness at height ``"inf"`` (68 of them on D64, exit 1).  On S4 and
+D64 it also runs against the tower at the first class of subgroups that
+are not normal, whose witnesses include norms K -> H with K normal in H
+but not in G, the coset sweep of the Mackey cuts (S4: 162 witnesses, 36
+of that kind, 6 of them with several blocks; D64: 1248 and 64).  The streams
 sweep only C8, C27 and C25 with ``cross-validate``, so the fixed list also
 runs it, text and structured, on C343 at the order bound (``--n 3 --prime 7
 --height-bound 5``), on the trivial group (``--n 0``), at height bound 0
@@ -148,30 +152,42 @@ def locus_requests(decide_dir: str) -> list[list[str]]:
     ]
 
 
-# the whole 2-local tower at G, heights 0 to INFINITY; every norm K -> G
-# fails at it, and each witness names the prime of height "inf"
+# the whole 2-local tower, heights 0 to INFINITY, at G ("top") or at the
+# class of the first subgroup that is not normal ("non-normal"); each
+# witness names the prime of height "inf"
 INF_LOCUS = """import json, sys, normcert as nc
-for spec, path in zip(sys.argv[1::2], sys.argv[2::2]):
-    top = f"C{nc.build_group(spec).order}#0"
+for spec, where, path in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
+    L = nc.subgroup_lattice(nc.build_group(spec))
+    sid = L.top.lattice_id
+    if where == "non-normal":
+        sid = next(s for s in range(len(L)) if not L.is_normal(s))
     with open(path, "w") as fh:
-        json.dump({"entries": [{"subgroup": top, "prime": 2, "heights": "all"}]}, fh)
+        json.dump({"entries": [{"subgroup": L.names[sid], "prime": 2, "heights": "all"}]}, fh)
 """
+
+# groups whose first non-normal class also gets the tower: its witnesses
+# include norms K -> H with K normal in H but not in G, several Mackey blocks
+# each on S4 (on D64 each such K has index 2 in H, so one block)
+NON_NORMAL_GROUPS = ("symmetric:4", "dihedral:64")
 
 
 def inf_locus_requests(tree: str, scratch: str) -> list[list[str]]:
-    """``decide --operad complete --strict`` on each decide-mix group's INFINITY locus.
+    """``decide --operad complete --strict`` on INFINITY loci.
 
-    Writes the locus documents into ``scratch`` with ``tree``.
+    One locus per decide-mix group at G, and one per group of
+    ``NON_NORMAL_GROUPS`` at its first non-normal class.  Writes the locus
+    documents into ``scratch`` with ``tree``.
     """
-    paths = {spec: os.path.join(scratch, f"{short}-inf.json")
-             for short, spec in workloads.DECIDE_GROUPS}
-    subprocess.run([sys.executable, "-c", INF_LOCUS,
-                    *(a for spec, path in paths.items() for a in (spec, path))],
+    loci = [(spec, "top", os.path.join(scratch, f"{short}-inf.json"))
+            for short, spec in workloads.DECIDE_GROUPS]
+    loci += [(spec, "non-normal", os.path.join(scratch, f"{short}-non-normal-inf.json"))
+             for short, spec in workloads.DECIDE_GROUPS if spec in NON_NORMAL_GROUPS]
+    subprocess.run([sys.executable, "-c", INF_LOCUS, *(a for locus in loci for a in locus)],
                    env=tree_env(tree), cwd=scratch, check=True)
     return [
         ["decide", "--group", spec, "--operad", "complete", "--locus", path, "--strict",
          "--format", fmt]
-        for spec, path in paths.items()
+        for spec, _, path in loci
         for fmt in ("text", "structured")
     ]
 
