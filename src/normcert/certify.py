@@ -24,6 +24,10 @@ and they are the ``checked`` list of its witnesses.  For K normal in H
 they are the cosets of KJ in H, all with the cut K n J.  The tables do
 not depend on the locus, so the cross-validation sweep builds them once
 and reads each verdict off the failure masks without building a witness.
+It builds no locus either: on C_{p^n} the cuts at chain index i lie at or
+below i, so the sweep shares each prefix of its depth-first walk, with one
+set of slots, one bit of each failure mask and one round of norm checks
+per prefix.
 
 Verdicts are one-sided by design: ``CERTIFIED_PRESERVES`` means the
 sufficient criterion holds for every admissible norm of the operad;
@@ -49,7 +53,6 @@ from .chromatic import (
     _entry_rank,
     _is_prime,
     cyclic_power_lattice,
-    heights_to_locus,
     validate_height_vector,
     validate_vanishing_locus,
 )
@@ -183,6 +186,33 @@ def _slots(vl: VanishingLocus) -> dict[int, int]:
     return slots
 
 
+def _chain_slots(prefix: tuple[Entry, ...]) -> dict[int, int]:
+    """The slots of the primes at the last class of a prefix of a height vector.
+
+    On C_{p^n} chain index i is both lattice id i and class i.  For every
+    vector that extends ``prefix`` = entries 0..i, these are the slots that
+    :func:`_slots` gives the primes at class i, with their in-locus masks cut
+    to the classes <= i.  The rule is :class:`VanishingLocus`'s: height 0
+    lies in the classes that have an entry, a finite height m >= 1 in those
+    whose entry is >= m or INFINITY, and an INFINITY entry is one prime, in
+    the classes whose entry is INFINITY.
+    """
+    top = prefix[-1]
+    if top is None:
+        return {}
+    at = 1 << (len(prefix) - 1)
+    if top == INFINITY:
+        return {sum(1 << c for c, e in enumerate(prefix) if e == INFINITY): at}
+    # at_least[m]: the classes whose entry is >= m, read from the top down
+    at_least = [0] * (top + 1)
+    for c, e in enumerate(prefix):
+        if e is not None:
+            at_least[min(e, top)] |= 1 << c
+    for m in range(top - 1, -1, -1):
+        at_least[m] |= at_least[m + 1]
+    return dict.fromkeys(at_least, at)
+
+
 def _failure(table: dict[int, int], slots: dict[int, int]) -> int:
     """The J at which some prime of the locus has no carrying cut in ``table``.
 
@@ -307,6 +337,25 @@ def _check_chain(n: int, p: int) -> None:
         raise NotAPrime(f"{p!r} is not a prime")
 
 
+def _prefixes(
+    length: int, domain: list[Entry], follows: Callable[[Entry, Entry], bool]
+) -> Iterator[tuple[Entry, ...]]:
+    """Depth first, every prefix of at most ``length`` entries over ``domain``
+    whose adjacent entries a, b satisfy ``follows(a, b)``, each prefix before
+    its extensions, in the lexicographic order of ``domain``.
+    """
+    successors = {a: [b for b in domain if follows(a, b)] for a in domain}
+
+    def extend(prefix):
+        yield prefix
+        if len(prefix) < length:
+            for b in successors[prefix[-1]]:
+                yield from extend(prefix + (b,))
+
+    for a in domain:
+        yield from extend((a,))
+
+
 def _walk(
     length: int, domain: list[Entry], follows: Callable[[Entry, Entry], bool]
 ) -> Iterator[tuple[Entry, ...]]:
@@ -316,17 +365,7 @@ def _walk(
     Each prefix that ``follows`` admits must extend to a full vector; then
     the walk does work proportional to its output.
     """
-    successors = {a: [b for b in domain if follows(a, b)] for a in domain}
-
-    def extend(prefix):
-        if len(prefix) == length:
-            yield prefix
-            return
-        for b in successors[prefix[-1]]:
-            yield from extend(prefix + (b,))
-
-    for a in domain:
-        yield from extend((a,))
+    return (prefix for prefix in _prefixes(length, domain, follows) if len(prefix) == length)
 
 
 def enumerate_commutative_heights(
@@ -357,7 +396,9 @@ def enumerate_commutative_heights(
 
 MAX_XVAL_LENGTH = 3
 MAX_XVAL_HEIGHT = 5
-MAX_XVAL_ORDER = 343  # C343 sweeps in about 0.1 s; C529 (n = 2) would too, its lattice in 4 ms
+# the C343 sweep takes about 0.03 s, with one slot set and one round of norm
+# checks per prefix of the walk and no locus; C529 (n = 2) would sweep in 5 ms
+MAX_XVAL_ORDER = 343
 
 
 @dataclass(frozen=True)
@@ -390,18 +431,25 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
     height_bound (sentinel and infinity included) and compares the engine
     verdict with the inequality form, for every nested norm and for the
     complete operad.  The lattice is fixed, so the cut table of each
-    subgroup is built once; chain index i is lattice id i, and every
-    subgroup is normal.  Per vector, each table gives a failure mask, and
-    the norm from chain[k] to chain[j] is certified exactly when chain[k]'s
-    mask misses ``down[j]`` (for k = j it always does).  The complete
-    operad is certified when every mask is empty: the top's down-set holds
-    every subgroup, and the top's own mask is always empty.  No decision or
-    witness is built.  The valid vectors are
-    walked depth first in lexicographic order: after an entry of rank r the
-    next one has rank at least r - 1, so no vector outside the sweep is
-    ever built.  No locus is validated: a valid vector's locus is valid,
-    which the tests check on every vector of every sweep the bounds allow
-    for p <= 7.
+    subgroup is built once; chain index i is lattice id i and class i, and
+    every subgroup is normal.  The norm from chain[k] to chain[j] is
+    certified exactly when chain[k]'s failure mask misses ``down[j]`` (for
+    k = j it always does).  The complete operad is certified when every
+    mask is empty: the top's down-set holds every subgroup, and the top's
+    own mask is always empty.  No decision, witness or locus is built.
+
+    The valid vectors are walked depth first in lexicographic order: after
+    an entry of rank r the next one has rank at least r - 1, so no vector
+    outside the sweep is ever built.  Each prefix, entries 0..i, does its
+    work once for every vector below it.  Every cut K n chain[i] lies at or
+    below i, so bit i of each failure mask depends only on those entries:
+    the prefix builds the slots of the primes at class i
+    (:func:`_chain_slots`), folds their failures at J = chain[i] into the
+    masks it inherits, and, since ``down[i]`` is the chain below i, settles
+    the norms (k, i), k <= i.  A vector takes the disagreements of its
+    prefixes in (k, j) order, then its complete-operad comparison.  No
+    locus is validated: a valid vector's locus is valid, which the tests
+    check on every vector of every sweep the bounds allow for p <= 7.
     """
     if n > MAX_XVAL_LENGTH or height_bound > MAX_XVAL_HEIGHT:
         raise BoundTooLarge(
@@ -415,33 +463,39 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
         )
     lattice = cyclic_power_lattice(p, n)
     assert all(s.order == p**i for i, s in enumerate(lattice.subgroups))
+    assert lattice.class_of == tuple(range(n + 1))
     tables = [_cut_table(lattice, (k,)) for k in range(n + 1)]
     down = lattice.down
     domain: list[Entry] = [None] + list(range(height_bound + 1)) + [INFINITY]
-    vectors = norms = operads = 0
+    # per depth of the walk, shifted by one: the failure masks over the
+    # J <= depth, and the norm disagreements (k, j, engine, shortcut), j <= depth;
+    # a row is replaced, never changed in place
+    fails_at: list[list[int]] = [[0] * (n + 1)] * (n + 2)
+    pending_at: list[tuple] = [()] * (n + 2)
+    vectors = 0
     disagreements = []
-    for entries in _walk(n + 1, domain, _closed_step):
-        v = HeightVector(p, entries)
+    for prefix in _prefixes(n + 1, domain, _closed_step):
+        i = len(prefix) - 1
+        slots = _chain_slots(prefix)
+        fails = fails_at[i + 1] = [f | _failure(t, slots) for f, t in zip(fails_at[i], tables)]
+        v = HeightVector(p, prefix)
+        pending = pending_at[i]
+        for k in range(i + 1):
+            engine = not fails[k] & down[i]
+            shortcut = norm_condition_holds(v, k, i)
+            if engine != shortcut:
+                pending += ((k, i, engine, shortcut),)
+        pending_at[i + 1] = pending
+        if i < n:
+            continue
         vectors += 1
-        vl = heights_to_locus(v, lattice)
-        slots = _slots(vl)
-        fails = [_failure(table, slots) for table in tables]
-        for k in range(n + 1):
-            for j in range(k, n + 1):
-                norms += 1
-                engine = not fails[k] & down[j]
-                shortcut = norm_condition_holds(v, k, j)
-                if engine != shortcut:
-                    disagreements.append(
-                        Disagreement(entries, f"norm[{k},{j}]", engine, shortcut)
-                    )
-        operads += 1
+        for k, j, engine, shortcut in sorted(pending):
+            disagreements.append(Disagreement(prefix, f"norm[{k},{j}]", engine, shortcut))
         engine = not any(fails)
         shortcut = commutative_condition_holds(v)
         if engine != shortcut:
-            disagreements.append(
-                Disagreement(entries, "complete-operad", engine, shortcut)
-            )
+            disagreements.append(Disagreement(prefix, "complete-operad", engine, shortcut))
+    norms = vectors * (n + 1) * (n + 2) // 2
     return CrossValidationReport(
-        n, p, height_bound, vectors, norms, operads, tuple(disagreements)
+        n, p, height_bound, vectors, norms, vectors, tuple(disagreements)
     )

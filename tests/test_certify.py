@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import normcert as nc
 from normcert import INFINITY, HeightVector, Verdict
 from normcert import certify
-from normcert.certify import _walk
+from normcert.certify import _chain_slots, _prefixes, _slots, _walk
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
@@ -220,6 +220,16 @@ def test_walk_is_the_filtered_product_in_order():
                     if all(follows(e[i], e[i + 1]) for i in range(length - 1))
                 ]
                 assert list(_walk(length, domain, follows)) == want
+                # every prefix of every length comes before its extensions
+                rank = {e: r for r, e in enumerate(domain)}
+                prefixes = [
+                    e
+                    for size in range(1, length + 1)
+                    for e in itertools.product(domain, repeat=size)
+                    if all(follows(e[i], e[i + 1]) for i in range(size - 1))
+                ]
+                prefixes.sort(key=lambda e: [rank[x] for x in e])
+                assert list(_prefixes(length, domain, follows)) == prefixes
 
 
 def test_chain_arguments_are_checked_up_front():
@@ -237,14 +247,17 @@ def test_chain_arguments_are_checked_up_front():
             nc.cross_validate_cyclic(n, p, 0)
 
 
-def test_cross_validation_counts_match_brute_force_sweep():
-    for n in range(4):
-        for hb in range(-2, 6):
-            vectors = len(brute_force_valid_heights(n, hb))
-            report = nc.cross_validate_cyclic(n, 2, hb)
-            assert report.ok, report.disagreements
-            assert report.vectors_checked == report.operad_comparisons == vectors
-            assert report.norm_comparisons == vectors * (n + 1) * (n + 2) // 2
+def test_cross_validation_counts_match_brute_force_sweep(monkeypatch):
+    # n = 4 lies past the shipped bound; lifted, the sweep still covers every
+    # valid vector there
+    monkeypatch.setattr(certify, "MAX_XVAL_LENGTH", 4)
+    cases = [(n, 2, hb) for n in range(4) for hb in range(-2, 6)] + [(4, 2, 5), (4, 3, 5)]
+    for n, p, hb in cases:
+        vectors = len(brute_force_valid_heights(n, hb))
+        report = nc.cross_validate_cyclic(n, p, hb)
+        assert report.ok, report.disagreements
+        assert report.vectors_checked == report.operad_comparisons == vectors
+        assert report.norm_comparisons == vectors * (n + 1) * (n + 2) // 2
 
 
 def test_criterion_memos_die_with_the_lattice():
@@ -258,10 +271,13 @@ def test_criterion_memos_die_with_the_lattice():
     assert ref() is None
 
 
-def test_cross_validation_matches_the_sweep_by_decisions():
+def test_cross_validation_matches_the_sweep_by_decisions(monkeypatch):
     # the oracle decides each vector in full and reads the failing norms
-    # off its witnesses; the sweep reads them off one cut table per pair
+    # off its witnesses; the sweep reads them off one cut table per pair.
+    # n = 4 lies past the shipped bound, lifted here
+    monkeypatch.setattr(certify, "MAX_XVAL_LENGTH", 4)
     cases = [(n, p, hb) for n in range(3) for p in (2, 3) for hb in range(-1, 4)]
+    cases += [(4, p, hb) for p in (2, 3) for hb in range(-1, 3)]
     for case in cases + [(3, 2, 5), (3, 7, 5)]:
         assert nc.cross_validate_cyclic(*case) == cross_validate_by_decisions(*case), case
 
@@ -285,6 +301,55 @@ def test_cross_validation_compares_every_norm(monkeypatch, flip):
     report = nc.cross_validate_cyclic(n, p, hb)
     assert report.vectors_checked == len(vectors)
     assert report.disagreements == tuple(want)
+
+
+@pytest.mark.parametrize(
+    "norms, operad",
+    [({(1, 2)}, True), ({(0, 3), (2, 2)}, False), ({(0, 3), (1, 1), (2, 3)}, True)],
+)
+def test_cross_validation_orders_each_vectors_disagreements(monkeypatch, norms, operad):
+    # the sweep settles norm (k, j) at depth j of its walk, so (2, 2) is found
+    # before (0, 3); each vector must still list its norms in (k, j) order,
+    # then its one complete-operad disagreement
+    n, p, hb = 3, 2, 2
+    holds, commutative = certify.norm_condition_holds, certify.commutative_condition_holds
+    want = []
+    for entries in _walk(n + 1, [None, 0, 1, 2, INFINITY], certify._closed_step):
+        v = HeightVector(p, entries)
+        for k, j in sorted(norms):
+            truth = holds(v, k, j)
+            want.append(certify.Disagreement(entries, f"norm[{k},{j}]", truth, not truth))
+        if operad:
+            truth = commutative(v)
+            want.append(certify.Disagreement(entries, "complete-operad", truth, not truth))
+
+    monkeypatch.setattr(
+        certify, "norm_condition_holds", lambda v, k, j: holds(v, k, j) != ((k, j) in norms)
+    )
+    monkeypatch.setattr(
+        certify, "commutative_condition_holds", lambda v: commutative(v) != operad
+    )
+    report = nc.cross_validate_cyclic(n, p, hb)
+    assert report.disagreements == tuple(want)
+    if operad:
+        assert sum(d.check == "complete-operad" for d in want) == report.vectors_checked
+
+
+def test_chain_slots_are_the_locus_slots_at_each_prefix():
+    # the sweep builds no locus: per prefix, entries 0..i, it builds the slots
+    # of the primes at class i with their masks cut to the classes <= i.  They
+    # must be the locus's own slots at class i, cut the same way, on every
+    # vector of every sweep the bounds allow (hb = 5 holds every smaller bound)
+    domain = [None, *range(6), INFINITY]
+    for p in (2, 3, 7):
+        for n in range(4):
+            L = chain(p, n)
+            for entries in _walk(n + 1, domain, certify._closed_step):
+                slots = _slots(nc.heights_to_locus(HeightVector(p, entries), L))
+                for i in range(n + 1):
+                    at, cut = L.class_masks[i], (1 << (i + 1)) - 1
+                    want = {mask & cut: at for mask, slot_at in slots.items() if slot_at & at}
+                    assert _chain_slots(entries[: i + 1]) == want, (p, entries, i)
 
 
 def test_failures_over_the_cut_table_are_the_obstructions():
