@@ -315,8 +315,13 @@ def norm_condition_holds(v: HeightVector, k: int, j: int) -> bool:
     """Inequality form of the norm criterion on C_{p^n}: v[k] >= v[k+1..j]."""
     if not 0 <= k <= j <= v.n:
         raise IndexOutOfRange(f"need 0 <= k <= j <= {v.n}, got ({k}, {j})")
-    rk = _entry_rank(v.entries[k])
-    return all(rk >= _entry_rank(v.entries[i]) for i in range(k + 1, j + 1))
+    return _norm_inequality(v.entries, k, j)
+
+
+def _norm_inequality(entries: tuple[Entry, ...], k: int, j: int) -> bool:
+    """entries[k] >= entries[k+1..j], the sentinel None lowest of all."""
+    rk = _entry_rank(entries[k])
+    return all(rk >= _entry_rank(entries[i]) for i in range(k + 1, j + 1))
 
 
 def commutative_condition_holds(v: HeightVector) -> bool:
@@ -436,7 +441,8 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
     certified exactly when chain[k]'s failure mask misses ``down[j]`` (for
     k = j it always does).  The complete operad is certified when every
     mask is empty: the top's down-set holds every subgroup, and the top's
-    own mask is always empty.  No decision, witness or locus is built.
+    own mask is always empty.  No decision, witness or locus is built, and
+    a :class:`HeightVector` only per full vector, for the complete operad.
 
     The valid vectors are walked depth first in lexicographic order: after
     an entry of rank r the next one has rank at least r - 1, so no vector
@@ -446,7 +452,7 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
     the prefix builds the slots of the primes at class i
     (:func:`_chain_slots`), folds their failures at J = chain[i] into the
     masks it inherits, and, since ``down[i]`` is the chain below i, settles
-    the norms (k, i), k <= i.  A vector takes the disagreements of its
+    the norms (k, i), k <= i, against the inequality on its own entries.  A vector takes the disagreements of its
     prefixes in (k, j) order, then its complete-operad comparison.  No
     locus is validated: a valid vector's locus is valid, which the tests
     check on every vector of every sweep the bounds allow for p <= 7.
@@ -478,11 +484,10 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
         i = len(prefix) - 1
         slots = _chain_slots(prefix)
         fails = fails_at[i + 1] = [f | _failure(t, slots) for f, t in zip(fails_at[i], tables)]
-        v = HeightVector(p, prefix)
         pending = pending_at[i]
         for k in range(i + 1):
             engine = not fails[k] & down[i]
-            shortcut = norm_condition_holds(v, k, i)
+            shortcut = _norm_inequality(prefix, k, i)
             if engine != shortcut:
                 pending += ((k, i, engine, shortcut),)
         pending_at[i + 1] = pending
@@ -492,7 +497,7 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
         for k, j, engine, shortcut in sorted(pending):
             disagreements.append(Disagreement(prefix, f"norm[{k},{j}]", engine, shortcut))
         engine = not any(fails)
-        shortcut = commutative_condition_holds(v)
+        shortcut = commutative_condition_holds(HeightVector(p, prefix))
         if engine != shortcut:
             disagreements.append(Disagreement(prefix, "complete-operad", engine, shortcut))
     norms = vectors * (n + 1) * (n + 2) // 2

@@ -19,12 +19,14 @@ under subobjects, products, restriction and self-induction amounts to
 Closure works on conjugation orbits of strict pairs, so conjugation never
 has to be applied pair by pair: a system is the reflexive pairs plus a set
 of orbits, held as an int bitmask.  One closure operator serves
-:func:`close_transfer_system` and :func:`enumerate_transfer_systems`.  Its
-tables (orbit ids, the restriction step of each orbit, the composites of
-two orbits) are filled lazily, so a closure does only the work it needs.
-Each call builds its own tables and drops them on return: within one
-closure every orbit joins once, so only the many closures of one
-enumeration reuse them, and the lattice holds nothing of transfers.
+:func:`close_transfer_system` and :func:`enumerate_transfer_systems`; it
+can start from a set already closed, which is how the enumeration runs
+Close-by-One from the closed parent.  Its tables (orbit ids, the
+restriction step of each orbit, the composites of two orbits) are filled
+lazily, so a closure does only the work it needs.  Each call builds its
+own tables and drops them on return: within one closure every orbit joins
+once, so only the many closures of one enumeration reuse them, and the
+lattice holds nothing of transfers.
 """
 
 from __future__ import annotations
@@ -155,7 +157,9 @@ class _OrbitTables:
     One instance per :func:`close_transfer_system` or
     :func:`enumerate_transfer_systems` call, filled on demand, so a closure
     pays only for the orbits it reaches and the closures of one enumeration
-    share the work.
+    share the work.  :meth:`close` may start from a closed set, so the
+    enumeration's Close-by-One from the closed parent joins only the orbits
+    that a child adds.
     Orbit ids count orbits in order of discovery; ``members[a]`` lists the
     pairs of orbit ``a`` in sorted order and ``members[a][0]`` is its
     representative.  A set of orbits is an int with bit ``a`` for orbit
@@ -229,15 +233,21 @@ class _OrbitTables:
             row[b] = out
         return out
 
-    def close(self, seed: int) -> int:
-        """The least closed orbit set containing ``seed``.
+    def close(self, seed: int, closed: int = 0, stop: int = 0) -> int | None:
+        """The least closed orbit set containing ``seed`` and ``closed``.
 
-        Each orbit joins once; on joining it adds its restriction step and
-        its composites with every orbit already present, on either side.
+        ``closed`` must itself be closed.  Each orbit not in it joins once;
+        on joining it adds its restriction step and its composites with
+        every orbit already present, on either side.  The consequences of
+        ``closed`` alone are in it already, so none is recomputed.  Returns
+        None as soon as an orbit of ``stop`` outside ``closed`` is due to
+        join, since the result would then hold it.
         """
-        closed, todo = 0, seed
+        todo = seed & ~closed
         starts, ends = self.starts, self.ends
         while todo:
+            if todo & stop:
+                return None
             low = todo & -todo
             a = low.bit_length() - 1
             closed |= low
@@ -257,10 +267,8 @@ class _OrbitTables:
 
     def pairs(self, mask: int) -> frozenset[Pair]:
         """The reflexive pairs plus every pair of the orbits in ``mask``."""
-        out = set(reflexive_pairs(self.lattice))
-        for a in _bits(mask):
-            out.update(self.members[a])
-        return frozenset(out)
+        members = self.members
+        return reflexive_pairs(self.lattice).union(*[members[a] for a in _bits(mask)])
 
 
 def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
@@ -307,12 +315,20 @@ def enumerate_transfer_systems(
 ) -> TransferEnumeration:
     """Every transfer system on L, sorted by size then pair list.
 
-    The scan runs Ganter's next-closure over int bitmasks of conjugation
-    orbits of the strictly nested pairs, with the orbit closure of
-    :func:`close_transfer_system` as the closure operator, memoized over
-    this one scan, so each system is produced exactly once.  Containment is
-    read off the masks: system i lies below system j exactly when j
-    contains every orbit of i.
+    The search runs Close-by-One from the closed parent (Kuznetsov, 1993)
+    over int bitmasks of conjugation orbits of the strictly nested pairs.
+    A closed set A has a child for each orbit i above the orbit that made A
+    and outside A: the closure of A plus i, started from A, so only i's
+    consequences are computed.  The child is kept when it adds no orbit
+    below i, which makes each system the child of exactly one parent; its
+    closure stops as soon as such an orbit is due to join.
+
+    The systems are ranked on masks.  Two pair sets of one size compare as
+    sorted lists by the least pair of their symmetric difference, so the
+    key (size, -rank mask), with bit N - 1 - r of the rank mask set for
+    the strict pair of rank r among all N, is the order of
+    ``(len(pairs), sorted_pairs())``.  Containment is read off the masks:
+    system i lies below system j exactly when j contains every orbit of i.
     """
     strict = candidate_pairs(L)
     if len(strict) > max_pairs:
@@ -326,34 +342,50 @@ def enumerate_transfer_systems(
     close = tables.close
 
     found = []
-    current = close(0)
-    while current is not None:
-        found.append(current)
-        nxt = None
-        for i in range(m - 1, -1, -1):
-            bit = 1 << i
-            if current & bit:
-                current ^= bit
-                continue
-            cand = close(current | bit)
-            if cand & ~current & (bit - 1) == 0:
-                nxt = cand
-                break
-        current = nxt
+    # (closed set, bit of the first orbit a child may add), depth first;
+    # -start masks that bit and every bit above it
+    stack = [(close(0), 1)]
+    every_orbit = (1 << m) - 1
+    while stack:
+        parent, start = stack.pop()
+        found.append(parent)
+        free = every_orbit & ~parent & -start
+        while free:
+            bit = free & -free
+            free ^= bit
+            child = close(bit, parent, bit - 1)
+            if child is not None:
+                stack.append((child, bit << 1))
 
-    ranked = sorted(
-        ((TransferSystem(L, tables.pairs(mask)), mask) for mask in found),
-        key=lambda sm: (len(sm[0].pairs), sm[0].sorted_pairs()),
-    )
+    # per orbit: its pairs, and their bits in the rank mask, one bit per
+    # strict pair, so a system's rank mask also counts its strict pairs
+    n = len(strict)
+    rank_bit = {p: 1 << (n - 1 - r) for r, p in enumerate(sorted(strict))}
+    orbit_pairs = [frozenset(orbit) for orbit in tables.members]
+    orbit_rank = [sum(rank_bit[p] for p in orbit) for orbit in tables.members]
+    keyed = []
+    for mask in found:
+        orbits = _bits(mask)
+        rank = 0
+        for a in orbits:
+            rank |= orbit_rank[a]
+        keyed.append((rank.bit_count(), -rank, orbits))
+    keyed.sort()
+
+    reflexive = reflexive_pairs(L)
+    systems = []
     # holders[a]: the systems that contain orbit a
     holders = [0] * m
-    for j, (_, mask) in enumerate(ranked):
-        for a in _bits(mask):
-            holders[a] |= 1 << j
+    for j, (_, _, orbits) in enumerate(keyed):
+        systems.append(TransferSystem(L, reflexive.union(*[orbit_pairs[a] for a in orbits])))
+        bit = 1 << j
+        for a in orbits:
+            holders[a] |= bit
+    every = (1 << len(keyed)) - 1
     up = []
-    for _, mask in ranked:
-        above = (1 << len(ranked)) - 1
-        for a in _bits(mask):
+    for _, _, orbits in keyed:
+        above = every
+        for a in orbits:
             above &= holders[a]
         up.append(above)
-    return TransferEnumeration(tuple(s for s, _ in ranked), tuple(up))
+    return TransferEnumeration(tuple(systems), tuple(up))

@@ -5,7 +5,8 @@ axioms are checked on every triple of a table, subgroup lattices come from
 closing small generating sets element by element, lattice covers from their
 definition, inclusion from scanning every pair of masks, transfer-system
 validity is re-derived with element-by-element restriction, closure
-restricts along double cosets instead of intersections, norm supports are
+restricts along double cosets instead of intersections, the enumeration is
+compared with next-closure ranked by sorted pair lists, norm supports are
 recomputed over every element of H, primes sort by an explicit key instead
 of their fields, the norm criterion's witnesses are found by walking double
 cosets or off a cut table per pair over every J <= H, the cross-validation
@@ -24,7 +25,7 @@ from functools import cache
 
 import normcert as nc
 from normcert.groups import hasse_covers
-from normcert.transfers import candidate_pairs, reflexive_pairs
+from normcert.transfers import _OrbitTables, candidate_pairs, reflexive_pairs
 
 CORPUS_SPECS = (
     "cyclic:4",
@@ -47,6 +48,13 @@ def lattice(spec: str) -> nc.SubgroupLattice:
 @cache
 def enumeration(spec: str) -> nc.TransferEnumeration:
     return nc.enumerate_transfer_systems(lattice(spec))
+
+
+@cache
+def unbounded_enumeration(spec: str) -> nc.TransferEnumeration:
+    """The enumeration with the pair bound lifted to the lattice's pair count."""
+    L = lattice(spec)
+    return nc.enumerate_transfer_systems(L, max_pairs=len(candidate_pairs(L)))
 
 
 def corpus_lattices():
@@ -280,6 +288,61 @@ def worklist_closure(L: nc.SubgroupLattice, seed) -> frozenset:
         lower.setdefault(hid, set()).add(kid)
         upper.setdefault(kid, set()).add(hid)
     return frozenset(pairs)
+
+
+def next_closure_masks(L: nc.SubgroupLattice) -> tuple[_OrbitTables, list[int]]:
+    """Every closed orbit mask in lectic order, by Ganter's next-closure.
+
+    The search the engine ran before Close-by-One: each step closes
+    ``current n [0, i) u {i}`` from scratch with the engine's closure
+    operator.  Returns the tables, with every strict pair's orbit
+    registered in candidate order, and the masks.
+    """
+    tables = _OrbitTables(L)
+    for p in candidate_pairs(L):
+        tables.orbit_id(*p)
+    found = []
+    current = tables.close(0)
+    while current is not None:
+        found.append(current)
+        nxt = None
+        for i in range(len(tables.members) - 1, -1, -1):
+            bit = 1 << i
+            if current & bit:
+                current ^= bit
+                continue
+            cand = tables.close(current | bit)
+            if cand & ~current & (bit - 1) == 0:
+                nxt = cand
+                break
+        current = nxt
+    return tables, found
+
+
+def next_closure_enumeration(L: nc.SubgroupLattice) -> nc.TransferEnumeration:
+    """The enumeration from :func:`next_closure_masks`, ranked by pair lists.
+
+    Systems sort by ``(len(pairs), sorted_pairs())``, and system i lies
+    below system j when j holds every orbit of i.
+    """
+    tables, found = next_closure_masks(L)
+    ranked = sorted(
+        ((nc.TransferSystem(L, tables.pairs(mask)), mask) for mask in found),
+        key=lambda sm: (len(sm[0].pairs), sm[0].sorted_pairs()),
+    )
+    holders = [0] * len(tables.members)
+    for j, (_, mask) in enumerate(ranked):
+        for a in range(len(holders)):
+            if mask >> a & 1:
+                holders[a] |= 1 << j
+    up = []
+    for _, mask in ranked:
+        above = (1 << len(ranked)) - 1
+        for a in range(len(holders)):
+            if mask >> a & 1:
+                above &= holders[a]
+        up.append(above)
+    return nc.TransferEnumeration(tuple(s for s, _ in ranked), tuple(up))
 
 
 def brute_force_norm_support(S: nc.SupportData, kid: int, hid: int, jid: int):

@@ -285,19 +285,20 @@ def test_cross_validation_matches_the_sweep_by_decisions(monkeypatch):
 @pytest.mark.parametrize("flip", [(0, 2), (1, 3), (2, 2)])
 def test_cross_validation_compares_every_norm(monkeypatch, flip):
     # flipping the shortcut at one norm must show at exactly that norm, once
-    # per vector, so no pair is left out of the comparison
+    # per vector, so no pair is left out of the comparison; the sweep reads
+    # the inequality that norm_condition_holds wraps, on each prefix's entries
     n, p, hb = 3, 2, 2
-    holds = certify.norm_condition_holds
+    holds, inequality = certify.norm_condition_holds, certify._norm_inequality
     vectors = list(_walk(n + 1, [None, 0, 1, 2, INFINITY], certify._closed_step))
     want = []
     for entries in vectors:
         truth = holds(HeightVector(p, entries), *flip)
         want.append(certify.Disagreement(entries, f"norm[{flip[0]},{flip[1]}]", truth, not truth))
 
-    def flipped(v, k, j):
-        return holds(v, k, j) != ((k, j) == flip)
+    def flipped(entries, k, j):
+        return inequality(entries, k, j) != ((k, j) == flip)
 
-    monkeypatch.setattr(certify, "norm_condition_holds", flipped)
+    monkeypatch.setattr(certify, "_norm_inequality", flipped)
     report = nc.cross_validate_cyclic(n, p, hb)
     assert report.vectors_checked == len(vectors)
     assert report.disagreements == tuple(want)
@@ -313,6 +314,7 @@ def test_cross_validation_orders_each_vectors_disagreements(monkeypatch, norms, 
     # then its one complete-operad disagreement
     n, p, hb = 3, 2, 2
     holds, commutative = certify.norm_condition_holds, certify.commutative_condition_holds
+    inequality = certify._norm_inequality
     want = []
     for entries in _walk(n + 1, [None, 0, 1, 2, INFINITY], certify._closed_step):
         v = HeightVector(p, entries)
@@ -324,7 +326,7 @@ def test_cross_validation_orders_each_vectors_disagreements(monkeypatch, norms, 
             want.append(certify.Disagreement(entries, "complete-operad", truth, not truth))
 
     monkeypatch.setattr(
-        certify, "norm_condition_holds", lambda v, k, j: holds(v, k, j) != ((k, j) in norms)
+        certify, "_norm_inequality", lambda e, k, j: inequality(e, k, j) != ((k, j) in norms)
     )
     monkeypatch.setattr(
         certify, "commutative_condition_holds", lambda v: commutative(v) != operad

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from normcert.transfers import TransferSystem, candidate_pairs, reflexive_pairs
+from normcert.transfers import TransferSystem, _OrbitTables, candidate_pairs, reflexive_pairs
 from helpers import (
     CORPUS_SPECS,
     assert_attributes_unchanged,
@@ -20,8 +20,10 @@ from helpers import (
     indexing_closure_oracle,
     is_admissible,
     lattice,
+    next_closure_enumeration,
     product_gset,
     reflexive_pair_sets,
+    unbounded_enumeration,
     worklist_closure,
 )
 
@@ -158,6 +160,34 @@ def test_closure_is_least_brute_force_system(spec):
         assert nc.close_transfer_system(L, seed).pairs == least
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS_SPECS), st.data())
+def test_closing_from_a_closed_set_closes_from_scratch(spec, data):
+    # the invariant Close-by-One rests on: from a closed orbit set A, adding
+    # orbit i and joining only i's consequences gives the closure of A + i
+    L = lattice(spec)
+    strict = candidate_pairs(L)
+    tables = _OrbitTables(L)
+    for p in strict:
+        tables.orbit_id(*p)
+    seed = data.draw(st.lists(st.sampled_from(strict), max_size=3))
+    i = data.draw(st.integers(0, len(tables.members) - 1))
+    mask = 0
+    for p in seed:
+        mask |= 1 << tables.orbit_of[p]
+    closed = tables.close(mask)
+    assert tables.close(closed) == closed
+    child = tables.close(1 << i, closed)
+    assert child == tables.close(closed | 1 << i)
+    assert tables.pairs(child) == worklist_closure(L, seed + [tables.members[i][0]])
+    # a stop mask only ever cuts the closure short when the child meets it
+    below = (1 << i) - 1
+    stopped = tables.close(1 << i, closed, below)
+    assert stopped == (child if (child ^ closed) & below == 0 else None)
+    # the one closure operator serves close_transfer_system too
+    assert nc.close_transfer_system(L, seed).pairs == worklist_closure(L, seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(("symmetric:4", "dihedral:16*cyclic:2", "dihedral:64")),
@@ -247,6 +277,18 @@ def test_enumeration_is_complete_and_valid(spec):
 
 
 @pytest.mark.parametrize(
+    "spec", CORPUS_SPECS + ("dihedral:16", "cyclic:2*cyclic:8", "symmetric:4")
+)
+def test_enumeration_matches_next_closure(spec):
+    # Close-by-One ranked on masks against next-closure ranked on sorted
+    # pair lists: the same systems in the same order, the same containment
+    got = unbounded_enumeration(spec)
+    want = next_closure_enumeration(lattice(spec))
+    assert got.systems == want.systems
+    assert got.up == want.up
+
+
+@pytest.mark.parametrize(
     "spec, count",
     [("dihedral:16", 6528), ("cyclic:2*cyclic:8", 8105), ("symmetric:4", 8691)],
 )
@@ -256,7 +298,7 @@ def test_enumeration_counts_above_the_pair_bound(spec, count):
     # two-pair seeds agree with the worklist oracle and are in the set
     L = lattice(spec)
     cand = sorted(candidate_pairs(L))
-    systems = nc.enumerate_transfer_systems(L, max_pairs=len(cand)).systems
+    systems = unbounded_enumeration(spec).systems
     assert len(systems) == count
     found = {s.pairs for s in systems}
     rng = random.Random(53)
