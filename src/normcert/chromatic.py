@@ -24,7 +24,6 @@ encoding, with ``None`` as the "nothing vanishes here" sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import attrgetter
 
 from .groups import DEFAULT_MAX_ORDER, SubgroupLattice, cyclic_power_order, lattice_of
@@ -125,10 +124,6 @@ def balmer_prime(subgroup_class: int, height: Height, prime) -> BalmerPrime:
 # INFINITY is a float above every int and height 0 carries only ANY_PRIME,
 # so an int prime is never compared with the marker
 _SORT_FIELDS = attrgetter("subgroup_class", "height", "prime")
-
-# the primes of _segment, shared between loci; typed, so that 2.0 or True
-# never finds the prime made for 2 or 1, and a rejected prime is never kept
-_segment_prime = lru_cache(maxsize=4096, typed=True)(balmer_prime)
 
 
 @dataclass(frozen=True)
@@ -272,8 +267,8 @@ def _segment(subgroup_class: int, top: Entry, prime: int) -> list[BalmerPrime]:
     if top is None:
         return []
     if top == INFINITY:
-        return [_segment_prime(subgroup_class, INFINITY, prime)]
-    return [_segment_prime(subgroup_class, m, prime) for m in range(top + 1)]
+        return [balmer_prime(subgroup_class, INFINITY, prime)]
+    return [balmer_prime(subgroup_class, m, prime) for m in range(top + 1)]
 
 
 def cyclic_p_power(lattice: SubgroupLattice) -> tuple[int, int] | None:
@@ -381,8 +376,8 @@ def validate_height_vector(v: HeightVector) -> bool:
 
 
 def cyclic_power_lattice(p: int, n: int) -> SubgroupLattice:
-    """The lattice of C_{p^n}, kept by :func:`normcert.groups.lattice_of` under
-    (``cyclic:{p**n}``, max(p**n, DEFAULT_MAX_ORDER)) and shared while kept."""
+    """The lattice of C_{p^n} from :func:`normcert.groups.lattice_of` under
+    the bound max(p**n, DEFAULT_MAX_ORDER), so kept only for p**n <= it."""
     return lattice_of(f"cyclic:{p**n}", max(DEFAULT_MAX_ORDER, p**n))
 
 

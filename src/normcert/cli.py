@@ -11,8 +11,8 @@ NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 
 Every lattice, from --group or --ell, comes from the one lattice memo
 :func:`normcert.groups.lattice_of`: 16 keys of parsed spec and order bound, specs
-with a ``table:`` factor built each time, under 134 MB; requests share a lattice
-only while it is kept.
+with a ``table:`` factor or read under a raised NORMCERT_MAX_GROUP_ORDER built
+each time, under 134 MB; requests share a lattice only while it is kept.
 """
 
 from __future__ import annotations

@@ -618,10 +618,10 @@ def lattice_of(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice
     The memo keeps the last 16 keys of parsed atoms and ``max_order``, so
     ``cyclic:02``, ``cyclic: 2`` and ``cyclic:2`` are one key, and callers
     share a lattice only while it is kept.  Errors are not kept, and a spec
-    with a ``table:`` factor is built on each call.  At the default bound no
-    lattice is larger than C2^6's (8.4 MB), so the memo holds under 134 MB.
+    with a ``table:`` factor or a bound above ``DEFAULT_MAX_ORDER`` is built
+    on each call, so the 16 kept lattices hold under 134 MB (C2^6: 8.4 MB).
     """
-    if "table:" in spec:
+    if "table:" in spec or max_order > DEFAULT_MAX_ORDER:
         return subgroup_lattice(build_group(spec, max_order=max_order), max_order=max_order)
     return _kept_lattice(tuple(atom for atom, _ in _factors(spec, max_order)), max_order)
 

@@ -360,7 +360,7 @@ def enumerate_transfer_systems(
     # per orbit: its pairs, and their bits in the rank mask, one bit per
     # strict pair, so a system's rank mask also counts its strict pairs
     n = len(strict)
-    rank_bit = {p: 1 << (n - 1 - r) for r, p in enumerate(sorted(strict))}
+    rank_bit = {p: 1 << (n - 1 - r) for r, p in enumerate(strict)}
     orbit_pairs = [frozenset(orbit) for orbit in tables.members]
     orbit_rank = [sum(rank_bit[p] for p in orbit) for orbit in tables.members]
     keyed = []

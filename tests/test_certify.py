@@ -314,7 +314,7 @@ def test_cross_validation_orders_each_vectors_disagreements(monkeypatch, norms, 
     # then its one complete-operad disagreement
     n, p, hb = 3, 2, 2
     holds, commutative = certify.norm_condition_holds, certify.commutative_condition_holds
-    inequality = certify._norm_inequality
+    inequality, steps = certify._norm_inequality, certify._commutative_inequality
     want = []
     for entries in _walk(n + 1, [None, 0, 1, 2, INFINITY], certify._closed_step):
         v = HeightVector(p, entries)
@@ -328,9 +328,7 @@ def test_cross_validation_orders_each_vectors_disagreements(monkeypatch, norms, 
     monkeypatch.setattr(
         certify, "_norm_inequality", lambda e, k, j: inequality(e, k, j) != ((k, j) in norms)
     )
-    monkeypatch.setattr(
-        certify, "commutative_condition_holds", lambda v: commutative(v) != operad
-    )
+    monkeypatch.setattr(certify, "_commutative_inequality", lambda e: steps(e) != operad)
     report = nc.cross_validate_cyclic(n, p, hb)
     assert report.disagreements == tuple(want)
     if operad:

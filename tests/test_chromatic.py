@@ -216,6 +216,20 @@ def test_cyclic_power_lattices_share_the_bounded_memo():
     assert memo.cache_info().currsize == size
 
 
+def test_raised_bound_lattices_are_not_kept():
+    # a lattice read under a bound above the default is built on every call
+    # and never reaches the memo, so the memo's worst case does not grow with
+    # the bound; at the default bound the memo still hands out one object
+    memo = groups._kept_lattice
+    before = memo.cache_info()
+    for build in (lambda: groups.lattice_of("cyclic:97", 100),
+                  lambda: chromatic.cyclic_power_lattice(7, 3)):
+        first, second = build(), build()
+        assert first is not second and first.names == second.names
+    assert memo.cache_info() == before
+    assert groups.lattice_of("cyclic:8") is groups.lattice_of("cyclic:8")
+
+
 def test_support_of_pushforward_is_constant():
     for spec in CORPUS_SPECS:
         L = lattice(spec)
@@ -328,17 +342,9 @@ def test_a_warm_prime_memo_changes_no_rejection():
     for p in (2, 3):
         nc.heights_to_locus(HeightVector(p, (2, 1, INFINITY)))
         nc.uniform_locus(lattice("symmetric:3"), {p: 3})
-    assert chromatic._segment_prime(0, 2, 2) == BalmerPrime(0, 2, 2)
-    assert chromatic._segment_prime(0, 1, 2) == BalmerPrime(0, 1, 2)
     for bad in ((0, 2.0, 2), (0, True, 2), (0, 1, 4), (0, 1, 2.0), (0, 1, True)):
         with pytest.raises(ValueError):
             nc.balmer_prime(*bad)
-        with pytest.raises(ValueError):
-            chromatic._segment_prime(*bad)
-    # rejections are not kept either: a bad prime raises every time
-    with pytest.raises(ValueError):
-        chromatic._segment_prime(0, 1, 4)
-    assert chromatic._segment_prime.cache_info().maxsize == 4096
 
 
 def _outcome(contains, *query):

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -458,6 +460,21 @@ def test_lattice_memo_returns_one_object_and_stays_bounded():
     for n in range(1, 2 * bound + 1):
         cli._build_lattice(f"cyclic:{n}")
     assert groups._kept_lattice.cache_info().currsize == bound
+
+
+def test_the_package_keeps_two_memos():
+    # the lattice memo and the parser are the only state a request leaves
+    # behind in a long-running process
+    for module in pkgutil.iter_modules(nc.__path__):
+        importlib.import_module(f"normcert.{module.name}")
+    memos = {
+        f
+        for name, module in list(sys.modules.items())
+        if name == "normcert" or name.startswith("normcert.")
+        for f in vars(module).values()
+        if hasattr(f, "cache_info")
+    }
+    assert memos == {groups._kept_lattice, cli._build_parser}
 
 
 def test_spellings_of_one_group_share_one_memo_key(monkeypatch):
