@@ -40,6 +40,7 @@ from .groups import DEFAULT_MAX_ORDER, GroupError, cyclic_power_order, lattice_o
 from .transfers import (
     DEFAULT_MAX_PAIRS,
     TransferError,
+    candidate_pairs,
     enumerate_transfer_systems,
 )
 
@@ -139,10 +140,12 @@ def _cmd_transfer_enumerate(args):
     bound = _env_int("NORMCERT_MAX_PAIRS", DEFAULT_MAX_PAIRS)
     enum = enumerate_transfer_systems(L, max_pairs=bound)
     if args.format == "structured":
-        return iomod.indented_json(iomod.enumeration_doc(L, enum)), False
+        return iomod.enumeration_json(L, enum), False
+    names = L.names
+    pair_text = {(k, h): f"({names[k]}<{names[h]})" for k, h in candidate_pairs(L)}
     lines = [f"transfer systems on {L.group.name}: {len(enum.systems)}"]
     for i, s in enumerate(enum.systems):
-        pairs = " ".join(f"({L.names[k]}<{L.names[h]})" for k, h in s.strict_pairs())
+        pairs = " ".join([pair_text[p] for p in s.strict_pairs()])
         lines.append(f"T{i}: {len(s.pairs)} pairs {pairs}".rstrip())
     return "\n".join(lines) + "\n", False
 

@@ -10,8 +10,10 @@ quotes, backslashes and control characters, ``\\uXXXX`` for the rest),
 and a final newline; byte for byte that is
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.  Decision reports,
 the largest documents, are written by :func:`decision_json` to the same
-bytes without building their witness dicts.  Digests hash the compact form
-of :func:`canonical_json`.
+bytes without building their witness dicts, and transfer enumerations, the
+next largest, by :func:`enumeration_json` without building their system
+dicts or containment lists.  Digests hash the compact form of
+:func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import compress
 
 from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision
 from .chromatic import (
@@ -246,6 +249,11 @@ def parse_system(L: SubgroupLattice, spec) -> TransferSystem:
 
 
 def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
+    """The transfer-enumeration document as a dict.
+
+    The CLI writes the same document with :func:`enumeration_json`; this dict
+    form is the oracle the tests hold that writer to.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "transfer-enumeration",
@@ -260,6 +268,57 @@ def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
         ],
         "containment": [list(_bits(up)) for up in enum.up],
     }
+
+
+# '0' selects nothing and '1' selects, for ``compress``
+_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_labels(mask: int, labels):
+    """``labels[i]`` for each i in ``_bits(mask)``, ascending, with no step per bit.
+
+    The binary digits of ``mask``, lowest first, select from ``labels`` in
+    one ``compress`` pass; ``labels`` must have at least
+    ``mask.bit_length()`` items.
+    """
+    return compress(labels, bin(mask)[:1:-1].encode().translate(_DIGIT_SELECTORS))
+
+
+def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
+    """``indented_json(enumeration_doc(L, enum))``, written without the document's dicts and lists.
+
+    Names are escaped, and each nested pair's ``[K, H]`` text is built, once
+    per request.  Each containment row is one join over the index strings
+    its bits select, and each system one template over the texts of its
+    sorted pairs.  Every row holds its own index and every system its
+    reflexive pairs, so no list is empty.  The keys sort as containment,
+    count, group, kind, schema_version, systems, and the result is one join
+    over the rows, the systems and their separators.
+    """
+    names = [_encode_str(n) for n in L.names]
+    pair_text = {
+        (k, h): f"[\n          {names[k]},\n          {names[h]}\n        ]"
+        for k, above in enumerate(L.up)
+        for h in _bits(above)
+    }
+    index = [str(i) for i in range(len(enum.systems))]
+    pieces = ['{\n  "containment": [\n    ']
+    for up in enum.up:
+        pieces.append("[\n      " + ",\n      ".join(_bit_labels(up, index)) + "\n    ]")
+        pieces.append(",\n    ")
+    pieces[-1] = (
+        f'\n  ],\n  "count": {len(enum.systems)},\n  "group": {_encode_str(L.group.name)},'
+        f'\n  "kind": "transfer-enumeration",\n  "schema_version": {SCHEMA_VERSION},'
+        '\n  "systems": [\n    '
+    )
+    for i, s in enumerate(enum.systems):
+        pairs = ",\n        ".join([pair_text[p] for p in sorted(s.pairs)])
+        pieces.append(
+            f'{{\n      "index": {index[i]},\n      "pairs": [\n        {pairs}\n      ]\n    }}'
+        )
+        pieces.append(",\n    ")
+    pieces[-1] = "\n  ]\n}\n"
+    return "".join(pieces)
 
 
 # -- vanishing loci --------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import normcert as nc
 from normcert import io as iomod
 from normcert.cli import _INPUT_ERRORS
+from normcert.groups import _bits
 from normcert.transfers import candidate_pairs
 from normcert import INFINITY, HeightVector
 from helpers import (
@@ -16,6 +18,7 @@ from helpers import (
     enumeration,
     lattice,
     random_valid_locus,
+    unbounded_enumeration,
 )
 
 
@@ -172,6 +175,63 @@ def test_decision_writers_match_their_oracles():
     for R in (nc.complete_system(L), nc.trivial_system(L)):
         _check_decision_writers(L, R, vl, seen)
     assert all(seen.values()), seen
+
+
+def _check_enumeration_writer(L, e):
+    # the direct writer against the generic one over enumeration_doc and
+    # against json.dumps
+    doc = iomod.enumeration_doc(L, e)
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert iomod.enumeration_json(L, e) == iomod.indented_json(doc) == expected
+    return expected
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:1", "symmetric:3", "quaternion:8", "cyclic:8", "cyclic:32", "cyclic:3*cyclic:3",
+    "dihedral:8", "cyclic:2*cyclic:4",
+])
+def test_enumeration_writer_matches_its_oracles(spec):
+    # C1 has one system and no strict pair
+    _check_enumeration_writer(lattice(spec), enumeration(spec))
+
+
+def test_enumeration_writer_on_a_name_that_needs_escapes():
+    G = nc.from_table(nc.symmetric(3).table, name='S3 "hostile" \\ [x] {y} \u00e9')
+    L = nc.subgroup_lattice(G)
+    expected = _check_enumeration_writer(L, nc.enumerate_transfer_systems(L))
+    assert '\\"hostile\\" \\\\' in expected and "\\u00e9" in expected
+
+
+def test_enumeration_writer_above_the_pair_bound():
+    # S4 at all 120 strict pairs: 8691 systems, a 140 MB document.  Each
+    # comparison is made before its assert, so a failure names a range,
+    # not a diff of the document.  json.dumps joins the chunks of this same
+    # iterencode; comparing them a block at a time keeps their list, near
+    # 1 GB, out of memory
+    L, e = lattice("symmetric:4"), unbounded_enumeration("symmetric:4")
+    doc = iomod.enumeration_doc(L, e)
+    direct = iomod.enumeration_json(L, e)
+    same = direct == iomod.indented_json(doc)
+    assert same, "enumeration_json differs from indented_json(enumeration_doc)"
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    pos = 0
+    while block := "".join(islice(chunks, 1 << 16)):
+        same = direct[pos:pos + len(block)] == block
+        assert same, f"enumeration_json differs from json.dumps in [{pos}, {pos + len(block)})"
+        pos += len(block)
+    same = direct[pos:] == "\n"
+    assert same, f"enumeration_json differs from json.dumps after {pos}"
+
+
+def test_bit_labels_equal_bits():
+    rng = random.Random(24)
+    masks = [0, 1, 1 << 1, 1 << 63, 1 << 64, 1 << 8690]
+    masks += [rng.getrandbits(rng.randrange(1, 9000)) for _ in range(300)]
+    masks += [rng.getrandbits(4000) & rng.getrandbits(4000) & rng.getrandbits(4000)
+              for _ in range(50)]
+    for mask in masks:
+        assert tuple(iomod._bit_labels(mask, range(mask.bit_length()))) == _bits(mask)
+        assert tuple(iomod._bit_labels(mask, range(mask.bit_length() + 5))) == _bits(mask)
 
 
 def test_group_and_lattice_docs():

@@ -38,6 +38,12 @@ sweep only C8, C27 and C25 with ``cross-validate``, so the fixed list also
 runs it, text and structured, on C343 at the order bound (``--n 3 --prime 7
 --height-bound 5``), on the trivial group (``--n 0``), at height bound 0
 (``--n 1 --prime 2``) and on C1331 (``--n 3 --prime 11``), which exits 2.
+The streams enumerate transfer systems only within the default pair bound,
+so the fixed list also runs ``transfer-enumerate``, text and structured,
+and ``dot --what transfer-poset`` on D12 under ``NORMCERT_MAX_PAIRS=48``:
+3133 systems, a 20 MB structured document.  A request may begin with
+``NAME=VALUE`` words, as a shell command line does; those variables are set
+for that request only, in its subprocesses and in the one-interpreter run.
 
 Exits 0 when every request agrees and 1 at the first request that differs,
 naming it.
@@ -75,11 +81,21 @@ def write_inputs(tree: str, workload: str, workdir: str) -> None:
                    env=tree_env(tree, PERFBENCH), cwd=workdir, check=True)
 
 
-def outcomes(trees: list[str], argv: list[str], cwd: str) -> list[tuple[str, int]]:
+def split_env(request: list[str]) -> tuple[dict[str, str], list[str]]:
+    """A request's leading ``NAME=VALUE`` words, as a dict, and the argv after them."""
+    n = 0
+    while n < len(request) and "=" in request[n]:
+        n += 1
+    return dict(word.split("=", 1) for word in request[:n]), request[n:]
+
+
+def outcomes(trees: list[str], request: list[str], cwd: str) -> list[tuple[str, int]]:
     """(sha256 of stdout, exit code) of one request in each tree, run side by side."""
+    extra, argv = split_env(request)
     procs = [
-        subprocess.Popen([sys.executable, "-m", "normcert.cli", *argv], env=tree_env(tree),
-                         cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        subprocess.Popen([sys.executable, "-m", "normcert.cli", *argv],
+                         env={**tree_env(tree), **extra}, cwd=cwd,
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         for tree in trees
     ]
     out = []
@@ -205,12 +221,23 @@ def xval_requests() -> list[list[str]]:
     ]
 
 
+# D12: 48 strict pairs, past the default pair bound
+D12_ENUM_REQUESTS = [
+    ["NORMCERT_MAX_PAIRS=48", *argv]
+    for argv in (["transfer-enumerate", "--group", "dihedral:12"],
+                 ["transfer-enumerate", "--group", "dihedral:12", "--format", "structured"],
+                 ["dot", "--group", "dihedral:12", "--what", "transfer-poset"])
+]
+
+
 # every request of a batch through ``cli.main`` in one interpreter, stdout
-# captured as ``perfbench/child.py`` captures it; argv lists come on stdin
-IN_PROCESS = """import contextlib, hashlib, io, json, sys, traceback
+# captured as ``perfbench/child.py`` captures it; (variables, argv) pairs
+# come on stdin, and each request's variables are set for it alone
+IN_PROCESS = """import contextlib, hashlib, io, json, os, sys, traceback
 from normcert import cli
 out = []
-for argv in json.load(sys.stdin):
+for extra, argv in json.load(sys.stdin):
+    os.environ.update(extra)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -220,42 +247,45 @@ for argv in json.load(sys.stdin):
         except Exception:  # a traceback ends python -m normcert.cli with exit 1
             traceback.print_exc(file=sys.__stderr__)
             rc = 1
+    for name in extra:
+        del os.environ[name]
     out.append((hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc))
 json.dump(out, sys.stdout)
 """
 
 
-def in_process_outcomes(argvs: list[list[str]], cwd: str) -> list[tuple[str, int]]:
+def in_process_outcomes(requests: list[list[str]], cwd: str) -> list[tuple[str, int]]:
     """(sha256 of stdout, exit code) of each request, all run in one interpreter of this tree."""
-    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], input=json.dumps(argvs),
+    pairs = [split_env(request) for request in requests]
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], input=json.dumps(pairs),
                           env=tree_env(ROOT), cwd=cwd, stdout=subprocess.PIPE, text=True,
                           check=True)
     return [tuple(o) for o in json.loads(proc.stdout)]
 
 
-def mismatch(what: str, argv: list[str], base_out: tuple, head_out: tuple) -> str:
+def mismatch(what: str, request: list[str], base_out: tuple, head_out: tuple) -> str:
     (base_sha, base_rc), (head_sha, head_rc) = base_out, head_out
-    return (f"{what} ({' '.join(argv)}): base exit {base_rc} sha256 {base_sha[:12]}, "
+    return (f"{what} ({' '.join(request)}): base exit {base_rc} sha256 {base_sha[:12]}, "
             f"this tree exit {head_rc} sha256 {head_sha[:12]}")
 
 
-def compare_batch(base: str, label: str, argvs: list[list[str]], cwd: str) -> str | None:
+def compare_batch(base: str, label: str, requests: list[list[str]], cwd: str) -> str | None:
     """How the first request of a batch differs from the base tree's, or None.
 
     Each request runs in its own process in both trees, then the whole batch
     runs once more in one process of this tree, against the base outcomes.
     """
     base_outs = []
-    for i, argv in enumerate(argvs):
-        base_out, head_out = outcomes([base, ROOT], argv, cwd)
+    for i, request in enumerate(requests):
+        base_out, head_out = outcomes([base, ROOT], request, cwd)
         if base_out != head_out:
-            return mismatch(f"{label} request {i}", argv, base_out, head_out)
+            return mismatch(f"{label} request {i}", request, base_out, head_out)
         base_outs.append(base_out)
-    in_one = in_process_outcomes(argvs, cwd)
-    for i, (argv, base_out, head_out) in enumerate(zip(argvs, base_outs, in_one)):
+    in_one = in_process_outcomes(requests, cwd)
+    for i, (request, base_out, head_out) in enumerate(zip(requests, base_outs, in_one)):
         if base_out != head_out:
-            return mismatch(f"{label} request {i} in one process", argv, base_out, head_out)
-    print(f"{label}: {len(argvs)} requests identical, one process each and all in one",
+            return mismatch(f"{label} request {i} in one process", request, base_out, head_out)
+    print(f"{label}: {len(requests)} requests identical, one process each and all in one",
           flush=True)
     return None
 
@@ -269,7 +299,7 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
         write_inputs(base, workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
                 + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch)
-                + xval_requests())
+                + xval_requests() + D12_ENUM_REQUESTS)
     diff = compare_batch(base, "fixed list", requests, scratch)
     if diff is not None:
         return diff
