@@ -3,17 +3,14 @@
 One dialect for everything: plain JSON with a ``schema_version`` field.
 Serialization is canonical, so identical inputs always produce identical
 bytes, and every emitted document parses back to an equal in-memory value.
-The CLI writes a document with :func:`indented_json`: keys sorted, each
-item on its own line indented two spaces per level, ``,`` ending every item
-line but the last, ``": "`` after each key, ASCII only (JSON's escapes for
-quotes, backslashes and control characters, ``\\uXXXX`` for the rest),
-and a final newline; byte for byte that is
-``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.  Decision reports,
-the largest documents, are written by :func:`decision_json` to the same
-bytes without building their witness dicts, and transfer enumerations, the
-next largest, by :func:`enumeration_json` without building their system
-dicts or containment lists.  Digests hash the compact form of
-:func:`canonical_json`.
+The CLI writes a document with :func:`indented_json`, which is
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``: keys sorted, each
+item on its own line indented two spaces per level, ASCII only, and a
+final newline.  Decision reports, the largest documents, are written by
+:func:`decision_json` to the same bytes without building their witness
+dicts, and transfer enumerations, the next largest, by
+:func:`enumeration_json` without building their system dicts or
+containment lists.  Digests hash the compact form of :func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -66,66 +63,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def indented_json(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, built directly.
-
-    ``json.dumps`` with an indent runs the pure-Python encoder; this writer
-    joins each container from its children's strings, with strings escaped
-    by the C ``encode_basestring_ascii``, ints by ``int.__repr__`` and any
-    other value by ``json.dumps``.  Dict keys must be strings.
-    """
-    return _indented(doc, "\n") + "\n"
-
-
-def _indented(value, newline: str) -> str:
-    """``value`` as indented JSON; ``newline`` is a newline and this level's indent.
-
-    A container is one ``join`` over its separators and its items' strings,
-    so no item is copied before that join, and the peak memory stays near
-    twice the output.  Items of the exact types str and int are written in
-    place, which saves a call per leaf; everything else recurses and takes
-    json's branch order.
-    """
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        pieces = ["," + inner] * (2 * len(value))
-        pieces[0] = "[" + inner
-        pieces[1::2] = [
-            _encode_str(v) if type(v) is str
-            else int.__repr__(v) if type(v) is int
-            else _indented(v, inner)
-            for v in value
-        ]
-        pieces.append(newline + "]")
-        return "".join(pieces)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = sorted(value.items())
-        pieces = ["," + inner] * (3 * len(items))
-        pieces[0] = "{" + inner
-        pieces[1::3] = [_encode_str(k) + ": " for k, _ in items]
-        pieces[2::3] = [
-            _encode_str(v) if type(v) is str
-            else int.__repr__(v) if type(v) is int
-            else _indented(v, inner)
-            for _, v in items
-        ]
-        pieces.append(newline + "}")
-        return "".join(pieces)
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value)
+    """The CLI's form of ``doc``: sorted keys, two-space indent, a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _height_doc(h):
@@ -312,7 +251,7 @@ def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
         '\n  "systems": [\n    '
     )
     for i, s in enumerate(enum.systems):
-        pairs = ",\n        ".join([pair_text[p] for p in sorted(s.pairs)])
+        pairs = ",\n        ".join([pair_text[p] for p in s.sorted_pairs()])
         pieces.append(
             f'{{\n      "index": {index[i]},\n      "pairs": [\n        {pairs}\n      ]\n    }}'
         )
@@ -511,21 +450,21 @@ def decision_json(
 ) -> str:
     """``indented_json(decision_doc(d, L, R, VL))``, written without the witness dicts.
 
-    The head goes through :func:`indented_json`; ``witnesses`` sorts last,
-    so the list closes the document.  Each witness is one template over
+    The head goes through :func:`indented_json` with its closing ``}``
+    cut off; ``witnesses`` sorts last, so the list closes the document.  Each witness is one template over
     names escaped once per report.  Witnesses at one (K, H, J) share their
     ``checked`` tuple (the decision computes it once per triple), so its text
     is written once per tuple, and once per prime for the prime block.
     The result is one join over head, witnesses, separators and tail.
     """
-    head = _indented(_decision_head(d, L, R, VL), "\n")
+    head = indented_json(_decision_head(d, L, R, VL))[:-3]
     if not d.witnesses:
-        return "".join((head[:-2], ',\n  "witnesses": []\n}\n'))
+        return "".join((head, ',\n  "witnesses": []\n}\n'))
     names = [_encode_str(n) for n in L.names]
     reps = [names[members[0]] for members in L.classes]
     checked_text: dict[int, str] = {}
     prime_text: dict[int, str] = {}
-    pieces = [head[:-2], ',\n  "witnesses": [\n    ']
+    pieces = [head, ',\n  "witnesses": [\n    ']
     for w in d.witnesses:
         checked = checked_text.get(id(w.checked))
         if checked is None:

@@ -32,7 +32,6 @@ lattice holds nothing of transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .groups import SubgroupLattice, _bits
 
@@ -66,21 +65,7 @@ class TransferSystem:
     pairs: frozenset[Pair]
 
     def strict_pairs(self) -> tuple[Pair, ...]:
-        """The non-reflexive pairs, sorted, by two bucket passes over lattice ids.
-
-        Pairs go into buckets by H, and then, in that order, by K, so each
-        K's bucket holds its pairs by ascending H; no pair is compared.
-        """
-        n = len(self.lattice)
-        by_top: list[list[Pair]] = [[] for _ in range(n)]
-        for p in self.pairs:
-            if p[0] != p[1]:
-                by_top[p[1]].append(p)
-        by_bottom: list[list[Pair]] = [[] for _ in range(n)]
-        for bucket in by_top:
-            for p in bucket:
-                by_bottom[p[0]].append(p)
-        return tuple(chain.from_iterable(by_bottom))
+        return tuple(sorted([p for p in self.pairs if p[0] != p[1]]))
 
     def sorted_pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(self.pairs))
@@ -126,13 +111,13 @@ def validate_transfer_system(R: TransferSystem) -> list[Violation]:
     """Every violated axiom instance; an empty list means the system is valid."""
     L = R.lattice
     out = []
-    for kid, hid in sorted(R.pairs):
+    pairs = sorted(R.pairs)
+    for kid, hid in pairs:
         if not L.leq(kid, hid):
             out.append(Violation("inclusion", (kid, hid)))
     for hid in range(len(L)):
         if (hid, hid) not in R.pairs:
             out.append(Violation("reflexivity", (hid,)))
-    pairs = sorted(R.pairs)
     by_top: dict[int, list[int]] = {}
     for kid, hid in pairs:
         by_top.setdefault(kid, []).append(hid)

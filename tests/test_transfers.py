@@ -44,8 +44,8 @@ DECIDE_MIX_SPECS = (
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS + DECIDE_MIX_SPECS)
 def test_strict_pairs_are_the_sorted_strict_pairs(spec):
-    # the bucket passes against a sort, on the trivial and complete systems,
-    # random closures and a pair set that is not a transfer system at all
+    # strict_pairs against a sort of the pair set, on the trivial and complete
+    # systems, random closures and a pair set that is not a transfer system at all
     L = lattice(spec)
     rng = random.Random(spec)
     candidates = candidate_pairs(L)

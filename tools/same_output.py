@@ -41,7 +41,11 @@ runs it, text and structured, on C343 at the order bound (``--n 3 --prime 7
 The streams enumerate transfer systems only within the default pair bound,
 so the fixed list also runs ``transfer-enumerate``, text and structured,
 and ``dot --what transfer-poset`` on D12 under ``NORMCERT_MAX_PAIRS=48``:
-3133 systems, a 20 MB structured document.  A request may begin with
+3133 systems, a 20 MB structured document.  It ends with the largest
+documents that ``indented_json`` writes, which no stream sends either:
+``lattice``, text and structured, on C2^6 (2825 subgroups) and
+``ell-enumerate --n 6 --height-bound 10 --include-infinity --format
+structured``.  A request may begin with
 ``NAME=VALUE`` words, as a shell command line does; those variables are set
 for that request only, in its subprocesses and in the one-interpreter run.
 
@@ -230,6 +234,18 @@ D12_ENUM_REQUESTS = [
 ]
 
 
+# the largest documents indented_json writes: the lattice of C2^6 (2825
+# subgroups, 1.8 MB structured) and the commutative height vectors of C64
+# up to height 10; no stream sends either
+C2_6 = "cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2"
+LARGE_DOC_REQUESTS = [
+    ["lattice", "--group", C2_6],
+    ["lattice", "--group", C2_6, "--format", "structured"],
+    ["ell-enumerate", "--n", "6", "--height-bound", "10", "--include-infinity",
+     "--format", "structured"],
+]
+
+
 # every request of a batch through ``cli.main`` in one interpreter, stdout
 # captured as ``perfbench/child.py`` captures it; (variables, argv) pairs
 # come on stdin, and each request's variables are set for it alone
@@ -299,7 +315,7 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
         write_inputs(base, workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
                 + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch)
-                + xval_requests() + D12_ENUM_REQUESTS)
+                + xval_requests() + D12_ENUM_REQUESTS + LARGE_DOC_REQUESTS)
     diff = compare_batch(base, "fixed list", requests, scratch)
     if diff is not None:
         return diff
