@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .chromatic import (
     INFINITY,
@@ -89,8 +90,7 @@ class Verdict(Enum):
     NO_GUARANTEE = "NoGuarantee"
 
 
-@dataclass(frozen=True)
-class NormFailure:
+class NormFailure(NamedTuple):
     """One failing instance of the double-coset criterion.
 
     The existential was tried over every H-conjugate of K, which covers
@@ -99,7 +99,8 @@ class NormFailure:
     double coset: all of
     :meth:`~normcert.groups.SubgroupLattice.mackey_cuts` for the pair at
     ``subgroup``.  It is computed once per triple, so the witnesses of one
-    (K, H, J), one per failing prime, share one ``checked`` tuple.
+    (K, H, J), one per failing prime, share one ``checked`` tuple.  A named
+    tuple, since a report streams one per witness.
     """
 
     norm_source: int
@@ -113,7 +114,10 @@ class NormFailure:
 class Decision:
     """The witnesses of one decision, in order; the verdict is read off them.
 
-    ``NO_GUARANTEE`` exactly when there is a witness.
+    ``NO_GUARANTEE`` exactly when there is a witness.  The report writers of
+    :mod:`normcert.io` take the witness stream of
+    :func:`localization_witnesses` instead, so a report holds no
+    :class:`Decision`.
     """
 
     witnesses: tuple[NormFailure, ...]
@@ -276,12 +280,16 @@ def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
                         yield NormFailure(kid, hid, jid, q, checked)
 
 
-def _decide(vl: VanishingLocus, pairs) -> Decision:
-    """The decision over ``pairs``: their witnesses, in order."""
+def _checked_witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
+    """The witnesses of the norms in ``pairs``, once the locus validates.
+
+    The locus is validated before this returns, so :class:`InvalidLocus`
+    comes before the first witness.
+    """
     bad = validate_vanishing_locus(vl)
     if bad:
         raise InvalidLocus(f"locus fails validation: {bad[0]}")
-    return Decision(tuple(_witnesses(vl, pairs)))
+    return _witnesses(vl, pairs)
 
 
 def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:
@@ -289,23 +297,34 @@ def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | in
     kid, hid = _sid(K), _sid(H)
     if not VL.lattice.leq(kid, hid):
         raise NotNested(f"subgroup {kid} is not contained in {hid}")
-    return _decide(VL, [(kid, hid)])
+    return Decision(tuple(_checked_witnesses(VL, [(kid, hid)])))
 
 
-def localization_preserves(VL: VanishingLocus, R: TransferSystem) -> Decision:
-    """Certify that localizing away the locus preserves algebras over R.
+def localization_witnesses(VL: VanishingLocus, R: TransferSystem) -> Iterator[NormFailure]:
+    """The witnesses of :func:`localization_preserves`, as a stream.
 
-    Runs the norm criterion for every admissible pair of the transfer
-    system except the reflexive ones, which never fail; the witnesses are
-    those of :func:`norm_preserves_locus` over ``sorted(R.pairs)``, in that
-    order.  Both the Bousfield and the finite localization of the same
-    locus are covered by the same certificate.
+    The lattices are matched and the locus validated when this is called,
+    before any witness; the witnesses then come one at a time, so a report
+    written from them never holds them all.  Runs the norm criterion for
+    every admissible pair of the transfer system except the reflexive ones,
+    which never fail; the witnesses are those of
+    :func:`norm_preserves_locus` over ``sorted(R.pairs)``, in that order.
     """
     if R.lattice is not VL.lattice:
         raise LatticeMismatch("locus and transfer system live on different lattices")
     # a reflexive pair (H, H) never fails: its one double coset is H, whose
     # cut H n J is J itself, the subgroup the prime sits at
-    return _decide(VL, R.strict_pairs())
+    return _checked_witnesses(VL, R.strict_pairs())
+
+
+def localization_preserves(VL: VanishingLocus, R: TransferSystem) -> Decision:
+    """Certify that localizing away the locus preserves algebras over R.
+
+    The witnesses are those of :func:`localization_witnesses`, kept.  Both
+    the Bousfield and the finite localization of the same locus are covered
+    by the same certificate.
+    """
+    return Decision(tuple(localization_witnesses(VL, R)))
 
 
 # -- the cyclic p-power shortcut --------------------------------------------------

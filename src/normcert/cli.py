@@ -29,7 +29,7 @@ from .certify import (
     CertifyError,
     cross_validate_cyclic,
     enumerate_commutative_heights,
-    localization_preserves,
+    localization_witnesses,
 )
 from .chromatic import (
     ChromaticError,
@@ -166,10 +166,8 @@ def _cmd_spectrum_validate(args):
 def _cmd_decide(args):
     L, vl = _load_locus(args)
     R = _load_operad(L, args.operad)
-    decision = localization_preserves(vl, R)
-    flagged = not decision.certified
     write = iomod.decision_json if args.format == "structured" else iomod.decision_text
-    return write(decision, L, R, vl), flagged
+    return write(localization_witnesses(vl, R), L, R, vl)
 
 
 def _cmd_ell_enumerate(args):

@@ -742,14 +742,20 @@ def _conjugation_table(
 
     Conjugates by a greedy generating set of G are computed from masks; every
     other column follows along a breadth-first sweep of G, since
-    K^(xg) = (K^x)^g.
+    K^(xg) = (K^x)^g.  A central generator, whose row of the table equals
+    its column, fixes every subgroup: it needs no masks, and its step of the
+    sweep copies the column.
     """
-    gens = _greedy_generators(G.table, G.identity)
-    by_gen = [tuple(id_of_mask[G.conj_mask(s.mask, g)] for s in subgroups) for g in gens]
+    table = G.table
+    gens = _greedy_generators(table, G.identity)
+    by_gen = [
+        None if table[g] == tuple(row[g] for row in table)
+        else tuple(id_of_mask[G.conj_mask(s.mask, g)] for s in subgroups)
+        for g in gens
+    ]
     cols: list = [None] * G.order
     cols[G.identity] = tuple(range(len(subgroups)))
     frontier = [G.identity]
-    table = G.table
     while frontier:
         nxt = []
         for x in frontier:
@@ -757,7 +763,7 @@ def _conjugation_table(
             for g, step in zip(gens, by_gen):
                 y = row[g]
                 if cols[y] is None:
-                    cols[y] = tuple(map(step.__getitem__, col))
+                    cols[y] = col if step is None else tuple(map(step.__getitem__, col))
                     nxt.append(y)
         frontier = nxt
     return tuple(zip(*cols))

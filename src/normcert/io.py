@@ -7,8 +7,9 @@ The CLI writes a document with :func:`indented_json`, which is
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``: keys sorted, each
 item on its own line indented two spaces per level, ASCII only, and a
 final newline.  Decision reports, the largest documents, are written by
-:func:`decision_json` to the same bytes without building their witness
-dicts, and transfer enumerations, the next largest, by
+:func:`decision_json` to the same bytes straight from the witness stream of
+:func:`~normcert.certify.localization_witnesses`, with no witness dict and
+no witness kept once written, and transfer enumerations, the next largest, by
 :func:`enumeration_json` without building their system dicts or
 containment lists.  Digests hash the compact form of :func:`canonical_json`.
 
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from itertools import compress
 
-from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision
+from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision, NormFailure, Verdict
 from .chromatic import (
     ANY_PRIME,
     INFINITY,
@@ -403,7 +405,7 @@ def _prime_entry(L: SubgroupLattice, q: BalmerPrime) -> dict:
 
 
 def _decision_head(
-    d: Decision,
+    verdict: Verdict,
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
@@ -413,7 +415,7 @@ def _decision_head(
         "schema_version": SCHEMA_VERSION,
         "kind": "decision-report",
         "group": L.group.name,
-        "verdict": d.verdict.value,
+        "verdict": verdict.value,
         "inputs": {
             "group": {"name": L.group.name, "digest": digest(group_doc(L.group))},
             "operad": {"digest": digest(system_doc(R))},
@@ -422,13 +424,23 @@ def _decision_head(
     }
 
 
+def _verdict(held: bool) -> Verdict:
+    return Verdict.NO_GUARANTEE if held else Verdict.CERTIFIED_PRESERVES
+
+
 def decision_doc(
     d: Decision,
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
 ) -> dict:
-    doc = _decision_head(d, L, R, VL)
+    """The decision report as a dict.
+
+    The CLI writes the same document with :func:`decision_json` from the
+    witness stream; this dict form is the oracle the tests hold that writer
+    to.
+    """
+    doc = _decision_head(d.verdict, L, R, VL)
     doc["witnesses"] = [
         {
             "norm_source": L.names[w.norm_source],
@@ -443,36 +455,47 @@ def decision_doc(
 
 
 def decision_json(
-    d: Decision,
+    witnesses: Iterable[NormFailure],
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
-) -> str:
-    """``indented_json(decision_doc(d, L, R, VL))``, written without the witness dicts.
+) -> tuple[str, bool]:
+    """``indented_json(decision_doc(...))`` of a decision, written from its witness stream.
 
-    The head goes through :func:`indented_json` with its closing ``}``
-    cut off; ``witnesses`` sorts last, so the list closes the document.  Each witness is one template over
-    names escaped once per report.  Witnesses at one (K, H, J) share their
-    ``checked`` tuple (the decision computes it once per triple), so its text
-    is written once per tuple, and once per prime for the prime block.
-    The result is one join over head, witnesses, separators and tail.
+    Returns the report and whether the stream held a witness.  Each witness
+    is written as it comes, one template over names escaped once per
+    report, and then dropped, so no witness dict, and no witness once
+    written, stays alive.  Witnesses of one pair (K, H) come together, and
+    those at one J share their ``checked`` cuts, so the text of a witness
+    but its prime is built once per J of the pair; the cache is keyed by J
+    and cleared at the next pair.  Each prime's text is built once per
+    report, keyed by the identity of the prime, which the locus keeps
+    alive.  The head, whose verdict the stream decides, goes through
+    :func:`indented_json` once the stream ends, with its closing ``}`` cut
+    off; ``witnesses`` sorts last, so the list closes the document.  The
+    result is one join over head, witnesses, separators and tail.
     """
-    head = indented_json(_decision_head(d, L, R, VL))[:-3]
-    if not d.witnesses:
-        return "".join((head, ',\n  "witnesses": []\n}\n'))
     names = [_encode_str(n) for n in L.names]
     reps = [names[members[0]] for members in L.classes]
-    checked_text: dict[int, str] = {}
+    around: dict[int, tuple[str, str]] = {}
     prime_text: dict[int, str] = {}
-    pieces = [head, ',\n  "witnesses": [\n    ']
-    for w in d.witnesses:
-        checked = checked_text.get(id(w.checked))
-        if checked is None:
+    source = target = -1
+    pieces = ["", ',\n  "witnesses": [\n    ']
+    for kid, hid, jid, q, checked in witnesses:
+        if kid != source or hid != target:
+            source, target = kid, hid
+            around.clear()
+        text = around.get(jid)
+        if text is None:
             rows = ",\n        ".join(
-                f"[\n          {r},\n          {names[c]}\n        ]" for r, c in w.checked
+                f"[\n          {r},\n          {names[c]}\n        ]" for r, c in checked
             )
-            checked = checked_text[id(w.checked)] = f"[\n        {rows}\n      ]"
-        q = w.prime
+            text = around[jid] = (
+                f'{{\n      "checked": [\n        {rows}\n      ],'
+                f'\n      "norm_source": {names[kid]},\n      "norm_target": {names[hid]},'
+                '\n      "prime": ',
+                f',\n      "subgroup": {names[jid]}\n    }},\n    ',
+            )
         prime = prime_text.get(id(q))
         if prime is None:
             h = '"inf"' if q.height == INFINITY else q.height
@@ -481,53 +504,59 @@ def decision_json(
                 f'{{\n        "height": {h},\n        "prime": {p},\n'
                 f'        "subgroup": {reps[q.subgroup_class]}\n      }}'
             )
-        pieces.append(
-            f'{{\n      "checked": {checked},\n      "norm_source": {names[w.norm_source]},\n'
-            f'      "norm_target": {names[w.norm_target]},\n      "prime": {prime},\n'
-            f'      "subgroup": {names[w.subgroup]}\n    }}'
-        )
-        pieces.append(",\n    ")
-    pieces[-1] = "\n  ]\n}\n"
-    return "".join(pieces)
+        pieces += (text[0], prime, text[1])
+    held = source >= 0
+    pieces[0] = indented_json(_decision_head(_verdict(held), L, R, VL))[:-3]
+    if held:
+        pieces[-1] = pieces[-1][: -len(",\n    ")] + "\n  ]\n}\n"
+    else:
+        pieces[1] = ',\n  "witnesses": []\n}\n'
+    return "".join(pieces), held
 
 
 def decision_text(
-    d: Decision,
+    witnesses: Iterable[NormFailure],
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
-) -> str:
+) -> tuple[str, bool]:
     """The text decision report: a four-line head, then one line per witness.
 
-    Like :func:`decision_json`, it writes each ``checked`` tuple and each
-    prime once.
+    Returns the report and whether the stream held a witness.  Like
+    :func:`decision_json`, it writes each witness as it comes, builds the
+    text of a witness but its prime once per J of a pair, and the text of
+    each prime once per report.  The verdict, line 4, is filled in once
+    the stream ends.
     """
     names = L.names
-    lines = [
-        f"group: {L.group.name}",
-        f"operad: {len(R.pairs)} admissible pairs",
-        f"locus: {len(VL.primes)} primes",
-        f"verdict: {d.verdict.value}",
-    ]
-    checked_text: dict[int, str] = {}
+    around: dict[int, tuple[str, str]] = {}
     prime_text: dict[int, str] = {}
-    for w in d.witnesses:
-        checked = checked_text.get(id(w.checked))
-        if checked is None:
-            checked = checked_text[id(w.checked)] = " ".join(
-                f"({r},{names[c]})" for r, c in w.checked
+    source = target = -1
+    pieces = [
+        f"group: {L.group.name}\n"
+        f"operad: {len(R.pairs)} admissible pairs\n"
+        f"locus: {len(VL.primes)} primes\n",
+        "",
+    ]
+    for kid, hid, jid, q, checked in witnesses:
+        if kid != source or hid != target:
+            source, target = kid, hid
+            around.clear()
+        text = around.get(jid)
+        if text is None:
+            cuts = " ".join(f"({r},{names[c]})" for r, c in checked)
+            text = around[jid] = (
+                f"witness: norm {names[kid]}->{names[hid]} fails at ",
+                f" via {names[jid]}; checked {cuts}\n",
             )
-        q = w.prime
         prime = prime_text.get(id(q))
         if prime is None:
             rep = names[L.classes[q.subgroup_class][0]]
             prime = prime_text[id(q)] = f"P({rep},{_height_doc(q.height)},{q.prime})"
-        lines.append(
-            f"witness: norm {names[w.norm_source]}->{names[w.norm_target]}"
-            f" fails at {prime} via {names[w.subgroup]}; checked {checked}"
-        )
-    lines.append("")
-    return "\n".join(lines)
+        pieces += (text[0], prime, text[1])
+    held = source >= 0
+    pieces[1] = f"verdict: {_verdict(held).value}\n"
+    return "".join(pieces), held
 
 
 def cross_validation_doc(report: CrossValidationReport) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -892,6 +893,20 @@ def random_valid_locus(L: nc.SubgroupLattice, rng) -> nc.VanishingLocus:
     vl = nc.vanishing_locus(L, primes)
     assert not nc.validate_vanishing_locus(vl)
     return vl
+
+
+def decide_mix_locus(L: nc.SubgroupLattice, seed: str) -> nc.VanishingLocus:
+    """A random locus by the rule of the decide-mix benchmark workload.
+
+    Per class, and per prime 2 and 3, a top drawn from None, 0, 1, 2 with
+    ``random.Random(seed)``; the primes below the top are in the locus.
+    """
+    rng = random.Random(seed)
+    primes = []
+    for c in range(len(L.classes)):
+        for p in (2, 3):
+            primes.extend(_segment_primes(c, p, rng.choice((None, 0, 1, 2))))
+    return nc.vanishing_locus(L, primes)
 
 
 def random_uniform_locus(L: nc.SubgroupLattice, rng) -> nc.VanishingLocus:

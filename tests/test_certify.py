@@ -127,6 +127,9 @@ def test_engine_rejects_invalid_locus():
         nc.norm_preserves_locus(bad, 0, 1)
     with pytest.raises(nc.InvalidLocus):
         nc.localization_preserves(bad, nc.trivial_system(L))
+    # the stream checks its locus when it is made, before any witness is asked for
+    with pytest.raises(nc.InvalidLocus):
+        nc.localization_witnesses(bad, nc.trivial_system(L))
 
 
 def test_engine_requires_nesting_and_shared_lattice():
@@ -137,6 +140,8 @@ def test_engine_requires_nesting_and_shared_lattice():
     other = nc.subgroup_lattice(nc.cyclic(4))
     with pytest.raises(nc.LatticeMismatch):
         nc.localization_preserves(vl, nc.complete_system(other))
+    with pytest.raises(nc.LatticeMismatch):
+        nc.localization_witnesses(vl, nc.complete_system(other))
 
 
 def test_norm_condition_examples():

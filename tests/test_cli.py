@@ -18,7 +18,14 @@ from normcert import cli, groups
 from normcert import io as iomod
 from normcert.cli import main
 from normcert.transfers import candidate_pairs
-from helpers import CORPUS_SPECS, enumeration, lattice, random_valid_locus
+from helpers import (
+    CORPUS_SPECS,
+    decide_mix_locus,
+    decision_text_by_loop,
+    enumeration,
+    lattice,
+    random_valid_locus,
+)
 
 
 def run_cli(args, timeout=None, **env_extra):
@@ -715,6 +722,31 @@ def test_fuzzed_argument_vectors_exit_0_1_or_2(tmp_path):
 
     run()
     assert _in_process(fixed) == before
+
+
+def test_streamed_reports_in_one_process_match_their_oracles(tmp_path):
+    # the complete operad against the random loci of the decide-mix benchmark
+    # workload, text and structured, all through one interpreter: a report is
+    # written from the witness stream, which frees each witness and its
+    # checked cuts once written, so a text cached under the identity of a
+    # freed tuple would be printed for a later, different one
+    requests = []
+    for short, spec in (("S4", "symmetric:4"), ("D64", "dihedral:64"),
+                        ("D16xC2", "dihedral:16*cyclic:2")):
+        L = lattice(spec)
+        R = nc.complete_system(L)
+        for i in range(2):
+            vl = decide_mix_locus(L, f"locus:{short}:{i}")
+            d = nc.localization_preserves(vl, R)
+            assert not d.certified
+            path = _write_json(tmp_path / f"{short}-r{i}.json", iomod.locus_doc(vl))
+            decide = ["decide", "--group", spec, "--operad", "complete", "--locus", path,
+                      "--strict"]
+            requests.append((decide, decision_text_by_loop(d, L, R, vl)))
+            requests.append((decide + ["--format", "structured"],
+                             iomod.indented_json(iomod.decision_doc(d, L, R, vl))))
+    for argv, expected in requests:
+        assert _in_process(argv) == (1, expected), argv
 
 
 def test_hostile_group_name_is_escaped_like_json_dumps(tmp_path):

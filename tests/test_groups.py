@@ -254,7 +254,8 @@ def test_lattice_order_and_conjugacy_invariants():
 
 def test_conjugation_table_conjugates_by_generators_only(monkeypatch):
     # each element past a greedy generating set at least doubles its span, so
-    # the table needs at most log2 |G| columns of conj_mask calls
+    # the table needs at most log2 |G| columns of conj_mask calls; a central
+    # generator needs none, so an abelian group makes no call at all
     calls = 0
     conj_mask = nc.FiniteGroup.conj_mask
 
@@ -264,10 +265,14 @@ def test_conjugation_table_conjugates_by_generators_only(monkeypatch):
         return conj_mask(G, mask, g)
 
     monkeypatch.setattr(nc.FiniteGroup, "conj_mask", counted)
-    for spec in ("symmetric:4", "dihedral:64", "cyclic:2*cyclic:2*cyclic:2*cyclic:2"):
+    for spec, abelian in (("symmetric:4", False), ("dihedral:64", False),
+                          ("cyclic:2*cyclic:2*cyclic:2*cyclic:2", True)):
         calls = 0
         L = nc.subgroup_lattice(nc.build_group(spec))
-        assert 0 < calls <= (L.group.order.bit_length() - 1) * len(L)
+        if abelian:
+            assert calls == 0
+        else:
+            assert 0 < calls <= (L.group.order.bit_length() - 1) * len(L)
 
 
 @pytest.mark.parametrize(

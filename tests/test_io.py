@@ -142,9 +142,14 @@ def test_decision_document_shape():
 
 
 def _check_decision_writers(L, R, vl, seen):
+    # each writer consumes a live witness stream, whose witnesses are freed
+    # once written; the oracles read the kept decision
     d = nc.localization_preserves(vl, R)
-    assert iomod.decision_json(d, L, R, vl) == iomod.indented_json(iomod.decision_doc(d, L, R, vl))
-    assert iomod.decision_text(d, L, R, vl) == decision_text_by_loop(d, L, R, vl)
+    held = not d.certified
+    expected = iomod.indented_json(iomod.decision_doc(d, L, R, vl))
+    assert iomod.decision_json(nc.localization_witnesses(vl, R), L, R, vl) == (expected, held)
+    expected = decision_text_by_loop(d, L, R, vl)
+    assert iomod.decision_text(nc.localization_witnesses(vl, R), L, R, vl) == (expected, held)
     seen["certified"] |= d.certified
     for w in d.witnesses:
         seen["any"] |= w.prime.prime == nc.ANY_PRIME

@@ -45,7 +45,12 @@ and ``dot --what transfer-poset`` on D12 under ``NORMCERT_MAX_PAIRS=48``:
 documents that ``indented_json`` writes, which no stream sends either:
 ``lattice``, text and structured, on C2^6 (2825 subgroups) and
 ``ell-enumerate --n 6 --height-bound 10 --include-infinity --format
-structured``.  A request may begin with
+structured``, and with the largest decision reports, which are written from
+the witness stream as it comes: ``decide --operad complete --strict``, text
+and structured, on D8xD8 against a random locus by the decide-mix rule
+(seed ``locus:D8xD8:0``), written into the scratch directory like the
+INFINITY loci, with 503,371 witnesses (47 MB of text, 179 MB structured,
+exit 1).  A request may begin with
 ``NAME=VALUE`` words, as a shell command line does; those variables are set
 for that request only, in its subprocesses and in the one-interpreter run.
 
@@ -212,6 +217,40 @@ def inf_locus_requests(tree: str, scratch: str) -> list[list[str]]:
     ]
 
 
+# a random locus on D8xD8 by the decide-mix rule: per class, and per prime 2
+# and 3, a top drawn from none, 0, 1, 2 with the seed "locus:D8xD8:0"
+D8XD8 = "dihedral:8*dihedral:8"
+RANDOM_LOCUS = """import json, random, sys, normcert as nc, normcert.io
+L = nc.subgroup_lattice(nc.build_group(sys.argv[1]))
+rng = random.Random("locus:D8xD8:0")
+primes = []
+for c in range(len(L.classes)):
+    for p in (2, 3):
+        top = rng.choice((None, 0, 1, 2))
+        if top is not None:
+            primes.extend(nc.balmer_prime(c, m, p) for m in range(top + 1))
+with open(sys.argv[2], "w") as fh:
+    json.dump(normcert.io.locus_doc(nc.vanishing_locus(L, primes)), fh)
+"""
+
+
+def large_decision_requests(tree: str, scratch: str) -> list[list[str]]:
+    """``decide --operad complete --strict``, text and structured, on D8xD8.
+
+    Its random locus gives 503,371 witnesses, a 47 MB text and a 179 MB
+    structured report.  Writes the locus document into ``scratch`` with
+    ``tree``.
+    """
+    path = os.path.join(scratch, "D8xD8-r0.json")
+    subprocess.run([sys.executable, "-c", RANDOM_LOCUS, D8XD8, path],
+                   env=tree_env(tree), cwd=scratch, check=True)
+    return [
+        ["decide", "--group", D8XD8, "--operad", "complete", "--locus", path, "--strict",
+         "--format", fmt]
+        for fmt in ("text", "structured")
+    ]
+
+
 # C343 at the order bound, the trivial group, height bound 0, and C1331 past the bound
 XVAL_ARGS = (("3", "7", "5"), ("0", "2", "5"), ("1", "2", "0"), ("3", "11", "0"))
 
@@ -315,7 +354,8 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
         write_inputs(base, workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
                 + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch)
-                + xval_requests() + D12_ENUM_REQUESTS + LARGE_DOC_REQUESTS)
+                + xval_requests() + D12_ENUM_REQUESTS + LARGE_DOC_REQUESTS
+                + large_decision_requests(base, scratch))
     diff = compare_batch(base, "fixed list", requests, scratch)
     if diff is not None:
         return diff
