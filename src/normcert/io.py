@@ -11,7 +11,10 @@ final newline.  Decision reports, the largest documents, are written by
 :func:`~normcert.certify.localization_witnesses`, with no witness dict and
 no witness kept once written, and transfer enumerations, the next largest, by
 :func:`enumeration_json` without building their system dicts or
-containment lists.  Digests hash the compact form of :func:`canonical_json`.
+containment lists.  Their dict forms, :func:`decision_doc` and
+:func:`enumeration_doc`, are those writers' output parsed back, so each
+report is defined once.  Digests hash the compact form of
+:func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -30,7 +33,6 @@ from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision, NormFailu
 from .chromatic import (
     ANY_PRIME,
     INFINITY,
-    BalmerPrime,
     HeightVector,
     VanishingLocus,
     _is_prime,
@@ -189,28 +191,6 @@ def parse_system(L: SubgroupLattice, spec) -> TransferSystem:
     return close_transfer_system(L, seed)
 
 
-def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
-    """The transfer-enumeration document as a dict.
-
-    The CLI writes the same document with :func:`enumeration_json`; this dict
-    form is the oracle the tests hold that writer to.
-    """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "transfer-enumeration",
-        "group": L.group.name,
-        "count": len(enum.systems),
-        "systems": [
-            {
-                "index": i,
-                "pairs": [[L.names[k], L.names[h]] for k, h in s.sorted_pairs()],
-            }
-            for i, s in enumerate(enum.systems)
-        ],
-        "containment": [list(_bits(up)) for up in enum.up],
-    }
-
-
 # '0' selects nothing and '1' selects, for ``compress``
 _DIGIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
@@ -226,15 +206,18 @@ def _bit_labels(mask: int, labels):
 
 
 def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
-    """``indented_json(enumeration_doc(L, enum))``, written without the document's dicts and lists.
+    """The structured transfer enumeration, written without the document's dicts and lists.
 
-    Names are escaped, and each nested pair's ``[K, H]`` text is built, once
-    per request.  Each containment row is one join over the index strings
-    its bits select, and each system one template over the texts of its
-    sorted pairs.  Every row holds its own index and every system its
-    reflexive pairs, so no list is empty.  The keys sort as containment,
-    count, group, kind, schema_version, systems, and the result is one join
-    over the rows, the systems and their separators.
+    The bytes are those of :func:`indented_json` on the document: the
+    ``count`` of systems, each system's ``index`` and sorted ``pairs``, and
+    per system the ``containment`` row of the indices of the systems that
+    contain it.  Names are escaped, and each nested pair's ``[K, H]`` text
+    is built, once per request.  Each containment row is one join over the
+    index strings its bits select, and each system one template over the
+    texts of its sorted pairs.  Every row holds its own index and every
+    system its reflexive pairs, so no list is empty.  The keys sort as
+    containment, count, group, kind, schema_version, systems, and the
+    result is one join over the rows, the systems and their separators.
     """
     names = [_encode_str(n) for n in L.names]
     pair_text = {
@@ -260,6 +243,11 @@ def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
         pieces.append(",\n    ")
     pieces[-1] = "\n  ]\n}\n"
     return "".join(pieces)
+
+
+def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
+    """The transfer-enumeration document as a dict: :func:`enumeration_json`, parsed back."""
+    return json.loads(enumeration_json(L, enum))
 
 
 # -- vanishing loci --------------------------------------------------------------
@@ -396,14 +384,6 @@ def parse_heights_inline(text: str) -> HeightVector:
 # -- reports ----------------------------------------------------------------------
 
 
-def _prime_entry(L: SubgroupLattice, q: BalmerPrime) -> dict:
-    return {
-        "subgroup": L.names[L.classes[q.subgroup_class][0]],
-        "height": _height_doc(q.height),
-        "prime": q.prime,
-    }
-
-
 def _decision_head(
     verdict: Verdict,
     L: SubgroupLattice,
@@ -428,30 +408,34 @@ def _verdict(held: bool) -> Verdict:
     return Verdict.NO_GUARANTEE if held else Verdict.CERTIFIED_PRESERVES
 
 
-def decision_doc(
-    d: Decision,
-    L: SubgroupLattice,
-    R: TransferSystem,
-    VL: VanishingLocus,
-) -> dict:
-    """The decision report as a dict.
+def _witness_pieces(witnesses: Iterable[NormFailure], triple_text, prime_text) -> list[str]:
+    """The texts of a witness stream, three per witness, for a report writer to join.
 
-    The CLI writes the same document with :func:`decision_json` from the
-    witness stream; this dict form is the oracle the tests hold that writer
-    to.
+    Each witness is written as it comes and then dropped, so no witness
+    once written stays alive.  Witnesses of one pair (K, H) come together,
+    and those at one J share their ``checked`` cuts, so the text around a
+    witness's prime, the pair ``triple_text(kid, hid, jid, checked)``, is
+    built once per J of the pair; the cache is keyed by J and cleared at
+    the next pair.  Each prime's text, ``prime_text(q)``, is built once per
+    report, keyed by the identity of the prime, which the locus keeps
+    alive.  The list is empty exactly when the stream is.
     """
-    doc = _decision_head(d.verdict, L, R, VL)
-    doc["witnesses"] = [
-        {
-            "norm_source": L.names[w.norm_source],
-            "norm_target": L.names[w.norm_target],
-            "subgroup": L.names[w.subgroup],
-            "prime": _prime_entry(L, w.prime),
-            "checked": [[rep, L.names[cut]] for rep, cut in w.checked],
-        }
-        for w in d.witnesses
-    ]
-    return doc
+    around: dict[int, tuple[str, str]] = {}
+    primes: dict[int, str] = {}
+    source = target = -1
+    pieces: list[str] = []
+    for kid, hid, jid, q, checked in witnesses:
+        if kid != source or hid != target:
+            source, target = kid, hid
+            around.clear()
+        text = around.get(jid)
+        if text is None:
+            text = around[jid] = triple_text(kid, hid, jid, checked)
+        prime = primes.get(id(q))
+        if prime is None:
+            prime = primes[id(q)] = prime_text(q)
+        pieces += (text[0], prime, text[1])
+    return pieces
 
 
 def decision_json(
@@ -460,57 +444,45 @@ def decision_json(
     R: TransferSystem,
     VL: VanishingLocus,
 ) -> tuple[str, bool]:
-    """``indented_json(decision_doc(...))`` of a decision, written from its witness stream.
+    """The structured decision report, written from its witness stream.
 
-    Returns the report and whether the stream held a witness.  Each witness
-    is written as it comes, one template over names escaped once per
-    report, and then dropped, so no witness dict, and no witness once
-    written, stays alive.  Witnesses of one pair (K, H) come together, and
-    those at one J share their ``checked`` cuts, so the text of a witness
-    but its prime is built once per J of the pair; the cache is keyed by J
-    and cleared at the next pair.  Each prime's text is built once per
-    report, keyed by the identity of the prime, which the locus keeps
-    alive.  The head, whose verdict the stream decides, goes through
-    :func:`indented_json` once the stream ends, with its closing ``}`` cut
-    off; ``witnesses`` sorts last, so the list closes the document.  The
-    result is one join over head, witnesses, separators and tail.
+    Returns the report and whether the stream held a witness.  The bytes
+    are those of :func:`indented_json` on the report document, and no
+    witness dict is built: each witness is one template over names
+    escaped once per report, through :func:`_witness_pieces`.  The head,
+    whose verdict the stream decides, goes through :func:`indented_json`
+    once the stream ends, with its closing ``}`` cut off; ``witnesses``
+    sorts last, so the list closes the document.  The result is one join
+    over head, witnesses, separators and tail.
     """
     names = [_encode_str(n) for n in L.names]
     reps = [names[members[0]] for members in L.classes]
-    around: dict[int, tuple[str, str]] = {}
-    prime_text: dict[int, str] = {}
-    source = target = -1
-    pieces = ["", ',\n  "witnesses": [\n    ']
-    for kid, hid, jid, q, checked in witnesses:
-        if kid != source or hid != target:
-            source, target = kid, hid
-            around.clear()
-        text = around.get(jid)
-        if text is None:
-            rows = ",\n        ".join(
-                f"[\n          {r},\n          {names[c]}\n        ]" for r, c in checked
-            )
-            text = around[jid] = (
-                f'{{\n      "checked": [\n        {rows}\n      ],'
-                f'\n      "norm_source": {names[kid]},\n      "norm_target": {names[hid]},'
-                '\n      "prime": ',
-                f',\n      "subgroup": {names[jid]}\n    }},\n    ',
-            )
-        prime = prime_text.get(id(q))
-        if prime is None:
-            h = '"inf"' if q.height == INFINITY else q.height
-            p = _encode_str(q.prime) if type(q.prime) is str else q.prime
-            prime = prime_text[id(q)] = (
-                f'{{\n        "height": {h},\n        "prime": {p},\n'
-                f'        "subgroup": {reps[q.subgroup_class]}\n      }}'
-            )
-        pieces += (text[0], prime, text[1])
-    held = source >= 0
-    pieces[0] = indented_json(_decision_head(_verdict(held), L, R, VL))[:-3]
+
+    def triple_text(kid, hid, jid, checked):
+        rows = ",\n        ".join(
+            f"[\n          {r},\n          {names[c]}\n        ]" for r, c in checked
+        )
+        return (
+            f'{{\n      "checked": [\n        {rows}\n      ],'
+            f'\n      "norm_source": {names[kid]},\n      "norm_target": {names[hid]},'
+            '\n      "prime": ',
+            f',\n      "subgroup": {names[jid]}\n    }},\n    ',
+        )
+
+    def prime_text(q):
+        h = '"inf"' if q.height == INFINITY else q.height
+        p = _encode_str(q.prime) if type(q.prime) is str else q.prime
+        return (
+            f'{{\n        "height": {h},\n        "prime": {p},\n'
+            f'        "subgroup": {reps[q.subgroup_class]}\n      }}'
+        )
+
+    pieces = _witness_pieces(witnesses, triple_text, prime_text)
+    held = bool(pieces)
     if held:
         pieces[-1] = pieces[-1][: -len(",\n    ")] + "\n  ]\n}\n"
-    else:
-        pieces[1] = ',\n  "witnesses": []\n}\n'
+    head = indented_json(_decision_head(_verdict(held), L, R, VL))[:-3]
+    pieces.insert(0, head + (',\n  "witnesses": [\n    ' if held else ',\n  "witnesses": []\n}\n'))
     return "".join(pieces), held
 
 
@@ -522,41 +494,44 @@ def decision_text(
 ) -> tuple[str, bool]:
     """The text decision report: a four-line head, then one line per witness.
 
-    Returns the report and whether the stream held a witness.  Like
-    :func:`decision_json`, it writes each witness as it comes, builds the
-    text of a witness but its prime once per J of a pair, and the text of
-    each prime once per report.  The verdict, line 4, is filled in once
-    the stream ends.
+    Returns the report and whether the stream held a witness.  The
+    witness lines come from :func:`_witness_pieces`, as in
+    :func:`decision_json`.  The verdict, line 4, is filled in once the
+    stream ends.
     """
     names = L.names
-    around: dict[int, tuple[str, str]] = {}
-    prime_text: dict[int, str] = {}
-    source = target = -1
-    pieces = [
+
+    def triple_text(kid, hid, jid, checked):
+        cuts = " ".join(f"({r},{names[c]})" for r, c in checked)
+        return (
+            f"witness: norm {names[kid]}->{names[hid]} fails at ",
+            f" via {names[jid]}; checked {cuts}\n",
+        )
+
+    def prime_text(q):
+        rep = names[L.classes[q.subgroup_class][0]]
+        return f"P({rep},{_height_doc(q.height)},{q.prime})"
+
+    pieces = _witness_pieces(witnesses, triple_text, prime_text)
+    held = bool(pieces)
+    pieces.insert(
+        0,
         f"group: {L.group.name}\n"
         f"operad: {len(R.pairs)} admissible pairs\n"
-        f"locus: {len(VL.primes)} primes\n",
-        "",
-    ]
-    for kid, hid, jid, q, checked in witnesses:
-        if kid != source or hid != target:
-            source, target = kid, hid
-            around.clear()
-        text = around.get(jid)
-        if text is None:
-            cuts = " ".join(f"({r},{names[c]})" for r, c in checked)
-            text = around[jid] = (
-                f"witness: norm {names[kid]}->{names[hid]} fails at ",
-                f" via {names[jid]}; checked {cuts}\n",
-            )
-        prime = prime_text.get(id(q))
-        if prime is None:
-            rep = names[L.classes[q.subgroup_class][0]]
-            prime = prime_text[id(q)] = f"P({rep},{_height_doc(q.height)},{q.prime})"
-        pieces += (text[0], prime, text[1])
-    held = source >= 0
-    pieces[1] = f"verdict: {_verdict(held).value}\n"
+        f"locus: {len(VL.primes)} primes\n"
+        f"verdict: {_verdict(held).value}\n",
+    )
     return "".join(pieces), held
+
+
+def decision_doc(
+    d: Decision,
+    L: SubgroupLattice,
+    R: TransferSystem,
+    VL: VanishingLocus,
+) -> dict:
+    """The decision report as a dict: :func:`decision_json` of its witnesses, parsed back."""
+    return json.loads(decision_json(d.witnesses, L, R, VL)[0])
 
 
 def cross_validation_doc(report: CrossValidationReport) -> dict:

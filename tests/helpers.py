@@ -11,8 +11,10 @@ recomputed over every element of H, primes sort by an explicit key instead
 of their fields, the norm criterion's witnesses are found by walking double
 cosets or off a cut table per pair over every J <= H, the cross-validation
 sweep decides every height vector in full, transfer systems are checked
-against the finite H-sets they make admissible, and text decision reports
-are written one witness at a time.
+against the finite H-sets they make admissible, text decision reports
+are written one witness at a time, and structured decision reports and
+transfer enumerations are built as dicts by hand, each containment row read
+off one scan of its binary digits.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import normcert as nc
+from normcert import io as iomod
 from normcert.groups import hasse_covers
 from normcert.transfers import _OrbitTables, candidate_pairs, reflexive_pairs
 
@@ -808,6 +811,64 @@ def cross_validate_by_decisions(n: int, p: int, height_bound: int) -> nc.CrossVa
 # -- reports ---------------------------------------------------------------------
 
 
+def set_bits_by_scan(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending, found in one scan over its binary digits."""
+    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+
+
+def enumeration_doc_by_hand(L: nc.SubgroupLattice, enum: nc.TransferEnumeration) -> dict:
+    """The transfer-enumeration document, built as a dict."""
+    return {
+        "schema_version": iomod.SCHEMA_VERSION,
+        "kind": "transfer-enumeration",
+        "group": L.group.name,
+        "count": len(enum.systems),
+        "systems": [
+            {
+                "index": i,
+                "pairs": [[L.names[k], L.names[h]] for k, h in s.sorted_pairs()],
+            }
+            for i, s in enumerate(enum.systems)
+        ],
+        "containment": [set_bits_by_scan(up) for up in enum.up],
+    }
+
+
+def _prime_entry(L: nc.SubgroupLattice, q: nc.BalmerPrime) -> dict:
+    return {
+        "subgroup": L.names[L.classes[q.subgroup_class][0]],
+        "height": "inf" if q.height == nc.INFINITY else q.height,
+        "prime": q.prime,
+    }
+
+
+def decision_doc_by_hand(
+    d: nc.Decision, L: nc.SubgroupLattice, R: nc.TransferSystem, vl: nc.VanishingLocus
+) -> dict:
+    """The decision report, built as a dict from a kept decision."""
+    return {
+        "schema_version": iomod.SCHEMA_VERSION,
+        "kind": "decision-report",
+        "group": L.group.name,
+        "verdict": d.verdict.value,
+        "inputs": {
+            "group": {"name": L.group.name, "digest": iomod.digest(iomod.group_doc(L.group))},
+            "operad": {"digest": iomod.digest(iomod.system_doc(R))},
+            "locus": {"digest": iomod.digest(iomod.locus_doc(vl))},
+        },
+        "witnesses": [
+            {
+                "norm_source": L.names[w.norm_source],
+                "norm_target": L.names[w.norm_target],
+                "subgroup": L.names[w.subgroup],
+                "prime": _prime_entry(L, w.prime),
+                "checked": [[rep, L.names[cut]] for rep, cut in w.checked],
+            }
+            for w in d.witnesses
+        ],
+    }
+
+
 def decision_text_by_loop(
     d: nc.Decision, L: nc.SubgroupLattice, R: nc.TransferSystem, vl: nc.VanishingLocus
 ) -> str:
@@ -893,6 +954,18 @@ def random_valid_locus(L: nc.SubgroupLattice, rng) -> nc.VanishingLocus:
     vl = nc.vanishing_locus(L, primes)
     assert not nc.validate_vanishing_locus(vl)
     return vl
+
+
+# the groups of the decide-mix benchmark workload, (short name, spec); the
+# short name seeds that workload's random loci
+DECIDE_MIX_GROUPS = (
+    ("S4", "symmetric:4"),
+    ("D32", "dihedral:32"),
+    ("C2^4", "cyclic:2*cyclic:2*cyclic:2*cyclic:2"),
+    ("C8xC8", "cyclic:8*cyclic:8"),
+    ("D16xC2", "dihedral:16*cyclic:2"),
+    ("D64", "dihedral:64"),
+)
 
 
 def decide_mix_locus(L: nc.SubgroupLattice, seed: str) -> nc.VanishingLocus:

@@ -15,6 +15,7 @@ from normcert.certify import _chain_slots, _prefixes, _slots, _walk
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
+    DECIDE_MIX_GROUPS,
     assert_attributes_unchanged,
     attributes,
     brute_force_commutative_heights,
@@ -25,6 +26,7 @@ from helpers import (
     cross_validate_by_decisions,
     cut_table_failures,
     cut_table_obstructions,
+    decide_mix_locus,
     double_coset_obstructions,
     enumeration,
     lattice,
@@ -454,8 +456,8 @@ def test_operad_monotonicity():
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(CORPUS_SPECS), st.data(), st.randoms(use_true_random=False))
 def test_certification_is_downward_closed_in_the_operad(spec, data, rng):
-    # R' adds one nested pair to R and closes: every obstruction for R is
-    # one for R', so certifying R' certifies R
+    # R' adds one nested pair to R and closes: the witnesses of R are those
+    # of R' at a pair of R, in order, so certifying R' certifies R
     L = lattice(spec)
     R = data.draw(st.sampled_from(enumeration(spec).systems))
     extra = data.draw(st.sampled_from(candidate_pairs(L)))
@@ -463,9 +465,59 @@ def test_certification_is_downward_closed_in_the_operad(spec, data, rng):
     assert R.pairs <= R2.pairs
     vl = random_valid_locus(L, rng)
     d, d2 = nc.localization_preserves(vl, R), nc.localization_preserves(vl, R2)
-    assert set(d.witnesses) <= set(d2.witnesses)
+    assert d.witnesses == _witnesses_in(d2, R)
     if d2.certified:
         assert d.certified
+
+
+def _witnesses_in(d: nc.Decision, R: nc.TransferSystem) -> tuple:
+    """The witnesses of ``d`` whose pair R admits, in their order."""
+    return tuple(w for w in d.witnesses if (w.norm_source, w.norm_target) in R.pairs)
+
+
+def test_witnesses_are_monotone_in_the_operad_on_the_decide_mix_groups():
+    # for R inside R', the witnesses of R are exactly those of R' at a pair
+    # of R, in the same order: nested closures of seeded random generators
+    # against the random loci r0 and r1
+    proper = 0
+    for short, spec in DECIDE_MIX_GROUPS:
+        L = lattice(spec)
+        rng = random.Random(f"monotone:{short}")
+        for i in range(2):
+            vl = decide_mix_locus(L, f"locus:{short}:{i}")
+            for _ in range(4):
+                gens = rng.sample(candidate_pairs(L), 3)
+                R, R2 = nc.close_transfer_system(L, gens[:1]), nc.close_transfer_system(L, gens)
+                assert R.pairs <= R2.pairs
+                d, d2 = nc.localization_preserves(vl, R), nc.localization_preserves(vl, R2)
+                assert d.witnesses == _witnesses_in(d2, R)
+                proper += 0 < len(d.witnesses) < len(d2.witnesses)
+    assert proper >= 24, proper
+
+
+def test_decision_separates_over_primes():
+    # the criterion asks, per (m, p), whether some cut carries it: deciding
+    # the locus restricted to one p, plus its "any" primes, gives exactly
+    # the full decision's witnesses at p and at "any", in the same order
+    checked = parts = 0
+    for short, spec in DECIDE_MIX_GROUPS:
+        L = lattice(spec)
+        loci = [decide_mix_locus(L, f"locus:{short}:{i}") for i in range(2)]
+        loci += [nc.uniform_locus(L, tops) for tops in ({2: 2, 3: 1}, {2: 1, 3: 1, 5: 1})]
+        rng = random.Random(f"separability:{short}")
+        operads = [nc.complete_system(L)]
+        operads += [nc.close_transfer_system(L, rng.sample(candidate_pairs(L), 2))
+                    for _ in range(2)]
+        for vl, R in itertools.product(loci, operads):
+            full = nc.localization_preserves(vl, R).witnesses
+            for p in sorted({q.prime for q in vl.primes} - {nc.ANY_PRIME}):
+                keep = (p, nc.ANY_PRIME)
+                part = nc.vanishing_locus(L, [q for q in vl.primes if q.prime in keep])
+                expected = tuple(w for w in full if w.prime.prime in keep)
+                assert nc.localization_preserves(part, R).witnesses == expected
+                checked += 1
+                parts += 0 < len(expected) < len(full)
+    assert checked == 162 and parts >= 40, (checked, parts)
 
 
 @settings(max_examples=80, deadline=None)

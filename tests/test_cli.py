@@ -21,8 +21,10 @@ from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
     decide_mix_locus,
+    decision_doc_by_hand,
     decision_text_by_loop,
     enumeration,
+    enumeration_doc_by_hand,
     lattice,
     random_valid_locus,
 )
@@ -544,14 +546,15 @@ def test_structured_outputs_reparse_to_equal_values(tmp_path):
         with open(operad) as fh:
             assert iomod.parse_system(L, json.load(fh)) == R
         check(["lattice", "--group", spec], iomod.lattice_doc(L))
-        check(["transfer-enumerate", "--group", spec], iomod.enumeration_doc(L, enumeration(spec)))
+        check(["transfer-enumerate", "--group", spec],
+              enumeration_doc_by_hand(L, enumeration(spec)))
         check(
             ["spectrum-validate", "--group", spec, "--locus", locus],
             iomod.locus_validation_doc(vl, nc.validate_vanishing_locus(vl)),
         )
         check(
             ["decide", "--group", spec, "--operad", operad, "--locus", locus],
-            iomod.decision_doc(nc.localization_preserves(vl, R), L, R, vl),
+            decision_doc_by_hand(nc.localization_preserves(vl, R), L, R, vl),
         )
     for p, n in ((2, 2), (2, 3), (3, 2)):
         L = nc.cyclic_power_lattice(p, n)
@@ -563,7 +566,7 @@ def test_structured_outputs_reparse_to_equal_values(tmp_path):
         vl = nc.heights_to_locus(v, L)
         check(
             ["decide", "--group", f"cyclic:{p**n}", "--operad", "complete", "--locus", heights],
-            iomod.decision_doc(nc.localization_preserves(vl, R), L, R, vl),
+            decision_doc_by_hand(nc.localization_preserves(vl, R), L, R, vl),
         )
         hb, inf = rng.randint(0, 3), rng.random() < 0.5
         check(
@@ -744,7 +747,7 @@ def test_streamed_reports_in_one_process_match_their_oracles(tmp_path):
                       "--strict"]
             requests.append((decide, decision_text_by_loop(d, L, R, vl)))
             requests.append((decide + ["--format", "structured"],
-                             iomod.indented_json(iomod.decision_doc(d, L, R, vl))))
+                             iomod.indented_json(decision_doc_by_hand(d, L, R, vl))))
     for argv, expected in requests:
         assert _in_process(argv) == (1, expected), argv
 
@@ -766,9 +769,9 @@ def test_hostile_group_name_is_escaped_like_json_dumps(tmp_path):
     for argv, doc in (
         (["lattice", "--group", spec], iomod.lattice_doc(L)),
         (["transfer-enumerate", "--group", spec],
-         iomod.enumeration_doc(L, nc.enumerate_transfer_systems(L))),
+         enumeration_doc_by_hand(L, nc.enumerate_transfer_systems(L))),
         (["decide", "--group", spec, "--operad", "complete", "--locus", locus],
-         iomod.decision_doc(decision, L, R, vl)),
+         decision_doc_by_hand(decision, L, R, vl)),
     ):
         code, out = _in_process(argv + ["--format", "structured"])
         assert code == 0

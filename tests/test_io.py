@@ -14,10 +14,13 @@ from normcert.transfers import candidate_pairs
 from normcert import INFINITY, HeightVector
 from helpers import (
     CORPUS_SPECS,
+    decision_doc_by_hand,
     decision_text_by_loop,
     enumeration,
+    enumeration_doc_by_hand,
     lattice,
     random_valid_locus,
+    set_bits_by_scan,
     unbounded_enumeration,
 )
 
@@ -134,7 +137,7 @@ def test_decision_document_shape():
     vl = nc.heights_to_locus(HeightVector(2, (0, 1)), L)
     R = nc.complete_system(L)
     d = nc.localization_preserves(vl, R)
-    doc = iomod.decision_doc(d, L, R, vl)
+    doc = decision_doc_by_hand(d, L, R, vl)
     assert doc["verdict"] == "NoGuarantee"
     assert doc["witnesses"][0]["prime"] == {"subgroup": "C2#0", "height": 1, "prime": 2}
     assert set(doc["inputs"]) == {"group", "operad", "locus"}
@@ -146,7 +149,7 @@ def _check_decision_writers(L, R, vl, seen):
     # once written; the oracles read the kept decision
     d = nc.localization_preserves(vl, R)
     held = not d.certified
-    expected = iomod.indented_json(iomod.decision_doc(d, L, R, vl))
+    expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
     assert iomod.decision_json(nc.localization_witnesses(vl, R), L, R, vl) == (expected, held)
     expected = decision_text_by_loop(d, L, R, vl)
     assert iomod.decision_text(nc.localization_witnesses(vl, R), L, R, vl) == (expected, held)
@@ -158,8 +161,9 @@ def _check_decision_writers(L, R, vl, seen):
 
 
 def test_decision_writers_match_their_oracles():
-    # the structured writer against the generic one over decision_doc, and the
-    # text writer against the one-witness-at-a-time loop, on random valid loci
+    # the structured writer against the generic one over the hand-built dict,
+    # and the text writer against the one-witness-at-a-time loop, on random
+    # valid loci
     rng = random.Random(12)
     seen = dict.fromkeys(("certified", "any", "inf", "cosets"), False)
     for spec in ("symmetric:4", "dihedral:32", "cyclic:2*cyclic:2*cyclic:2*cyclic:2",
@@ -183,9 +187,9 @@ def test_decision_writers_match_their_oracles():
 
 
 def _check_enumeration_writer(L, e):
-    # the direct writer against the generic one over enumeration_doc and
+    # the direct writer against the generic one over the hand-built dict and
     # against json.dumps
-    doc = iomod.enumeration_doc(L, e)
+    doc = enumeration_doc_by_hand(L, e)
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert iomod.enumeration_json(L, e) == iomod.indented_json(doc) == expected
     return expected
@@ -214,7 +218,7 @@ def test_enumeration_writer_above_the_pair_bound():
     # the chunks of this same iterencode; comparing them a block at a time
     # keeps their list, near 1 GB, out of memory
     L, e = lattice("symmetric:4"), unbounded_enumeration("symmetric:4")
-    doc = iomod.enumeration_doc(L, e)
+    doc = enumeration_doc_by_hand(L, e)
     direct = iomod.enumeration_json(L, e)
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
     pos = 0
@@ -226,7 +230,50 @@ def test_enumeration_writer_above_the_pair_bound():
     assert same, f"enumeration_json differs from json.dumps after {pos}"
 
 
+def test_dict_forms_are_the_hand_built_documents(tmp_path):
+    # io.decision_doc and io.enumeration_doc parse their writers' output back
+    def check(L, R, vl):
+        d = nc.localization_preserves(vl, R)
+        assert iomod.decision_doc(d, L, R, vl) == decision_doc_by_hand(d, L, R, vl)
+        return d
+
+    def check_enumeration(L, e):
+        assert iomod.enumeration_doc(L, e) == enumeration_doc_by_hand(L, e)
+
+    rng = random.Random(27)
+    for spec in CORPUS_SPECS:
+        L = lattice(spec)
+        check_enumeration(L, enumeration(spec))
+        vl = random_valid_locus(L, rng)
+        for R in (nc.complete_system(L), nc.trivial_system(L),
+                  nc.close_transfer_system(L, rng.sample(candidate_pairs(L), 1))):
+            check(L, R, vl)
+    # a decision with no witness
+    L = lattice("dihedral:8")
+    assert check(L, nc.trivial_system(L), random_valid_locus(L, rng)).certified
+    # the whole 2-local tower at D64: every norm K -> G fails at height "inf"
+    L = lattice("dihedral:64")
+    top = L.names[L.top.lattice_id]
+    vl = iomod.parse_locus(L, {"entries": [{"subgroup": top, "prime": 2, "heights": "all"}]})
+    d = check(L, nc.complete_system(L), vl)
+    assert len(d.witnesses) == 68 and all(w.prime.height == INFINITY for w in d.witnesses)
+    # a table: group whose name, read off the path after the backslash, needs
+    # JSON escapes; its height-0 locus fails with "any" primes
+    table = tmp_path / '\\S3 "hostile", [x] {y} \u00e9.csv'
+    table.write_text("\n".join(",".join(map(str, row)) for row in nc.symmetric(3).table))
+    L = nc.subgroup_lattice(nc.build_group(f"table:{table}"))
+    assert L.group.name == 'S3 "hostile", [x] {y} \u00e9'
+    vl = iomod.parse_locus(L, {"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]})
+    assert not check(L, nc.complete_system(L), vl).certified
+    check_enumeration(L, nc.enumerate_transfer_systems(L))
+    # D12 with the pair bound lifted
+    L, e = lattice("dihedral:12"), unbounded_enumeration("dihedral:12")
+    assert len(e.systems) == 3133
+    check_enumeration(L, e)
+
+
 def test_bit_labels_equal_bits():
+    # so does the enumeration oracle's scan of the binary digits
     rng = random.Random(24)
     masks = [0, 1, 1 << 1, 1 << 63, 1 << 64, 1 << 8690]
     masks += [rng.getrandbits(rng.randrange(1, 9000)) for _ in range(300)]
@@ -235,6 +282,7 @@ def test_bit_labels_equal_bits():
     for mask in masks:
         assert tuple(iomod._bit_labels(mask, range(mask.bit_length()))) == _bits(mask)
         assert tuple(iomod._bit_labels(mask, range(mask.bit_length() + 5))) == _bits(mask)
+        assert tuple(set_bits_by_scan(mask)) == _bits(mask)
 
 
 def test_group_and_lattice_docs():
@@ -374,11 +422,11 @@ def test_indented_writer_on_every_document_kind():
         iomod.group_doc(L.group),
         iomod.lattice_doc(L),
         iomod.system_doc(R),
-        iomod.enumeration_doc(L, enumeration("symmetric:3")),
+        enumeration_doc_by_hand(L, enumeration("symmetric:3")),
         iomod.locus_doc(vl),
         iomod.locus_validation_doc(vl, nc.validate_vanishing_locus(vl)),
         iomod.heights_doc(HeightVector(2, (INFINITY, 1, None))),
-        iomod.decision_doc(nc.localization_preserves(vl, R), L, R, vl),
+        decision_doc_by_hand(nc.localization_preserves(vl, R), L, R, vl),
         iomod.cross_validation_doc(nc.cross_validate_cyclic(1, 2, 1)),
         iomod.heights_enumeration_doc(nc.enumerate_commutative_heights(2, 1), 2, 1, False, 2),
     ]
