@@ -19,15 +19,15 @@ carrying cut, and a pair (K, H) fails exactly when that mask meets
 tables instead.  Normality in H needs no walk over H: K is normal in H
 exactly when H lies in N_G(K), one bit of ``down`` at the lattice's
 ``normalizer`` entry for K.  Only a failing triple computes its double
-cosets, once: the classes of their cuts pick the primes that fail there,
-and they are the ``checked`` list of its witnesses.  For K normal in H
-they are the cosets of KJ in H, all with the cut K n J.  The tables do
-not depend on the locus, so the cross-validation sweep builds them once
-and reads each verdict off the failure masks without building a witness.
-It builds no locus either: on C_{p^n} the cuts at chain index i lie at or
-below i, so the sweep shares each prefix of its depth-first walk, with one
-set of slots, one bit of each failure mask and one round of norm checks
-per prefix.
+cosets, once, in one call per failing pair: the classes of their cuts pick
+the primes that fail there, and they are the ``checked`` list of its
+witnesses.  For K normal in H they are the cosets of KJ in H, all with the
+cut K n J.  The tables do not depend on the locus, so the cross-validation
+sweep builds them once and reads each verdict off the failure masks
+without building a witness.  It builds no locus either: on C_{p^n} the
+cuts at chain index i lie at or below i, so the sweep shares each prefix
+of its depth-first walk, with one set of slots, one bit of each failure
+mask and one round of norm checks per prefix.
 
 Verdicts are one-sided by design: ``CERTIFIED_PRESERVES`` means the
 sufficient criterion holds for every admissible norm of the operad;
@@ -98,9 +98,12 @@ class NormFailure(NamedTuple):
     the failing triple, one (representative, intersection subgroup id) per
     double coset: all of
     :meth:`~normcert.groups.SubgroupLattice.mackey_cuts` for the pair at
-    ``subgroup``.  It is computed once per triple, so the witnesses of one
-    (K, H, J), one per failing prime, share one ``checked`` tuple.  A named
-    tuple, since a report streams one per witness.
+    ``subgroup``.  It comes from one
+    :meth:`~normcert.groups.SubgroupLattice.pair_mackey_cuts` call per
+    failing pair, so the witnesses of one (K, H, J), one per failing prime,
+    share one ``checked`` tuple; triples of other pairs may carry equal
+    ones, as distinct objects.  A named tuple, since a report streams one
+    per witness.
     """
 
     norm_source: int
@@ -244,9 +247,12 @@ def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
     of that conjugate set meets ``down[H]``.  A K normal in H (H lies in
     N_G(K), one bit of ``down``) is its own set, whose mask serves every
     such H, and needs no walk over H.  Each failing J fails for some prime,
-    so it computes its Mackey decomposition, whose cut classes tell which
-    primes fail there; the witnesses of one triple share it.  Witnesses
-    come by class, then prime, then J.
+    so it needs its Mackey decomposition, whose cut classes tell which
+    primes fail there; one call of
+    :meth:`~normcert.groups.SubgroupLattice.pair_mackey_cuts` per failing
+    pair gives them for all of its failing J at once, and the witnesses of
+    one triple share its decomposition.  Witnesses come by class, then
+    prime, then J.
     """
     L = vl.lattice
     subgroups, conj, down, class_of = L.subgroups, L.conj, L.down, L.class_of
@@ -266,8 +272,7 @@ def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
         if not bad:
             continue
         by_class: dict[int, list] = {}
-        for jid in _bits(bad):
-            checked = L.mackey_cuts(kid, jid, hid)
+        for jid, checked in zip(_bits(bad), L.pair_mackey_cuts(kid, hid, bad)):
             cut_classes = 0
             for _, cut in checked:
                 cut_classes |= 1 << class_of[cut]
@@ -288,7 +293,8 @@ def _checked_witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
     """
     bad = validate_vanishing_locus(vl)
     if bad:
-        raise InvalidLocus(f"locus fails validation: {bad[0]}")
+        v = bad[0]
+        raise InvalidLocus(f"locus fails validation, violation {v.axiom}: {v.witness!r}")
     return _witnesses(vl, pairs)
 
 

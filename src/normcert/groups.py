@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -380,8 +380,11 @@ class SubgroupLattice:
     ``class_masks[c]`` the members of class c.  Ids extend inclusion, so
     every walk over the bits of a mask visits subgroups in id order.
     ``normalizer[k]`` is the id of N_G(K), so K is normal in H exactly
-    when ``down[normalizer[k]]`` has bit h.  Every table, coset tables
-    included, is built with the lattice.
+    when ``down[normalizer[k]]`` has bit h.  ``coset_leads[j]`` is the
+    element bitmask of the least member of each left coset xJ, so the
+    least elements of the cosets of J inside any H >= J are the bits of
+    ``coset_leads[j] & H``.  Every table, coset tables included, is built
+    with the lattice.
     """
 
     group: FiniteGroup
@@ -395,6 +398,7 @@ class SubgroupLattice:
     cover_masks: tuple[int, ...] = field(repr=False)
     class_masks: tuple[int, ...] = field(repr=False)
     normalizer: tuple[int, ...] = field(repr=False)
+    coset_leads: tuple[int, ...] = field(repr=False)
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
     # per subgroup id J, x -> bitmask of the left coset xJ
@@ -443,32 +447,6 @@ class SubgroupLattice:
         """``coset_masks(sid)[x]``, the bitmask of the left coset xJ of J = ``sid``."""
         return self._coset_masks[sid]
 
-    def _double_cosets(self, kid: int, hid: int, aid: int) -> Iterator[tuple[int, int]]:
-        """``(least element, bitmask)`` of each double coset of K\\A/H, in that order.
-
-        A block KaH is the union of the left cosets kaH, k in K, so it costs
-        one coset-mask lookup per element of K, not |K|·|H| products.
-        """
-        subgroups = self.subgroups
-        kmask, amask = subgroups[kid].mask, subgroups[aid].mask
-        if kmask & ~amask or subgroups[hid].mask & ~amask:
-            raise NotSubgroupOfAmbient(
-                f"double cosets need K, H <= A; got ids {kid}, {hid} inside {aid}"
-            )
-        table, coset = self.group.table, self.coset_masks(hid)
-        kmem = _bits(kmask)
-        rest = amask
-        # the least unassigned element is the least element of its block
-        while rest:
-            a = (rest & -rest).bit_length() - 1
-            block = 0
-            for k in kmem:
-                ka = table[k][a]
-                if not block >> ka & 1:
-                    block |= coset[ka]
-            rest &= ~block
-            yield a, block
-
     def double_coset_blocks(
         self, kid: int, hid: int, aid: int
     ) -> tuple[tuple[int, ...], ...]:
@@ -476,47 +454,75 @@ class SubgroupLattice:
 
         Blocks are ordered by their minimal element, which is the canonical
         representative.  Not cached; it walks the double cosets the way
-        :meth:`mackey_cuts` does.
+        :meth:`pair_mackey_cuts` does when K is not normal.
         """
-        return tuple(_bits(block) for _, block in self._double_cosets(kid, hid, aid))
+        subgroups = self.subgroups
+        amask = subgroups[aid].mask
+        if subgroups[kid].mask & ~amask or subgroups[hid].mask & ~amask:
+            raise NotSubgroupOfAmbient(
+                f"double cosets need K, H <= A; got ids {kid}, {hid} inside {aid}"
+            )
+        table = self.group.table
+        krows = [table[k] for k in subgroups[kid].members]
+        walk = _double_cosets(krows, self._coset_masks[hid], amask)
+        return tuple(_bits(block) for _, block in walk)
 
     def mackey_cuts(self, kid: int, jid: int, hid: int) -> tuple[tuple[int, int], ...]:
         """The Mackey decomposition of H/K restricted to J.
 
         One ``(r, cut_id)`` per double coset KrJ of K\\H/J, in the block
         order of :meth:`double_coset_blocks`: ``r`` is the least element of
-        the block and ``cut_id`` the lattice id of K^r n J.  Not cached: a
-        decision computes it once per failing triple.
-
-        When K is normal in H (H <= N_G(K), one bit of ``down``), KrJ is
-        the left coset r(KJ) and every cut is K n J.  KJ is then the least
-        subgroup above K and J, the lowest bit of ``up[K] & up[J]`` since
-        ids sort by order, so the blocks are the cosets of KJ in H, one
-        coset-table lookup each.  Otherwise each block is walked over the
-        elements of K.
+        the block and ``cut_id`` the lattice id of K^r n J.  Not cached; it
+        is :meth:`pair_mackey_cuts` at the one J.
         """
-        up, subgroups = self.up, self.subgroups
-        if (
-            up[kid] >> hid & 1
-            and up[jid] >> hid & 1
-            and self.down[self.normalizer[kid]] >> hid & 1
-        ):
-            above = up[kid] & up[jid]
-            coset = self._coset_masks[(above & -above).bit_length() - 1]
-            cut = self.intersect_ids(kid, jid)
-            cuts = []
-            rest = subgroups[hid].mask
-            while rest:
-                r = (rest & -rest).bit_length() - 1
-                rest &= ~coset[r]
-                cuts.append((r, cut))
-            return tuple(cuts)
-        id_of_mask, kconj = self._id_of_mask, self.conj[kid]
-        jmask = subgroups[jid].mask
-        return tuple(
-            (r, id_of_mask[subgroups[kconj[r]].mask & jmask])
-            for r, _ in self._double_cosets(kid, jid, hid)
-        )
+        return self.pair_mackey_cuts(kid, hid, 1 << jid)[0]
+
+    def pair_mackey_cuts(
+        self, kid: int, hid: int, jmask: int
+    ) -> list[tuple[tuple[int, int], ...]]:
+        """:meth:`mackey_cuts` of K in H at each J of the id mask ``jmask``, in id order.
+
+        Every J must lie in H.  Not cached: a decision calls it once per
+        failing pair, with the J at which the pair fails.  Whether K is
+        normal in H (H <= N_G(K), one bit of ``down``), the members of K and
+        its conjugates are read once for all the J.
+
+        When K is normal in H, KrJ is the left coset r(KJ) and every cut is
+        K n J.  KJ is then the least subgroup above K and J, the lowest bit
+        of ``up[K] & up[J]`` since ids sort by order, and the least elements
+        of its cosets inside H are the bits of ``coset_leads[KJ] & H``.
+        Otherwise each block is walked over the elements of K, one
+        coset-mask lookup each.
+        """
+        up, subgroups, id_of_mask = self.up, self.subgroups, self._id_of_mask
+        if not up[kid] >> hid & 1 or jmask & ~self.down[hid]:
+            raise NotSubgroupOfAmbient(
+                f"double cosets need K, J <= H; got id {kid} and id mask {jmask:#x} inside {hid}"
+            )
+        kmask, hmask = subgroups[kid].mask, subgroups[hid].mask
+        out = []
+        if self.down[self.normalizer[kid]] >> hid & 1:
+            kup, leads = up[kid], self.coset_leads
+            for jid in _bits(jmask):
+                above = kup & up[jid]
+                cut = id_of_mask[kmask & subgroups[jid].mask]
+                reps = leads[(above & -above).bit_length() - 1] & hmask
+                cuts = []
+                while reps:
+                    low = reps & -reps
+                    cuts.append((low.bit_length() - 1, cut))
+                    reps ^= low
+                out.append(tuple(cuts))
+            return out
+        table, kconj = self.group.table, self.conj[kid]
+        krows = [table[k] for k in _bits(kmask)]
+        for jid in _bits(jmask):
+            jm = subgroups[jid].mask
+            out.append(tuple([
+                (r, id_of_mask[subgroups[kconj[r]].mask & jm])
+                for r, _ in _double_cosets(krows, self._coset_masks[jid], hmask)
+            ]))
+        return out
 
 
 def subgroup_lattice(
@@ -594,6 +600,7 @@ def subgroup_lattice(
         for sid in members:
             class_of[sid] = c
 
+    cosets = [_left_cosets(table, s.mask) for s in subgroups]
     return SubgroupLattice(
         group=G,
         subgroups=subgroups,
@@ -606,9 +613,10 @@ def subgroup_lattice(
         cover_masks=cover_masks,
         class_masks=tuple(sum(1 << sid for sid in members) for members in classes),
         normalizer=_normalizers(conj, classes, id_of_mask),
+        coset_leads=tuple(leads for _, leads in cosets),
         _id_of_mask=id_of_mask,
         _id_of_name={n: i for i, n in enumerate(names)},
-        _coset_masks=tuple(_left_cosets(table, s.mask) for s in subgroups),
+        _coset_masks=tuple(masks for masks, _ in cosets),
     )
 
 
@@ -642,18 +650,47 @@ def cyclic_power_order(p: int, n: int, max_order: int) -> int:
     return order
 
 
-def _left_cosets(table: Sequence[Sequence[int]], mask: int) -> tuple[int, ...]:
-    """Per element x, the bitmask of xJ for J = ``mask``; O(|G|), one coset at a time."""
+def _left_cosets(table: Sequence[Sequence[int]], mask: int) -> tuple[tuple[int, ...], int]:
+    """Per element x, the bitmask of xJ for J = ``mask``, and the mask of the
+    least element of each coset; O(|G|), one coset at a time.
+
+    Elements are visited in index order, so the one that opens a coset is
+    its least element.
+    """
     jmem = _bits(mask)
     masks = [0] * len(table)
+    leads = 0
     for x, row in enumerate(table):
         if not masks[x]:
+            leads |= 1 << x
             coset = 0
             for j in jmem:
                 coset |= 1 << row[j]
             for j in jmem:
                 masks[row[j]] = coset
-    return tuple(masks)
+    return tuple(masks), leads
+
+
+def _double_cosets(
+    krows: Sequence[Sequence[int]], coset: Sequence[int], rest: int
+) -> list[tuple[int, int]]:
+    """``(least element, bitmask)`` of each double coset KaH in the mask ``rest``, in that order.
+
+    ``krows`` holds the multiplication-table row of each element of K,
+    ``coset`` is H's left-coset table, and ``rest`` is a union of double
+    cosets.  A block KaH is the union of the left cosets kaH, k in K, so it
+    costs one coset-mask lookup per element of K, not |K|·|H| products.
+    """
+    blocks = []
+    # the least unassigned element is the least element of its block
+    while rest:
+        a = (rest & -rest).bit_length() - 1
+        block = 0
+        for row in krows:
+            block |= coset[row[a]]
+        rest &= ~block
+        blocks.append((a, block))
+    return blocks
 
 
 def _normalizers(

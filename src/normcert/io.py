@@ -408,19 +408,25 @@ def _verdict(held: bool) -> Verdict:
     return Verdict.NO_GUARANTEE if held else Verdict.CERTIFIED_PRESERVES
 
 
-def _witness_pieces(witnesses: Iterable[NormFailure], triple_text, prime_text) -> list[str]:
+def _witness_pieces(
+    witnesses: Iterable[NormFailure], rows_text, triple_text, prime_text
+) -> list[str]:
     """The texts of a witness stream, three per witness, for a report writer to join.
 
     Each witness is written as it comes and then dropped, so no witness
     once written stays alive.  Witnesses of one pair (K, H) come together,
     and those at one J share their ``checked`` cuts, so the text around a
-    witness's prime, the pair ``triple_text(kid, hid, jid, checked)``, is
+    witness's prime, the pair ``triple_text(kid, hid, jid, rows)``, is
     built once per J of the pair; the cache is keyed by J and cleared at
-    the next pair.  Each prime's text, ``prime_text(q)``, is built once per
-    report, keyed by the identity of the prime, which the locus keeps
-    alive.  The list is empty exactly when the stream is.
+    the next pair.  Many triples carry equal ``checked`` lists, so the text
+    of the list, ``rows = rows_text(checked)``, is built once per distinct
+    value per report, keyed by the value: a list that is dropped frees its
+    ``id()`` for another.  Each prime's text, ``prime_text(q)``, is built
+    once per report, keyed by the identity of the prime, which the locus
+    keeps alive.  The list is empty exactly when the stream is.
     """
     around: dict[int, tuple[str, str]] = {}
+    rows: dict[tuple, str] = {}
     primes: dict[int, str] = {}
     source = target = -1
     pieces: list[str] = []
@@ -430,7 +436,10 @@ def _witness_pieces(witnesses: Iterable[NormFailure], triple_text, prime_text) -
             around.clear()
         text = around.get(jid)
         if text is None:
-            text = around[jid] = triple_text(kid, hid, jid, checked)
+            cuts = rows.get(checked)
+            if cuts is None:
+                cuts = rows[checked] = rows_text(checked)
+            text = around[jid] = triple_text(kid, hid, jid, cuts)
         prime = primes.get(id(q))
         if prime is None:
             prime = primes[id(q)] = prime_text(q)
@@ -458,10 +467,12 @@ def decision_json(
     names = [_encode_str(n) for n in L.names]
     reps = [names[members[0]] for members in L.classes]
 
-    def triple_text(kid, hid, jid, checked):
-        rows = ",\n        ".join(
+    def rows_text(checked):
+        return ",\n        ".join(
             f"[\n          {r},\n          {names[c]}\n        ]" for r, c in checked
         )
+
+    def triple_text(kid, hid, jid, rows):
         return (
             f'{{\n      "checked": [\n        {rows}\n      ],'
             f'\n      "norm_source": {names[kid]},\n      "norm_target": {names[hid]},'
@@ -477,7 +488,7 @@ def decision_json(
             f'        "subgroup": {reps[q.subgroup_class]}\n      }}'
         )
 
-    pieces = _witness_pieces(witnesses, triple_text, prime_text)
+    pieces = _witness_pieces(witnesses, rows_text, triple_text, prime_text)
     held = bool(pieces)
     if held:
         pieces[-1] = pieces[-1][: -len(",\n    ")] + "\n  ]\n}\n"
@@ -501,18 +512,20 @@ def decision_text(
     """
     names = L.names
 
-    def triple_text(kid, hid, jid, checked):
-        cuts = " ".join(f"({r},{names[c]})" for r, c in checked)
+    def rows_text(checked):
+        return " ".join(f"({r},{names[c]})" for r, c in checked)
+
+    def triple_text(kid, hid, jid, rows):
         return (
             f"witness: norm {names[kid]}->{names[hid]} fails at ",
-            f" via {names[jid]}; checked {cuts}\n",
+            f" via {names[jid]}; checked {rows}\n",
         )
 
     def prime_text(q):
         rep = names[L.classes[q.subgroup_class][0]]
         return f"P({rep},{_height_doc(q.height)},{q.prime})"
 
-    pieces = _witness_pieces(witnesses, triple_text, prime_text)
+    pieces = _witness_pieces(witnesses, rows_text, triple_text, prime_text)
     held = bool(pieces)
     pieces.insert(
         0,

@@ -12,6 +12,7 @@ import normcert as nc
 from normcert import INFINITY, HeightVector, Verdict
 from normcert import certify
 from normcert.certify import _chain_slots, _prefixes, _slots, _walk
+from normcert.groups import _bits
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
@@ -604,10 +605,13 @@ def test_witness_triples_are_closed_under_conjugation():
 
 def test_only_failing_triples_compute_double_cosets(monkeypatch):
     # the criterion reads cut classes off conjugates; Mackey cuts are built
-    # once per failing (K, H, J), for its witnesses' shared ``checked``, and
+    # once per failing (K, H, J), for its witnesses' shared ``checked``, by
+    # at most one call per failing pair with the J at which it fails, and
     # for nothing else
     calls = {"cuts": 0, "blocks": 0}
+    pair_calls = []
     cuts, blocks = nc.SubgroupLattice.mackey_cuts, nc.SubgroupLattice.double_coset_blocks
+    pair_cuts = nc.SubgroupLattice.pair_mackey_cuts
 
     def counted_cuts(L, *args):
         calls["cuts"] += 1
@@ -617,13 +621,19 @@ def test_only_failing_triples_compute_double_cosets(monkeypatch):
         calls["blocks"] += 1
         return blocks(L, *args)
 
+    def counted_pair_cuts(L, kid, hid, jmask):
+        pair_calls.append((kid, hid, jmask))
+        return pair_cuts(L, kid, hid, jmask)
+
     monkeypatch.setattr(nc.SubgroupLattice, "mackey_cuts", counted_cuts)
     monkeypatch.setattr(nc.SubgroupLattice, "double_coset_blocks", counted_blocks)
+    monkeypatch.setattr(nc.SubgroupLattice, "pair_mackey_cuts", counted_pair_cuts)
     rng = random.Random(26)
-    witnesses = triples = 0
+    witnesses = triples = pairs = 0
     for spec in ("symmetric:4", "dihedral:16*cyclic:2"):
         L = nc.subgroup_lattice(nc.build_group(spec))
         for _ in range(4):
+            del pair_calls[:]
             d = nc.localization_preserves(random_valid_locus(L, rng), nc.complete_system(L))
             checked = {}
             for w in d.witnesses:
@@ -631,9 +641,14 @@ def test_only_failing_triples_compute_double_cosets(monkeypatch):
                 assert w.checked is first
             witnesses += len(d.witnesses)
             triples += len(checked)
-    assert witnesses > triples > 0
-    assert calls["cuts"] == triples
-    assert calls["blocks"] <= triples
+            failing = {(k, h) for k, h, _ in checked}
+            pairs += len(failing)
+            # one call per failing pair, and each of its J is a failing triple
+            assert sorted((k, h) for k, h, _ in pair_calls) == sorted(failing)
+            assert {(k, h, j) for k, h, jmask in pair_calls for j in _bits(jmask)} == set(checked)
+            assert sum(jmask.bit_count() for _, _, jmask in pair_calls) == len(checked)
+    assert witnesses > triples > pairs > 0
+    assert calls == {"cuts": 0, "blocks": 0}
 
 
 def test_a_failing_decision_leaves_the_lattice_unchanged():

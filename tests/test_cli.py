@@ -165,6 +165,26 @@ def test_parse_errors_exit_2(capsys):
     assert err.count("error:") == 4
 
 
+def test_invalid_locus_error_names_the_violation(tmp_path, capsys):
+    # decide names the axiom and witness as spectrum-validate's text report
+    # does, with no Python repr of the record
+    path = tmp_path / "locus.json"
+    path.write_text(json.dumps(
+        {"entries": [{"subgroup": "C1#0", "prime": 2, "heights": ["inf"]}]}
+    ))
+    args = ["--group", "cyclic:4", "--locus", str(path)]
+    assert main(["spectrum-validate", *args]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line == "violation chain-inequality: (2, 0, inf, None)"
+    for fmt in ("text", "structured"):
+        assert main(["decide", *args, "--operad", "complete", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "error: locus fails validation, violation chain-inequality: (2, 0, inf, None)\n"
+        )
+
+
 def test_bound_env_variables(capsys):
     code, out, err = run_cli(
         ["lattice", "--group", "cyclic:8"], NORMCERT_MAX_GROUP_ORDER="4"

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from normcert.groups import _greedy_generators, cyclic_power_order
+from normcert.groups import _bits, _greedy_generators, cyclic_power_order
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
@@ -374,6 +374,59 @@ def test_double_cosets_match_the_product_oracle(spec):
             not_normal_in_h += not normal_in_h
     if spec in ("dihedral:64", "symmetric:4", "dihedral:16*cyclic:2"):
         assert normal_in_h_only > 0 and not_normal_in_h > 0
+
+
+# least elements of cosets move with the element labels, so the oracles of
+# the per-pair Mackey cuts and the coset leads also run on two relabellings
+RELABELED_SPECS = ("relabeled:symmetric:4", "relabeled:dihedral:16*cyclic:2")
+
+
+def oracle_lattice(spec):
+    """The lattice of ``spec``, or of a fixed relabelling of its group for ``relabeled:``."""
+    _, _, base = spec.partition("relabeled:")
+    if not base:
+        return lattice(spec)
+    G = lattice(base).group
+    perm = list(range(G.order))
+    random.Random(spec).shuffle(perm)
+    return nc.subgroup_lattice(relabeled(G, perm))
+
+
+@pytest.mark.parametrize(
+    "spec", CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS) + RELABELED_SPECS
+)
+def test_pair_mackey_cuts_match_the_product_oracle(spec):
+    # every strict pair at every J below H, in id order, against the
+    # |K|·|J| products; the non-abelian groups reach both the coset sweep
+    # (K normal in H) and the walk
+    L = oracle_lattice(spec)
+    normal = walked = 0
+    for hid in range(len(L)):
+        below = L.down[hid]
+        for kid in _bits(below & ~(1 << hid)):
+            assert L.pair_mackey_cuts(kid, hid, below) == [
+                product_mackey_cuts(L, kid, jid, hid) for jid in _bits(below)
+            ]
+            if L.down[L.normalizer[kid]] >> hid & 1:
+                normal += 1
+            else:
+                walked += 1
+    assert normal > 0
+    if "symmetric:4" in spec or "dihedral" in spec:
+        assert walked > 0
+    with pytest.raises(nc.NotSubgroupOfAmbient):
+        L.pair_mackey_cuts(L.top.lattice_id, L.bottom.lattice_id, 1)
+
+
+@pytest.mark.parametrize(
+    "spec", CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS) + RELABELED_SPECS
+)
+def test_coset_leads_are_the_least_coset_members(spec):
+    L = oracle_lattice(spec)
+    G = L.group
+    for sid, s in enumerate(L.subgroups):
+        least = {min(G.mul(x, j) for j in s.members) for x in range(G.order)}
+        assert L.coset_leads[sid] == sum(1 << x for x in least)
 
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS + tuple(DECIDE_MIX_GENERATORS))

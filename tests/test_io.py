@@ -186,6 +186,39 @@ def test_decision_writers_match_their_oracles():
     assert all(seen.values()), seen
 
 
+def test_decision_writers_key_checked_texts_by_value():
+    # the writers build the text of each distinct ``checked`` list once per
+    # report.  This stream builds each list afresh and drops it once it is
+    # written, so later lists take the ids of earlier ones; a text cached by
+    # id() would be printed for the wrong list
+    L = lattice("symmetric:4")
+    R = nc.complete_system(L)
+    vl = random_valid_locus(L, random.Random(3))
+    d = nc.localization_preserves(vl, R)
+    # different triples carry equal lists, with other lists between them
+    triples = dict.fromkeys((w[:3], w.checked) for w in d.witnesses)
+    last, recurs = {}, False
+    for i, (_, checked) in enumerate(triples):
+        recurs |= last.get(checked, i - 1) < i - 1
+        last[checked] = i
+    assert recurs
+    ids: dict[int, set] = {}
+
+    def fresh():
+        for w in d.witnesses:
+            checked = tuple([(r, c) for r, c in w.checked])
+            ids.setdefault(id(checked), set()).add(w.checked)
+            yield w._replace(checked=checked)
+            del checked
+
+    expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
+    assert iomod.decision_json(fresh(), L, R, vl) == (expected, True)
+    assert any(len(values) > 1 for values in ids.values())  # ids were reused
+    ids.clear()
+    assert iomod.decision_text(fresh(), L, R, vl) == (decision_text_by_loop(d, L, R, vl), True)
+    assert any(len(values) > 1 for values in ids.values())
+
+
 def _check_enumeration_writer(L, e):
     # the direct writer against the generic one over the hand-built dict and
     # against json.dumps

@@ -33,7 +33,15 @@ each witness at height ``"inf"`` (68 of them on D64, exit 1).  On S4 and
 D64 it also runs against the tower at the first class of subgroups that
 are not normal, whose witnesses include norms K -> H with K normal in H
 but not in G, the coset sweep of the Mackey cuts (S4: 162 witnesses, 36
-of that kind, 6 of them with several blocks; D64: 1248 and 64).  The streams
+of that kind, 6 of them with several blocks; D64: 1248 and 64).  No stream
+decides with witnesses on a non-default element labelling, yet the least
+element of each double coset, which the ``checked`` lists print, moves with
+the labels, and so does the least element of each left coset that the
+lattice marks.  So the fixed list also runs ``decide --operad complete
+--strict``, text and structured, on a ``table:`` CSV of S4 whose element
+labels are permuted by the seed ``relabel:S4``, against a random locus by
+the decide-mix rule (seed ``locus:S4-relabeled:0``), both written into the
+scratch directory: 949 witnesses, exit 1.  The streams
 sweep only C8, C27 and C25 with ``cross-validate``, so the fixed list also
 runs it, text and structured, on C343 at the order bound (``--n 3 --prime 7
 --height-bound 5``), on the trivial group (``--n 0``), at height bound 0
@@ -217,38 +225,69 @@ def inf_locus_requests(tree: str, scratch: str) -> list[list[str]]:
     ]
 
 
-# a random locus on D8xD8 by the decide-mix rule: per class, and per prime 2
-# and 3, a top drawn from none, 0, 1, 2 with the seed "locus:D8xD8:0"
-D8XD8 = "dihedral:8*dihedral:8"
+# a random locus by the decide-mix rule: per class, and per prime 2 and 3, a
+# top drawn from none, 0, 1, 2 with a given seed; arguments spec, seed, path
 RANDOM_LOCUS = """import json, random, sys, normcert as nc, normcert.io
 L = nc.subgroup_lattice(nc.build_group(sys.argv[1]))
-rng = random.Random("locus:D8xD8:0")
+rng = random.Random(sys.argv[2])
 primes = []
 for c in range(len(L.classes)):
     for p in (2, 3):
         top = rng.choice((None, 0, 1, 2))
         if top is not None:
             primes.extend(nc.balmer_prime(c, m, p) for m in range(top + 1))
-with open(sys.argv[2], "w") as fh:
+with open(sys.argv[3], "w") as fh:
     json.dump(normcert.io.locus_doc(nc.vanishing_locus(L, primes)), fh)
 """
 
 
-def large_decision_requests(tree: str, scratch: str) -> list[list[str]]:
-    """``decide --operad complete --strict``, text and structured, on D8xD8.
+def random_locus_requests(tree: str, scratch: str, spec: str, short: str) -> list[list[str]]:
+    """``decide --operad complete --strict``, text and structured, on ``spec``.
 
-    Its random locus gives 503,371 witnesses, a 47 MB text and a 179 MB
-    structured report.  Writes the locus document into ``scratch`` with
-    ``tree``.
+    Its locus is random by the decide-mix rule, seeded ``locus:SHORT:0``.
+    Writes the locus document into ``scratch`` with ``tree``.
     """
-    path = os.path.join(scratch, "D8xD8-r0.json")
-    subprocess.run([sys.executable, "-c", RANDOM_LOCUS, D8XD8, path],
+    path = os.path.join(scratch, f"{short}-r0.json")
+    subprocess.run([sys.executable, "-c", RANDOM_LOCUS, spec, f"locus:{short}:0", path],
                    env=tree_env(tree), cwd=scratch, check=True)
     return [
-        ["decide", "--group", D8XD8, "--operad", "complete", "--locus", path, "--strict",
+        ["decide", "--group", spec, "--operad", "complete", "--locus", path, "--strict",
          "--format", fmt]
         for fmt in ("text", "structured")
     ]
+
+
+# S4 with its element labels permuted by the seed "relabel:S4", written as a
+# CSV multiplication table to the path given
+RELABELED_S4 = """import random, sys, normcert as nc
+G = nc.symmetric(4)
+perm = list(range(G.order))
+random.Random("relabel:S4").shuffle(perm)
+rows = [[0] * G.order for _ in range(G.order)]
+for a in range(G.order):
+    for b in range(G.order):
+        rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
+with open(sys.argv[1], "w") as fh:
+    fh.write("".join(",".join(map(str, row)) + "\\n" for row in rows))
+"""
+
+
+def relabeled_requests(tree: str, scratch: str) -> list[list[str]]:
+    """Random-locus decisions on S4 under permuted element labels.
+
+    The least elements of double cosets, which the ``checked`` lists print,
+    move with the labels.  Writes the table and the locus into ``scratch``
+    with ``tree``.
+    """
+    path = os.path.join(scratch, "S4-relabeled.csv")
+    subprocess.run([sys.executable, "-c", RELABELED_S4, path],
+                   env=tree_env(tree), cwd=scratch, check=True)
+    return random_locus_requests(tree, scratch, f"table:{path}", "S4-relabeled")
+
+
+# the largest decision reports: D8xD8's random locus gives 503,371
+# witnesses, a 47 MB text and a 179 MB structured report
+D8XD8 = "dihedral:8*dihedral:8"
 
 
 # C343 at the order bound, the trivial group, height bound 0, and C1331 past the bound
@@ -354,8 +393,8 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
         write_inputs(base, workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
                 + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch)
-                + xval_requests() + D12_ENUM_REQUESTS + LARGE_DOC_REQUESTS
-                + large_decision_requests(base, scratch))
+                + relabeled_requests(base, scratch) + xval_requests() + D12_ENUM_REQUESTS
+                + LARGE_DOC_REQUESTS + random_locus_requests(base, scratch, D8XD8, "D8xD8"))
     diff = compare_batch(base, "fixed list", requests, scratch)
     if diff is not None:
         return diff
