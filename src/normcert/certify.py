@@ -170,7 +170,7 @@ def _cut_table(L, kids: tuple[int, ...]) -> dict[int, int]:
         for x in _bits(inside):
             exact = up[x]
             rest = covers[x] & inside
-            while rest:
+            while rest:  # inline: via _bits, this walk alone costs decide-mix 1-2 %
                 low = rest & -rest
                 exact &= ~up[low.bit_length() - 1]
                 rest ^= low
@@ -282,7 +282,8 @@ def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
             for q, in_locus in vl.primes_at_class(c):
                 for jid, checked, cut_classes in triples:
                     if not cut_classes & in_locus:
-                        yield NormFailure(kid, hid, jid, q, checked)
+                        # the named tuple's own __new__ is a Python function, one call per witness
+                        yield tuple.__new__(NormFailure, (kid, hid, jid, q, checked))
 
 
 def _checked_witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:

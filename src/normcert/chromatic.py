@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .groups import DEFAULT_MAX_ORDER, SubgroupLattice, cyclic_power_order, lattice_of
+from .transfers import Violation  # one record shape for both validators
 
 
 class ChromaticError(Exception):
@@ -299,8 +300,6 @@ def validate_vanishing_locus(VL: VanishingLocus) -> list:
     checks the adjacent-height inequalities that cut the p-local loci down
     to the ones realised by thick subcategories.
     """
-    from .transfers import Violation  # shared record shape
-
     out = []
     n_classes = len(VL.lattice.classes)
     for q in VL.sorted_primes():

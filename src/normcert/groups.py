@@ -17,11 +17,11 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import compress, count, permutations
 from operator import itemgetter
 
 
@@ -48,14 +48,27 @@ class NotSubgroupOfAmbient(GroupError):
 DEFAULT_MAX_ORDER = 64
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending."""
+_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")  # for ``compress``: '1' selects, '0' not
+
+
+def _bits(mask: int, labels: Sequence | None = None) -> tuple:
+    """The indices i of the set bits of ``mask``, ascending, or ``labels[i]`` for each.
+
+    A sparse mask is peeled one highest bit at a time, which shortens it at
+    each step.  A dense one, with at least eight and more than about one in
+    eight bits set, has its binary digits pick from the indices or ``labels``
+    (``mask.bit_length()`` items at least) in one ``compress`` pass instead.
+    """
+    if (k := mask.bit_count()) > 7 and k * 8 > mask.bit_length() + 40:
+        digits = bin(mask)[:1:-1].encode().translate(_DIGIT_SELECTORS)
+        return tuple(compress(count() if labels is None else labels, digits))
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return tuple(out) if labels is None else tuple([labels[i] for i in out])
 
 
 @dataclass(eq=False, frozen=True)
@@ -183,7 +196,7 @@ def dihedral(order: int) -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise UnsupportedSpec(f"symmetric degree must be 1..5, got {n}")
-    perms = list(itertools.permutations(range(n)))
+    perms = list(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
 
     def mul(a, b):
@@ -286,56 +299,57 @@ def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:
     its CSV is read no further than the first row past the bound or wider
     than it.
     """
-    groups = [build() for _, build in _factors(spec, max_order)]
-    return groups[0] if len(groups) == 1 else direct_product(*groups)
+    return _group_of(_factors(spec, max_order))
 
 
-Atom = tuple[str, int]
-
-
-def _factors(
-    spec: str, max_order: int | None
-) -> list[tuple[Atom | None, Callable[[], FiniteGroup]]]:
-    """Each factor of ``spec`` as (its atom, its constructor); nothing is built.
+def _factors(spec: str, max_order: int | None) -> list[tuple]:
+    """The atom of each factor of ``spec``; no group is built.
 
     The atom is (kind, integer argument), ``("quaternion", 8)`` for both
-    spellings of Q8, and None for a ``table:`` factor.  Every error that
-    :func:`build_group` raises before it builds a table is raised here.
+    spellings of Q8, and ``("table", rows, name)`` for a ``table:`` factor.
+    Every error that :func:`build_group` raises before it builds a table is
+    raised here.
     """
     parts = [p.strip() for p in spec.split("*")]
     if any(not p for p in parts):
         raise UnsupportedSpec(f"malformed group spec {spec!r}")
     factors = [_atom(p, max_order) for p in parts]
     if max_order is not None:
-        order = math.prod(n for n, _, _ in factors)
-        if order > max_order or any(n > max_order for n, _, _ in factors):
+        order = math.prod(n for n, _ in factors)
+        if order > max_order or any(n > max_order for n, _ in factors):
             raise GroupTooLarge(f"|{spec}| = {order} exceeds bound {max_order}")
-    return [(atom, build) for _, atom, build in factors]
+    return [atom for _, atom in factors]
 
 
-def _atom(
-    s: str, max_order: int | None
-) -> tuple[int, Atom | None, Callable[[], FiniteGroup]]:
-    """One factor of a spec as (its order, its atom, its constructor); nothing is built.
+def _atom(s: str, max_order: int | None) -> tuple[int, tuple]:
+    """One factor of a spec as (its order, its atom); no group is built.
 
     A ``table:`` factor is read here, and no further than ``max_order`` allows.
     """
     kind, sep, arg = s.partition(":")
     if kind in ("cyclic", "dihedral") and sep:
         n = _int_arg(s, arg)
-        return n, (kind, n), partial(cyclic if kind == "cyclic" else dihedral, n)
+        return n, (kind, n)
     if kind == "symmetric" and sep:
         n = _int_arg(s, arg)
         # symmetric() rejects a degree outside 1..5 itself
-        return (math.factorial(n) if 1 <= n <= 5 else n), (kind, n), partial(symmetric, n)
+        return (math.factorial(n) if 1 <= n <= 5 else n), (kind, n)
     if kind == "quaternion":
         if arg not in ("", "8"):
             raise UnsupportedSpec(f"only quaternion:8 is supported, got {s!r}")
-        return 8, (kind, 8), quaternion
+        return 8, (kind, 8)
     if kind == "table" and sep:
         rows, name = _read_table_csv(arg, max_order)
-        return len(rows), None, partial(from_table, rows, name)
+        return len(rows), (kind, rows, name)
     raise UnsupportedSpec(f"unrecognised group spec {s!r}")
+
+
+def _group_of(atoms: Sequence[tuple]) -> FiniteGroup:
+    """The group the atoms of a spec name: its one factor, or their direct product."""
+    build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric,
+             "quaternion": lambda _: quaternion(), "table": from_table}
+    groups = [build[kind](*args) for kind, *args in atoms]
+    return groups[0] if len(groups) == 1 else direct_product(*groups)
 
 
 def _int_arg(spec: str, arg: str) -> int:
@@ -508,7 +522,7 @@ class SubgroupLattice:
                 cut = id_of_mask[kmask & subgroups[jid].mask]
                 reps = leads[(above & -above).bit_length() - 1] & hmask
                 cuts = []
-                while reps:
+                while reps:  # inline: via _bits, this walk alone costs decide-mix about 3 %
                     low = reps & -reps
                     cuts.append((low.bit_length() - 1, cut))
                     reps ^= low
@@ -629,15 +643,15 @@ def lattice_of(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice
     with a ``table:`` factor or a bound above ``DEFAULT_MAX_ORDER`` is built
     on each call, so the 16 kept lattices hold under 134 MB (C2^6: 8.4 MB).
     """
-    if "table:" in spec or max_order > DEFAULT_MAX_ORDER:
-        return subgroup_lattice(build_group(spec, max_order=max_order), max_order=max_order)
-    return _kept_lattice(tuple(atom for atom, _ in _factors(spec, max_order)), max_order)
+    atoms = _factors(spec, max_order)
+    if max_order > DEFAULT_MAX_ORDER or any(kind == "table" for kind, *_ in atoms):
+        return subgroup_lattice(_group_of(atoms), max_order=max_order)
+    return _kept_lattice(tuple(atoms), max_order)
 
 
 @lru_cache(maxsize=16)
-def _kept_lattice(atoms: tuple[Atom, ...], max_order: int) -> SubgroupLattice:
-    spec = "*".join(f"{kind}:{n}" for kind, n in atoms)
-    return subgroup_lattice(build_group(spec, max_order=max_order), max_order=max_order)
+def _kept_lattice(atoms: tuple[tuple, ...], max_order: int) -> SubgroupLattice:
+    return subgroup_lattice(_group_of(atoms), max_order=max_order)
 
 
 def cyclic_power_order(p: int, n: int, max_order: int) -> int:

@@ -10,11 +10,11 @@ final newline.  Decision reports, the largest documents, are written by
 :func:`decision_json` to the same bytes straight from the witness stream of
 :func:`~normcert.certify.localization_witnesses`, with no witness dict and
 no witness kept once written, and transfer enumerations, the next largest, by
-:func:`enumeration_json` without building their system dicts or
-containment lists.  Their dict forms, :func:`decision_doc` and
-:func:`enumeration_doc`, are those writers' output parsed back, so each
-report is defined once.  Digests hash the compact form of
-:func:`canonical_json`.
+:func:`enumeration_json` with no system dict, each containment row the index
+strings :func:`~normcert.groups._bits` picks by its bits.  Their dict forms,
+:func:`decision_doc` and :func:`enumeration_doc`, are those writers' output
+parsed back, so each report is defined once.  Digests hash the compact form
+of :func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable
-from itertools import compress
 
 from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision, NormFailure, Verdict
 from .chromatic import (
@@ -191,20 +190,6 @@ def parse_system(L: SubgroupLattice, spec) -> TransferSystem:
     return close_transfer_system(L, seed)
 
 
-# '0' selects nothing and '1' selects, for ``compress``
-_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bit_labels(mask: int, labels):
-    """``labels[i]`` for each i in ``_bits(mask)``, ascending, with no step per bit.
-
-    The binary digits of ``mask``, lowest first, select from ``labels`` in
-    one ``compress`` pass; ``labels`` must have at least
-    ``mask.bit_length()`` items.
-    """
-    return compress(labels, bin(mask)[:1:-1].encode().translate(_DIGIT_SELECTORS))
-
-
 def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
     """The structured transfer enumeration, written without the document's dicts and lists.
 
@@ -228,7 +213,7 @@ def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
     index = [str(i) for i in range(len(enum.systems))]
     pieces = ['{\n  "containment": [\n    ']
     for up in enum.up:
-        pieces.append("[\n      " + ",\n      ".join(_bit_labels(up, index)) + "\n    ]")
+        pieces.append("[\n      " + ",\n      ".join(_bits(up, index)) + "\n    ]")
         pieces.append(",\n    ")
     pieces[-1] = (
         f'\n  ],\n  "count": {len(enum.systems)},\n  "group": {_encode_str(L.group.name)},'

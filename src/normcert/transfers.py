@@ -238,7 +238,7 @@ class _OrbitTables:
             closed |= low
             new = self._step(a)
             right = closed & starts[self.top_class[a]]
-            while right:
+            while right:  # inline: via _bits, both and enumerate's cost enumerate-poset 15-19 %
                 bit = right & -right
                 right ^= bit
                 new |= self._compose(a, bit.bit_length() - 1)
@@ -335,7 +335,7 @@ def enumerate_transfer_systems(
         parent, start = stack.pop()
         found.append(parent)
         free = every_orbit & ~parent & -start
-        while free:
+        while free:  # inline, like close's walks: via _bits they cost enumerate-poset 15-19 %
             bit = free & -free
             free ^= bit
             child = close(bit, parent, bit - 1)

@@ -111,6 +111,20 @@ def group_axiom_failure(table) -> str | None:
     return None
 
 
+def relabeled_rows(G, perm):
+    """The table of G with each element a renamed perm[a], as lists."""
+    rows = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    return rows
+
+
+def relabeled(G, perm):
+    """G with each element a renamed perm[a]."""
+    return nc.from_table(relabeled_rows(G, perm), f"{G.name}-relabeled")
+
+
 def _closure(G: nc.FiniteGroup, elems) -> int:
     """Bitmask of the subgroup generated by ``elems``: products until nothing is new."""
     members = {G.identity, *elems}

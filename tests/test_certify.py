@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,8 @@ from helpers import (
     random_support_data,
     random_uniform_locus,
     random_valid_locus,
+    relabeled,
+    set_bits_by_scan,
 )
 
 
@@ -519,6 +522,104 @@ def test_decision_separates_over_primes():
                 checked += 1
                 parts += 0 < len(expected) < len(full)
     assert checked == 162 and parts >= 40, (checked, parts)
+
+
+def _image_ids(L: nc.SubgroupLattice, LH: nc.SubgroupLattice, image) -> list[int]:
+    """Per subgroup of L, the id in LH of its image under the element map ``image``."""
+    to = [LH.id_of_mask(sum(1 << image[x] for x in s.members)) for s in L.subgroups]
+    assert sorted(to) == list(range(len(LH)))
+    return to
+
+
+def _witness_keys(L: nc.SubgroupLattice, to, LH: nc.SubgroupLattice, witnesses) -> Counter:
+    """The witnesses of L as (K, H, J, prime, cut classes) in LH's ids, counted.
+
+    ``to`` carries L's subgroup ids into LH.  The least element of a double
+    coset moves with the labels, but the class of its cut does not.
+    """
+    cls = [LH.class_of[to[i]] for i in range(len(L))]
+    prime_class = [cls[members[0]] for members in L.classes]
+    return Counter(
+        (to[w.norm_source], to[w.norm_target], to[w.subgroup],
+         (prime_class[w.prime.subgroup_class], w.prime.height, w.prime.prime),
+         tuple(sorted(cls[cut] for _, cut in w.checked)))
+        for w in witnesses
+    )
+
+
+def _check_isomorphic_decisions(L, LH, image, short: str) -> int:
+    """Decide-mix loci r0 and r1 and three operads on L, carried across to LH.
+
+    The operads are the complete one and two closures of seeded generator
+    pairs; the loci are moved by member sets.  Both sides must give the same
+    verdict and witnesses that map one to one.  Returns the witness count.
+    """
+    to = _image_ids(L, LH, image)
+    ident = range(len(LH))
+    rng = random.Random(f"isomorphic:{short}")
+    operads = [(nc.complete_system(L), nc.complete_system(LH))]
+    for _ in range(2):
+        gens = rng.sample(candidate_pairs(L), 2)
+        R = nc.close_transfer_system(L, gens)
+        RH = nc.close_transfer_system(LH, [(to[k], to[h]) for k, h in gens])
+        assert RH.pairs == {(to[k], to[h]) for k, h in R.pairs}
+        operads.append((R, RH))
+    prime_class = [LH.class_of[to[members[0]]] for members in L.classes]
+    total = 0
+    for i in range(2):
+        vl = decide_mix_locus(L, f"locus:{short}:{i}")
+        vlh = nc.vanishing_locus(
+            LH, [nc.BalmerPrime(prime_class[q.subgroup_class], q.height, q.prime)
+                 for q in vl.primes])
+        for R, RH in operads:
+            d, dh = nc.localization_preserves(vl, R), nc.localization_preserves(vlh, RH)
+            assert d.verdict == dh.verdict and len(d.witnesses) == len(dh.witnesses)
+            assert (_witness_keys(L, to, LH, d.witnesses)
+                    == _witness_keys(LH, ident, LH, dh.witnesses))
+            total += len(d.witnesses)
+    return total
+
+
+def _check_isomorphic_enumerations(L, LH, image) -> None:
+    """Equal system counts, and ``up`` relations that the element map carries across."""
+    to = _image_ids(L, LH, image)
+    e, eh = nc.enumerate_transfer_systems(L), nc.enumerate_transfer_systems(LH)
+    assert len(e) == len(eh)
+    where = {s.pairs: i for i, s in enumerate(eh.systems)}
+    sigma = [where[frozenset((to[k], to[h]) for k, h in s.pairs)] for s in e.systems]
+    assert sorted(sigma) == list(range(len(eh)))
+    for i, up in enumerate(e.up):
+        assert eh.up[sigma[i]] == sum(1 << sigma[j] for j in set_bits_by_scan(up))
+
+
+def test_decisions_are_stable_under_relabeling():
+    # a seeded permutation of each decide-mix group's element labels moves the
+    # bits of every element mask, many across the density switch of _bits
+    for short, spec in DECIDE_MIX_GROUPS:
+        L = lattice(spec)
+        perm = list(range(L.group.order))
+        random.Random(f"relabel:{short}").shuffle(perm)
+        LH = nc.subgroup_lattice(relabeled(L.group, perm))
+        assert _check_isomorphic_decisions(L, LH, perm, short) > 0
+
+
+def test_enumerations_are_stable_under_relabeling():
+    # the non-cyclic groups of the enumerate-poset benchmark workload
+    for spec in ("dihedral:8", "cyclic:2*cyclic:4", "quaternion:8", "cyclic:3*cyclic:3",
+                 "symmetric:3"):
+        L = lattice(spec)
+        perm = list(range(L.group.order))
+        random.Random(f"relabel:{spec}").shuffle(perm)
+        _check_isomorphic_enumerations(L, nc.subgroup_lattice(relabeled(L.group, perm)), perm)
+
+
+def test_factor_order_gives_isomorphic_decisions_and_enumerations():
+    # element a*|B| + b of AxB is element b*|A| + a of BxA
+    L, LH = lattice("dihedral:16*cyclic:2"), lattice("cyclic:2*dihedral:16")
+    swap = [(x % 2) * 16 + x // 2 for x in range(32)]
+    assert _check_isomorphic_decisions(L, LH, swap, "D16xC2") > 0
+    L, LH = lattice("cyclic:2*cyclic:4"), lattice("cyclic:4*cyclic:2")
+    _check_isomorphic_enumerations(L, LH, [(x % 4) * 2 + x // 4 for x in range(8)])
 
 
 @settings(max_examples=80, deadline=None)

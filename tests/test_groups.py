@@ -23,6 +23,8 @@ from helpers import (
     product_double_coset_blocks,
     product_mackey_cuts,
     random_valid_locus,
+    relabeled,
+    relabeled_rows,
     subconjugate_witness,
     up_sets_by_scan,
 )
@@ -63,15 +65,6 @@ DECIDE_MIX_GENERATORS = {
     "dihedral:16*cyclic:2": 3,
     "dihedral:64": 2,
 }
-
-
-def relabeled_rows(G, perm):
-    """The table of G with each element a renamed perm[a], as lists."""
-    rows = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
-    return rows
 
 
 def test_invalid_table_rejected():
@@ -509,11 +502,6 @@ def test_conjugation_is_an_order_isomorphism(spec, data):
     out = L.conj_id(sid, g)
     assert L.subgroups[out].order == L.subgroups[sid].order
     assert L.conj_id(out, L.group.inv(g)) == sid
-
-
-def relabeled(G, perm):
-    """G with each element a renamed perm[a]."""
-    return nc.from_table(relabeled_rows(G, perm), f"{G.name}-relabeled")
 
 
 @settings(max_examples=30, deadline=None)

@@ -306,16 +306,25 @@ def test_dict_forms_are_the_hand_built_documents(tmp_path):
 
 
 def test_bit_labels_equal_bits():
-    # so does the enumeration oracle's scan of the binary digits
+    # _bits with labels picks labels[i] at each set bit, on either side of the
+    # switch between its peel and its digit pass, near one bit in eight set;
+    # the enumeration oracle's scan of the binary digits agrees
     rng = random.Random(24)
     masks = [0, 1, 1 << 1, 1 << 63, 1 << 64, 1 << 8690]
     masks += [rng.getrandbits(rng.randrange(1, 9000)) for _ in range(300)]
     masks += [rng.getrandbits(4000) & rng.getrandbits(4000) & rng.getrandbits(4000)
               for _ in range(50)]
+    for length in (*range(1, 130), 400, 3000, 8691):
+        middle = (length + 40) // 8
+        for k in range(max(1, middle - 3), min(length, middle + 4) + 1):
+            rest = rng.sample(range(length - 1), k - 1)
+            masks.append(1 << (length - 1) | sum(1 << i for i in rest))
     for mask in masks:
-        assert tuple(iomod._bit_labels(mask, range(mask.bit_length()))) == _bits(mask)
-        assert tuple(iomod._bit_labels(mask, range(mask.bit_length() + 5))) == _bits(mask)
-        assert tuple(set_bits_by_scan(mask)) == _bits(mask)
+        scan = tuple(set_bits_by_scan(mask))
+        assert _bits(mask) == scan
+        assert _bits(mask, range(mask.bit_length())) == scan
+        names = [f"s{i}" for i in range(mask.bit_length() + 5)]
+        assert _bits(mask, names) == tuple(names[i] for i in scan)
 
 
 def test_group_and_lattice_docs():

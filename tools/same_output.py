@@ -16,7 +16,10 @@ that one request leaves in the process, such as a kept subgroup lattice,
 must not change what a later one prints.
 No stream prints a subgroup lattice, so a fixed list of ``lattice`` (text
 and structured) and ``dot --what subgroup-lattice`` requests over every
-group of the three workloads runs as well.  The fixed list also runs
+group of the three workloads, and over D8xD8, runs as well.  D8xD8 (389
+subgroups) is there because its lattice build lists 64-bit element masks,
+many of which take the dense branch of ``groups._bits``, next to 389-bit
+subgroup id masks, which take the sparse one.  The fixed list also runs
 structured ``lattice``, ``transfer-enumerate`` and ``decide --operad
 complete`` on a ``table:`` CSV of S3, written into the scratch directory,
 whose file name holds ``"``, ``\\``, ``,``, ``[``, ``{`` and ``é``, so the
@@ -123,11 +126,12 @@ def outcomes(trees: list[str], request: list[str], cwd: str) -> list[tuple[str, 
 
 
 def lattice_requests() -> list[list[str]]:
-    """Every way to print the subgroup lattice of every workload group."""
+    """Every way to print the subgroup lattice of every workload group and of D8xD8."""
     specs = dict.fromkeys(
         [spec for _, spec in workloads.DECIDE_GROUPS]
         + [spec for _, spec, _ in workloads.ENUM_GROUPS]
         + [f"cyclic:{p**n}" for p, n in workloads.CYCLIC_GROUPS]
+        + [D8XD8]
     )
     return [
         argv
