@@ -89,6 +89,11 @@ class Verdict(Enum):
     CERTIFIED_PRESERVES = "CertifiedPreserves"
     NO_GUARANTEE = "NoGuarantee"
 
+    @classmethod
+    def of(cls, held: bool) -> Verdict:
+        """The verdict of a decision: NO_GUARANTEE exactly when a witness held."""
+        return cls.NO_GUARANTEE if held else cls.CERTIFIED_PRESERVES
+
 
 class NormFailure(NamedTuple):
     """One failing instance of the double-coset criterion.
@@ -127,7 +132,7 @@ class Decision:
 
     @property
     def verdict(self) -> Verdict:
-        return Verdict.NO_GUARANTEE if self.witnesses else Verdict.CERTIFIED_PRESERVES
+        return Verdict.of(bool(self.witnesses))
 
     @property
     def certified(self) -> bool:

@@ -375,9 +375,9 @@ def validate_height_vector(v: HeightVector) -> bool:
 
 
 def cyclic_power_lattice(p: int, n: int) -> SubgroupLattice:
-    """The lattice of C_{p^n} from :func:`normcert.groups.lattice_of` under
-    the bound max(p**n, DEFAULT_MAX_ORDER), so kept only for p**n <= it."""
-    return lattice_of(f"cyclic:{p**n}", max(DEFAULT_MAX_ORDER, p**n))
+    """The lattice of C_{p^n} from :func:`normcert.groups.lattice_of`, kept for
+    p**n <= ``DEFAULT_MAX_ORDER``; a caller with a bound checks it first."""
+    return lattice_of(f"cyclic:{p**n}", p**n)
 
 
 def heights_to_locus(
@@ -385,12 +385,13 @@ def heights_to_locus(
 ) -> VanishingLocus:
     """The locus with primes P(C_{p^i}, j, p) for all j <= entries[i].
 
-    Without a lattice, C_{p^n} comes from :func:`normcert.groups.lattice_of`, so
-    p**n must not exceed ``DEFAULT_MAX_ORDER``; pass a lattice to go beyond it.
+    Without a lattice, C_{p^n} comes from :func:`cyclic_power_lattice` once p**n
+    is checked against ``DEFAULT_MAX_ORDER``; pass a lattice to go beyond it.
     """
     n = v.n
     if lattice is None:
-        lattice = lattice_of(f"cyclic:{cyclic_power_order(v.p, n, DEFAULT_MAX_ORDER)}")
+        cyclic_power_order(v.p, n, DEFAULT_MAX_ORDER)
+        lattice = cyclic_power_lattice(v.p, n)
     elif n == 0 and lattice.group.order != 1:
         raise NotCyclicPGroupLattice("length-1 vectors live on the trivial group")
     elif n and cyclic_p_power(lattice) != (v.p, n):

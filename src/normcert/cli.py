@@ -10,9 +10,8 @@ Default bounds can be overridden with the environment variables
 NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 
 Every lattice, from --group or --ell, comes from the one lattice memo
-:func:`normcert.groups.lattice_of`: 16 keys of parsed spec and order bound, specs
-with a ``table:`` factor or read under a raised NORMCERT_MAX_GROUP_ORDER built
-each time, under 134 MB; requests share a lattice only while it is kept.
+:func:`normcert.groups.lattice_of` once NORMCERT_MAX_GROUP_ORDER is checked.
+The report goes to --out or to stdout in one ``try``: a failed write exits 2.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .certify import (
 )
 from .chromatic import (
     ChromaticError,
+    cyclic_power_lattice,
     heights_to_locus,
     validate_vanishing_locus,
 )
@@ -51,7 +51,6 @@ _INPUT_ERRORS = (
     ChromaticError,
     CertifyError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -81,8 +80,8 @@ def _load_json(path: str) -> dict:
             raise iomod.ParseError(f"{path} is not UTF-8 text") from None
         except RecursionError:
             raise iomod.ParseError(f"{path} nests too deeply") from None
-        except json.JSONDecodeError:
-            raise
+        except json.JSONDecodeError as exc:
+            raise iomod.ParseError(str(exc)) from None
         except ValueError:  # an integer past sys.get_int_max_str_digits()
             raise iomod.ParseError(f"{path} holds an integer too long to read") from None
 
@@ -98,7 +97,8 @@ def _load_locus(args):
     if ell is not None:
         v = iomod.parse_heights_inline(ell)
         if L is None:
-            L = _build_lattice(f"cyclic:{cyclic_power_order(v.p, v.n, _max_group_order())}")
+            cyclic_power_order(v.p, v.n, _max_group_order())
+            L = cyclic_power_lattice(v.p, v.n)
         return L, heights_to_locus(v, L)
     doc = _load_json(spec)
     if L is None:
@@ -301,11 +301,16 @@ def main(argv=None) -> int:
             # decode is written back as itself
             with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
                 fh.write(text)
+        else:
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:  # what stays buffered would fail again at exit, with code 120
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
-        sys.stdout.write(text)
     return 1 if flagged and args.strict else 0
 
 

@@ -6,8 +6,8 @@ canonical names, so output is deterministic byte for byte.
 
 from __future__ import annotations
 
-from .certify import MAX_ENUM_HEIGHT, NotAPrime
-from .chromatic import ANY_PRIME, _is_prime
+from .certify import MAX_ENUM_HEIGHT, _check_chain
+from .chromatic import ANY_PRIME
 from .groups import SubgroupLattice, hasse_covers
 from .transfers import BoundTooLarge, TransferEnumeration
 
@@ -38,8 +38,7 @@ def transfer_poset_dot(L: SubgroupLattice, enum: TransferEnumeration) -> str:
 
 def prime_poset_dot(L: SubgroupLattice, p: int, height_bound: int) -> str:
     """Primes P(H, m, p) for m <= height_bound, with height-inclusion edges."""
-    if not _is_prime(p):
-        raise NotAPrime(f"{p!r} is not a prime")
+    _check_chain(0, p)
     if not 0 <= height_bound <= MAX_ENUM_HEIGHT:
         raise BoundTooLarge(
             f"prime posets support 0 <= height_bound <= {MAX_ENUM_HEIGHT}, got {height_bound}"

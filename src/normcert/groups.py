@@ -299,26 +299,25 @@ def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:
     its CSV is read no further than the first row past the bound or wider
     than it.
     """
-    return _group_of(_factors(spec, max_order))
+    return _group_of(_factors(spec, max_order)[1])
 
 
-def _factors(spec: str, max_order: int | None) -> list[tuple]:
-    """The atom of each factor of ``spec``; no group is built.
+def _factors(spec: str, max_order: int | None) -> tuple[int, list[tuple]]:
+    """The order of ``spec``'s group and the atom of each factor; no group is built.
 
     The atom is (kind, integer argument), ``("quaternion", 8)`` for both
     spellings of Q8, and ``("table", rows, name)`` for a ``table:`` factor.
-    Every error that :func:`build_group` raises before it builds a table is
-    raised here.
+    This is the one check of ``max_order``: every error that
+    :func:`build_group` raises before it builds a table is raised here.
     """
     parts = [p.strip() for p in spec.split("*")]
     if any(not p for p in parts):
         raise UnsupportedSpec(f"malformed group spec {spec!r}")
     factors = [_atom(p, max_order) for p in parts]
-    if max_order is not None:
-        order = math.prod(n for n, _ in factors)
-        if order > max_order or any(n > max_order for n, _ in factors):
-            raise GroupTooLarge(f"|{spec}| = {order} exceeds bound {max_order}")
-    return [atom for _, atom in factors]
+    order = math.prod(n for n, _ in factors)
+    if max_order is not None and (order > max_order or any(n > max_order for n, _ in factors)):
+        raise GroupTooLarge(f"|{spec}| = {order} exceeds bound {max_order}")
+    return order, [atom for _, atom in factors]
 
 
 def _atom(s: str, max_order: int | None) -> tuple[int, tuple]:
@@ -637,21 +636,21 @@ def subgroup_lattice(
 def lattice_of(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice:
     """The lattice of ``build_group(spec, max_order)`` from the one lattice memo.
 
-    The memo keeps the last 16 keys of parsed atoms and ``max_order``, so
-    ``cyclic:02``, ``cyclic: 2`` and ``cyclic:2`` are one key, and callers
-    share a lattice only while it is kept.  Errors are not kept, and a spec
-    with a ``table:`` factor or a bound above ``DEFAULT_MAX_ORDER`` is built
-    on each call, so the 16 kept lattices hold under 134 MB (C2^6: 8.4 MB).
+    The bound is checked by :func:`_factors` alone, not kept in the key of the
+    last 16 parsed atom lists, so ``cyclic:02``, ``cyclic: 2`` and ``cyclic:2``
+    share a lattice, as callers do while it is kept.  Errors are not kept, and a
+    group of order above ``DEFAULT_MAX_ORDER`` or with a ``table:`` factor is
+    built on each call: 16 kept lattices hold under 134 MB (C2^6: 8.4 MB).
     """
-    atoms = _factors(spec, max_order)
-    if max_order > DEFAULT_MAX_ORDER or any(kind == "table" for kind, *_ in atoms):
+    order, atoms = _factors(spec, max_order)
+    if order > DEFAULT_MAX_ORDER or any(kind == "table" for kind, *_ in atoms):
         return subgroup_lattice(_group_of(atoms), max_order=max_order)
-    return _kept_lattice(tuple(atoms), max_order)
+    return _kept_lattice(tuple(atoms))
 
 
 @lru_cache(maxsize=16)
-def _kept_lattice(atoms: tuple[tuple, ...], max_order: int) -> SubgroupLattice:
-    return subgroup_lattice(_group_of(atoms), max_order=max_order)
+def _kept_lattice(atoms: tuple[tuple, ...]) -> SubgroupLattice:
+    return subgroup_lattice(_group_of(atoms))
 
 
 def cyclic_power_order(p: int, n: int, max_order: int) -> int:

@@ -296,14 +296,9 @@ def parse_locus(L: SubgroupLattice, doc) -> VanishingLocus:
         p = _prime_from(entry.get("prime"))
         heights = _heights_from(entry.get("heights"))
         for h in heights:
-            if h == 0:
-                primes.append(balmer_prime(c, 0, ANY_PRIME))
-            elif p == ANY_PRIME:
-                raise ParseError(
-                    f"prime 'any' only carries height 0, got {_height_doc(h)!r}"
-                )
-            else:
-                primes.append(balmer_prime(c, h, p))
+            if p == ANY_PRIME and h != 0:
+                raise ParseError(f"prime 'any' only carries height 0, got {_height_doc(h)!r}")
+            primes.append(balmer_prime(c, h, p))
     return vanishing_locus(L, primes)
 
 
@@ -343,7 +338,8 @@ def parse_heights(doc) -> HeightVector:
 
 
 def parse_heights_inline(text: str) -> HeightVector:
-    """Parse the inline form ``P,(e0,e1,...)`` with entries int, inf or none."""
+    """Parse the inline form ``P,(e0,e1,...)`` with entries int, inf or none:
+    :func:`parse_heights` of P and the entries, each an int where it reads as one."""
     p_str, sep, rest = text.partition(",")
     rest = rest.strip()
     if not sep or not rest.startswith("(") or not rest.endswith(")"):
@@ -352,18 +348,15 @@ def parse_heights_inline(text: str) -> HeightVector:
         p = int(p_str)
     except ValueError:
         raise ParseError(f"bad prime {p_str!r}") from None
-    entries = []
+    tokens = []
     for tok in rest[1:-1].split(","):
         tok = tok.strip()
         try:
             tok = int(tok)
         except ValueError:
             pass
-        entries.append(_entry_from(tok))
-    try:
-        return HeightVector(p, tuple(entries))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        tokens.append(tok)
+    return parse_heights({"p": p, "ell": tokens})
 
 
 # -- reports ----------------------------------------------------------------------
@@ -389,46 +382,42 @@ def _decision_head(
     }
 
 
-def _verdict(held: bool) -> Verdict:
-    return Verdict.NO_GUARANTEE if held else Verdict.CERTIFIED_PRESERVES
-
-
 def _witness_pieces(
     witnesses: Iterable[NormFailure], rows_text, triple_text, prime_text
 ) -> list[str]:
     """The texts of a witness stream, three per witness, for a report writer to join.
 
-    Each witness is written as it comes and then dropped, so no witness
-    once written stays alive.  Witnesses of one pair (K, H) come together,
-    and those at one J share their ``checked`` cuts, so the text around a
-    witness's prime, the pair ``triple_text(kid, hid, jid, rows)``, is
-    built once per J of the pair; the cache is keyed by J and cleared at
-    the next pair.  Many triples carry equal ``checked`` lists, so the text
-    of the list, ``rows = rows_text(checked)``, is built once per distinct
-    value per report, keyed by the value: a list that is dropped frees its
-    ``id()`` for another.  Each prime's text, ``prime_text(q)``, is built
-    once per report, keyed by the identity of the prime, which the locus
-    keeps alive.  The list is empty exactly when the stream is.
+    Each witness is written as it comes and then dropped.  Witnesses of one
+    pair (K, H) come together, and those at one J share their ``checked``
+    cuts, so ``triple_text(kid, hid, jid, rows)`` is kept per J until the
+    next pair, and reused only for the ``checked`` object it was built from.
+    ``rows = rows_text(checked)`` is built once per distinct value per
+    report.  ``prime_text(q)`` is built once per report, keyed by ``id(q)``,
+    and q is kept alive in ``kept``, so no other prime takes that id.  The
+    list is empty exactly when the stream is.
     """
-    around: dict[int, tuple[str, str]] = {}
+    around: dict[int, tuple] = {}
     rows: dict[tuple, str] = {}
     primes: dict[int, str] = {}
+    kept = []
     source = target = -1
     pieces: list[str] = []
     for kid, hid, jid, q, checked in witnesses:
         if kid != source or hid != target:
             source, target = kid, hid
             around.clear()
-        text = around.get(jid)
-        if text is None:
+        built = around.get(jid)
+        if built is None or built[0] is not checked:
             cuts = rows.get(checked)
             if cuts is None:
                 cuts = rows[checked] = rows_text(checked)
-            text = around[jid] = triple_text(kid, hid, jid, cuts)
+            before, after = triple_text(kid, hid, jid, cuts)
+            built = around[jid] = (checked, before, after)
         prime = primes.get(id(q))
         if prime is None:
             prime = primes[id(q)] = prime_text(q)
-        pieces += (text[0], prime, text[1])
+            kept.append(q)
+        pieces += (built[1], prime, built[2])
     return pieces
 
 
@@ -477,7 +466,7 @@ def decision_json(
     held = bool(pieces)
     if held:
         pieces[-1] = pieces[-1][: -len(",\n    ")] + "\n  ]\n}\n"
-    head = indented_json(_decision_head(_verdict(held), L, R, VL))[:-3]
+    head = indented_json(_decision_head(Verdict.of(held), L, R, VL))[:-3]
     pieces.insert(0, head + (',\n  "witnesses": [\n    ' if held else ',\n  "witnesses": []\n}\n'))
     return "".join(pieces), held
 
@@ -517,7 +506,7 @@ def decision_text(
         f"group: {L.group.name}\n"
         f"operad: {len(R.pairs)} admissible pairs\n"
         f"locus: {len(VL.primes)} primes\n"
-        f"verdict: {_verdict(held).value}\n",
+        f"verdict: {Verdict.of(held).value}\n",
     )
     return "".join(pieces), held
 

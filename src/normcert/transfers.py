@@ -118,11 +118,11 @@ def validate_transfer_system(R: TransferSystem) -> list[Violation]:
     for hid in range(len(L)):
         if (hid, hid) not in R.pairs:
             out.append(Violation("reflexivity", (hid,)))
-    by_top: dict[int, list[int]] = {}
+    by_bottom: dict[int, list[int]] = {}
     for kid, hid in pairs:
-        by_top.setdefault(kid, []).append(hid)
+        by_bottom.setdefault(kid, []).append(hid)
     for lid, kid in pairs:
-        for hid in by_top.get(kid, ()):
+        for hid in by_bottom.get(kid, ()):
             if (lid, hid) not in R.pairs:
                 out.append(Violation("transitivity", (lid, kid, hid)))
     for kid, hid in pairs:

@@ -217,9 +217,10 @@ def test_cyclic_power_lattices_share_the_bounded_memo():
 
 
 def test_raised_bound_lattices_are_not_kept():
-    # a lattice read under a bound above the default is built on every call
-    # and never reaches the memo, so the memo's worst case does not grow with
-    # the bound; at the default bound the memo still hands out one object
+    # the memo keeps a lattice by its group's order, whatever bound it was
+    # read under: one above the default is built on every call and never
+    # reaches the memo, so the memo's worst case does not grow with the
+    # bound; at the default order the memo still hands out one object
     memo = groups._kept_lattice
     before = memo.cache_info()
     for build in (lambda: groups.lattice_of("cyclic:97", 100),

@@ -296,6 +296,37 @@ def test_unwritable_out_path_exits_2(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:2*cyclic:2*cyclic:2*cyclic:2"])
+def test_failed_stdout_write_exits_2(spec, unbuffered):
+    # a failed write to stdout exits 2 like one to --out, not with a
+    # traceback and exit 1.  The larger report fails in the write, the
+    # smaller one in the flush, whose bytes left buffered would fail again
+    # when Python exits, with code 120
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "normcert.cli", "lattice", "--group", spec,
+             "--format", "structured"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=30,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+        )
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_malformed_json_is_a_parse_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    message = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    with pytest.raises(iomod.ParseError) as caught:
+        cli._load_json(str(bad))
+    assert str(caught.value) == message
+    code, out, err = run_cli(
+        ["decide", "--group", "cyclic:2", "--operad", "complete", "--locus", str(bad)], timeout=5
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_input_heights_bounded_before_expansion(tmp_path):
     # both hung: the heights were expanded one prime at a time
     locus = tmp_path / "locus.json"
@@ -463,7 +494,8 @@ def test_warm_caches_do_not_change_output(tmp_path):
 
 
 def test_lattice_memo_keys_on_the_order_bound(monkeypatch):
-    # a lower bound is a new key, so a kept lattice does not escape it
+    # the bound is checked before the memo is read, not kept in its key, so
+    # a lattice kept under the default bound does not escape a lower one
     argv = ["lattice", "--group", "cyclic:8*cyclic:8"]
     assert _in_process(argv)[0] == 0
     monkeypatch.setenv("NORMCERT_MAX_GROUP_ORDER", "32")
@@ -527,9 +559,34 @@ def test_spellings_of_one_group_share_one_memo_key(monkeypatch):
 
 
 def test_group_and_ell_requests_share_one_lattice(monkeypatch):
-    # under the default bound, --group cyclic:8 and an inline vector on C8 read
-    # one memo key, so both requests get the lattice the memo keeps
-    monkeypatch.delenv("NORMCERT_MAX_GROUP_ORDER", raising=False)
+    # under the default bound and a raised one, --group cyclic:8 and an inline
+    # vector on C8 read one memo key, so both requests get the lattice the
+    # memo keeps
+    got = []
+    for name in ("lattice_of", "cyclic_power_lattice"):
+        def recording(*args, build=getattr(cli, name)):
+            got.append(build(*args))
+            return got[-1]
+
+        monkeypatch.setattr(cli, name, recording)
+    for bound in (None, "128"):
+        if bound is None:
+            monkeypatch.delenv("NORMCERT_MAX_GROUP_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("NORMCERT_MAX_GROUP_ORDER", bound)
+        got.clear()
+        assert _in_process(["lattice", "--group", "cyclic:8"])[0] == 0
+        assert _in_process(["decide", "--operad", "complete", "--ell", "2,(0,0,0,0)"])[0] == 0
+        assert len(got) == 2 and got[0] is got[1] is groups.lattice_of("cyclic:8"), bound
+
+
+def test_raised_bound_keeps_lattices_up_to_the_default(monkeypatch):
+    # the memo keeps a lattice by its group's order, not by the bound it was
+    # read under: under a raised bound a group of order <= 64 is kept as under
+    # the default, and S5 (order 120) is built on every call and never kept
+    monkeypatch.setenv("NORMCERT_MAX_GROUP_ORDER", "128")
+    memo = groups._kept_lattice
+    memo.cache_clear()
     got = []
 
     def recording(spec, max_order):
@@ -537,9 +594,16 @@ def test_group_and_ell_requests_share_one_lattice(monkeypatch):
         return got[-1]
 
     monkeypatch.setattr(cli, "lattice_of", recording)
-    assert _in_process(["lattice", "--group", "cyclic:8"])[0] == 0
-    assert _in_process(["decide", "--operad", "complete", "--ell", "2,(0,0,0,0)"])[0] == 0
-    assert len(got) == 2 and got[0] is got[1] is groups.lattice_of("cyclic:8")
+    for spec, kept in (("dihedral:8*dihedral:8", True), ("symmetric:5", False)):
+        got.clear()
+        runs = [_in_process(["lattice", "--group", spec]) for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert (got[0] is got[1]) == kept, spec
+    assert memo.cache_info().currsize == 1
+    bound = memo.cache_parameters()["maxsize"]
+    for n in range(1, 2 * bound + 1):
+        cli._build_lattice(f"cyclic:{n}")
+    assert memo.cache_info().currsize == bound
 
 
 def test_structured_outputs_reparse_to_equal_values(tmp_path):

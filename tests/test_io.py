@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import normcert as nc
 from normcert import io as iomod
+from normcert.certify import NormFailure
 from normcert.cli import _INPUT_ERRORS
 from normcert.groups import _bits
 from normcert.transfers import candidate_pairs
@@ -219,6 +220,44 @@ def test_decision_writers_key_checked_texts_by_value():
     assert any(len(values) > 1 for values in ids.values())
 
 
+def _check_hand_built_stream(L, witnesses):
+    # the writers read a stream that does not come from localization_witnesses,
+    # built afresh, against the oracles over the same witnesses kept
+    R, vl = nc.complete_system(L), nc.uniform_locus(L, {2: 3})
+    d = nc.Decision(tuple(w() for w in witnesses))
+
+    def fresh():
+        for w in witnesses:
+            yield w()
+
+    assert iomod.decision_doc(d, L, R, vl) == decision_doc_by_hand(d, L, R, vl)
+    expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
+    assert iomod.decision_json(fresh(), L, R, vl) == (expected, True)
+    assert iomod.decision_text(fresh(), L, R, vl) == (decision_text_by_loop(d, L, R, vl), True)
+
+
+def test_decision_writers_key_primes_by_the_prime_kept():
+    # each prime is built afresh and dropped once written, so the third takes
+    # the first's id(); a text cached by id() alone printed P(C1#0,1,2) for it
+    L = lattice("cyclic:4")
+    checked = L.mackey_cuts(0, 0, 2)
+    _check_hand_built_stream(L, [
+        lambda h=h: NormFailure(0, 2, 0, nc.balmer_prime(0, h, 2), checked) for h in (1, 2, 3)
+    ])
+
+
+def test_decision_writers_key_triples_by_their_checked_list():
+    # two witnesses of one (K, H, J) with different checked lists; a text
+    # cached by J alone printed the first list for both
+    L = lattice("dihedral:8")
+    top = len(L) - 1
+    cuts = L.mackey_cuts(0, 0, top)
+    _check_hand_built_stream(L, [
+        lambda: NormFailure(0, top, 0, nc.balmer_prime(0, 1, 2), ((0, 0),)),
+        lambda: NormFailure(0, top, 0, nc.balmer_prime(0, 2, 2), cuts),
+    ])
+
+
 def _check_enumeration_writer(L, e):
     # the direct writer against the generic one over the hand-built dict and
     # against json.dumps
@@ -391,6 +430,37 @@ _INLINE = st.builds(
         max_size=5,
     ).map(",".join),
 ) | st.text(_INLINE_CHARS, max_size=30)
+
+
+_INLINE_TOKEN = (
+    st.integers(-3, 12).map(lambda n: (n, str(n)))
+    | st.integers(0, 12).map(lambda n: (n, f"+{n}"))
+    | st.integers(0, 12).map(lambda n: (n, f"0{n}"))
+    | st.sampled_from(["none", "inf", "None", "-inf", "1.0", "1e1"]).map(lambda t: (t, t))
+    | st.text("abinfoe_. x", max_size=4).map(lambda t: (t.strip(), t))
+)
+
+
+def _parsed(parse, arg):
+    try:
+        return parse(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-3, 40),
+    st.lists(st.tuples(st.sampled_from(["", " ", "  "]), _INLINE_TOKEN,
+                       st.sampled_from(["", " "])), min_size=1, max_size=6),
+)
+def test_inline_heights_read_as_the_height_document(p, tokens):
+    # parse_heights_inline is parse_heights on P and the entry tokens, each
+    # token read as an int where it reads as one: the same vector or the same
+    # error, entries checked before P
+    text = f"{p},(" + ",".join(f"{a}{raw}{b}" for a, (_, raw), b in tokens) + ")"
+    doc = {"p": p, "ell": [value for _, (value, _), _ in tokens]}
+    assert _parsed(iomod.parse_heights_inline, text) == _parsed(iomod.parse_heights, doc)
 
 
 def _only_input_errors(parse, *args):

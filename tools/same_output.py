@@ -26,8 +26,12 @@ whose file name holds ``"``, ``\\``, ``,``, ``[``, ``{`` and ``é``, so the
 JSON escaping of the group name is compared too.  No stream validates a
 locus either, so the fixed list goes on with ``spectrum-validate --strict``,
 text and structured, on each decide-mix group's ``u0``, ``r0`` and ``r1``
-locus documents and on two inline ``--ell`` vectors, one of which breaks
-the chain inequality.  No stream's decision report has an INFINITY height
+locus documents.  No stream sends an inline vector spelled with spaces,
+``+1``, ``-1``, ``none`` or ``inf``, or a malformed one, so it runs
+``spectrum-validate --strict`` and ``decide --operad complete``, text and
+structured, on ten ``--ell`` vectors: six that parse, one of which breaks
+the chain inequality, and ``2,()``, ``2,(0,,1)``, ``x,(0)`` and ``2,(11)``,
+which exit 2.  No stream's decision report has an INFINITY height
 either, so the fixed list ends with ``decide --operad complete --strict``,
 text and structured, on each decide-mix group against a locus document,
 written into the scratch directory, whose one entry puts the whole 2-local
@@ -64,6 +68,11 @@ INFINITY loci, with 503,371 witnesses (47 MB of text, 179 MB structured,
 exit 1).  A request may begin with
 ``NAME=VALUE`` words, as a shell command line does; those variables are set
 for that request only, in its subprocesses and in the one-interpreter run.
+A last batch interleaves ``lattice``, ``dot`` and ``decide --ell`` requests
+under ``NORMCERT_MAX_GROUP_ORDER=128`` with the same groups under the
+default bound, so its one-interpreter run checks that a lattice kept under
+one bound prints the same under the other; S5 and C128, past the default
+bound, are built on each request.
 
 Exits 0 when every request agrees and 1 at the first request that differs,
 naming it.
@@ -168,23 +177,34 @@ def hostile_requests(scratch: str) -> list[list[str]]:
     ]
 
 
-# the second vector breaks the chain inequality: 2 is more than one above 0
-ELL_VECTORS = ("2,(1,0,none,inf)", "3,(2,0)")
-
-
 def locus_requests(decide_dir: str) -> list[list[str]]:
-    """``spectrum-validate`` on decide-mix locus documents and inline vectors.
+    """``spectrum-validate`` on decide-mix locus documents.
 
     ``decide_dir`` holds the decide-mix inputs.
     """
-    loci = [
-        ["--group", spec, "--locus", os.path.join(decide_dir, f"{short}-{loc}.json")]
+    return [
+        ["spectrum-validate", "--group", spec, "--locus",
+         os.path.join(decide_dir, f"{short}-{loc}.json"), "--strict", "--format", fmt]
         for short, spec in workloads.DECIDE_GROUPS
         for loc in ("u0", "r0", "r1")
-    ] + [["--ell", ell] for ell in ELL_VECTORS]
+        for fmt in ("text", "structured")
+    ]
+
+
+# inline vectors with every spelling an entry may take: spaces, +1, -1,
+# none and inf; the second breaks the chain inequality (2 is more than one
+# above 0), and the last four exit 2: no entry, an empty entry, no prime and
+# a height past the input bound
+ELL_VECTORS = ("2,(1,0,none,inf)", "3,(2,0)", "2, ( +1 , 0,-1 )", "3,(inf, none , -1)",
+               "2,(inf,+2, 1 ,none)", "5,( +0 )", "2,()", "2,(0,,1)", "x,(0)", "2,(11)")
+
+
+def ell_requests() -> list[list[str]]:
+    """``spectrum-validate --strict`` and ``decide --operad complete`` on ``ELL_VECTORS``."""
     return [
-        ["spectrum-validate", *locus, "--strict", "--format", fmt]
-        for locus in loci
+        [*command, "--ell", ell, "--format", fmt]
+        for ell in ELL_VECTORS
+        for command in (["spectrum-validate", "--strict"], ["decide", "--operad", "complete"])
         for fmt in ("text", "structured")
     ]
 
@@ -328,6 +348,30 @@ LARGE_DOC_REQUESTS = [
 ]
 
 
+# lattices of small groups read under a raised order bound, between the
+# same requests under the default one: the memo keeps a lattice by its
+# group's order, so in one process the default-bound requests get the
+# lattice kept under the raised bound and the other way round.  S5 and
+# C128 lie past the default bound and are built on each request
+RAISED = "NORMCERT_MAX_GROUP_ORDER=128"
+RAISED_BOUND_REQUESTS = [
+    [RAISED, "lattice", "--group", "cyclic:8"],
+    ["decide", "--operad", "complete", "--ell", "2,(0,0,0,0)"],
+    [RAISED, "decide", "--operad", "complete", "--ell", "2,(1,0,0,0)", "--format", "structured"],
+    ["lattice", "--group", "cyclic:8", "--format", "structured"],
+    [RAISED, "lattice", "--group", D8XD8, "--format", "structured"],
+    ["lattice", "--group", D8XD8],
+    [RAISED, "decide", "--operad", "complete", "--ell", "3,(1,0,0)"],
+    ["dot", "--group", "cyclic:27", "--what", "subgroup-lattice"],
+    [RAISED, "lattice", "--group", "symmetric:5"],
+    ["lattice", "--group", "symmetric:5"],
+    [RAISED, "decide", "--operad", "complete", "--ell", "2,(0,0,0,0,0,0,0,0)"],
+    ["decide", "--operad", "complete", "--ell", "2,(0,0,0,0,0,0,0,0)"],
+    [RAISED, "lattice", "--group", "dihedral:8", "--format", "structured"],
+    ["spectrum-validate", "--group", "dihedral:8", "--ell", "2,(0,0,0,0)"],
+]
+
+
 # every request of a batch through ``cli.main`` in one interpreter, stdout
 # captured as ``perfbench/child.py`` captures it; (variables, argv) pairs
 # come on stdin, and each request's variables are set for it alone
@@ -396,12 +440,14 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
         os.makedirs(workdir)
         write_inputs(base, workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
-                + locus_requests(workdirs["decide-mix"]) + inf_locus_requests(base, scratch)
+                + locus_requests(workdirs["decide-mix"]) + ell_requests()
+                + inf_locus_requests(base, scratch)
                 + relabeled_requests(base, scratch) + xval_requests() + D12_ENUM_REQUESTS
                 + LARGE_DOC_REQUESTS + random_locus_requests(base, scratch, D8XD8, "D8xD8"))
-    diff = compare_batch(base, "fixed list", requests, scratch)
-    if diff is not None:
-        return diff
+    for label, batch in (("fixed list", requests), ("raised bound", RAISED_BOUND_REQUESTS)):
+        diff = compare_batch(base, label, batch, scratch)
+        if diff is not None:
+            return diff
     for workload, workdir in workdirs.items():
         for seed in seeds:
             argvs = [[os.path.join(workdir, a[1:]) if a.startswith("@") else a
