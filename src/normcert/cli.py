@@ -36,12 +36,12 @@ from .chromatic import (
     heights_to_locus,
     validate_vanishing_locus,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupError, cyclic_power_order, lattice_of
+from .groups import DEFAULT_MAX_ORDER, GroupError, _bits, cyclic_power_order, lattice_of
 from .transfers import (
     DEFAULT_MAX_PAIRS,
     TransferError,
-    candidate_pairs,
     enumerate_transfer_systems,
+    nested_pairs,
 )
 
 _INPUT_ERRORS = (
@@ -141,12 +141,13 @@ def _cmd_transfer_enumerate(args):
     enum = enumerate_transfer_systems(L, max_pairs=bound)
     if args.format == "structured":
         return iomod.enumeration_json(L, enum), False
-    names = L.names
-    pair_text = {(k, h): f"({names[k]}<{names[h]})" for k, h in candidate_pairs(L)}
-    lines = [f"transfer systems on {L.group.name}: {len(enum.systems)}"]
-    for i, s in enumerate(enum.systems):
-        pairs = " ".join([pair_text[p] for p in s.strict_pairs()])
-        lines.append(f"T{i}: {len(s.pairs)} pairs {pairs}".rstrip())
+    names, nested = L.names, nested_pairs(L)
+    texts = [f"({names[k]}<{names[h]})" for k, h in nested]
+    strict = sum([1 << r for r, (k, h) in enumerate(nested) if k != h])
+    lines = [f"transfer systems on {L.group.name}: {len(enum)}"]
+    for i, mask in enumerate(enum.masks):
+        pairs = " ".join(_bits(mask & strict, texts))
+        lines.append(f"T{i}: {mask.bit_count()} pairs {pairs}".rstrip())
     return "\n".join(lines) + "\n", False
 
 

@@ -27,9 +27,8 @@ def lattice_dot(L: SubgroupLattice) -> str:
 
 
 def transfer_poset_dot(L: SubgroupLattice, enum: TransferEnumeration) -> str:
-    n = len(enum.systems)
     nodes = [
-        f'"T{i}" [label="T{i} ({len(enum.systems[i].pairs)} pairs)"]' for i in range(n)
+        f'"T{i}" [label="T{i} ({mask.bit_count()} pairs)"]' for i, mask in enumerate(enum.masks)
     ]
     # systems are sorted by size, so their indices extend containment
     edges = [(f'"T{i}"', f'"T{j}"') for i, j in hasse_covers(enum.up)]

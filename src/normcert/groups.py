@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -257,6 +258,10 @@ def from_table(rows, name: str = "G") -> FiniteGroup:
 def _read_table_csv(path: str, max_order: int | None) -> tuple[list[list[int]], str]:
     """The rows of a CSV multiplication table and the name its file gives.
 
+    The name is the file's base name without its last extension, or "G"
+    when that is empty.  Only the platform's separators split the path
+    (``os.path.basename``), so on POSIX a backslash stays in the name.
+
     Given ``max_order``, reading stops at the first row past that many rows
     (GroupTooLarge) or wider than that (InvalidTable); each row is still
     parsed whole before its width is known.
@@ -284,8 +289,7 @@ def _read_table_csv(path: str, max_order: int | None) -> tuple[list[list[int]], 
                     ) from None
     except UnicodeDecodeError:
         raise InvalidTable(f"{path} is not UTF-8 text") from None
-    base = path.replace("\\", "/").rsplit("/", 1)[-1]
-    return rows, base.rsplit(".", 1)[0] or "G"
+    return rows, os.path.basename(path).rsplit(".", 1)[0] or "G"
 
 
 def build_group(spec: str, max_order: int | None = None) -> FiniteGroup:

@@ -11,7 +11,8 @@ final newline.  Decision reports, the largest documents, are written by
 :func:`~normcert.certify.localization_witnesses`, with no witness dict and
 no witness kept once written, and transfer enumerations, the next largest, by
 :func:`enumeration_json` with no system dict, each containment row the index
-strings :func:`~normcert.groups._bits` picks by its bits.  Their dict forms,
+strings :func:`~normcert.groups._bits` picks by its bits and each system the
+pair texts its pair mask picks.  Their dict forms,
 :func:`decision_doc` and :func:`enumeration_doc`, are those writers' output
 parsed back, so each report is defined once.  Digests hash the compact form
 of :func:`canonical_json`.
@@ -44,6 +45,7 @@ from .transfers import (
     TransferSystem,
     close_transfer_system,
     complete_system,
+    nested_pairs,
     trivial_system,
 )
 
@@ -197,31 +199,31 @@ def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
     ``count`` of systems, each system's ``index`` and sorted ``pairs``, and
     per system the ``containment`` row of the indices of the systems that
     contain it.  Names are escaped, and each nested pair's ``[K, H]`` text
-    is built, once per request.  Each containment row is one join over the
-    index strings its bits select, and each system one template over the
-    texts of its sorted pairs.  Every row holds its own index and every
-    system its reflexive pairs, so no list is empty.  The keys sort as
-    containment, count, group, kind, schema_version, systems, and the
-    result is one join over the rows, the systems and their separators.
+    is built, once per request, in the order of the bits of a system's pair
+    mask.  Each containment row is one join over the index strings its bits
+    select, and each system one template over the pair texts its mask's
+    bits select.  Every row holds its own index and every system its
+    reflexive pairs, so no list is empty.  The keys sort as containment,
+    count, group, kind, schema_version, systems, and the result is one join
+    over the rows, the systems and their separators.
     """
     names = [_encode_str(n) for n in L.names]
-    pair_text = {
-        (k, h): f"[\n          {names[k]},\n          {names[h]}\n        ]"
-        for k, above in enumerate(L.up)
-        for h in _bits(above)
-    }
-    index = [str(i) for i in range(len(enum.systems))]
+    nested_texts = [
+        f"[\n          {names[k]},\n          {names[h]}\n        ]"
+        for k, h in nested_pairs(L)
+    ]
+    index = [str(i) for i in range(len(enum))]
     pieces = ['{\n  "containment": [\n    ']
     for up in enum.up:
         pieces.append("[\n      " + ",\n      ".join(_bits(up, index)) + "\n    ]")
         pieces.append(",\n    ")
     pieces[-1] = (
-        f'\n  ],\n  "count": {len(enum.systems)},\n  "group": {_encode_str(L.group.name)},'
+        f'\n  ],\n  "count": {len(enum)},\n  "group": {_encode_str(L.group.name)},'
         f'\n  "kind": "transfer-enumeration",\n  "schema_version": {SCHEMA_VERSION},'
         '\n  "systems": [\n    '
     )
-    for i, s in enumerate(enum.systems):
-        pairs = ",\n        ".join([pair_text[p] for p in s.sorted_pairs()])
+    for i, mask in enumerate(enum.masks):
+        pairs = ",\n        ".join(_bits(mask, nested_texts))
         pieces.append(
             f'{{\n      "index": {index[i]},\n      "pairs": [\n        {pairs}\n      ]\n    }}'
         )

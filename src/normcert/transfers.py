@@ -27,11 +27,18 @@ lazily, so a closure does only the work it needs.  Each call builds its
 own tables and drops them on return: within one closure every orbit joins
 once, so only the many closures of one enumeration reuse them, and the
 lattice holds nothing of transfers.
+
+An enumeration keeps each system as one int pair mask, bit r for the pair
+of rank r among the sorted nested pairs (:func:`nested_pairs`), so its
+writers read a system's sorted pairs, and its pair count, off the mask.
+:class:`TransferSystem` objects are built from the masks only when a caller
+reads :attr:`TransferEnumeration.systems`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import SubgroupLattice, _bits
 
@@ -92,6 +99,14 @@ def candidate_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
     Sorted: the bits of each up-set ascend.
     """
     return tuple((k, h) for k, above in enumerate(L.up) for h in _bits(above & ~(1 << k)))
+
+
+def nested_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
+    """All nested pairs (kid, hid), reflexive ones included, sorted.
+
+    Bit r of an enumerated system's pair mask stands for the pair of rank r.
+    """
+    return tuple((k, h) for k, above in enumerate(L.up) for h in _bits(above))
 
 
 def trivial_system(L: SubgroupLattice) -> TransferSystem:
@@ -278,15 +293,25 @@ def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
 class TransferEnumeration:
     """All transfer systems on a lattice plus their containment order.
 
-    ``up[i]`` has bit ``j`` set when ``systems[i]`` is contained in
-    ``systems[j]`` (bit ``i`` included).
+    ``masks[i]`` is system ``i`` as a pair mask: bit ``r`` is set when it
+    holds the pair of rank ``r`` in :func:`nested_pairs`, so
+    ``masks[i].bit_count()`` counts its pairs.  ``up[i]`` has bit ``j`` set
+    when system ``i`` is contained in system ``j`` (bit ``i`` included).
+    ``systems`` builds the :class:`TransferSystem` objects from the masks on
+    first use; the CLI writers read the masks and never build them.
     """
 
-    systems: tuple[TransferSystem, ...]
+    lattice: SubgroupLattice
+    masks: tuple[int, ...]
     up: tuple[int, ...]
 
+    @cached_property
+    def systems(self) -> tuple[TransferSystem, ...]:
+        L, nested = self.lattice, nested_pairs(self.lattice)
+        return tuple(TransferSystem(L, frozenset(_bits(mask, nested))) for mask in self.masks)
+
     def __len__(self) -> int:
-        return len(self.systems)
+        return len(self.masks)
 
     def bottom(self) -> TransferSystem:
         return self.systems[0]
@@ -298,7 +323,7 @@ class TransferEnumeration:
 def enumerate_transfer_systems(
     L: SubgroupLattice, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> TransferEnumeration:
-    """Every transfer system on L, sorted by size then pair list.
+    """Every transfer system on L as a pair mask, sorted by size then pair list.
 
     The search runs Close-by-One from the closed parent (Kuznetsov, 1993)
     over int bitmasks of conjugation orbits of the strictly nested pairs.
@@ -312,8 +337,11 @@ def enumerate_transfer_systems(
     sorted lists by the least pair of their symmetric difference, so the
     key (size, -rank mask), with bit N - 1 - r of the rank mask set for
     the strict pair of rank r among all N, is the order of
-    ``(len(pairs), sorted_pairs())``.  Containment is read off the masks:
-    system i lies below system j exactly when j contains every orbit of i.
+    ``(len(pairs), sorted_pairs())``.  Each system is kept as its pair mask
+    (see :class:`TransferEnumeration`), the union of its orbits' pair masks
+    and the reflexive pairs' bits.  Containment is read off the orbit
+    masks: system i lies below system j exactly when j contains every
+    orbit of i.
     """
     strict = candidate_pairs(L)
     if len(strict) > max_pairs:
@@ -342,35 +370,36 @@ def enumerate_transfer_systems(
             if child is not None:
                 stack.append((child, bit << 1))
 
-    # per orbit: its pairs, and their bits in the rank mask, one bit per
-    # strict pair, so a system's rank mask also counts its strict pairs
+    # per orbit: its pairs' bits in the rank mask, one bit per strict pair,
+    # so a system's rank mask also counts its strict pairs, and their bits
+    # in the pair mask
     n = len(strict)
     rank_bit = {p: 1 << (n - 1 - r) for r, p in enumerate(strict)}
-    orbit_pairs = [frozenset(orbit) for orbit in tables.members]
-    orbit_rank = [sum(rank_bit[p] for p in orbit) for orbit in tables.members]
+    pair_bit = {p: 1 << r for r, p in enumerate(nested_pairs(L))}
+    orbit_rank = [sum([rank_bit[p] for p in orbit]) for orbit in tables.members]
+    orbit_mask = [sum([pair_bit[p] for p in orbit]) for orbit in tables.members]
+    reflexive = sum([pair_bit[p] for p in reflexive_pairs(L)])
     keyed = []
-    for mask in found:
-        orbits = _bits(mask)
-        rank = 0
+    for closed in found:
+        orbits = _bits(closed)
+        rank, mask = 0, reflexive
         for a in orbits:
             rank |= orbit_rank[a]
-        keyed.append((rank.bit_count(), -rank, orbits))
+            mask |= orbit_mask[a]
+        keyed.append((rank.bit_count(), -rank, mask, orbits))
     keyed.sort()
 
-    reflexive = reflexive_pairs(L)
-    systems = []
     # holders[a]: the systems that contain orbit a
     holders = [0] * m
-    for j, (_, _, orbits) in enumerate(keyed):
-        systems.append(TransferSystem(L, reflexive.union(*[orbit_pairs[a] for a in orbits])))
+    for j, (_, _, _, orbits) in enumerate(keyed):
         bit = 1 << j
         for a in orbits:
             holders[a] |= bit
     every = (1 << len(keyed)) - 1
     up = []
-    for _, _, orbits in keyed:
+    for _, _, _, orbits in keyed:
         above = every
         for a in orbits:
             above &= holders[a]
         up.append(above)
-    return TransferEnumeration(tuple(systems), tuple(up))
+    return TransferEnumeration(L, tuple([k[2] for k in keyed]), tuple(up))

@@ -12,9 +12,10 @@ of their fields, the norm criterion's witnesses are found by walking double
 cosets or off a cut table per pair over every J <= H, the cross-validation
 sweep decides every height vector in full, transfer systems are checked
 against the finite H-sets they make admissible, text decision reports
-are written one witness at a time, and structured decision reports and
+are written one witness at a time, structured decision reports and
 transfer enumerations are built as dicts by hand, each containment row read
-off one scan of its binary digits.
+off one scan of its binary digits, and the text and DOT listings of an
+enumeration sort each system's pair set.
 """
 
 from __future__ import annotations
@@ -341,7 +342,8 @@ def next_closure_enumeration(L: nc.SubgroupLattice) -> nc.TransferEnumeration:
     """The enumeration from :func:`next_closure_masks`, ranked by pair lists.
 
     Systems sort by ``(len(pairs), sorted_pairs())``, and system i lies
-    below system j when j holds every orbit of i.
+    below system j when j holds every orbit of i.  Each system's pair mask
+    sets the bit of each of its pairs' rank among all nested pairs, sorted.
     """
     tables, found = next_closure_masks(L)
     ranked = sorted(
@@ -360,7 +362,9 @@ def next_closure_enumeration(L: nc.SubgroupLattice) -> nc.TransferEnumeration:
             if mask >> a & 1:
                 above &= holders[a]
         up.append(above)
-    return nc.TransferEnumeration(tuple(s for s, _ in ranked), tuple(up))
+    rank = {p: r for r, p in enumerate(sorted(reflexive_pairs(L) | set(candidate_pairs(L))))}
+    masks = tuple(sum(1 << rank[p] for p in s.pairs) for s, _ in ranked)
+    return nc.TransferEnumeration(L, masks, tuple(up))
 
 
 def brute_force_norm_support(S: nc.SupportData, kid: int, hid: int, jid: int):
@@ -846,6 +850,26 @@ def enumeration_doc_by_hand(L: nc.SubgroupLattice, enum: nc.TransferEnumeration)
         ],
         "containment": [set_bits_by_scan(up) for up in enum.up],
     }
+
+
+def enumeration_text_by_loop(L: nc.SubgroupLattice, enum: nc.TransferEnumeration) -> str:
+    """The text listing of ``transfer-enumerate``, one system's sorted strict pairs at a time."""
+    names = L.names
+    lines = [f"transfer systems on {L.group.name}: {len(enum.systems)}"]
+    for i, s in enumerate(enum.systems):
+        pairs = " ".join(f"({names[k]}<{names[h]})" for k, h in s.strict_pairs())
+        lines.append(f"T{i}: {len(s.pairs)} pairs {pairs}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def transfer_poset_dot_by_loop(L: nc.SubgroupLattice, enum: nc.TransferEnumeration) -> str:
+    """The DOT transfer poset, each node labelled with its system's pair count."""
+    lines = ["digraph transfer_systems {", "  rankdir=BT;"]
+    lines += [f'  "T{i}" [label="T{i} ({len(s.pairs)} pairs)"];'
+              for i, s in enumerate(enum.systems)]
+    edges = sorted((f'"T{i}"', f'"T{j}"') for i, j in hasse_covers(enum.up))
+    lines += [f"  {a} -> {b};" for a, b in edges]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def _prime_entry(L: nc.SubgroupLattice, q: nc.BalmerPrime) -> dict:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import normcert as nc
 from normcert import cli, groups
+from normcert import dot as dotmod
 from normcert import io as iomod
 from normcert.cli import main
 from normcert.transfers import candidate_pairs
@@ -25,8 +26,11 @@ from helpers import (
     decision_text_by_loop,
     enumeration,
     enumeration_doc_by_hand,
+    enumeration_text_by_loop,
     lattice,
     random_valid_locus,
+    transfer_poset_dot_by_loop,
+    unbounded_enumeration,
 )
 
 
@@ -836,16 +840,51 @@ def test_streamed_reports_in_one_process_match_their_oracles(tmp_path):
         assert _in_process(argv) == (1, expected), argv
 
 
+@pytest.mark.parametrize("spec", CORPUS_SPECS + ("dihedral:12", "symmetric:4"))
+def test_enumeration_listings_match_their_oracles(spec, monkeypatch):
+    # the text listing and the DOT poset read each system's pairs off its
+    # pair mask; the oracles sort its pair set.  D12 (48 strict pairs) and
+    # S4 (120) lie past the default pair bound
+    L, enum = lattice(spec), unbounded_enumeration(spec)
+    monkeypatch.setenv("NORMCERT_MAX_PAIRS", str(len(candidate_pairs(L))))
+    text = _in_process(["transfer-enumerate", "--group", spec])
+    assert text == (0, enumeration_text_by_loop(L, enum))
+    poset = _in_process(["dot", "--group", spec, "--what", "transfer-poset"])
+    assert poset == (0, transfer_poset_dot_by_loop(L, enum))
+
+
+def test_enumeration_writers_build_no_transfer_system(monkeypatch):
+    # each writer reads the pair masks; the TransferSystem objects are built
+    # only when a caller reads enum.systems
+    spec = "dihedral:8"
+    L = lattice(spec)
+    enum = nc.enumerate_transfer_systems(L)
+    iomod.enumeration_json(L, enum)
+    dotmod.transfer_poset_dot(L, enum)
+    made = []
+
+    def enumerate_and_keep(*args, **kwargs):
+        made.append(nc.enumerate_transfer_systems(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "enumerate_transfer_systems", enumerate_and_keep)
+    assert _in_process(["transfer-enumerate", "--group", spec])[0] == 0
+    assert len(made) == 1
+    for e in (enum, *made):
+        assert "systems" not in vars(e)
+    assert len(enum.systems) == len(enum) == 294 and "systems" in vars(enum)
+
+
 def test_hostile_group_name_is_escaped_like_json_dumps(tmp_path):
-    # a table: group whose name needs JSON escapes; the backslash separates
-    # directories when the name is read off the path, so the name starts after it
+    # a table: group whose name, the file's base name, needs JSON escapes,
+    # a backslash among them
     table = tmp_path / '\\S3 "hostile", [x] {y} é.csv'
     table.write_text("\n".join(",".join(map(str, row)) for row in nc.symmetric(3).table))
     locus_doc = {"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]}
     locus = _write_json(tmp_path / "hostile-locus.json", locus_doc)
     spec = f"table:{table}"
     L = nc.subgroup_lattice(nc.build_group(spec))
-    assert L.group.name == 'S3 "hostile", [x] {y} é'
+    assert L.group.name == '\\S3 "hostile", [x] {y} é'
     vl = iomod.parse_locus(L, locus_doc)
     R = nc.complete_system(L)
     decision = nc.localization_preserves(vl, R)
@@ -860,7 +899,7 @@ def test_hostile_group_name_is_escaped_like_json_dumps(tmp_path):
         code, out = _in_process(argv + ["--format", "structured"])
         assert code == 0
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        assert "\\u00e9" in out and '\\"hostile\\"' in out
+        assert "\\u00e9" in out and '\\"hostile\\"' in out and '"\\\\S3 ' in out
 
 
 def test_out_file_matches_utf8_stdout_under_a_c_locale(tmp_path):

@@ -556,3 +556,12 @@ def test_table_csv_round_trip(tmp_path):
     H = nc.build_group(f"table:{path}")
     assert H.order == 6 and H.table == G.table
     assert H.name == "c6"
+
+
+def test_table_name_is_the_file_base_name(tmp_path):
+    # only the platform's separator splits a table: path, so on POSIX a
+    # backslash is part of the file name and so of the group name
+    rows = "\n".join(",".join(map(str, row)) for row in nc.cyclic(3).table)
+    for file, name in (("a\\b.csv", "a\\b"), ("\\C3.v2.csv", "\\C3.v2"), (".csv", "G")):
+        (tmp_path / file).write_text(rows)
+        assert nc.build_group(f"table:{tmp_path / file}").name == name

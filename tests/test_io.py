@@ -329,12 +329,12 @@ def test_dict_forms_are_the_hand_built_documents(tmp_path):
     vl = iomod.parse_locus(L, {"entries": [{"subgroup": top, "prime": 2, "heights": "all"}]})
     d = check(L, nc.complete_system(L), vl)
     assert len(d.witnesses) == 68 and all(w.prime.height == INFINITY for w in d.witnesses)
-    # a table: group whose name, read off the path after the backslash, needs
-    # JSON escapes; its height-0 locus fails with "any" primes
+    # a table: group whose name, the file's base name, needs JSON escapes;
+    # its height-0 locus fails with "any" primes
     table = tmp_path / '\\S3 "hostile", [x] {y} \u00e9.csv'
     table.write_text("\n".join(",".join(map(str, row)) for row in nc.symmetric(3).table))
     L = nc.subgroup_lattice(nc.build_group(f"table:{table}"))
-    assert L.group.name == 'S3 "hostile", [x] {y} \u00e9'
+    assert L.group.name == '\\S3 "hostile", [x] {y} \u00e9'
     vl = iomod.parse_locus(L, {"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]})
     assert not check(L, nc.complete_system(L), vl).certified
     check_enumeration(L, nc.enumerate_transfer_systems(L))

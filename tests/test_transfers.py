@@ -281,9 +281,11 @@ def test_enumeration_is_complete_and_valid(spec):
 )
 def test_enumeration_matches_next_closure(spec):
     # Close-by-One ranked on masks against next-closure ranked on sorted
-    # pair lists: the same systems in the same order, the same containment
+    # pair lists: the same systems in the same order, the same pair masks,
+    # the same containment
     got = unbounded_enumeration(spec)
     want = next_closure_enumeration(lattice(spec))
+    assert got.masks == want.masks
     assert got.systems == want.systems
     assert got.up == want.up
 
