@@ -11,7 +11,11 @@ NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 
 Every lattice, from --group or --ell, comes from the one lattice memo
 :func:`normcert.groups.lattice_of` once NORMCERT_MAX_GROUP_ORDER is checked.
-The report goes to --out or to stdout in one ``try``: a failed write exits 2.
+Each subcommand parses and checks all of its input before it returns its
+report as chunks of text: one string for the small reports, a lazy stream
+of blocks of about 1 MB for decisions and transfer enumerations.
+:func:`_write` is the one code that writes a report, to --out or to
+stdout, chunk by chunk as the chunks come; a failed write exits 2.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ def _max_group_order() -> int:
     return _env_int("NORMCERT_MAX_GROUP_ORDER", DEFAULT_MAX_ORDER)
 
 
+def _enumeration(L):
+    return enumerate_transfer_systems(L, _env_int("NORMCERT_MAX_PAIRS", DEFAULT_MAX_PAIRS))
+
+
 def _build_lattice(spec: str):
     return lattice_of(spec, _max_group_order())
 
@@ -121,7 +129,7 @@ def _load_operad(L, spec: str):
 def _cmd_lattice(args):
     L = _build_lattice(args.group)
     if args.format == "structured":
-        return iomod.indented_json(iomod.lattice_doc(L)), False
+        return (iomod.indented_json(iomod.lattice_doc(L)),), False
     lines = [f"group {L.group.name} (order {L.group.order})", f"subgroups: {len(L)}"]
     for s in L.subgroups:
         members = ",".join(str(m) for m in s.members)
@@ -132,43 +140,46 @@ def _cmd_lattice(args):
         )
     lines.append("covers:")
     lines.extend(f"{L.names[k]} < {L.names[h]}" for k, h in L.covers())
-    return "\n".join(lines) + "\n", False
+    return ("\n".join(lines) + "\n",), False
 
 
 def _cmd_transfer_enumerate(args):
     L = _build_lattice(args.group)
-    bound = _env_int("NORMCERT_MAX_PAIRS", DEFAULT_MAX_PAIRS)
-    enum = enumerate_transfer_systems(L, max_pairs=bound)
+    enum = _enumeration(L)
     if args.format == "structured":
-        return iomod.enumeration_json(L, enum), False
+        return iomod.enumeration_json_blocks(L, enum), False
     names, nested = L.names, nested_pairs(L)
     texts = [f"({names[k]}<{names[h]})" for k, h in nested]
     strict = sum([1 << r for r, (k, h) in enumerate(nested) if k != h])
-    lines = [f"transfer systems on {L.group.name}: {len(enum)}"]
-    for i, mask in enumerate(enum.masks):
-        pairs = " ".join(_bits(mask & strict, texts))
-        lines.append(f"T{i}: {mask.bit_count()} pairs {pairs}".rstrip())
-    return "\n".join(lines) + "\n", False
+
+    def lines():
+        yield f"transfer systems on {L.group.name}: {len(enum)}\n"
+        for i, mask in enumerate(enum.masks):
+            pairs = " ".join(_bits(mask & strict, texts))
+            yield f"T{i}: {mask.bit_count()} pairs {pairs}".rstrip() + "\n"
+
+    return iomod._blocks(lines()), False
 
 
 def _cmd_spectrum_validate(args):
     L, vl = _load_locus(args)
     violations = validate_vanishing_locus(vl)
     if args.format == "structured":
-        return iomod.indented_json(iomod.locus_validation_doc(vl, violations)), bool(violations)
+        return (iomod.indented_json(iomod.locus_validation_doc(vl, violations)),), bool(violations)
     lines = [f"locus on {L.group.name}: {len(vl.primes)} primes"]
     if violations:
         lines.extend(f"violation {v.axiom}: {v.witness!r}" for v in violations)
     else:
         lines.append("ok")
-    return "\n".join(lines) + "\n", bool(violations)
+    return ("\n".join(lines) + "\n",), bool(violations)
 
 
 def _cmd_decide(args):
     L, vl = _load_locus(args)
     R = _load_operad(L, args.operad)
-    write = iomod.decision_json if args.format == "structured" else iomod.decision_text
-    return write(localization_witnesses(vl, R), L, R, vl)
+    if args.format == "structured":
+        return iomod.decision_json_blocks(localization_witnesses(vl, R), L, R, vl)
+    return iomod.decision_text_blocks(localization_witnesses(vl, R), L, R, vl)
 
 
 def _cmd_ell_enumerate(args):
@@ -179,7 +190,7 @@ def _cmd_ell_enumerate(args):
         doc = iomod.heights_enumeration_doc(
             vectors, args.n, args.height_bound, args.include_infinity, args.prime
         )
-        return iomod.indented_json(doc), False
+        return (iomod.indented_json(doc),), False
     lines = [
         f"commutative height vectors: n={args.n} height_bound={args.height_bound}"
         f" p={args.prime} include_infinity={args.include_infinity}",
@@ -189,13 +200,13 @@ def _cmd_ell_enumerate(args):
         entries = ",".join(str(iomod._entry_doc(e)) for e in v.entries)
         tag = " sentinel" if v.has_sentinel() else ""
         lines.append(f"({entries}){tag}")
-    return "\n".join(lines) + "\n", False
+    return ("\n".join(lines) + "\n",), False
 
 
 def _cmd_cross_validate(args):
     report = cross_validate_cyclic(args.n, args.prime, args.height_bound)
     if args.format == "structured":
-        return iomod.indented_json(iomod.cross_validation_doc(report)), not report.ok
+        return (iomod.indented_json(iomod.cross_validation_doc(report)),), not report.ok
     lines = [
         f"cross-validation: n={report.n} p={report.p} height_bound={report.height_bound}",
         f"vectors: {report.vectors_checked} norm checks: {report.norm_comparisons}"
@@ -207,17 +218,16 @@ def _cmd_cross_validate(args):
             f"disagree {d.check} at {d.entries}: engine={d.engine_certified}"
             f" inequalities={d.inequality_holds}"
         )
-    return "\n".join(lines) + "\n", not report.ok
+    return ("\n".join(lines) + "\n",), not report.ok
 
 
 def _cmd_dot(args):
     L = _build_lattice(args.group)
     if args.what == "subgroup-lattice":
-        return dotmod.lattice_dot(L), False
+        return (dotmod.lattice_dot(L),), False
     if args.what == "transfer-poset":
-        bound = _env_int("NORMCERT_MAX_PAIRS", DEFAULT_MAX_PAIRS)
-        return dotmod.transfer_poset_dot(L, enumerate_transfer_systems(L, bound)), False
-    return dotmod.prime_poset_dot(L, args.prime, args.height_bound), False
+        return (dotmod.transfer_poset_dot(L, _enumeration(L)),), False
+    return (dotmod.prime_poset_dot(L, args.prime, args.height_bound),), False
 
 
 # -- wiring ------------------------------------------------------------------------
@@ -293,22 +303,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_encoded(chunks, write, encoding: str, errors: str) -> None:
+    """Encode each chunk and hand it to ``write`` until it has taken every byte.
+
+    An unbuffered raw write may take fewer bytes than it is given, as a
+    pipe does when its reader closes; writing the rest then raises.
+    """
+    for chunk in chunks:
+        view = memoryview(chunk.encode(encoding, errors))
+        while view:
+            view = view[write(view) :]
+
+
+def _write(chunks, path) -> None:
+    """Write a report's chunks to ``path``, or to stdout when it is None.
+
+    Each chunk is written as it comes, so no more than one chunk of a
+    report is held here.  --out is opened once the subcommand has
+    returned, after every input check, and gets UTF-8 whatever the locale,
+    with an argv byte that did not decode written back as itself.  Stdout
+    gets its own encoding and error handler.
+    """
+    if path:
+        with open(path, "wb") as fh:
+            _write_encoded(chunks, fh.write, "utf-8", "surrogateescape")
+        return
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # a capture such as io.StringIO takes the text as it is
+        for chunk in chunks:
+            out.write(chunk)
+        return
+    try:
+        out.flush()  # text written before the report goes first
+        _write_encoded(chunks, binary.write, out.encoding, out.errors)
+        binary.flush()
+    except OSError:  # what stays buffered would fail again at exit, with code 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, flagged = args.fn(args)
-        if args.out:
-            # UTF-8 whatever the locale, and an argv byte that did not
-            # decode is written back as itself
-            with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
-                fh.write(text)
-        else:
-            try:
-                sys.stdout.write(text)
-                sys.stdout.flush()
-            except OSError:  # what stays buffered would fail again at exit, with code 120
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                raise
+        chunks, flagged = args.fn(args)
+        _write(chunks, args.out)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,15 +7,18 @@ The CLI writes a document with :func:`indented_json`, which is
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``: keys sorted, each
 item on its own line indented two spaces per level, ASCII only, and a
 final newline.  Decision reports, the largest documents, are written by
-:func:`decision_json` to the same bytes straight from the witness stream of
-:func:`~normcert.certify.localization_witnesses`, with no witness dict and
-no witness kept once written, and transfer enumerations, the next largest, by
-:func:`enumeration_json` with no system dict, each containment row the index
-strings :func:`~normcert.groups._bits` picks by its bits and each system the
-pair texts its pair mask picks.  Their dict forms,
-:func:`decision_doc` and :func:`enumeration_doc`, are those writers' output
-parsed back, so each report is defined once.  Digests hash the compact form
-of :func:`canonical_json`.
+:func:`decision_json_blocks` to the same bytes straight from the witness
+stream of :func:`~normcert.certify.localization_witnesses`, with no witness
+dict and no witness kept once written, and transfer enumerations, the next
+largest, by :func:`enumeration_json_blocks` with no system dict, each
+containment row the index strings :func:`~normcert.groups._bits` picks by
+its bits and each system the pair texts its pair mask picks.  Each writes
+its report in one forward pass, as blocks of about a megabyte that the CLI
+writes as they come; :func:`decision_json`, :func:`decision_text` and
+:func:`enumeration_json` join the same blocks into one string.  Their dict
+forms, :func:`decision_doc` and :func:`enumeration_doc`, are those writers'
+output parsed back, so each report is defined once.  Digests hash the
+compact form of :func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -27,7 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision, NormFailure, Verdict
 from .chromatic import (
@@ -70,6 +74,29 @@ _encode_str = json.encoder.encode_basestring_ascii
 def indented_json(doc) -> str:
     """The CLI's form of ``doc``: sorted keys, two-space indent, a final newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# characters per block a streamed report yields, about 1 MB of ASCII: a
+# writer then holds neither its whole report nor one chunk per item
+_BLOCK = 1 << 20
+
+
+def _blocks(texts: Iterable[str]) -> Iterator[str]:
+    """The texts, joined into blocks of about ``_BLOCK`` characters each.
+
+    A report under ``_BLOCK`` characters is one block.  An empty ``texts``
+    yields nothing.
+    """
+    run: list[str] = []
+    size, limit = 0, _BLOCK
+    for text in texts:
+        run.append(text)
+        size += len(text)
+        if size >= limit:
+            yield "".join(run)
+            run, size = [], 0
+    if run:
+        yield "".join(run)
 
 
 def _height_doc(h):
@@ -192,20 +219,22 @@ def parse_system(L: SubgroupLattice, spec) -> TransferSystem:
     return close_transfer_system(L, seed)
 
 
-def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
-    """The structured transfer enumeration, written without the document's dicts and lists.
+def enumeration_json_blocks(L: SubgroupLattice, enum: TransferEnumeration) -> Iterator[str]:
+    """The structured transfer enumeration, as blocks of text written in one forward pass.
 
-    The bytes are those of :func:`indented_json` on the document: the
-    ``count`` of systems, each system's ``index`` and sorted ``pairs``, and
-    per system the ``containment`` row of the indices of the systems that
-    contain it.  Names are escaped, and each nested pair's ``[K, H]`` text
-    is built, once per request, in the order of the bits of a system's pair
-    mask.  Each containment row is one join over the index strings its bits
-    select, and each system one template over the pair texts its mask's
-    bits select.  Every row holds its own index and every system its
-    reflexive pairs, so no list is empty.  The keys sort as containment,
-    count, group, kind, schema_version, systems, and the result is one join
-    over the rows, the systems and their separators.
+    The blocks join to the bytes of :func:`indented_json` on the document:
+    the ``count`` of systems, each system's ``index`` and sorted ``pairs``,
+    and per system the ``containment`` row of the indices of the systems
+    that contain it.  No dict or list of the document is built.  Names are
+    escaped, and each nested pair's ``[K, H]`` text is built, once per
+    request, in the order of the bits of a system's pair mask.  Each
+    containment row is one join over the index strings its bits select,
+    and each system one template over the pair texts its mask's bits
+    select; :func:`_blocks` joins them into blocks.  Every row holds its
+    own index and every system its reflexive pairs, so no list is empty.
+    Each text starts with what comes before it: the document's opening, a
+    separator, or the keys between the two lists.  The keys sort as
+    containment, count, group, kind, schema_version, systems.
     """
     names = [_encode_str(n) for n in L.names]
     nested_texts = [
@@ -213,23 +242,32 @@ def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
         for k, h in nested_pairs(L)
     ]
     index = [str(i) for i in range(len(enum))]
-    pieces = ['{\n  "containment": [\n    ']
-    for up in enum.up:
-        pieces.append("[\n      " + ",\n      ".join(_bits(up, index)) + "\n    ]")
-        pieces.append(",\n    ")
-    pieces[-1] = (
-        f'\n  ],\n  "count": {len(enum)},\n  "group": {_encode_str(L.group.name)},'
-        f'\n  "kind": "transfer-enumeration",\n  "schema_version": {SCHEMA_VERSION},'
-        '\n  "systems": [\n    '
-    )
-    for i, mask in enumerate(enum.masks):
-        pairs = ",\n        ".join(_bits(mask, nested_texts))
-        pieces.append(
-            f'{{\n      "index": {index[i]},\n      "pairs": [\n        {pairs}\n      ]\n    }}'
+
+    def texts():
+        lead = '{\n  "containment": [\n    [\n      '
+        for up in enum.up:
+            yield lead + ",\n      ".join(_bits(up, index))
+            lead = "\n    ],\n    [\n      "
+        lead = (
+            f'\n    ]\n  ],\n  "count": {len(enum)},\n  "group": {_encode_str(L.group.name)},'
+            f'\n  "kind": "transfer-enumeration",\n  "schema_version": {SCHEMA_VERSION},'
+            '\n  "systems": [\n    '
         )
-        pieces.append(",\n    ")
-    pieces[-1] = "\n  ]\n}\n"
-    return "".join(pieces)
+        for i, mask in enumerate(enum.masks):
+            pairs = ",\n        ".join(_bits(mask, nested_texts))
+            yield (
+                f'{lead}{{\n      "index": {index[i]},\n      "pairs": [\n        {pairs}'
+                "\n      ]\n    }"
+            )
+            lead = ",\n    "
+        yield "\n  ]\n}\n"
+
+    return _blocks(texts())
+
+
+def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
+    """The structured transfer enumeration: :func:`enumeration_json_blocks`, joined."""
+    return "".join(enumeration_json_blocks(L, enum))
 
 
 def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
@@ -384,26 +422,39 @@ def _decision_head(
     }
 
 
-def _witness_pieces(
-    witnesses: Iterable[NormFailure], rows_text, triple_text, prime_text
-) -> list[str]:
-    """The texts of a witness stream, three per witness, for a report writer to join.
+def _peek(witnesses: Iterable[NormFailure]) -> tuple[Iterator[NormFailure], bool]:
+    """The witness stream, whole again after its first witness is read, and whether it held one."""
+    stream = iter(witnesses)
+    for first in stream:
+        return chain((first,), stream), True
+    return stream, False
 
-    Each witness is written as it comes and then dropped.  Witnesses of one
-    pair (K, H) come together, and those at one J share their ``checked``
-    cuts, so ``triple_text(kid, hid, jid, rows)`` is kept per J until the
-    next pair, and reused only for the ``checked`` object it was built from.
-    ``rows = rows_text(checked)`` is built once per distinct value per
-    report.  ``prime_text(q)`` is built once per report, keyed by ``id(q)``,
-    and q is kept alive in ``kept``, so no other prime takes that id.  The
-    list is empty exactly when the stream is.
+
+def _witness_blocks(
+    head: str, witnesses: Iterable[NormFailure], rows_text, triple_text, prime_text,
+    sep: str, tail: str,
+) -> Iterator[str]:
+    """``head``, the texts of a witness stream with ``sep`` between them, and ``tail``, in blocks.
+
+    Each witness is three texts, written as it comes and then dropped.
+    The texts are joined into blocks of about ``_BLOCK`` characters, as
+    :func:`_blocks` joins its texts, counting all but the prime texts,
+    which are short; ``sep`` leads each witness after the first.
+    Witnesses of one pair (K, H) come together, and those at one J share
+    their ``checked`` cuts, so ``triple_text(kid, hid, jid, rows)`` is kept
+    per J until the next pair, with its length, and reused only for the
+    ``checked`` object it was built from.  ``rows = rows_text(checked)``
+    is built once per distinct value per report.  ``prime_text(q)`` is
+    built once per report, keyed by ``id(q)``, and q is kept alive in
+    ``kept``, so no other prime takes that id.
     """
     around: dict[int, tuple] = {}
     rows: dict[tuple, str] = {}
     primes: dict[int, str] = {}
     kept = []
     source = target = -1
-    pieces: list[str] = []
+    pieces = [head]
+    size, lead, limit = len(head), "", _BLOCK
     for kid, hid, jid, q, checked in witnesses:
         if kid != source or hid != target:
             source, target = kid, hid
@@ -414,31 +465,37 @@ def _witness_pieces(
             if cuts is None:
                 cuts = rows[checked] = rows_text(checked)
             before, after = triple_text(kid, hid, jid, cuts)
-            built = around[jid] = (checked, before, after)
+            built = around[jid] = (checked, before, after, len(sep) + len(before) + len(after))
         prime = primes.get(id(q))
         if prime is None:
             prime = primes[id(q)] = prime_text(q)
             kept.append(q)
-        pieces += (built[1], prime, built[2])
-    return pieces
+        pieces += (lead, built[1], prime, built[2])
+        lead = sep
+        size += built[3]
+        if size >= limit:
+            yield "".join(pieces)
+            pieces, size = [], 0
+    pieces.append(tail)
+    yield "".join(pieces)
 
 
-def decision_json(
+def decision_json_blocks(
     witnesses: Iterable[NormFailure],
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
-) -> tuple[str, bool]:
-    """The structured decision report, written from its witness stream.
+) -> tuple[Iterator[str], bool]:
+    """The structured decision report, as blocks of text written in one forward pass.
 
-    Returns the report and whether the stream held a witness.  The bytes
-    are those of :func:`indented_json` on the report document, and no
-    witness dict is built: each witness is one template over names
-    escaped once per report, through :func:`_witness_pieces`.  The head,
-    whose verdict the stream decides, goes through :func:`indented_json`
-    once the stream ends, with its closing ``}`` cut off; ``witnesses``
-    sorts last, so the list closes the document.  The result is one join
-    over head, witnesses, separators and tail.
+    Returns the blocks and whether the stream held a witness, which a peek
+    at its first witness decides before any block is written.  The blocks
+    join to the bytes of :func:`indented_json` on the report document, and
+    no witness dict is built: each witness is one template over names
+    escaped once per report, through :func:`_witness_blocks`.  The head,
+    whose verdict the peek decides, goes through :func:`indented_json` with
+    its closing ``}`` cut off; ``witnesses`` sorts last, so the list closes
+    the document.
     """
     names = [_encode_str(n) for n in L.names]
     reps = [names[members[0]] for members in L.classes]
@@ -453,7 +510,7 @@ def decision_json(
             f'{{\n      "checked": [\n        {rows}\n      ],'
             f'\n      "norm_source": {names[kid]},\n      "norm_target": {names[hid]},'
             '\n      "prime": ',
-            f',\n      "subgroup": {names[jid]}\n    }},\n    ',
+            f',\n      "subgroup": {names[jid]}\n    }}',
         )
 
     def prime_text(q):
@@ -464,27 +521,27 @@ def decision_json(
             f'        "subgroup": {reps[q.subgroup_class]}\n      }}'
         )
 
-    pieces = _witness_pieces(witnesses, rows_text, triple_text, prime_text)
-    held = bool(pieces)
-    if held:
-        pieces[-1] = pieces[-1][: -len(",\n    ")] + "\n  ]\n}\n"
+    stream, held = _peek(witnesses)
     head = indented_json(_decision_head(Verdict.of(held), L, R, VL))[:-3]
-    pieces.insert(0, head + (',\n  "witnesses": [\n    ' if held else ',\n  "witnesses": []\n}\n'))
-    return "".join(pieces), held
+    if not held:
+        return iter((head + ',\n  "witnesses": []\n}\n',)), False
+    head += ',\n  "witnesses": [\n    '
+    tail = "\n  ]\n}\n"
+    return _witness_blocks(head, stream, rows_text, triple_text, prime_text, ",\n    ", tail), True
 
 
-def decision_text(
+def decision_text_blocks(
     witnesses: Iterable[NormFailure],
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
-) -> tuple[str, bool]:
-    """The text decision report: a four-line head, then one line per witness.
+) -> tuple[Iterator[str], bool]:
+    """The text decision report, as blocks: a four-line head, then one line per witness.
 
-    Returns the report and whether the stream held a witness.  The
-    witness lines come from :func:`_witness_pieces`, as in
-    :func:`decision_json`.  The verdict, line 4, is filled in once the
-    stream ends.
+    Returns the blocks and whether the stream held a witness, which a peek
+    at its first witness decides: the verdict, line 4, is written before
+    any witness line.  The witness lines come from :func:`_witness_blocks`,
+    as in :func:`decision_json_blocks`.
     """
     names = L.names
 
@@ -501,16 +558,38 @@ def decision_text(
         rep = names[L.classes[q.subgroup_class][0]]
         return f"P({rep},{_height_doc(q.height)},{q.prime})"
 
-    pieces = _witness_pieces(witnesses, rows_text, triple_text, prime_text)
-    held = bool(pieces)
-    pieces.insert(
-        0,
+    stream, held = _peek(witnesses)
+    head = (
         f"group: {L.group.name}\n"
         f"operad: {len(R.pairs)} admissible pairs\n"
         f"locus: {len(VL.primes)} primes\n"
-        f"verdict: {Verdict.of(held).value}\n",
+        f"verdict: {Verdict.of(held).value}\n"
     )
-    return "".join(pieces), held
+    return _witness_blocks(head, stream, rows_text, triple_text, prime_text, "", ""), held
+
+
+def decision_json(
+    witnesses: Iterable[NormFailure],
+    L: SubgroupLattice,
+    R: TransferSystem,
+    VL: VanishingLocus,
+) -> tuple[str, bool]:
+    """The structured decision report and whether it holds a witness:
+    :func:`decision_json_blocks`, joined."""
+    blocks, held = decision_json_blocks(witnesses, L, R, VL)
+    return "".join(blocks), held
+
+
+def decision_text(
+    witnesses: Iterable[NormFailure],
+    L: SubgroupLattice,
+    R: TransferSystem,
+    VL: VanishingLocus,
+) -> tuple[str, bool]:
+    """The text decision report and whether it holds a witness:
+    :func:`decision_text_blocks`, joined."""
+    blocks, held = decision_text_blocks(witnesses, L, R, VL)
+    return "".join(blocks), held
 
 
 def decision_doc(

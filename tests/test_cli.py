@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -300,22 +301,95 @@ def test_unwritable_out_path_exits_2(tmp_path):
     assert not target.exists()
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+C2_6 = "cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2"
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:2*cyclic:2*cyclic:2*cyclic:2"])
-def test_failed_stdout_write_exits_2(spec, unbuffered):
+@pytest.mark.parametrize("spec, stdout, error", [
+    pytest.param("cyclic:2", "/dev/full", "[Errno 28] No space left on device",
+                 marks=NO_DEV_FULL, id="C2-full"),
+    pytest.param("cyclic:2*cyclic:2*cyclic:2*cyclic:2", "/dev/full",
+                 "[Errno 28] No space left on device", marks=NO_DEV_FULL, id="C2^4-full"),
+    pytest.param(C2_6, "pipe", "[Errno 32] Broken pipe", id="C2^6-closed-pipe"),
+])
+def test_failed_stdout_write_exits_2(spec, stdout, error, unbuffered):
     # a failed write to stdout exits 2 like one to --out, not with a
-    # traceback and exit 1.  The larger report fails in the write, the
-    # smaller one in the flush, whose bytes left buffered would fail again
-    # when Python exits, with code 120
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "normcert.cli", "lattice", "--group", spec,
-             "--format", "structured"],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=30,
-            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
-        )
-    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+    # traceback and exit 1.  On /dev/full the larger report fails in the
+    # write, the smaller one in the flush, whose bytes left buffered would
+    # fail again when Python exits, with code 120.  The pipe's reader
+    # closes it after 10 of the 1.8 MB structured C2^6 lattice: unbuffered,
+    # the raw write takes only part of a block, and writing the rest fails
+    argv = [sys.executable, "-m", "normcert.cli", "lattice", "--group", spec,
+            "--format", "structured"]
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    if stdout == "pipe":
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                env=env)
+        os.close(write_end)
+        with open(read_end, "rb") as reader:
+            assert len(reader.read(10)) == 10
+        try:
+            stderr = proc.communicate(timeout=30)[1]
+        finally:
+            proc.kill()
+    else:
+        with open(stdout, "w") as full:
+            done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=30, env=env)
+        proc, stderr = done, done.stderr
+    assert (proc.returncode, stderr) == (2, f"error: {error}\n")
+
+
+# one input per subcommand that exits 2; the decide locus breaks the chain
+# inequality, which the witness stream checks when it is made, and S4's 120
+# strict pairs pass the enumeration bound of transfer-enumerate and dot
+BAD_INPUTS = [
+    ["lattice", "--group", "socle:3"],
+    ["transfer-enumerate", "--group", "symmetric:4", "--format", "structured"],
+    ["spectrum-validate", "--ell", "2,(11)"],
+    ["decide", "--group", "cyclic:4", "--operad", "complete", "--locus", "@chain.json",
+     "--format", "structured"],
+    ["ell-enumerate", "--n", "-1", "--height-bound", "3"],
+    ["cross-validate", "--n", "2", "--height-bound", "2", "--prime", "4"],
+    ["dot", "--group", "symmetric:4", "--what", "transfer-poset"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: argv[0])
+def test_input_errors_come_before_the_first_byte(argv, tmp_path):
+    # every subcommand checks its input before it returns its report, so an
+    # input error leaves stdout empty and creates no --out file; a
+    # subcommand written as a generator function would run its checks only
+    # once the report is written, after --out was opened
+    locus = tmp_path / "chain.json"
+    locus.write_text(json.dumps({"entries": [{"subgroup": "C1#0", "prime": 2,
+                                              "heights": ["inf"]}]}))
+    argv = [str(locus) if a == "@chain.json" else a for a in argv]
+    assert not any(inspect.isgeneratorfunction(f) for n, f in vars(cli).items()
+                   if n.startswith("_cmd_"))
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    target = tmp_path / "report.out"
+    assert _in_process(argv + ["--out", str(target)]) == (2, "")
+    assert not target.exists()
+
+
+def test_every_byte_is_written_past_short_writes():
+    # a raw write may take fewer bytes than it is given; the sink hands it
+    # the rest until every byte is taken
+    taken = []
+
+    def write(view):
+        taken.append(bytes(view[:3]))
+        return len(taken[-1])
+
+    cli._write_encoded(["0123", "", "456789"], write, "ascii", "strict")
+    assert taken == [b"012", b"3", b"456", b"789"]
 
 
 def test_malformed_json_is_a_parse_error(tmp_path):
@@ -873,6 +947,36 @@ def test_enumeration_writers_build_no_transfer_system(monkeypatch):
     for e in (enum, *made):
         assert "systems" not in vars(e)
     assert len(enum.systems) == len(enum) == 294 and "systems" in vars(enum)
+
+
+def test_reports_stream_in_blocks_that_join_to_the_same_bytes(monkeypatch, tmp_path):
+    # blocks of about 300 characters, so the head, witnesses, containment
+    # rows, systems, listing lines and the tail fall at block boundaries;
+    # each report is written in one forward pass, with no separator taken
+    # back and no head put in front once the stream has ended
+    monkeypatch.setattr(iomod, "_BLOCK", 300)
+    L = lattice("symmetric:4")
+    R = nc.complete_system(L)
+    vl = random_valid_locus(L, random.Random(3))
+    d = nc.localization_preserves(vl, R)
+    report = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
+    L8, enum = lattice("dihedral:8"), enumeration("dihedral:8")
+    for blocks, expected in (
+        (iomod.decision_json_blocks(nc.localization_witnesses(vl, R), L, R, vl)[0], report),
+        (iomod.decision_text_blocks(nc.localization_witnesses(vl, R), L, R, vl)[0],
+         decision_text_by_loop(d, L, R, vl)),
+        (iomod.enumeration_json_blocks(L8, enum),
+         iomod.indented_json(enumeration_doc_by_hand(L8, enum))),
+    ):
+        blocks = list(blocks)
+        assert len(blocks) > 10 and "".join(blocks) == expected
+    listing = _in_process(["transfer-enumerate", "--group", "dihedral:8"])
+    assert listing == (0, enumeration_text_by_loop(L8, enum))
+    locus = _write_json(tmp_path / "locus.json", iomod.locus_doc(vl))
+    target = tmp_path / "report.json"
+    assert _in_process(["decide", "--group", "symmetric:4", "--operad", "complete",
+                        "--locus", locus, "--format", "structured", "--out", str(target)]) == (0, "")
+    assert target.read_bytes() == report.encode()
 
 
 def test_hostile_group_name_is_escaped_like_json_dumps(tmp_path):

@@ -74,8 +74,9 @@ default bound, so its one-interpreter run checks that a lattice kept under
 one bound prints the same under the other; S5 and C128, past the default
 bound, are built on each request.
 
-Exits 0 when every request agrees and 1 at the first request that differs,
-naming it.
+Every request of every batch is compared, and each difference is printed,
+naming its request, as it is found, so one difference hides no later one.
+Exits 0 when every request agrees and 1 when any differs.
 """
 
 from __future__ import annotations
@@ -411,29 +412,39 @@ def mismatch(what: str, request: list[str], base_out: tuple, head_out: tuple) ->
             f"this tree exit {head_rc} sha256 {head_sha[:12]}")
 
 
-def compare_batch(base: str, label: str, requests: list[list[str]], cwd: str) -> str | None:
-    """How the first request of a batch differs from the base tree's, or None.
+def compare_batch(base: str, label: str, requests: list[list[str]], cwd: str) -> list[str]:
+    """How each request of a batch differs from the base tree's, one line per difference.
 
     Each request runs in its own process in both trees, then the whole batch
     runs once more in one process of this tree, against the base outcomes.
+    Each difference is printed as it is found.
     """
+    diffs = []
+
+    def differs(line: str) -> None:
+        diffs.append(line)
+        print(f"differs: {line}", flush=True)
+
     base_outs = []
     for i, request in enumerate(requests):
         base_out, head_out = outcomes([base, ROOT], request, cwd)
         if base_out != head_out:
-            return mismatch(f"{label} request {i}", request, base_out, head_out)
+            differs(mismatch(f"{label} request {i}", request, base_out, head_out))
         base_outs.append(base_out)
     in_one = in_process_outcomes(requests, cwd)
     for i, (request, base_out, head_out) in enumerate(zip(requests, base_outs, in_one)):
         if base_out != head_out:
-            return mismatch(f"{label} request {i} in one process", request, base_out, head_out)
-    print(f"{label}: {len(requests)} requests identical, one process each and all in one",
-          flush=True)
-    return None
+            differs(mismatch(f"{label} request {i} in one process", request, base_out, head_out))
+    if diffs:
+        print(f"{label}: {len(diffs)} differences in {len(requests)} requests", flush=True)
+    else:
+        print(f"{label}: {len(requests)} requests identical, one process each and all in one",
+              flush=True)
+    return diffs
 
 
-def compare(base: str, seeds: list[int], scratch: str) -> str | None:
-    """The first request whose output differs between the trees, or None."""
+def compare(base: str, seeds: list[int], scratch: str) -> list[str]:
+    """Every difference between the outputs of the two trees, one line each."""
     workdirs = {}
     for workload in workloads.WORKLOADS:
         workdir = workdirs[workload] = os.path.join(scratch, workload)
@@ -444,18 +455,15 @@ def compare(base: str, seeds: list[int], scratch: str) -> str | None:
                 + inf_locus_requests(base, scratch)
                 + relabeled_requests(base, scratch) + xval_requests() + D12_ENUM_REQUESTS
                 + LARGE_DOC_REQUESTS + random_locus_requests(base, scratch, D8XD8, "D8xD8"))
+    diffs = []
     for label, batch in (("fixed list", requests), ("raised bound", RAISED_BOUND_REQUESTS)):
-        diff = compare_batch(base, label, batch, scratch)
-        if diff is not None:
-            return diff
+        diffs += compare_batch(base, label, batch, scratch)
     for workload, workdir in workdirs.items():
         for seed in seeds:
             argvs = [[os.path.join(workdir, a[1:]) if a.startswith("@") else a
                       for a in req["argv"]] for req in workloads.stream(workload, seed)]
-            diff = compare_batch(base, f"{workload} seed {seed}", argvs, workdir)
-            if diff is not None:
-                return diff
-    return None
+            diffs += compare_batch(base, f"{workload} seed {seed}", argvs, workdir)
+    return diffs
 
 
 def main(argv=None) -> int:
@@ -470,14 +478,14 @@ def main(argv=None) -> int:
         subprocess.run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach",
                         base, args.base_rev], check=True)
         try:
-            diff = compare(base, args.seeds, scratch)
+            diffs = compare(base, args.seeds, scratch)
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base],
                            check=False)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    if diff is not None:
-        print(f"differs: {diff}")
+    if diffs:
+        print(f"{len(diffs)} differences")
         return 1
     print("same output on every request")
     return 0
