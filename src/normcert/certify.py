@@ -320,7 +320,7 @@ def localization_witnesses(VL: VanishingLocus, R: TransferSystem) -> Iterator[No
     written from them never holds them all.  Runs the norm criterion for
     every admissible pair of the transfer system except the reflexive ones,
     which never fail; the witnesses are those of
-    :func:`norm_preserves_locus` over ``sorted(R.pairs)``, in that order.
+    :func:`norm_preserves_locus` over ``R.sorted_pairs()``, in that order.
     """
     if R.lattice is not VL.lattice:
         raise LatticeMismatch("locus and transfer system live on different lattices")

@@ -46,6 +46,7 @@ from .transfers import (
     TransferError,
     enumerate_transfer_systems,
     nested_pairs,
+    trivial_system,
 )
 
 _INPUT_ERRORS = (
@@ -150,7 +151,7 @@ def _cmd_transfer_enumerate(args):
         return iomod.enumeration_json_blocks(L, enum), False
     names, nested = L.names, nested_pairs(L)
     texts = [f"({names[k]}<{names[h]})" for k, h in nested]
-    strict = sum([1 << r for r, (k, h) in enumerate(nested) if k != h])
+    strict = ~trivial_system(L).mask
 
     def lines():
         yield f"transfer systems on {L.group.name}: {len(enum)}\n"

@@ -561,7 +561,7 @@ def decision_text_blocks(
     stream, held = _peek(witnesses)
     head = (
         f"group: {L.group.name}\n"
-        f"operad: {len(R.pairs)} admissible pairs\n"
+        f"operad: {len(R)} admissible pairs\n"
         f"locus: {len(VL.primes)} primes\n"
         f"verdict: {Verdict.of(held).value}\n"
     )

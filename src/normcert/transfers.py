@@ -16,29 +16,27 @@ closure of the corresponding family of finite H-sets (an indexing system)
 under subobjects, products, restriction and self-induction amounts to
 (Rubin; Balchin-Barnes-Roitzheim), so the engine never builds H-sets.
 
-Closure works on conjugation orbits of strict pairs, so conjugation never
-has to be applied pair by pair: a system is the reflexive pairs plus a set
-of orbits, held as an int bitmask.  One closure operator serves
-:func:`close_transfer_system` and :func:`enumerate_transfer_systems`; it
-can start from a set already closed, which is how the enumeration runs
-Close-by-One from the closed parent.  Its tables (orbit ids, the
-restriction step of each orbit, the composites of two orbits) are filled
-lazily, so a closure does only the work it needs.  Each call builds its
-own tables and drops them on return: within one closure every orbit joins
-once, so only the many closures of one enumeration reuse them, and the
-lattice holds nothing of transfers.
+A system is one int, its pair mask, with bit r set for the pair of rank r
+among the sorted nested pairs (:func:`nested_pairs`), reflexive ones
+included; its size, sorted pairs and strict pairs are read off the mask.
 
-An enumeration keeps each system as one int pair mask, bit r for the pair
-of rank r among the sorted nested pairs (:func:`nested_pairs`), so its
-writers read a system's sorted pairs, and its pair count, off the mask.
-:class:`TransferSystem` objects are built from the masks only when a caller
-reads :attr:`TransferEnumeration.systems`.
+Closure works on conjugation orbits of strict pairs, held as an int
+bitmask of orbits, so conjugation is never applied pair by pair.  One
+closure operator (:class:`_OrbitTables`) serves both
+:func:`close_transfer_system` and :func:`enumerate_transfer_systems`, which
+read pair masks off its closed orbit sets.  It can start from a closed set,
+which is how the enumeration runs Close-by-One from the closed parent.  Its
+tables are filled lazily, per call, and dropped on return: within one
+closure every orbit joins once, so only the closures of one enumeration
+reuse them, and the lattice holds nothing of transfers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .groups import SubgroupLattice, _bits
 
@@ -62,23 +60,40 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class TransferSystem:
-    """A set of admissible (K_id, H_id) pairs over a fixed lattice.
+    """A set of admissible (K_id, H_id) pairs over a fixed lattice, as a pair mask.
 
-    The pair set always includes the reflexive pairs.  No validity is
-    enforced at construction; use :func:`validate_transfer_system`.
+    Any set of nested pairs is a mask, so no validity is enforced at
+    construction; use :func:`validate_transfer_system`.  ``pairs`` is
+    derived from the mask on first read.
     """
 
     lattice: SubgroupLattice
-    pairs: frozenset[Pair]
+    mask: int
+
+    @classmethod
+    def from_pairs(cls, L: SubgroupLattice, pairs) -> TransferSystem:
+        """The system of exactly ``pairs``; ValueError on a pair that is not nested."""
+        offset, mask = _offsets(L), 0
+        for kid, hid in pairs:
+            mask |= 1 << _pair_rank(L, offset, kid, hid)
+        return cls(L, mask)
+
+    @cached_property
+    def pairs(self) -> frozenset[Pair]:
+        return frozenset(self.sorted_pairs())
 
     def strict_pairs(self) -> tuple[Pair, ...]:
-        return tuple(sorted([p for p in self.pairs if p[0] != p[1]]))
+        strict = self.mask & ~trivial_system(self.lattice).mask
+        return _bits(strict, nested_pairs(self.lattice)) if strict else ()
 
     def sorted_pairs(self) -> tuple[Pair, ...]:
-        return tuple(sorted(self.pairs))
+        return _bits(self.mask, nested_pairs(self.lattice))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.mask.bit_count()
+
+    def __repr__(self) -> str:  # hex: str() of an int over 4300 decimal digits raises
+        return f"TransferSystem(lattice={self.lattice!r}, mask={self.mask:#x})"
 
 
 @dataclass(frozen=True)
@@ -89,32 +104,35 @@ class Violation:
     witness: tuple
 
 
-def reflexive_pairs(L: SubgroupLattice) -> frozenset[Pair]:
-    return frozenset((i, i) for i in range(len(L)))
-
-
 def candidate_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
-    """All strictly nested pairs (kid, hid), the ground set for enumeration.
-
-    Sorted: the bits of each up-set ascend.
-    """
+    """All strictly nested pairs (kid, hid), sorted: the ground set for enumeration."""
     return tuple((k, h) for k, above in enumerate(L.up) for h in _bits(above & ~(1 << k)))
 
 
 def nested_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
-    """All nested pairs (kid, hid), reflexive ones included, sorted.
+    """All nested pairs (kid, hid), sorted: bit r of a pair mask is the one of rank r."""
+    return tuple([(k, h) for k, above in enumerate(L.up) for h in _bits(above)])
 
-    Bit r of an enumerated system's pair mask stands for the pair of rank r.
-    """
-    return tuple((k, h) for k, above in enumerate(L.up) for h in _bits(above))
+
+def _offsets(L: SubgroupLattice) -> list[int]:
+    """Per k the rank of (k, k), the least nested pair with bottom k, then their count."""
+    return list(accumulate([above.bit_count() for above in L.up], initial=0))
+
+
+def _pair_rank(L: SubgroupLattice, offset: list[int], kid: int, hid: int) -> int:
+    """The rank of (kid, hid) in :func:`nested_pairs`; ValueError when it is not nested."""
+    above = L.up[kid]
+    if not above >> hid & 1:
+        raise ValueError(f"pair ({kid}, {hid}) is not nested")
+    return offset[kid] + (above & ((1 << hid) - 1)).bit_count()
 
 
 def trivial_system(L: SubgroupLattice) -> TransferSystem:
-    return TransferSystem(L, reflexive_pairs(L))
+    return TransferSystem(L, sum(1 << r for r in _offsets(L)[:-1]))
 
 
 def complete_system(L: SubgroupLattice) -> TransferSystem:
-    return TransferSystem(L, reflexive_pairs(L) | set(candidate_pairs(L)))
+    return TransferSystem(L, (1 << _offsets(L)[-1]) - 1)
 
 
 def _restriction_consequences(L: SubgroupLattice, kid: int, hid: int) -> tuple[Pair, ...]:
@@ -125,14 +143,8 @@ def _restriction_consequences(L: SubgroupLattice, kid: int, hid: int) -> tuple[P
 def validate_transfer_system(R: TransferSystem) -> list[Violation]:
     """Every violated axiom instance; an empty list means the system is valid."""
     L = R.lattice
-    out = []
-    pairs = sorted(R.pairs)
-    for kid, hid in pairs:
-        if not L.leq(kid, hid):
-            out.append(Violation("inclusion", (kid, hid)))
-    for hid in range(len(L)):
-        if (hid, hid) not in R.pairs:
-            out.append(Violation("reflexivity", (hid,)))
+    out = [Violation("reflexivity", (hid,)) for hid in range(len(L)) if (hid, hid) not in R.pairs]
+    pairs = R.sorted_pairs()
     by_bottom: dict[int, list[int]] = {}
     for kid, hid in pairs:
         by_bottom.setdefault(kid, []).append(hid)
@@ -154,16 +166,10 @@ def validate_transfer_system(R: TransferSystem) -> list[Violation]:
 class _OrbitTables:
     """Conjugation orbits of strict pairs and their one-step consequences.
 
-    One instance per :func:`close_transfer_system` or
-    :func:`enumerate_transfer_systems` call, filled on demand, so a closure
-    pays only for the orbits it reaches and the closures of one enumeration
-    share the work.  :meth:`close` may start from a closed set, so the
-    enumeration's Close-by-One from the closed parent joins only the orbits
-    that a child adds.
     Orbit ids count orbits in order of discovery; ``members[a]`` lists the
-    pairs of orbit ``a`` in sorted order and ``members[a][0]`` is its
-    representative.  A set of orbits is an int with bit ``a`` for orbit
-    ``a``.  The tables are:
+    pairs of orbit ``a`` and ``members[a][0]`` is its representative.  A
+    set of orbits is an int with bit ``a`` for orbit ``a``.  The tables,
+    filled on demand, are:
 
     * ``orbit_of``: strict pair -> orbit id;
     * ``step[a]``: the orbits of the restrictions (K n J, J), J <= H, of
@@ -197,11 +203,10 @@ class _OrbitTables:
         a = self.orbit_of.get((kid, hid))
         if a is None:
             L = self.lattice
-            orbit = tuple(sorted(set(zip(L.conj[kid], L.conj[hid]))))
             a = len(self.members)
-            for p in orbit:
-                self.orbit_of[p] = a
-            self.members.append(orbit)
+            orbit = dict.fromkeys(zip(L.conj[kid], L.conj[hid]), a)
+            self.orbit_of.update(orbit)
+            self.members.append(tuple(orbit))
             self.step.append(None)
             self.comp.append({})
             bottom, top = L.class_of[kid], L.class_of[hid]
@@ -265,10 +270,11 @@ class _OrbitTables:
             todo = (todo | new) & ~closed
         return closed
 
-    def pairs(self, mask: int) -> frozenset[Pair]:
-        """The reflexive pairs plus every pair of the orbits in ``mask``."""
-        members = self.members
-        return reflexive_pairs(self.lattice).union(*[members[a] for a in _bits(mask)])
+    def pair_masks(self, orbits: int) -> Iterator[int]:
+        """The pair mask of each orbit in ``orbits``, by id; yielded, never all held at once."""
+        L, members, offset = self.lattice, self.members, _offsets(self.lattice)
+        for a in _bits(orbits):
+            yield sum([1 << _pair_rank(L, offset, kid, hid) for kid, hid in members[a]])
 
 
 def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
@@ -279,26 +285,25 @@ def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
     :class:`_OrbitTables`), on tables built for this call alone.  Uniqueness
     of the result follows from the axioms being closed under intersection.
     """
-    tables = _OrbitTables(L)
-    mask = 0
+    tables, mask = _OrbitTables(L), 0
     for kid, hid in seed:
         if not L.leq(kid, hid):
             raise ValueError(f"seed pair ({kid}, {hid}) is not nested")
         if kid != hid:
             mask |= 1 << tables.orbit_id(kid, hid)
-    return TransferSystem(L, tables.pairs(tables.close(mask)))
+    # orbits are disjoint sets of strict pairs, so their masks add
+    return TransferSystem(L, sum(tables.pair_masks(tables.close(mask)), trivial_system(L).mask))
 
 
 @dataclass(frozen=True)
 class TransferEnumeration:
     """All transfer systems on a lattice plus their containment order.
 
-    ``masks[i]`` is system ``i`` as a pair mask: bit ``r`` is set when it
-    holds the pair of rank ``r`` in :func:`nested_pairs`, so
-    ``masks[i].bit_count()`` counts its pairs.  ``up[i]`` has bit ``j`` set
-    when system ``i`` is contained in system ``j`` (bit ``i`` included).
-    ``systems`` builds the :class:`TransferSystem` objects from the masks on
-    first use; the CLI writers read the masks and never build them.
+    ``masks[i]`` is system ``i``'s pair mask, the ``mask`` of its
+    :class:`TransferSystem`, so ``masks[i].bit_count()`` counts its pairs.
+    ``up[i]`` has bit ``j`` set when system ``i`` is contained in system
+    ``j`` (bit ``i`` included).  ``systems``, ``bottom()`` and ``top()``
+    wrap the masks; the CLI writers read the masks and build none of them.
     """
 
     lattice: SubgroupLattice
@@ -307,17 +312,16 @@ class TransferEnumeration:
 
     @cached_property
     def systems(self) -> tuple[TransferSystem, ...]:
-        L, nested = self.lattice, nested_pairs(self.lattice)
-        return tuple(TransferSystem(L, frozenset(_bits(mask, nested))) for mask in self.masks)
+        return tuple([TransferSystem(self.lattice, mask) for mask in self.masks])
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def bottom(self) -> TransferSystem:
-        return self.systems[0]
+        return TransferSystem(self.lattice, self.masks[0])
 
     def top(self) -> TransferSystem:
-        return self.systems[-1]
+        return TransferSystem(self.lattice, self.masks[-1])
 
 
 def enumerate_transfer_systems(
@@ -337,9 +341,8 @@ def enumerate_transfer_systems(
     sorted lists by the least pair of their symmetric difference, so the
     key (size, -rank mask), with bit N - 1 - r of the rank mask set for
     the strict pair of rank r among all N, is the order of
-    ``(len(pairs), sorted_pairs())``.  Each system is kept as its pair mask
-    (see :class:`TransferEnumeration`), the union of its orbits' pair masks
-    and the reflexive pairs' bits.  Containment is read off the orbit
+    ``(len(pairs), sorted_pairs())``.  A system's pair mask is the reflexive
+    bits plus its orbits' pair masks.  Containment is read off the orbit
     masks: system i lies below system j exactly when j contains every
     orbit of i.
     """
@@ -351,8 +354,7 @@ def enumerate_transfer_systems(
     tables = _OrbitTables(L)
     for p in strict:
         tables.orbit_id(*p)
-    m = len(tables.members)
-    close = tables.close
+    m, close = len(tables.members), tables.close
 
     found = []
     # (closed set, bit of the first orbit a child may add), depth first;
@@ -371,14 +373,11 @@ def enumerate_transfer_systems(
                 stack.append((child, bit << 1))
 
     # per orbit: its pairs' bits in the rank mask, one bit per strict pair,
-    # so a system's rank mask also counts its strict pairs, and their bits
-    # in the pair mask
-    n = len(strict)
-    rank_bit = {p: 1 << (n - 1 - r) for r, p in enumerate(strict)}
-    pair_bit = {p: 1 << r for r, p in enumerate(nested_pairs(L))}
+    # so a system's rank mask also counts its strict pairs, and its pair mask
+    rank_bit = {p: 1 << (len(strict) - 1 - r) for r, p in enumerate(strict)}
     orbit_rank = [sum([rank_bit[p] for p in orbit]) for orbit in tables.members]
-    orbit_mask = [sum([pair_bit[p] for p in orbit]) for orbit in tables.members]
-    reflexive = sum([pair_bit[p] for p in reflexive_pairs(L)])
+    orbit_mask = list(tables.pair_masks(every_orbit))
+    reflexive = trivial_system(L).mask
     keyed = []
     for closed in found:
         orbits = _bits(closed)

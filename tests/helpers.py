@@ -30,7 +30,7 @@ from functools import cache
 import normcert as nc
 from normcert import io as iomod
 from normcert.groups import hasse_covers
-from normcert.transfers import _OrbitTables, candidate_pairs, reflexive_pairs
+from normcert.transfers import _OrbitTables, candidate_pairs
 
 CORPUS_SPECS = (
     "cyclic:4",
@@ -254,6 +254,11 @@ def independent_transfer_valid(L: nc.SubgroupLattice, pairs: frozenset) -> bool:
     return True
 
 
+def reflexive_pairs(L: nc.SubgroupLattice) -> frozenset:
+    """The pairs (H, H), the pair set of the trivial system."""
+    return frozenset((i, i) for i in range(len(L)))
+
+
 def reflexive_pair_sets(L: nc.SubgroupLattice):
     """Every pair set made of the reflexive pairs and some candidate pairs."""
     strict = sorted(candidate_pairs(L))
@@ -341,14 +346,15 @@ def next_closure_masks(L: nc.SubgroupLattice) -> tuple[_OrbitTables, list[int]]:
 def next_closure_enumeration(L: nc.SubgroupLattice) -> nc.TransferEnumeration:
     """The enumeration from :func:`next_closure_masks`, ranked by pair lists.
 
-    Systems sort by ``(len(pairs), sorted_pairs())``, and system i lies
+    Systems sort by ``(len(pairs), sorted(pairs))``, and system i lies
     below system j when j holds every orbit of i.  Each system's pair mask
     sets the bit of each of its pairs' rank among all nested pairs, sorted.
     """
     tables, found = next_closure_masks(L)
     ranked = sorted(
-        ((nc.TransferSystem(L, tables.pairs(mask)), mask) for mask in found),
-        key=lambda sm: (len(sm[0].pairs), sm[0].sorted_pairs()),
+        ((reflexive_pairs(L).union(*[tables.members[a] for a in set_bits_by_scan(mask)]), mask)
+         for mask in found),
+        key=lambda sm: (len(sm[0]), sorted(sm[0])),
     )
     holders = [0] * len(tables.members)
     for j, (_, mask) in enumerate(ranked):
@@ -363,7 +369,7 @@ def next_closure_enumeration(L: nc.SubgroupLattice) -> nc.TransferEnumeration:
                 above &= holders[a]
         up.append(above)
     rank = {p: r for r, p in enumerate(sorted(reflexive_pairs(L) | set(candidate_pairs(L))))}
-    masks = tuple(sum(1 << rank[p] for p in s.pairs) for s, _ in ranked)
+    masks = tuple(sum(1 << rank[p] for p in pairs) for pairs, _ in ranked)
     return nc.TransferEnumeration(L, masks, tuple(up))
 
 
@@ -844,7 +850,7 @@ def enumeration_doc_by_hand(L: nc.SubgroupLattice, enum: nc.TransferEnumeration)
         "systems": [
             {
                 "index": i,
-                "pairs": [[L.names[k], L.names[h]] for k, h in s.sorted_pairs()],
+                "pairs": [[L.names[k], L.names[h]] for k, h in sorted(s.pairs)],
             }
             for i, s in enumerate(enum.systems)
         ],
@@ -857,7 +863,7 @@ def enumeration_text_by_loop(L: nc.SubgroupLattice, enum: nc.TransferEnumeration
     names = L.names
     lines = [f"transfer systems on {L.group.name}: {len(enum.systems)}"]
     for i, s in enumerate(enum.systems):
-        pairs = " ".join(f"({names[k]}<{names[h]})" for k, h in s.strict_pairs())
+        pairs = " ".join(f"({names[k]}<{names[h]})" for k, h in sorted(s.pairs) if k != h)
         lines.append(f"T{i}: {len(s.pairs)} pairs {pairs}".rstrip())
     return "\n".join(lines) + "\n"
 

@@ -622,6 +622,41 @@ def test_factor_order_gives_isomorphic_decisions_and_enumerations():
     _check_isomorphic_enumerations(L, LH, [(x % 4) * 2 + x // 4 for x in range(8)])
 
 
+def test_uniform_loci_decide_alike_under_relabeling_and_factor_swap():
+    # C2^5 and D8xD8 under a seeded relabelling, and D8xD8 under its factor
+    # swap: the complete operad and two closures of seeded generator pairs,
+    # carried across by their pair sets, are the image side's complete
+    # operad and closures of the moved generators, mask for mask, and each
+    # uniform locus, its own image, gets the same verdict on both sides
+    d8xd8 = "dihedral:8*dihedral:8"
+    cases = []
+    for short, spec in (("C2^5", "*".join(["cyclic:2"] * 5)), ("D8xD8", d8xd8)):
+        L = lattice(spec)
+        perm = list(range(L.group.order))
+        random.Random(f"relabel:{short}").shuffle(perm)
+        cases.append((short, L, nc.subgroup_lattice(relabeled(L.group, perm)), perm))
+    # element a*8 + b of D8xD8 is element b*8 + a after the swap
+    swap = [(x % 8) * 8 + x // 8 for x in range(64)]
+    cases.append(("D8xD8 swapped", lattice(d8xd8), lattice(d8xd8), swap))
+    loci = ({2: 3}, {2: 1, 3: 2}, {2: INFINITY})
+    for short, L, LH, image in cases:
+        to = _image_ids(L, LH, image)
+        rng = random.Random(f"uniform:{short}")
+        operads = [(nc.complete_system(L), nc.complete_system(LH))]
+        for _ in range(2):
+            gens = rng.sample(candidate_pairs(L), 2)
+            operads.append((nc.close_transfer_system(L, gens),
+                            nc.close_transfer_system(LH, [(to[k], to[h]) for k, h in gens])))
+        for R, RH in operads:
+            moved = nc.TransferSystem.from_pairs(LH, [(to[k], to[h]) for k, h in R.pairs])
+            assert moved.mask == RH.mask and len(R) == len(RH)
+            for tops in loci:
+                d = nc.localization_preserves(nc.uniform_locus(L, tops), R)
+                dh = nc.localization_preserves(nc.uniform_locus(LH, tops), RH)
+                assert d.verdict == dh.verdict and len(d.witnesses) == len(dh.witnesses)
+        assert all(len(L) < len(R) < len(operads[0][0]) for R, _ in operads[1:])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(CORPUS_SPECS), st.data(), st.randoms(use_true_random=False))
 def test_operad_decision_is_the_norm_decisions_in_pair_order(spec, data, rng):

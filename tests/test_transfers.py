@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from normcert.transfers import TransferSystem, _OrbitTables, candidate_pairs, reflexive_pairs
+from normcert.transfers import (
+    DEFAULT_MAX_PAIRS, TransferSystem, _OrbitTables, candidate_pairs, nested_pairs,
+)
 from helpers import (
     CORPUS_SPECS,
     assert_attributes_unchanged,
@@ -23,6 +25,8 @@ from helpers import (
     next_closure_enumeration,
     product_gset,
     reflexive_pair_sets,
+    reflexive_pairs,
+    set_bits_by_scan,
     unbounded_enumeration,
     worklist_closure,
 )
@@ -45,16 +49,55 @@ DECIDE_MIX_SPECS = (
 @pytest.mark.parametrize("spec", CORPUS_SPECS + DECIDE_MIX_SPECS)
 def test_strict_pairs_are_the_sorted_strict_pairs(spec):
     # strict_pairs against a sort of the pair set, on the trivial and complete
-    # systems, random closures and a pair set that is not a transfer system at all
+    # systems, random closures and a set of nested pairs that is not a
+    # transfer system at all; a pair that is not nested has no bit
     L = lattice(spec)
     rng = random.Random(spec)
-    candidates = candidate_pairs(L)
+    candidates, nested = candidate_pairs(L), nested_pairs(L)
     systems = [nc.trivial_system(L), nc.complete_system(L)]
     systems += [nc.close_transfer_system(L, [rng.choice(candidates)]) for _ in range(3)]
-    stray = rng.sample(candidates, min(5, len(candidates))) + [(len(L) - 1, 0)]
-    systems.append(TransferSystem(L, frozenset(stray)))
+    stray = rng.sample(nested, min(8, len(nested)))
+    systems.append(TransferSystem.from_pairs(L, stray))
+    assert systems[-1].pairs == frozenset(stray)
     for R in systems:
         assert R.strict_pairs() == tuple(sorted(p for p in R.pairs if p[0] != p[1]))
+        assert len(R) == R.mask.bit_count() == len(R.pairs)
+    with pytest.raises(ValueError):
+        TransferSystem.from_pairs(L, stray + [(len(L) - 1, 0)])
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + DECIDE_MIX_SPECS)
+def test_pair_masks_round_trip(spec):
+    # bit r of a mask against the rank r of a sort of every nested pair,
+    # found by comparing the element masks of each pair of subgroups;
+    # from_pairs inverts pairs, and closing an enumerated system's pairs (on
+    # the groups under the pair bound) gives its mask back
+    L = lattice(spec)
+    masks = [s.mask for s in L.subgroups]
+    nested = sorted((k, h) for k, a in enumerate(masks) for h, b in enumerate(masks)
+                    if a & ~b == 0)
+    rank = {p: r for r, p in enumerate(nested)}
+    assert nested_pairs(L) == tuple(nested)
+    assert nc.complete_system(L).mask == (1 << len(nested)) - 1
+    assert nc.trivial_system(L).pairs == reflexive_pairs(L)
+    rng = random.Random(f"round-trip:{spec}")
+    systems = [nc.trivial_system(L), nc.complete_system(L)]
+    systems += [nc.close_transfer_system(L, rng.sample(candidate_pairs(L), 2)) for _ in range(3)]
+    enumerated = ()
+    if len(candidate_pairs(L)) <= DEFAULT_MAX_PAIRS:
+        enumerated = enumeration(spec).systems
+    for R in systems + list(enumerated):
+        assert R.mask == sum(1 << rank[p] for p in R.pairs)
+        assert TransferSystem.from_pairs(L, R.pairs).mask == R.mask
+    for s in enumerated:
+        assert nc.close_transfer_system(L, s.pairs).mask == s.mask
+
+
+def test_a_mask_too_long_for_decimal_digits_has_a_repr():
+    # the C2^6 complete operad's mask has 95,706 bits, far past the 4300
+    # decimal digits str() of an int allows by default
+    R = TransferSystem(lattice("cyclic:4"), (1 << 95706) - 1)
+    assert repr(R).endswith(f", mask={R.mask:#x})")
 
 
 def test_complete_and_trivial_are_valid():
@@ -68,7 +111,7 @@ def test_missing_restriction_reported_on_cp2():
     # refl + (e, C_{p^2}) alone: restricting to C_p demands (e, C_p)
     for spec in ("cyclic:4", "cyclic:9"):
         L = lattice(spec)
-        bad = TransferSystem(L, reflexive_pairs(L) | {(0, 2)})
+        bad = TransferSystem.from_pairs(L, reflexive_pairs(L) | {(0, 2)})
         violations = nc.validate_transfer_system(bad)
         assert violations
         restriction = [v for v in violations if v.axiom == "restriction"]
@@ -179,7 +222,10 @@ def test_closing_from_a_closed_set_closes_from_scratch(spec, data):
     assert tables.close(closed) == closed
     child = tables.close(1 << i, closed)
     assert child == tables.close(closed | 1 << i)
-    assert tables.pairs(child) == worklist_closure(L, seed + [tables.members[i][0]])
+    pairs = reflexive_pairs(L).union(*[tables.members[a] for a in set_bits_by_scan(child)])
+    assert pairs == worklist_closure(L, seed + [tables.members[i][0]])
+    reflexive = nc.trivial_system(L).mask
+    assert sum(tables.pair_masks(child), reflexive) == TransferSystem.from_pairs(L, pairs).mask
     # a stop mask only ever cuts the closure short when the child meets it
     below = (1 << i) - 1
     stopped = tables.close(1 << i, closed, below)
@@ -250,7 +296,7 @@ def test_validation_agrees_with_independent_check(spec):
     # a violation exactly when the element-by-element definition fails
     L = lattice(spec)
     for pairs in reflexive_pair_sets(L):
-        valid = not nc.validate_transfer_system(TransferSystem(L, pairs))
+        valid = not nc.validate_transfer_system(TransferSystem.from_pairs(L, pairs))
         assert valid == independent_transfer_valid(L, pairs), sorted(pairs)
 
 
@@ -392,7 +438,7 @@ def test_oracle_ok_for_complete_and_enumerated():
 
 def test_oracle_catches_injected_restriction_failure():
     L = lattice("cyclic:4")
-    bad = TransferSystem(L, reflexive_pairs(L) | {(0, 2)})
+    bad = TransferSystem.from_pairs(L, reflexive_pairs(L) | {(0, 2)})
     cx = indexing_closure_oracle(bad, L.top, 6)
     assert cx is not None
     assert cx.operation == "restriction"
@@ -401,7 +447,7 @@ def test_oracle_catches_injected_restriction_failure():
 
 def test_oracle_catches_injected_transitivity_failure():
     L = lattice("cyclic:4")
-    bad = TransferSystem(L, reflexive_pairs(L) | {(0, 1), (1, 2)})
+    bad = TransferSystem.from_pairs(L, reflexive_pairs(L) | {(0, 1), (1, 2)})
     cx = indexing_closure_oracle(bad, L.top, 6)
     assert cx is not None
     assert cx.operation in ("product", "induction")
