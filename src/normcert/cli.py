@@ -45,8 +45,6 @@ from .transfers import (
     DEFAULT_MAX_PAIRS,
     TransferError,
     enumerate_transfer_systems,
-    nested_pairs,
-    trivial_system,
 )
 
 _INPUT_ERRORS = (
@@ -149,9 +147,9 @@ def _cmd_transfer_enumerate(args):
     enum = _enumeration(L)
     if args.format == "structured":
         return iomod.enumeration_json_blocks(L, enum), False
-    names, nested = L.names, nested_pairs(L)
-    texts = [f"({names[k]}<{names[h]})" for k, h in nested]
-    strict = ~trivial_system(L).mask
+    names = L.names
+    texts = [f"({names[k]}<{names[h]})" for k, h in L.nested_pairs]
+    strict = ~L.reflexive_mask
 
     def lines():
         yield f"transfer systems on {L.group.name}: {len(enum)}\n"

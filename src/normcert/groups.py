@@ -22,7 +22,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, count, permutations
+from itertools import accumulate, compress, count, permutations, repeat
 from operator import itemgetter
 
 
@@ -400,8 +400,15 @@ class SubgroupLattice:
     when ``down[normalizer[k]]`` has bit h.  ``coset_leads[j]`` is the
     element bitmask of the least member of each left coset xJ, so the
     least elements of the cosets of J inside any H >= J are the bits of
-    ``coset_leads[j] & H``.  Every table, coset tables included, is built
-    with the lattice.
+    ``coset_leads[j] & H``.
+
+    The nested pairs are indexed once too, for the pair masks of transfer
+    systems: ``nested_pairs`` lists every (k, h) with K <= H, sorted, and
+    bit r of a pair mask is its entry r.  ``pair_offsets[k]`` is the rank of
+    (k, k), the least pair with bottom k, and its last entry their count, so
+    (k, h) has rank ``pair_offsets[k]`` plus the bits of ``up[k]`` below h.
+    ``reflexive_mask`` has the bit of every (k, k).  Every table, coset and
+    pair tables included, is built with the lattice.
     """
 
     group: FiniteGroup
@@ -416,6 +423,9 @@ class SubgroupLattice:
     class_masks: tuple[int, ...] = field(repr=False)
     normalizer: tuple[int, ...] = field(repr=False)
     coset_leads: tuple[int, ...] = field(repr=False)
+    nested_pairs: tuple[tuple[int, int], ...] = field(repr=False)
+    pair_offsets: tuple[int, ...] = field(repr=False)
+    reflexive_mask: int = field(repr=False)
     _id_of_mask: dict[int, int] = field(repr=False)
     _id_of_name: dict[str, int] = field(repr=False)
     # per subgroup id J, x -> bitmask of the left coset xJ
@@ -618,6 +628,7 @@ def subgroup_lattice(
             class_of[sid] = c
 
     cosets = [_left_cosets(table, s.mask) for s in subgroups]
+    nested, offsets, reflexive = _pair_index(up)
     return SubgroupLattice(
         group=G,
         subgroups=subgroups,
@@ -631,6 +642,9 @@ def subgroup_lattice(
         class_masks=tuple(sum(1 << sid for sid in members) for members in classes),
         normalizer=_normalizers(conj, classes, id_of_mask),
         coset_leads=tuple(leads for _, leads in cosets),
+        nested_pairs=nested,
+        pair_offsets=offsets,
+        reflexive_mask=reflexive,
         _id_of_mask=id_of_mask,
         _id_of_name={n: i for i, n in enumerate(names)},
         _coset_masks=tuple(masks for masks, _ in cosets),
@@ -644,7 +658,7 @@ def lattice_of(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice
     last 16 parsed atom lists, so ``cyclic:02``, ``cyclic: 2`` and ``cyclic:2``
     share a lattice, as callers do while it is kept.  Errors are not kept, and a
     group of order above ``DEFAULT_MAX_ORDER`` or with a ``table:`` factor is
-    built on each call: 16 kept lattices hold under 134 MB (C2^6: 8.4 MB).
+    built on each call: 16 kept lattices hold under 250 MB (C2^6: 15.5 MB).
     """
     order, atoms = _factors(spec, max_order)
     if order > DEFAULT_MAX_ORDER or any(kind == "table" for kind, *_ in atoms):
@@ -760,6 +774,28 @@ def _inclusion_index(
         for h in _bits(above):
             down[h] |= down[k]
     return tuple(up), tuple(down), tuple(cover_masks)
+
+
+def _pair_index(
+    up: Sequence[int],
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
+    """``(nested_pairs, pair_offsets, reflexive_mask)`` of the inclusion order.
+
+    The pairs with bottom k are k with each bit of ``up[k]``, in id order,
+    and (k, k) comes first, since ids extend inclusion.  Each id is one int
+    object, shared by every pair that names it.  The reflexive bits are set
+    in a little-endian byte string read as one int, not summed as one big
+    int per subgroup.
+    """
+    ids = list(range(len(up)))
+    nested: list[tuple[int, int]] = []
+    for k, above in enumerate(up):
+        nested.extend(zip(repeat(ids[k]), _bits(above, ids)))
+    offsets = tuple(accumulate([above.bit_count() for above in up], initial=0))
+    reflexive = bytearray((offsets[-1] + 7) // 8)
+    for r in offsets[:-1]:
+        reflexive[r >> 3] |= 1 << (r & 7)
+    return tuple(nested), offsets, int.from_bytes(reflexive, "little")
 
 
 def _coset_union(

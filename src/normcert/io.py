@@ -14,11 +14,11 @@ largest, by :func:`enumeration_json_blocks` with no system dict, each
 containment row the index strings :func:`~normcert.groups._bits` picks by
 its bits and each system the pair texts its pair mask picks.  Each writes
 its report in one forward pass, as blocks of about a megabyte that the CLI
-writes as they come; :func:`decision_json`, :func:`decision_text` and
-:func:`enumeration_json` join the same blocks into one string.  Their dict
-forms, :func:`decision_doc` and :func:`enumeration_doc`, are those writers'
-output parsed back, so each report is defined once.  Digests hash the
-compact form of :func:`canonical_json`.
+writes as they come; no writer joins them into one string, which would hold
+every block and the string at once.  The dict forms, :func:`decision_doc`
+and :func:`enumeration_doc`, are those writers' blocks joined and parsed
+back, so each report is defined once.  Digests hash the compact form of
+:func:`canonical_json`.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -49,7 +49,6 @@ from .transfers import (
     TransferSystem,
     close_transfer_system,
     complete_system,
-    nested_pairs,
     trivial_system,
 )
 
@@ -239,7 +238,7 @@ def enumeration_json_blocks(L: SubgroupLattice, enum: TransferEnumeration) -> It
     names = [_encode_str(n) for n in L.names]
     nested_texts = [
         f"[\n          {names[k]},\n          {names[h]}\n        ]"
-        for k, h in nested_pairs(L)
+        for k, h in L.nested_pairs
     ]
     index = [str(i) for i in range(len(enum))]
 
@@ -265,14 +264,10 @@ def enumeration_json_blocks(L: SubgroupLattice, enum: TransferEnumeration) -> It
     return _blocks(texts())
 
 
-def enumeration_json(L: SubgroupLattice, enum: TransferEnumeration) -> str:
-    """The structured transfer enumeration: :func:`enumeration_json_blocks`, joined."""
-    return "".join(enumeration_json_blocks(L, enum))
-
-
 def enumeration_doc(L: SubgroupLattice, enum: TransferEnumeration) -> dict:
-    """The transfer-enumeration document as a dict: :func:`enumeration_json`, parsed back."""
-    return json.loads(enumeration_json(L, enum))
+    """The transfer-enumeration document as a dict: :func:`enumeration_json_blocks`,
+    joined and parsed back."""
+    return json.loads("".join(enumeration_json_blocks(L, enum)))
 
 
 # -- vanishing loci --------------------------------------------------------------
@@ -568,38 +563,15 @@ def decision_text_blocks(
     return _witness_blocks(head, stream, rows_text, triple_text, prime_text, "", ""), held
 
 
-def decision_json(
-    witnesses: Iterable[NormFailure],
-    L: SubgroupLattice,
-    R: TransferSystem,
-    VL: VanishingLocus,
-) -> tuple[str, bool]:
-    """The structured decision report and whether it holds a witness:
-    :func:`decision_json_blocks`, joined."""
-    blocks, held = decision_json_blocks(witnesses, L, R, VL)
-    return "".join(blocks), held
-
-
-def decision_text(
-    witnesses: Iterable[NormFailure],
-    L: SubgroupLattice,
-    R: TransferSystem,
-    VL: VanishingLocus,
-) -> tuple[str, bool]:
-    """The text decision report and whether it holds a witness:
-    :func:`decision_text_blocks`, joined."""
-    blocks, held = decision_text_blocks(witnesses, L, R, VL)
-    return "".join(blocks), held
-
-
 def decision_doc(
     d: Decision,
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
 ) -> dict:
-    """The decision report as a dict: :func:`decision_json` of its witnesses, parsed back."""
-    return json.loads(decision_json(d.witnesses, L, R, VL)[0])
+    """The decision report as a dict: :func:`decision_json_blocks` of its witnesses,
+    joined and parsed back."""
+    return json.loads("".join(decision_json_blocks(d.witnesses, L, R, VL)[0]))
 
 
 def cross_validation_doc(report: CrossValidationReport) -> dict:

@@ -16,9 +16,10 @@ closure of the corresponding family of finite H-sets (an indexing system)
 under subobjects, products, restriction and self-induction amounts to
 (Rubin; Balchin-Barnes-Roitzheim), so the engine never builds H-sets.
 
-A system is one int, its pair mask, with bit r set for the pair of rank r
-among the sorted nested pairs (:func:`nested_pairs`), reflexive ones
-included; its size, sorted pairs and strict pairs are read off the mask.
+A system is one int, its pair mask, with bit r set for entry r of the
+lattice's sorted nested pairs (``SubgroupLattice.nested_pairs``), reflexive
+ones included; its size, sorted pairs and strict pairs are read off the
+mask against that index, which the lattice builds once.
 
 Closure works on conjugation orbits of strict pairs, held as an int
 bitmask of orbits, so conjugation is never applied pair by pair.  One
@@ -36,7 +37,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from .groups import SubgroupLattice, _bits
 
@@ -73,9 +73,10 @@ class TransferSystem:
     @classmethod
     def from_pairs(cls, L: SubgroupLattice, pairs) -> TransferSystem:
         """The system of exactly ``pairs``; ValueError on a pair that is not nested."""
-        offset, mask = _offsets(L), 0
+        mask = 0
         for kid, hid in pairs:
-            mask |= 1 << _pair_rank(L, offset, kid, hid)
+            _require_nested(L, kid, hid)
+            mask |= 1 << _pair_rank(L, kid, hid)
         return cls(L, mask)
 
     @cached_property
@@ -83,11 +84,11 @@ class TransferSystem:
         return frozenset(self.sorted_pairs())
 
     def strict_pairs(self) -> tuple[Pair, ...]:
-        strict = self.mask & ~trivial_system(self.lattice).mask
-        return _bits(strict, nested_pairs(self.lattice)) if strict else ()
+        L = self.lattice
+        return _bits(self.mask & ~L.reflexive_mask, L.nested_pairs)
 
     def sorted_pairs(self) -> tuple[Pair, ...]:
-        return _bits(self.mask, nested_pairs(self.lattice))
+        return _bits(self.mask, self.lattice.nested_pairs)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -106,33 +107,26 @@ class Violation:
 
 def candidate_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
     """All strictly nested pairs (kid, hid), sorted: the ground set for enumeration."""
-    return tuple((k, h) for k, above in enumerate(L.up) for h in _bits(above & ~(1 << k)))
+    return complete_system(L).strict_pairs()
 
 
-def nested_pairs(L: SubgroupLattice) -> tuple[Pair, ...]:
-    """All nested pairs (kid, hid), sorted: bit r of a pair mask is the one of rank r."""
-    return tuple([(k, h) for k, above in enumerate(L.up) for h in _bits(above)])
-
-
-def _offsets(L: SubgroupLattice) -> list[int]:
-    """Per k the rank of (k, k), the least nested pair with bottom k, then their count."""
-    return list(accumulate([above.bit_count() for above in L.up], initial=0))
-
-
-def _pair_rank(L: SubgroupLattice, offset: list[int], kid: int, hid: int) -> int:
-    """The rank of (kid, hid) in :func:`nested_pairs`; ValueError when it is not nested."""
-    above = L.up[kid]
-    if not above >> hid & 1:
+def _require_nested(L: SubgroupLattice, kid: int, hid: int) -> None:
+    """ValueError unless kid and hid are subgroup ids of L and K <= H."""
+    if not (0 <= kid < len(L) and 0 <= hid < len(L) and L.up[kid] >> hid & 1):
         raise ValueError(f"pair ({kid}, {hid}) is not nested")
-    return offset[kid] + (above & ((1 << hid) - 1)).bit_count()
+
+
+def _pair_rank(L: SubgroupLattice, kid: int, hid: int) -> int:
+    """The rank of the nested pair (kid, hid) in ``L.nested_pairs``."""
+    return L.pair_offsets[kid] + (L.up[kid] & ((1 << hid) - 1)).bit_count()
 
 
 def trivial_system(L: SubgroupLattice) -> TransferSystem:
-    return TransferSystem(L, sum(1 << r for r in _offsets(L)[:-1]))
+    return TransferSystem(L, L.reflexive_mask)
 
 
 def complete_system(L: SubgroupLattice) -> TransferSystem:
-    return TransferSystem(L, (1 << _offsets(L)[-1]) - 1)
+    return TransferSystem(L, (1 << len(L.nested_pairs)) - 1)
 
 
 def _restriction_consequences(L: SubgroupLattice, kid: int, hid: int) -> tuple[Pair, ...]:
@@ -272,9 +266,9 @@ class _OrbitTables:
 
     def pair_masks(self, orbits: int) -> Iterator[int]:
         """The pair mask of each orbit in ``orbits``, by id; yielded, never all held at once."""
-        L, members, offset = self.lattice, self.members, _offsets(self.lattice)
+        L, members = self.lattice, self.members
         for a in _bits(orbits):
-            yield sum([1 << _pair_rank(L, offset, kid, hid) for kid, hid in members[a]])
+            yield sum([1 << _pair_rank(L, kid, hid) for kid, hid in members[a]])
 
 
 def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
@@ -287,12 +281,11 @@ def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
     """
     tables, mask = _OrbitTables(L), 0
     for kid, hid in seed:
-        if not L.leq(kid, hid):
-            raise ValueError(f"seed pair ({kid}, {hid}) is not nested")
+        _require_nested(L, kid, hid)
         if kid != hid:
             mask |= 1 << tables.orbit_id(kid, hid)
     # orbits are disjoint sets of strict pairs, so their masks add
-    return TransferSystem(L, sum(tables.pair_masks(tables.close(mask)), trivial_system(L).mask))
+    return TransferSystem(L, sum(tables.pair_masks(tables.close(mask)), L.reflexive_mask))
 
 
 @dataclass(frozen=True)
@@ -377,11 +370,10 @@ def enumerate_transfer_systems(
     rank_bit = {p: 1 << (len(strict) - 1 - r) for r, p in enumerate(strict)}
     orbit_rank = [sum([rank_bit[p] for p in orbit]) for orbit in tables.members]
     orbit_mask = list(tables.pair_masks(every_orbit))
-    reflexive = trivial_system(L).mask
     keyed = []
     for closed in found:
         orbits = _bits(closed)
-        rank, mask = 0, reflexive
+        rank, mask = 0, L.reflexive_mask
         for a in orbits:
             rank |= orbit_rank[a]
             mask |= orbit_mask[a]

@@ -933,7 +933,7 @@ def test_enumeration_writers_build_no_transfer_system(monkeypatch):
     spec = "dihedral:8"
     L = lattice(spec)
     enum = nc.enumerate_transfer_systems(L)
-    iomod.enumeration_json(L, enum)
+    "".join(iomod.enumeration_json_blocks(L, enum))
     dotmod.transfer_poset_dot(L, enum)
     made = []
 

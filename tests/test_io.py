@@ -151,9 +151,11 @@ def _check_decision_writers(L, R, vl, seen):
     d = nc.localization_preserves(vl, R)
     held = not d.certified
     expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
-    assert iomod.decision_json(nc.localization_witnesses(vl, R), L, R, vl) == (expected, held)
+    blocks, witnessed = iomod.decision_json_blocks(nc.localization_witnesses(vl, R), L, R, vl)
+    assert ("".join(blocks), witnessed) == (expected, held)
     expected = decision_text_by_loop(d, L, R, vl)
-    assert iomod.decision_text(nc.localization_witnesses(vl, R), L, R, vl) == (expected, held)
+    blocks, witnessed = iomod.decision_text_blocks(nc.localization_witnesses(vl, R), L, R, vl)
+    assert ("".join(blocks), witnessed) == (expected, held)
     seen["certified"] |= d.certified
     for w in d.witnesses:
         seen["any"] |= w.prime.prime == nc.ANY_PRIME
@@ -213,10 +215,12 @@ def test_decision_writers_key_checked_texts_by_value():
             del checked
 
     expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
-    assert iomod.decision_json(fresh(), L, R, vl) == (expected, True)
+    blocks, witnessed = iomod.decision_json_blocks(fresh(), L, R, vl)
+    assert ("".join(blocks), witnessed) == (expected, True)
     assert any(len(values) > 1 for values in ids.values())  # ids were reused
     ids.clear()
-    assert iomod.decision_text(fresh(), L, R, vl) == (decision_text_by_loop(d, L, R, vl), True)
+    blocks, witnessed = iomod.decision_text_blocks(fresh(), L, R, vl)
+    assert ("".join(blocks), witnessed) == (decision_text_by_loop(d, L, R, vl), True)
     assert any(len(values) > 1 for values in ids.values())
 
 
@@ -232,8 +236,10 @@ def _check_hand_built_stream(L, witnesses):
 
     assert iomod.decision_doc(d, L, R, vl) == decision_doc_by_hand(d, L, R, vl)
     expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
-    assert iomod.decision_json(fresh(), L, R, vl) == (expected, True)
-    assert iomod.decision_text(fresh(), L, R, vl) == (decision_text_by_loop(d, L, R, vl), True)
+    blocks, witnessed = iomod.decision_json_blocks(fresh(), L, R, vl)
+    assert ("".join(blocks), witnessed) == (expected, True)
+    blocks, witnessed = iomod.decision_text_blocks(fresh(), L, R, vl)
+    assert ("".join(blocks), witnessed) == (decision_text_by_loop(d, L, R, vl), True)
 
 
 def test_decision_writers_key_primes_by_the_prime_kept():
@@ -263,7 +269,7 @@ def _check_enumeration_writer(L, e):
     # against json.dumps
     doc = enumeration_doc_by_hand(L, e)
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert iomod.enumeration_json(L, e) == iomod.indented_json(doc) == expected
+    assert "".join(iomod.enumeration_json_blocks(L, e)) == iomod.indented_json(doc) == expected
     return expected
 
 
@@ -291,15 +297,15 @@ def test_enumeration_writer_above_the_pair_bound():
     # keeps their list, near 1 GB, out of memory
     L, e = lattice("symmetric:4"), unbounded_enumeration("symmetric:4")
     doc = enumeration_doc_by_hand(L, e)
-    direct = iomod.enumeration_json(L, e)
+    direct = "".join(iomod.enumeration_json_blocks(L, e))
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
     pos = 0
     while block := "".join(islice(chunks, 1 << 16)):
         same = direct[pos:pos + len(block)] == block
-        assert same, f"enumeration_json differs from json.dumps in [{pos}, {pos + len(block)})"
+        assert same, f"the joined blocks differ from json.dumps in [{pos}, {pos + len(block)})"
         pos += len(block)
     same = direct[pos:] == "\n"
-    assert same, f"enumeration_json differs from json.dumps after {pos}"
+    assert same, f"the joined blocks differ from json.dumps after {pos}"
 
 
 def test_dict_forms_are_the_hand_built_documents(tmp_path):

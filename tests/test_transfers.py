@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import normcert as nc
 from normcert.transfers import (
-    DEFAULT_MAX_PAIRS, TransferSystem, _OrbitTables, candidate_pairs, nested_pairs,
+    DEFAULT_MAX_PAIRS, TransferSystem, _OrbitTables, candidate_pairs,
 )
 from helpers import (
     CORPUS_SPECS,
@@ -53,7 +53,7 @@ def test_strict_pairs_are_the_sorted_strict_pairs(spec):
     # transfer system at all; a pair that is not nested has no bit
     L = lattice(spec)
     rng = random.Random(spec)
-    candidates, nested = candidate_pairs(L), nested_pairs(L)
+    candidates, nested = candidate_pairs(L), L.nested_pairs
     systems = [nc.trivial_system(L), nc.complete_system(L)]
     systems += [nc.close_transfer_system(L, [rng.choice(candidates)]) for _ in range(3)]
     stray = rng.sample(nested, min(8, len(nested)))
@@ -69,15 +69,19 @@ def test_strict_pairs_are_the_sorted_strict_pairs(spec):
 @pytest.mark.parametrize("spec", CORPUS_SPECS + DECIDE_MIX_SPECS)
 def test_pair_masks_round_trip(spec):
     # bit r of a mask against the rank r of a sort of every nested pair,
-    # found by comparing the element masks of each pair of subgroups;
-    # from_pairs inverts pairs, and closing an enumerated system's pairs (on
-    # the groups under the pair bound) gives its mask back
+    # found by comparing the element masks of each pair of subgroups, and
+    # the lattice's pair index against the same sort; from_pairs inverts
+    # pairs, and closing an enumerated system's pairs (on the groups under
+    # the pair bound) gives its mask back
     L = lattice(spec)
     masks = [s.mask for s in L.subgroups]
     nested = sorted((k, h) for k, a in enumerate(masks) for h, b in enumerate(masks)
                     if a & ~b == 0)
     rank = {p: r for r, p in enumerate(nested)}
-    assert nested_pairs(L) == tuple(nested)
+    assert L.nested_pairs == tuple(nested)
+    assert L.pair_offsets == tuple(
+        [rank[k, k] for k in range(len(L))] + [len(nested)])
+    assert L.reflexive_mask == sum(1 << rank[k, k] for k in range(len(L)))
     assert nc.complete_system(L).mask == (1 << len(nested)) - 1
     assert nc.trivial_system(L).pairs == reflexive_pairs(L)
     rng = random.Random(f"round-trip:{spec}")
@@ -91,6 +95,33 @@ def test_pair_masks_round_trip(spec):
         assert TransferSystem.from_pairs(L, R.pairs).mask == R.mask
     for s in enumerated:
         assert nc.close_transfer_system(L, s.pairs).mask == s.mask
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:8", "cyclic:2*cyclic:4"])
+def test_decoded_pairs_are_the_lattice_index_entries(spec):
+    # decoding a mask picks entries of L.nested_pairs and builds no pair
+    # tuple of its own, on the dense and sparse branches of _bits alike
+    L = lattice(spec)
+    rng = random.Random(f"decode:{spec}")
+    systems = [nc.trivial_system(L), nc.complete_system(L),
+               nc.close_transfer_system(L, rng.sample(candidate_pairs(L), 2))]
+    rank = {p: r for r, p in enumerate(L.nested_pairs)}
+    for R in systems:
+        for pair in R.sorted_pairs() + R.strict_pairs():
+            assert pair is L.nested_pairs[rank[pair]]
+
+
+def test_subgroup_ids_outside_the_lattice_are_not_nested():
+    # S3 has 6 subgroups and 15 nested pairs.  Id -1 would wrap to the top
+    # in a list index and shift 15 in a rank, past every pair; id 6 has no
+    # up-set row.  Both systems and closures raise ValueError on either
+    L = lattice("symmetric:3")
+    assert len(L) == 6 and len(nc.complete_system(L)) == 15
+    for pair in ((-1, 5), (6, 5), (0, -1), (0, 6), (-6, 5), (5, 6)):
+        with pytest.raises(ValueError, match="is not nested"):
+            TransferSystem.from_pairs(L, [pair])
+        with pytest.raises(ValueError, match="is not nested"):
+            nc.close_transfer_system(L, [pair])
 
 
 def test_a_mask_too_long_for_decimal_digits_has_a_repr():

@@ -65,9 +65,14 @@ the witness stream as it comes: ``decide --operad complete --strict``, text
 and structured, on D8xD8 against a random locus by the decide-mix rule
 (seed ``locus:D8xD8:0``), written into the scratch directory like the
 INFINITY loci, with 503,371 witnesses (47 MB of text, 179 MB structured,
-exit 1).  A request may begin with
-``NAME=VALUE`` words, as a shell command line does; those variables are set
-for that request only, in its subprocesses and in the one-interpreter run.
+exit 1).  No stream decodes a pair mask of more than 557 nested pairs
+(D16xC2), and D8xD8 has 6638, so the fixed list also runs ``decide
+--operad complete --strict``, text and structured, on C2^6, whose complete
+operad's mask has 95,706 bits, against the uniform locus {2: 3}, written
+into the scratch directory like the INFINITY loci: it certifies, exit 0.
+A request may begin with ``NAME=VALUE`` words, as a shell command line
+does; those variables are set for that request only, in its subprocesses
+and in the one-interpreter run.
 A last batch interleaves ``lattice``, ``dot`` and ``decide --ell`` requests
 under ``NORMCERT_MAX_GROUP_ORDER=128`` with the same groups under the
 default bound, so its one-interpreter run checks that a lattice kept under
@@ -315,6 +320,31 @@ def relabeled_requests(tree: str, scratch: str) -> list[list[str]]:
 D8XD8 = "dihedral:8*dihedral:8"
 
 
+# the uniform locus {2: 3}, which always certifies; arguments spec, path
+UNIFORM_LOCUS = """import json, sys, normcert as nc, normcert.io
+L = nc.subgroup_lattice(nc.build_group(sys.argv[1]))
+with open(sys.argv[2], "w") as fh:
+    json.dump(normcert.io.locus_doc(nc.uniform_locus(L, {2: 3})), fh)
+"""
+
+
+def largest_mask_requests(tree: str, scratch: str) -> list[list[str]]:
+    """``decide --operad complete --strict``, text and structured, on C2^6.
+
+    The complete operad's pair mask has a bit for each of the 95,706
+    nested pairs.  The locus is the uniform {2: 3}.  Writes the locus
+    document into ``scratch`` with ``tree``.
+    """
+    path = os.path.join(scratch, "C2^6-uniform.json")
+    subprocess.run([sys.executable, "-c", UNIFORM_LOCUS, C2_6, path],
+                   env=tree_env(tree), cwd=scratch, check=True)
+    return [
+        ["decide", "--group", C2_6, "--operad", "complete", "--locus", path, "--strict",
+         "--format", fmt]
+        for fmt in ("text", "structured")
+    ]
+
+
 # C343 at the order bound, the trivial group, height bound 0, and C1331 past the bound
 XVAL_ARGS = (("3", "7", "5"), ("0", "2", "5"), ("1", "2", "0"), ("3", "11", "0"))
 
@@ -454,7 +484,8 @@ def compare(base: str, seeds: list[int], scratch: str) -> list[str]:
                 + locus_requests(workdirs["decide-mix"]) + ell_requests()
                 + inf_locus_requests(base, scratch)
                 + relabeled_requests(base, scratch) + xval_requests() + D12_ENUM_REQUESTS
-                + LARGE_DOC_REQUESTS + random_locus_requests(base, scratch, D8XD8, "D8xD8"))
+                + LARGE_DOC_REQUESTS + random_locus_requests(base, scratch, D8XD8, "D8xD8")
+                + largest_mask_requests(base, scratch))
     diffs = []
     for label, batch in (("fixed list", requests), ("raised bound", RAISED_BOUND_REQUESTS)):
         diffs += compare_batch(base, label, batch, scratch)
