@@ -177,12 +177,14 @@ class VanishingLocus:
                     else q.subgroup_class not in inf_classes)
             )
             zero |= inf_classes
+        # one mask object per (height, prime), shared by every class's row
+        masks = {(h, p): mask | at.get((INFINITY, p), 0) for (h, p), mask in at.items()}
         zero_mask = sum(1 << c for c in zero if 0 <= c < n)
         by_class: dict = {}
         for q in sorted(kept, key=_SORT_FIELDS):
             mask = (
                 zero_mask if q.height == 0
-                else at.get((q.height, q.prime), 0) | at.get((INFINITY, q.prime), 0)
+                else masks.get((q.height, q.prime)) or at.get((INFINITY, q.prime), 0)
             )
             by_class.setdefault(q.subgroup_class, []).append((q, mask))
         setattr_ = object.__setattr__

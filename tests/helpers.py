@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import re
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -31,6 +33,10 @@ import normcert as nc
 from normcert import io as iomod
 from normcert.groups import hasse_covers
 from normcert.transfers import _OrbitTables, candidate_pairs
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+
+import ladder  # noqa: E402
 
 CORPUS_SPECS = (
     "cyclic:4",
@@ -1013,17 +1019,8 @@ DECIDE_MIX_GROUPS = (
 
 
 def decide_mix_locus(L: nc.SubgroupLattice, seed: str) -> nc.VanishingLocus:
-    """A random locus by the rule of the decide-mix benchmark workload.
-
-    Per class, and per prime 2 and 3, a top drawn from None, 0, 1, 2 with
-    ``random.Random(seed)``; the primes below the top are in the locus.
-    """
-    rng = random.Random(seed)
-    primes = []
-    for c in range(len(L.classes)):
-        for p in (2, 3):
-            primes.extend(_segment_primes(c, p, rng.choice((None, 0, 1, 2))))
-    return nc.vanishing_locus(L, primes)
+    """A random locus by the rule of the decide-mix benchmark workload."""
+    return ladder.random_locus(L, seed)
 
 
 def random_uniform_locus(L: nc.SubgroupLattice, rng) -> nc.VanishingLocus:

@@ -410,3 +410,15 @@ def test_contains_matches_the_prime_set(spec, raw, queries):
             assert mask >> n == 0
             for c in range(n):
                 assert bool(mask >> c & 1) == contains_by_definition(vl, c, q.height, q.prime)
+
+
+def test_classes_share_one_mask_per_height_and_prime():
+    # every class that lists (height, prime) lists the same mask object, so a
+    # locus holds one int per (height, prime), not one per prime
+    L = lattice("dihedral:16*cyclic:2")
+    vl = nc.uniform_locus(L, {2: 3})
+    masks = {}
+    for c in range(len(L.classes)):
+        for q, mask in vl.primes_at_class(c):
+            assert masks.setdefault((q.height, q.prime), mask) is mask
+    assert set(masks) == {(0, ANY_PRIME), (1, 2), (2, 2), (3, 2)}

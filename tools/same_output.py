@@ -50,26 +50,17 @@ labels are permuted by the seed ``relabel:S4``, against a random locus by
 the decide-mix rule (seed ``locus:S4-relabeled:0``), both written into the
 scratch directory: 949 witnesses, exit 1.  The streams
 sweep only C8, C27 and C25 with ``cross-validate``, so the fixed list also
-runs it, text and structured, on C343 at the order bound (``--n 3 --prime 7
---height-bound 5``), on the trivial group (``--n 0``), at height bound 0
-(``--n 1 --prime 2``) and on C1331 (``--n 3 --prime 11``), which exits 2.
-The streams enumerate transfer systems only within the default pair bound,
-so the fixed list also runs ``transfer-enumerate``, text and structured,
-and ``dot --what transfer-poset`` on D12 under ``NORMCERT_MAX_PAIRS=48``:
-3133 systems, a 20 MB structured document.  It ends with the largest
-documents that ``indented_json`` writes, which no stream sends either:
-``lattice``, text and structured, on C2^6 (2825 subgroups) and
-``ell-enumerate --n 6 --height-bound 10 --include-infinity --format
-structured``, and with the largest decision reports, which are written from
-the witness stream as it comes: ``decide --operad complete --strict``, text
-and structured, on D8xD8 against a random locus by the decide-mix rule
-(seed ``locus:D8xD8:0``), written into the scratch directory like the
-INFINITY loci, with 503,371 witnesses (47 MB of text, 179 MB structured,
-exit 1).  No stream decodes a pair mask of more than 557 nested pairs
-(D16xC2), and D8xD8 has 6638, so the fixed list also runs ``decide
---operad complete --strict``, text and structured, on C2^6, whose complete
-operad's mask has 95,706 bits, against the uniform locus {2: 3}, written
-into the scratch directory like the INFINITY loci: it certifies, exit 0.
+runs it, text and structured, on the trivial group (``--n 0``), at height
+bound 0 (``--n 1 --prime 2``) and on C1331 (``--n 3 --prime 11``), which
+exits 2.  It ends with every request of the bounded cases of
+``tools/ladder.py``, each once, to stdout: the largest requests under each
+documented bound, which no stream sends.  Among them are C343 at the order
+bound, D12 and S4 above the pair bound, the largest documents that
+``indented_json`` writes, the largest decision reports (D8xD8 against a
+random locus by the decide-mix rule, 503,371 witnesses), the largest pair
+mask (C2^6's complete operad, 95,706 bits) and fourteen lattices above the
+default order bound.  The locus documents they read are written into the
+scratch directory with the base tree.
 A request may begin with ``NAME=VALUE`` words, as a shell command line
 does; those variables are set for that request only, in its subprocesses
 and in the one-interpreter run.
@@ -99,21 +90,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
 
+import ladder  # noqa: E402
 import workloads  # noqa: E402
+from ladder import TOOLS, tree_env  # noqa: E402
 
 
-def tree_env(tree: str, *extra: str) -> dict[str, str]:
-    """A clean environment that imports ``normcert`` from ``tree``."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("NORMCERT_")}
-    env["PYTHONPATH"] = os.pathsep.join([os.path.join(tree, "src"), *extra])
-    env["PYTHONHASHSEED"] = "0"
-    return env
-
-
-def write_inputs(tree: str, workload: str, workdir: str) -> None:
-    code = "import sys, workloads; workloads.write_inputs(*sys.argv[1:])"
-    subprocess.run([sys.executable, "-c", code, workload, workdir],
-                   env=tree_env(tree, PERFBENCH), cwd=workdir, check=True)
+def call_with(tree: str, cwd: str, call: str, *args: str) -> None:
+    """Call ``MODULE.FUNCTION(*args)`` in an interpreter that imports ``normcert`` from ``tree``."""
+    code = f"import sys, {call.split('.')[0]}; {call}(*sys.argv[1:])"
+    subprocess.run([sys.executable, "-c", code, *args], env=tree_env(tree, PERFBENCH, TOOLS),
+                   cwd=cwd, check=True)
 
 
 def split_env(request: list[str]) -> tuple[dict[str, str], list[str]]:
@@ -146,7 +132,7 @@ def lattice_requests() -> list[list[str]]:
         [spec for _, spec in workloads.DECIDE_GROUPS]
         + [spec for _, spec, _ in workloads.ENUM_GROUPS]
         + [f"cyclic:{p**n}" for p, n in workloads.CYCLIC_GROUPS]
-        + [D8XD8]
+        + [ladder.D8XD8]
     )
     return [
         argv
@@ -255,38 +241,6 @@ def inf_locus_requests(tree: str, scratch: str) -> list[list[str]]:
     ]
 
 
-# a random locus by the decide-mix rule: per class, and per prime 2 and 3, a
-# top drawn from none, 0, 1, 2 with a given seed; arguments spec, seed, path
-RANDOM_LOCUS = """import json, random, sys, normcert as nc, normcert.io
-L = nc.subgroup_lattice(nc.build_group(sys.argv[1]))
-rng = random.Random(sys.argv[2])
-primes = []
-for c in range(len(L.classes)):
-    for p in (2, 3):
-        top = rng.choice((None, 0, 1, 2))
-        if top is not None:
-            primes.extend(nc.balmer_prime(c, m, p) for m in range(top + 1))
-with open(sys.argv[3], "w") as fh:
-    json.dump(normcert.io.locus_doc(nc.vanishing_locus(L, primes)), fh)
-"""
-
-
-def random_locus_requests(tree: str, scratch: str, spec: str, short: str) -> list[list[str]]:
-    """``decide --operad complete --strict``, text and structured, on ``spec``.
-
-    Its locus is random by the decide-mix rule, seeded ``locus:SHORT:0``.
-    Writes the locus document into ``scratch`` with ``tree``.
-    """
-    path = os.path.join(scratch, f"{short}-r0.json")
-    subprocess.run([sys.executable, "-c", RANDOM_LOCUS, spec, f"locus:{short}:0", path],
-                   env=tree_env(tree), cwd=scratch, check=True)
-    return [
-        ["decide", "--group", spec, "--operad", "complete", "--locus", path, "--strict",
-         "--format", fmt]
-        for fmt in ("text", "structured")
-    ]
-
-
 # S4 with its element labels permuted by the seed "relabel:S4", written as a
 # CSV multiplication table to the path given
 RELABELED_S4 = """import random, sys, normcert as nc
@@ -309,44 +263,20 @@ def relabeled_requests(tree: str, scratch: str) -> list[list[str]]:
     move with the labels.  Writes the table and the locus into ``scratch``
     with ``tree``.
     """
-    path = os.path.join(scratch, "S4-relabeled.csv")
-    subprocess.run([sys.executable, "-c", RELABELED_S4, path],
+    table = os.path.join(scratch, "S4-relabeled.csv")
+    subprocess.run([sys.executable, "-c", RELABELED_S4, table],
                    env=tree_env(tree), cwd=scratch, check=True)
-    return random_locus_requests(tree, scratch, f"table:{path}", "S4-relabeled")
-
-
-# the largest decision reports: D8xD8's random locus gives 503,371
-# witnesses, a 47 MB text and a 179 MB structured report
-D8XD8 = "dihedral:8*dihedral:8"
-
-
-# the uniform locus {2: 3}, which always certifies; arguments spec, path
-UNIFORM_LOCUS = """import json, sys, normcert as nc, normcert.io
-L = nc.subgroup_lattice(nc.build_group(sys.argv[1]))
-with open(sys.argv[2], "w") as fh:
-    json.dump(normcert.io.locus_doc(nc.uniform_locus(L, {2: 3})), fh)
-"""
-
-
-def largest_mask_requests(tree: str, scratch: str) -> list[list[str]]:
-    """``decide --operad complete --strict``, text and structured, on C2^6.
-
-    The complete operad's pair mask has a bit for each of the 95,706
-    nested pairs.  The locus is the uniform {2: 3}.  Writes the locus
-    document into ``scratch`` with ``tree``.
-    """
-    path = os.path.join(scratch, "C2^6-uniform.json")
-    subprocess.run([sys.executable, "-c", UNIFORM_LOCUS, C2_6, path],
-                   env=tree_env(tree), cwd=scratch, check=True)
+    locus = os.path.join(scratch, "S4-relabeled-r0.json")
+    call_with(tree, scratch, "ladder.write_locus", locus, f"table:{table}", "locus:S4-relabeled:0")
     return [
-        ["decide", "--group", C2_6, "--operad", "complete", "--locus", path, "--strict",
-         "--format", fmt]
+        ["decide", "--group", f"table:{table}", "--operad", "complete", "--locus", locus,
+         "--strict", "--format", fmt]
         for fmt in ("text", "structured")
     ]
 
 
-# C343 at the order bound, the trivial group, height bound 0, and C1331 past the bound
-XVAL_ARGS = (("3", "7", "5"), ("0", "2", "5"), ("1", "2", "0"), ("3", "11", "0"))
+# the trivial group, height bound 0, and C1331 past the bound; C343 is a ladder case
+XVAL_ARGS = (("0", "2", "5"), ("1", "2", "0"), ("3", "11", "0"))
 
 
 def xval_requests() -> list[list[str]]:
@@ -358,25 +288,20 @@ def xval_requests() -> list[list[str]]:
     ]
 
 
-# D12: 48 strict pairs, past the default pair bound
-D12_ENUM_REQUESTS = [
-    ["NORMCERT_MAX_PAIRS=48", *argv]
-    for argv in (["transfer-enumerate", "--group", "dihedral:12"],
-                 ["transfer-enumerate", "--group", "dihedral:12", "--format", "structured"],
-                 ["dot", "--group", "dihedral:12", "--what", "transfer-poset"])
-]
+def ladder_requests(tree: str, scratch: str) -> list[list[str]]:
+    """Every request of the bounded cases of ``tools/ladder.py``, once each.
 
-
-# the largest documents indented_json writes: the lattice of C2^6 (2825
-# subgroups, 1.8 MB structured) and the commutative height vectors of C64
-# up to height 10; no stream sends either
-C2_6 = "cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2"
-LARGE_DOC_REQUESTS = [
-    ["lattice", "--group", C2_6],
-    ["lattice", "--group", C2_6, "--format", "structured"],
-    ["ell-enumerate", "--n", "6", "--height-bound", "10", "--include-infinity",
-     "--format", "structured"],
-]
+    Each writes to stdout here, whatever its case's sink.  Writes the locus
+    documents they read into ``scratch`` with ``tree``.
+    """
+    call_with(tree, scratch, "ladder.write_documents", scratch, *ladder.DOCUMENTS)
+    requests = dict.fromkeys(
+        (*(f"{name}={value}" for name, value in case.env.items()),
+         *(os.path.join(scratch, w[1:]) if w[0] == "@" else w for w in line.split()))
+        for case in ladder.CASES
+        for line in case.requests
+    )
+    return [list(request) for request in requests]
 
 
 # lattices of small groups read under a raised order bound, between the
@@ -390,8 +315,8 @@ RAISED_BOUND_REQUESTS = [
     ["decide", "--operad", "complete", "--ell", "2,(0,0,0,0)"],
     [RAISED, "decide", "--operad", "complete", "--ell", "2,(1,0,0,0)", "--format", "structured"],
     ["lattice", "--group", "cyclic:8", "--format", "structured"],
-    [RAISED, "lattice", "--group", D8XD8, "--format", "structured"],
-    ["lattice", "--group", D8XD8],
+    [RAISED, "lattice", "--group", ladder.D8XD8, "--format", "structured"],
+    ["lattice", "--group", ladder.D8XD8],
     [RAISED, "decide", "--operad", "complete", "--ell", "3,(1,0,0)"],
     ["dot", "--group", "cyclic:27", "--what", "subgroup-lattice"],
     [RAISED, "lattice", "--group", "symmetric:5"],
@@ -479,13 +404,12 @@ def compare(base: str, seeds: list[int], scratch: str) -> list[str]:
     for workload in workloads.WORKLOADS:
         workdir = workdirs[workload] = os.path.join(scratch, workload)
         os.makedirs(workdir)
-        write_inputs(base, workload, workdir)
+        call_with(base, workdir, "workloads.write_inputs", workload, workdir)
     requests = (lattice_requests() + hostile_requests(scratch)
                 + locus_requests(workdirs["decide-mix"]) + ell_requests()
                 + inf_locus_requests(base, scratch)
-                + relabeled_requests(base, scratch) + xval_requests() + D12_ENUM_REQUESTS
-                + LARGE_DOC_REQUESTS + random_locus_requests(base, scratch, D8XD8, "D8xD8")
-                + largest_mask_requests(base, scratch))
+                + relabeled_requests(base, scratch) + xval_requests()
+                + ladder_requests(base, scratch))
     diffs = []
     for label, batch in (("fixed list", requests), ("raised bound", RAISED_BOUND_REQUESTS)):
         diffs += compare_batch(base, label, batch, scratch)
