@@ -21,15 +21,14 @@ lattice's sorted nested pairs (``SubgroupLattice.nested_pairs``), reflexive
 ones included; its size, sorted pairs and strict pairs are read off the
 mask against that index, which the lattice builds once.
 
-Closure works on conjugation orbits of strict pairs, held as an int
-bitmask of orbits, so conjugation is never applied pair by pair.  One
-closure operator (:class:`_OrbitTables`) serves both
-:func:`close_transfer_system` and :func:`enumerate_transfer_systems`, which
-read pair masks off its closed orbit sets.  It can start from a closed set,
-which is how the enumeration runs Close-by-One from the closed parent.  Its
-tables are filled lazily, per call, and dropped on return: within one
-closure every orbit joins once, so only the closures of one enumeration
-reuse them, and the lattice holds nothing of transfers.
+Two closures serve two jobs, each the test oracle of the other.
+:func:`close_transfer_system` closes a seed in three sweeps over the
+lattice's own tables, so its cost follows the lattice, not the square of
+what it reaches.  :func:`enumerate_transfer_systems` runs Close-by-One on
+int bitmasks of conjugation orbits of strict pairs, so conjugation is never
+applied pair by pair; its :class:`_OrbitTables` are built whole for one
+enumeration and dropped on return, and the lattice holds nothing of
+transfers.
 """
 
 from __future__ import annotations
@@ -160,16 +159,17 @@ def validate_transfer_system(R: TransferSystem) -> list[Violation]:
 class _OrbitTables:
     """Conjugation orbits of strict pairs and their one-step consequences.
 
-    Orbit ids count orbits in order of discovery; ``members[a]`` lists the
-    pairs of orbit ``a`` and ``members[a][0]`` is its representative.  A
-    set of orbits is an int with bit ``a`` for orbit ``a``.  The tables,
-    filled on demand, are:
+    The tables of Close-by-One, built whole for one enumeration.  Orbit ids
+    count orbits in the order of their least pair; ``members[a]`` lists the
+    pairs of orbit ``a``, its representative first.  A set of orbits is an
+    int with bit ``a`` for orbit ``a``.  The tables are:
 
     * ``orbit_of``: strict pair -> orbit id;
     * ``step[a]``: the orbits of the restrictions (K n J, J), J <= H, of
       a's representative (K, H);
-    * ``comp[a][b]``: the orbits of (l, h) for the representative (l, k)
-      of ``a`` and every (k, h) in ``b``.
+    * ``comp[a][b]``, for each orbit ``b`` of ``starts`` at a's top class:
+      the orbits of (l, h) for a's representative (l, k) and every (k, h)
+      in ``b``.
 
     Conjugation is free on orbit masks, and conjugating a composite or a
     restriction of one pair gives those of its conjugate, so representatives
@@ -185,52 +185,25 @@ class _OrbitTables:
         self.lattice = L
         self.orbit_of: dict[Pair, int] = {}
         self.members: list[tuple[Pair, ...]] = []
-        self.step: list[int | None] = []
-        self.comp: list[dict[int, int]] = []
-        self.bottom_class: list[int] = []
-        self.top_class: list[int] = []
-        self.starts = [0] * len(L.classes)
-        self.ends = [0] * len(L.classes)
-
-    def orbit_id(self, kid: int, hid: int) -> int:
-        """Id of the orbit of the strict pair (kid, hid), registered on first sight."""
-        a = self.orbit_of.get((kid, hid))
-        if a is None:
-            L = self.lattice
-            a = len(self.members)
-            orbit = dict.fromkeys(zip(L.conj[kid], L.conj[hid]), a)
-            self.orbit_of.update(orbit)
-            self.members.append(tuple(orbit))
-            self.step.append(None)
-            self.comp.append({})
-            bottom, top = L.class_of[kid], L.class_of[hid]
-            self.bottom_class.append(bottom)
-            self.top_class.append(top)
-            self.starts[bottom] |= 1 << a
-            self.ends[top] |= 1 << a
-        return a
-
-    def _step(self, a: int) -> int:
-        out = self.step[a]
-        if out is None:
-            out = 0
-            for cut, jid in _restriction_consequences(self.lattice, *self.members[a][0]):
-                if cut != jid:
-                    out |= 1 << self.orbit_id(cut, jid)
-            self.step[a] = out
-        return out
-
-    def _compose(self, a: int, b: int) -> int:
-        row = self.comp[a]
-        out = row.get(b)
-        if out is None:
-            lid, kid = self.members[a][0]
-            out = 0
-            for k2, hid in self.members[b]:
-                if k2 == kid:
-                    out |= 1 << self.orbit_id(lid, hid)
-            row[b] = out
-        return out
+        orbit_of, members = self.orbit_of, self.members
+        for kid, hid in candidate_pairs(L):
+            if (kid, hid) not in orbit_of:
+                orbit = dict.fromkeys(zip(L.conj[kid], L.conj[hid]), len(members))
+                orbit_of.update(orbit)
+                members.append(tuple(orbit))
+        self.bottom_class = [L.class_of[orbit[0][0]] for orbit in members]
+        self.top_class = [L.class_of[orbit[0][1]] for orbit in members]
+        self.starts, self.ends = [0] * len(L.classes), [0] * len(L.classes)
+        for a in range(len(members)):
+            self.starts[self.bottom_class[a]] |= 1 << a
+            self.ends[self.top_class[a]] |= 1 << a
+        self.step, self.comp = [], []
+        for (lid, kid), *_ in members:
+            cuts = _restriction_consequences(L, lid, kid)
+            self.step.append(sum({1 << orbit_of[cut, jid] for cut, jid in cuts if cut != jid}))
+            self.comp.append({
+                b: sum({1 << orbit_of[lid, hid] for k2, hid in members[b] if k2 == kid})
+                for b in _bits(self.starts[L.class_of[kid]])})
 
     def close(self, seed: int, closed: int = 0, stop: int = 0) -> int | None:
         """The least closed orbit set containing ``seed`` and ``closed``.
@@ -243,24 +216,24 @@ class _OrbitTables:
         join, since the result would then hold it.
         """
         todo = seed & ~closed
-        starts, ends = self.starts, self.ends
+        starts, ends, step, comp = self.starts, self.ends, self.step, self.comp
         while todo:
             if todo & stop:
                 return None
             low = todo & -todo
             a = low.bit_length() - 1
             closed |= low
-            new = self._step(a)
+            new, row = step[a], comp[a]
             right = closed & starts[self.top_class[a]]
             while right:  # inline: via _bits, both and enumerate's cost enumerate-poset 15-19 %
                 bit = right & -right
                 right ^= bit
-                new |= self._compose(a, bit.bit_length() - 1)
+                new |= row[bit.bit_length() - 1]
             left = closed & ends[self.bottom_class[a]]
             while left:
                 bit = left & -left
                 left ^= bit
-                new |= self._compose(bit.bit_length() - 1, a)
+                new |= comp[bit.bit_length() - 1][a]
             todo = (todo | new) & ~closed
         return closed
 
@@ -272,20 +245,48 @@ class _OrbitTables:
 
 
 def close_transfer_system(L: SubgroupLattice, seed) -> TransferSystem:
-    """Smallest transfer system containing the seed pairs.
+    """Smallest transfer system containing the seed pairs, in three sweeps.
 
-    The seed is mapped to a bitmask of conjugation orbits of strict pairs
-    and closed under restriction and composition there (see
-    :class:`_OrbitTables`), on tables built for this call alone.  Uniqueness
-    of the result follows from the axioms being closed under intersection.
+    ``below[h]`` masks the ids of the bottoms K of the pairs (K, H) found,
+    H's own included.  The conjugates of each seed pair join; then, for j
+    from the top down, ``below[j]`` gains K n J for each K in ``below[h]``
+    of each upper cover h of j; then, for h from the bottom up, ``below[h]``
+    gains ``below[k]`` for each k in it.  Covers suffice for restriction,
+    since (K n J) n J' = K n J', and ids extend inclusion, so each sweep
+    reads finished rows only.  Composing last is sound: restricting
+    K -> L -> H to J gives K n J -> L n J -> J, so the transitive closure of
+    a conjugation- and restriction-closed set keeps both.  The result is
+    unique, as the axioms are closed under intersection.
     """
-    tables, mask = _OrbitTables(L), 0
+    n, conj, down = len(L), L.conj, L.down
+    below = [1 << h for h in range(n)]
     for kid, hid in seed:
         _require_nested(L, kid, hid)
-        if kid != hid:
-            mask |= 1 << tables.orbit_id(kid, hid)
-    # orbits are disjoint sets of strict pairs, so their masks add
-    return TransferSystem(L, sum(tables.pair_masks(tables.close(mask)), L.reflexive_mask))
+        if not below[hid] >> kid & 1:  # a pair present came with its conjugates
+            for k, h in set(zip(conj[kid], conj[hid])):
+                below[h] |= 1 << k
+    subgroups, id_of_mask = L.subgroups, L._id_of_mask
+    for j in range(n - 1, -1, -1):
+        reach = 0
+        for h in _bits(L.cover_masks[j]):
+            reach |= below[h]
+        jmask = subgroups[j].mask
+        cuts = below[j] | reach & down[j]  # K n J = K for K <= J
+        for k in _bits(reach & ~down[j]):
+            cuts |= 1 << id_of_mask[subgroups[k].mask & jmask]
+        below[j] = cuts
+    for h in range(n):
+        closed = below[h]
+        for k in _bits(closed ^ 1 << h):
+            closed |= below[k]
+        below[h] = closed
+    # rows[k]: bit i for the pair (k, h) of the i-th subgroup h above k
+    rows, up = [0] * n, L.up
+    for h in range(n):
+        under = (1 << h) - 1
+        for k in _bits(below[h]):
+            rows[k] |= 1 << (up[k] & under).bit_count()
+    return TransferSystem(L, sum(row << offset for row, offset in zip(rows, L.pair_offsets)))
 
 
 @dataclass(frozen=True)
@@ -345,8 +346,6 @@ def enumerate_transfer_systems(
             f"{len(strict)} candidate pairs exceed the enumeration bound {max_pairs}"
         )
     tables = _OrbitTables(L)
-    for p in strict:
-        tables.orbit_id(*p)
     m, close = len(tables.members), tables.close
 
     found = []

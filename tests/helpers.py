@@ -283,10 +283,11 @@ def brute_force_transfer_systems(L: nc.SubgroupLattice) -> list[frozenset]:
 def worklist_closure(L: nc.SubgroupLattice, seed) -> frozenset:
     """Smallest transfer system containing the seed, pair by pair.
 
-    The reference for the orbit-mask closure: each new pair is pushed once
-    and its conjugates, its restrictions (double-coset form) and its
-    composites with the pairs seen so far are added until nothing new
-    appears.
+    The reference for both closures, the three sweeps of
+    ``close_transfer_system`` and the orbit tables of the enumeration: each
+    new pair is pushed once and its conjugates, its restrictions
+    (double-coset form) and its composites with the pairs seen so far are
+    added until nothing new appears.
     """
     pairs: set = set()
     stack: list = []
@@ -325,12 +326,10 @@ def next_closure_masks(L: nc.SubgroupLattice) -> tuple[_OrbitTables, list[int]]:
 
     The search the engine ran before Close-by-One: each step closes
     ``current n [0, i) u {i}`` from scratch with the engine's closure
-    operator.  Returns the tables, with every strict pair's orbit
-    registered in candidate order, and the masks.
+    operator.  Returns the tables, whose orbits are numbered in candidate
+    order, and the masks.
     """
     tables = _OrbitTables(L)
-    for p in candidate_pairs(L):
-        tables.orbit_id(*p)
     found = []
     current = tables.close(0)
     while current is not None:

@@ -20,15 +20,24 @@ def test_random_loci_are_the_benchmark_documents(tmp_path):
     for short, spec in workloads.DECIDE_GROUPS:
         for i in range(workloads.N_RANDOM_LOCI):
             path = tmp_path / f"{short}-r{i}.json"
-            ladder.write_locus(str(path), spec, f"locus:{short}:{i}")
+            ladder.write_document(str(path), spec, f"locus:{short}:{i}")
             assert path.read_text() == json.dumps(docs[path.name])
 
 
 def test_uniform_documents_are_the_uniform_loci(tmp_path):
     path = tmp_path / "C2^4-uniform.json"
-    ladder.write_locus(str(path), "cyclic:2*cyclic:2*cyclic:2*cyclic:2", {2: 3})
+    ladder.write_document(str(path), "cyclic:2*cyclic:2*cyclic:2*cyclic:2", {2: 3})
     L = nc.subgroup_lattice(nc.build_group("cyclic:2*cyclic:2*cyclic:2*cyclic:2"))
     assert json.loads(path.read_text()) == nc.io.locus_doc(nc.uniform_locus(L, {2: 3}))
+
+
+def test_operad_documents_list_the_complete_operad(tmp_path):
+    path = tmp_path / "C2^4-complete.json"
+    ladder.write_document(str(path), "cyclic:2*cyclic:2*cyclic:2*cyclic:2", None)
+    L = nc.subgroup_lattice(nc.build_group("cyclic:2*cyclic:2*cyclic:2*cyclic:2"))
+    doc = json.loads(path.read_text())
+    assert doc == nc.io.system_doc(nc.complete_system(L))
+    assert nc.io.parse_system(L, doc) == nc.complete_system(L)
 
 
 def test_the_raised_bound_case_reads_fourteen_lattices():

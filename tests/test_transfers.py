@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
+from normcert import groups, io as iomod
 from normcert.transfers import (
     DEFAULT_MAX_PAIRS, TransferSystem, _OrbitTables, candidate_pairs,
 )
 from helpers import (
     CORPUS_SPECS,
+    DECIDE_MIX_GROUPS,
     assert_attributes_unchanged,
     attributes,
     brute_force_transfer_systems,
@@ -26,6 +28,7 @@ from helpers import (
     product_gset,
     reflexive_pair_sets,
     reflexive_pairs,
+    relabeled,
     set_bits_by_scan,
     unbounded_enumeration,
     worklist_closure,
@@ -40,10 +43,7 @@ def ids_by_order(L):
     return {L.subgroups[i].order: i for i in range(len(L))}
 
 
-DECIDE_MIX_SPECS = (
-    "symmetric:4", "dihedral:32", "cyclic:2*cyclic:2*cyclic:2*cyclic:2", "cyclic:8*cyclic:8",
-    "dihedral:16*cyclic:2", "dihedral:64",
-)
+DECIDE_MIX_SPECS = tuple(spec for _, spec in DECIDE_MIX_GROUPS)
 
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS + DECIDE_MIX_SPECS)
@@ -242,8 +242,6 @@ def test_closing_from_a_closed_set_closes_from_scratch(spec, data):
     L = lattice(spec)
     strict = candidate_pairs(L)
     tables = _OrbitTables(L)
-    for p in strict:
-        tables.orbit_id(*p)
     seed = data.draw(st.lists(st.sampled_from(strict), max_size=3))
     i = data.draw(st.integers(0, len(tables.members) - 1))
     mask = 0
@@ -261,8 +259,47 @@ def test_closing_from_a_closed_set_closes_from_scratch(spec, data):
     below = (1 << i) - 1
     stopped = tables.close(1 << i, closed, below)
     assert stopped == (child if (child ^ closed) & below == 0 else None)
-    # the one closure operator serves close_transfer_system too
-    assert nc.close_transfer_system(L, seed).pairs == worklist_closure(L, seed)
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_the_sweeps_match_the_orbit_tables(spec):
+    # close_transfer_system and the enumeration's orbit tables, each the
+    # oracle of the other, on random seeds of up to four strict pairs
+    L = lattice(spec)
+    tables, strict = _OrbitTables(L), candidate_pairs(L)
+    rng = random.Random(f"sweeps:{spec}")
+    for _ in range(30):
+        seed = rng.sample(strict, rng.randint(1, min(4, len(strict))))
+        orbits = tables.close(sum({1 << tables.orbit_of[p] for p in seed}))
+        mask = sum(tables.pair_masks(orbits), L.reflexive_mask)
+        assert nc.close_transfer_system(L, seed).mask == mask
+
+
+@pytest.mark.parametrize("short,spec", DECIDE_MIX_GROUPS)
+def test_the_sweeps_match_the_worklist_on_relabelled_groups(short, spec):
+    # the decide-mix groups and a seeded relabelling of each, which moves the
+    # ids the sweeps walk in order: random seeds of up to five nested pairs
+    L = lattice(spec)
+    perm = list(range(L.group.order))
+    random.Random(f"relabel:{short}").shuffle(perm)
+    for M in (L, nc.subgroup_lattice(relabeled(L.group, perm))):
+        rng = random.Random(f"sweeps:{short}")
+        for _ in range(6):
+            seed = rng.sample(M.nested_pairs, rng.randint(1, 5))
+            R = nc.close_transfer_system(M, seed)
+            assert R.pairs == worklist_closure(M, seed)
+            assert nc.validate_transfer_system(R) == []
+
+
+def test_the_complete_system_of_the_largest_lattice_closes_small():
+    # C2^6, the largest lattice under the order bound (2825 subgroups,
+    # 95,706 nested pairs): three seeds whose closure is every pair, the
+    # last a parsed operad document, each closed in about a second
+    L = groups.lattice_of("*".join(["cyclic:2"] * 6))
+    complete = nc.complete_system(L)
+    assert nc.close_transfer_system(L, [(k, len(L) - 1) for k in range(len(L))]) == complete
+    assert nc.close_transfer_system(L, L.nested_pairs) == complete
+    assert iomod.parse_system(L, iomod.system_doc(complete)) == complete
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,10 +12,10 @@ otherwise than expected, peaked above its RSS ceiling (``ru_maxrss`` from
 failed its output check, printed a traceback, or exited 2 with no
 ``error:`` line.  It takes no options.
 
-An argument ``@NAME`` is the path of the locus document ``DOCUMENTS[NAME]``,
+An argument ``@NAME`` is the path of the document ``DOCUMENTS[NAME]``,
 written before the first case that reads it in an interpreter of its own,
 or, for a case that builds its inputs, in that case's interpreter.  The
-decide-mix random-locus rule and the locus writer here are also used by
+decide-mix random-locus rule and the document writer here are also used by
 ``tools/same_output.py`` and the tests; ``normcert`` is imported only where
 needed, so ``PYTHONPATH`` picks the tree that writes a document.
 """
@@ -65,20 +65,29 @@ def random_locus(L, seed: str):
     return nc.vanishing_locus(L, primes)
 
 
-def write_locus(path: str, spec: str, rule) -> None:
-    """Write the locus on ``spec`` seeded ``rule``, or uniform with tops ``rule``, to ``path``."""
+def write_document(path: str, spec: str, rule) -> None:
+    """Write to ``path`` the document on ``spec`` that ``rule`` names.
+
+    A dict of tops names the uniform locus, a string the random locus it
+    seeds, and None the complete operad, every nested pair listed.
+    """
     import normcert as nc
     from normcert import io as nio
 
     L = nc.subgroup_lattice(nc.build_group(spec))
-    vl = nc.uniform_locus(L, rule) if isinstance(rule, dict) else random_locus(L, rule)
+    if rule is None:
+        doc = nio.system_doc(nc.complete_system(L))
+    else:
+        doc = nio.locus_doc(nc.uniform_locus(L, rule) if isinstance(rule, dict)
+                            else random_locus(L, rule))
     with open(path, "w") as fh:
-        json.dump(nio.locus_doc(vl), fh)
+        json.dump(doc, fh)
 
 
-# file name -> (group spec, rule of write_locus)
+# file name -> (group spec, rule of write_document)
 DOCUMENTS = {
     "C2^6-uniform.json": (C2_6, {2: 3}),  # always certifies
+    "C2^6-complete.json": (C2_6, None),  # 95,706 pairs, 2.1 MB
     "D8xD8-r0.json": (D8XD8, "locus:D8xD8:0"),  # 503,371 witnesses
     "C4^3-r0.json": (C4_3, "locus:C4^3:0"),  # 26,504 witnesses
 }
@@ -86,7 +95,7 @@ DOCUMENTS = {
 
 def write_documents(workdir: str, *names: str) -> None:
     for name in names:
-        write_locus(os.path.join(workdir, name), *DOCUMENTS[name])
+        write_document(os.path.join(workdir, name), *DOCUMENTS[name])
 
 
 # output checks on a request's captured stdout: each returns what is wrong, or None
@@ -130,6 +139,11 @@ CASES = (
     # against the uniform locus {2: 3}, which certifies
     *(Case(f"C2^6 decide {fmt} to --out", (_decide(C2_6, "C2^6-uniform.json", fmt),),
            OUT, 0, 60, 80, mb) for fmt, mb in (("text", 42.7), ("structured", 55.2))),
+    # the same operad as a document, whose 95,706 pairs are closed as generators
+    Case("C2^6 decide text, complete operad as a document",
+         (f"decide --group {C2_6} --operad @C2^6-complete.json --locus @C2^6-uniform.json"
+          " --strict",),
+         CAPTURED, 0, 60, 100, 68.3, check=("contains", "verdict: CertifiedPreserves")),
     # the complete operad on D8xD8 against a random locus: 503,371 witnesses,
     # a 47 MB text report and a 179 MB structured one, each written from the
     # witness stream; the captured case builds the locus in its interpreter

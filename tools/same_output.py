@@ -58,9 +58,10 @@ documented bound, which no stream sends.  Among them are C343 at the order
 bound, D12 and S4 above the pair bound, the largest documents that
 ``indented_json`` writes, the largest decision reports (D8xD8 against a
 random locus by the decide-mix rule, 503,371 witnesses), the largest pair
-mask (C2^6's complete operad, 95,706 bits) and fourteen lattices above the
-default order bound.  The locus documents they read are written into the
-scratch directory with the base tree.
+mask (C2^6's complete operad, 95,706 bits, also read as a document that
+lists every pair) and fourteen lattices above the default order bound.  The
+documents they read are written into the scratch directory with the base
+tree.
 A request may begin with ``NAME=VALUE`` words, as a shell command line
 does; those variables are set for that request only, in its subprocesses
 and in the one-interpreter run.
@@ -267,7 +268,8 @@ def relabeled_requests(tree: str, scratch: str) -> list[list[str]]:
     subprocess.run([sys.executable, "-c", RELABELED_S4, table],
                    env=tree_env(tree), cwd=scratch, check=True)
     locus = os.path.join(scratch, "S4-relabeled-r0.json")
-    call_with(tree, scratch, "ladder.write_locus", locus, f"table:{table}", "locus:S4-relabeled:0")
+    call_with(tree, scratch, "ladder.write_document", locus, f"table:{table}",
+              "locus:S4-relabeled:0")
     return [
         ["decide", "--group", f"table:{table}", "--operad", "complete", "--locus", locus,
          "--strict", "--format", fmt]
@@ -291,7 +293,7 @@ def xval_requests() -> list[list[str]]:
 def ladder_requests(tree: str, scratch: str) -> list[list[str]]:
     """Every request of the bounded cases of ``tools/ladder.py``, once each.
 
-    Each writes to stdout here, whatever its case's sink.  Writes the locus
+    Each writes to stdout here, whatever its case's sink.  Writes the
     documents they read into ``scratch`` with ``tree``.
     """
     call_with(tree, scratch, "ladder.write_documents", scratch, *ladder.DOCUMENTS)
