@@ -503,7 +503,7 @@ def cross_validate_cyclic(n: int, p: int, height_bound: int) -> CrossValidationR
         raise BoundTooLarge(
             f"cross-validation supports p^n <= {MAX_XVAL_ORDER}, got {p}^{n} = {p**n}"
         )
-    lattice = cyclic_power_lattice(p, n)
+    lattice = cyclic_power_lattice(p, n, MAX_XVAL_ORDER)
     assert all(s.order == p**i for i, s in enumerate(lattice.subgroups))
     assert lattice.class_of == tuple(range(n + 1))
     tables = [_cut_table(lattice, (k,)) for k in range(n + 1)]

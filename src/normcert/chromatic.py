@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .groups import DEFAULT_MAX_ORDER, SubgroupLattice, cyclic_power_order, lattice_of
+from .groups import DEFAULT_MAX_ORDER, GroupTooLarge, SubgroupLattice, lattice_of
 from .transfers import Violation  # one record shape for both validators
 
 
@@ -376,10 +376,18 @@ def validate_height_vector(v: HeightVector) -> bool:
     return all(map(_closed_step, v.entries, v.entries[1:]))
 
 
-def cyclic_power_lattice(p: int, n: int) -> SubgroupLattice:
-    """The lattice of C_{p^n} from :func:`normcert.groups.lattice_of`, kept for
-    p**n <= ``DEFAULT_MAX_ORDER``; a caller with a bound checks it first."""
-    return lattice_of(f"cyclic:{p**n}", p**n)
+def cyclic_power_lattice(p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice:
+    """The lattice of C_{p^n} from :func:`normcert.groups.lattice_of` under ``max_order``.
+
+    The order is multiplied up by p one factor at a time, so GroupTooLarge
+    comes at the first power past the bound, however large n is.
+    """
+    order = 1
+    for _ in range(n):
+        order *= p
+        if order > max_order:
+            raise GroupTooLarge(f"|C{p}^{n}| exceeds bound {max_order}")
+    return lattice_of(f"cyclic:{p**n}", max_order)
 
 
 def heights_to_locus(
@@ -387,16 +395,16 @@ def heights_to_locus(
 ) -> VanishingLocus:
     """The locus with primes P(C_{p^i}, j, p) for all j <= entries[i].
 
-    Without a lattice, C_{p^n} comes from :func:`cyclic_power_lattice` once p**n
-    is checked against ``DEFAULT_MAX_ORDER``; pass a lattice to go beyond it.
+    Without a lattice, C_{p^n} comes from :func:`cyclic_power_lattice` under
+    its default bound; pass a lattice to go beyond it.  A group of order p**n
+    has a subgroup of every order p**i, so a given lattice is C_{p^n} (the
+    trivial group for n = 0) exactly when it has that order and n + 1
+    subgroups.
     """
     n = v.n
     if lattice is None:
-        cyclic_power_order(v.p, n, DEFAULT_MAX_ORDER)
         lattice = cyclic_power_lattice(v.p, n)
-    elif n == 0 and lattice.group.order != 1:
-        raise NotCyclicPGroupLattice("length-1 vectors live on the trivial group")
-    elif n and cyclic_p_power(lattice) != (v.p, n):
+    elif len(lattice) != n + 1 or lattice.group.order != v.p**n:
         raise NotCyclicPGroupLattice(
             f"lattice of {lattice.group.name} does not match p={v.p}, n={n}"
         )

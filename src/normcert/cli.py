@@ -10,7 +10,10 @@ Default bounds can be overridden with the environment variables
 NORMCERT_MAX_GROUP_ORDER and NORMCERT_MAX_PAIRS.
 
 Every lattice, from --group or --ell, comes from the one lattice memo
-:func:`normcert.groups.lattice_of` once NORMCERT_MAX_GROUP_ORDER is checked.
+:func:`normcert.groups.lattice_of` through one call that checks
+NORMCERT_MAX_GROUP_ORDER itself.  A JSON document is read up to
+MAX_INPUT_BYTES, a table CSV line up to 32 characters per cell of the
+order bound; past either, the run exits 2.
 Each subcommand parses and checks all of its input before it returns its
 report as chunks of text: one string for the small reports, a lazy stream
 of blocks of about 1 MB for decisions and transfer enumerations.
@@ -40,7 +43,7 @@ from .chromatic import (
     heights_to_locus,
     validate_vanishing_locus,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupError, _bits, cyclic_power_order, lattice_of
+from .groups import DEFAULT_MAX_ORDER, GroupError, _bits, lattice_of
 from .transfers import (
     DEFAULT_MAX_PAIRS,
     TransferError,
@@ -79,18 +82,34 @@ def _build_lattice(spec: str):
     return lattice_of(spec, _max_group_order())
 
 
+# 30 times the largest document under the order bound, C2^6's complete operad (2.1 MB)
+MAX_INPUT_BYTES = 64 << 20
+
+
 def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError:
-            raise iomod.ParseError(f"{path} is not UTF-8 text") from None
-        except RecursionError:
-            raise iomod.ParseError(f"{path} nests too deeply") from None
-        except json.JSONDecodeError as exc:
-            raise iomod.ParseError(str(exc)) from None
-        except ValueError:  # an integer past sys.get_int_max_str_digits()
-            raise iomod.ParseError(f"{path} holds an integer too long to read") from None
+    """The JSON document at ``path``, read 1 MiB at a time up to MAX_INPUT_BYTES.
+
+    A pipe works as a file does; a FIFO with no writer waits for one.
+    """
+    data = bytearray()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            data += chunk
+            if len(data) > MAX_INPUT_BYTES:
+                raise iomod.ParseError(
+                    f"{path} exceeds the input budget of {MAX_INPUT_BYTES} bytes"
+                )
+    try:
+        # newlines read as a text-mode open() reads them, so error positions match
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except UnicodeDecodeError:
+        raise iomod.ParseError(f"{path} is not UTF-8 text") from None
+    except RecursionError:
+        raise iomod.ParseError(f"{path} nests too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise iomod.ParseError(str(exc)) from None
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise iomod.ParseError(f"{path} holds an integer too long to read") from None
 
 
 def _load_locus(args):
@@ -104,8 +123,7 @@ def _load_locus(args):
     if ell is not None:
         v = iomod.parse_heights_inline(ell)
         if L is None:
-            cyclic_power_order(v.p, v.n, _max_group_order())
-            L = cyclic_power_lattice(v.p, v.n)
+            L = cyclic_power_lattice(v.p, v.n, _max_group_order())
         return L, heights_to_locus(v, L)
     doc = _load_json(spec)
     if L is None:

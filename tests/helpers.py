@@ -809,7 +809,7 @@ def cross_validate_by_decisions(n: int, p: int, height_bound: int) -> nc.CrossVa
     from normcert.certify import Disagreement, _walk
     from normcert.chromatic import _closed_step
 
-    lattice = nc.cyclic_power_lattice(p, n)
+    lattice = nc.cyclic_power_lattice(p, n, p**n)
     complete = nc.complete_system(lattice)
     domain = [None] + list(range(height_bound + 1)) + [nc.INFINITY]
     vectors = norms = operads = 0

@@ -44,7 +44,7 @@ from helpers import (
 
 
 def chain(p, n):
-    return nc.cyclic_power_lattice(p, n)
+    return nc.cyclic_power_lattice(p, n, certify.MAX_XVAL_ORDER)
 
 
 def test_norm_support_trivial_norm_restricts():

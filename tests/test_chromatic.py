@@ -9,7 +9,7 @@ import normcert as nc
 from normcert import ANY_PRIME, INFINITY, BalmerPrime, HeightVector
 from normcert import io as iomod
 from normcert import chromatic, groups
-from normcert.certify import MAX_XVAL_HEIGHT, MAX_XVAL_LENGTH
+from normcert.certify import MAX_XVAL_HEIGHT, MAX_XVAL_LENGTH, MAX_XVAL_ORDER
 from normcert.chromatic import MAX_PRIME, cyclic_p_power
 from helpers import (
     CORPUS_SPECS,
@@ -113,7 +113,7 @@ def test_heights_to_locus_valid_iff_vector_valid():
     domain = [None, *range(MAX_XVAL_HEIGHT + 1), INFINITY]
     for p in (2, 3, 5, 7):
         for n in range(MAX_XVAL_LENGTH + 1):
-            L = chromatic.cyclic_power_lattice(p, n)
+            L = chromatic.cyclic_power_lattice(p, n, MAX_XVAL_ORDER)
             for entries in itertools.product(domain, repeat=n + 1):
                 v = HeightVector(p, entries)
                 ok = not nc.validate_vanishing_locus(nc.heights_to_locus(v, L))
@@ -196,13 +196,29 @@ def test_heights_to_locus_without_lattice_is_bounded():
     with pytest.raises(nc.GroupTooLarge):
         nc.heights_to_locus(HeightVector(5, (0, 0, 0, 0)))
     assert len(nc.heights_to_locus(HeightVector(2, (0,) * 7)).primes) == 7
-    vl = nc.heights_to_locus(HeightVector(5, (0, 0, 0, 0)), nc.cyclic_power_lattice(5, 3))
+    vl = nc.heights_to_locus(HeightVector(5, (0, 0, 0, 0)), nc.cyclic_power_lattice(5, 3, 125))
     assert len(vl.primes) == 4
     # 2**14999 and 1000000007**500 have more digits than str() converts, and
     # the bound message raised ValueError for them instead of GroupTooLarge
     for v in (HeightVector(2, (0,) * 15000), HeightVector(1000000007, (0,) * 501)):
         with pytest.raises(nc.GroupTooLarge, match="exceeds bound 64"):
             nc.heights_to_locus(v)
+
+
+def test_cyclic_power_lattice_stops_past_the_bound():
+    for p in (2, 3, 5, 7, 61):
+        for n in range(8):
+            if p**n <= 64:
+                assert chromatic.cyclic_power_lattice(p, n, 64).group.order == p**n
+            else:
+                with pytest.raises(nc.GroupTooLarge, match=rf"\|C{p}\^{n}\| exceeds bound 64"):
+                    chromatic.cyclic_power_lattice(p, n, 64)
+    # 2**(10**6) has 301,030 digits; the check stops at its tenth factor, and
+    # without a bound the library's default one holds
+    with pytest.raises(nc.GroupTooLarge, match="exceeds bound 1000"):
+        chromatic.cyclic_power_lattice(2, 10**6, 1000)
+    with pytest.raises(nc.GroupTooLarge, match=r"\|C2\^5000\| exceeds bound 64"):
+        nc.cyclic_power_lattice(2, 5000)
 
 
 def test_cyclic_power_lattices_share_the_bounded_memo():
@@ -224,7 +240,7 @@ def test_raised_bound_lattices_are_not_kept():
     memo = groups._kept_lattice
     before = memo.cache_info()
     for build in (lambda: groups.lattice_of("cyclic:97", 100),
-                  lambda: chromatic.cyclic_power_lattice(7, 3)):
+                  lambda: chromatic.cyclic_power_lattice(7, 3, 343)):
         first, second = build(), build()
         assert first is not second and first.names == second.names
     assert memo.cache_info() == before
@@ -313,7 +329,7 @@ def test_cyclic_p_power_matches_element_orders():
         "dihedral:64", "dihedral:16*cyclic:2", "symmetric:4",
     )
     lattices = {spec: lattice(spec) for spec in specs}
-    lattices["cyclic:343"] = nc.cyclic_power_lattice(7, 3)  # above the default order bound
+    lattices["cyclic:343"] = nc.cyclic_power_lattice(7, 3, 343)  # above the default order bound
     for spec, L in lattices.items():
         assert cyclic_p_power(L) == element_order_cyclic_p_power(L), spec
     got = {spec: cyclic_p_power(lattices[spec]) for spec in (
@@ -422,3 +438,56 @@ def test_classes_share_one_mask_per_height_and_prime():
         for q, mask in vl.primes_at_class(c):
             assert masks.setdefault((q.height, q.prime), mask) is mask
     assert set(masks) == {(0, ANY_PRIME), (1, 2), (2, 2), (3, 2)}
+
+
+@pytest.mark.parametrize("v, spec", [
+    (HeightVector(2, (0,)), "cyclic:2"),  # a length-1 vector on a non-trivial group
+    (HeightVector(2, (0, 0, 0)), "cyclic:2*cyclic:2"),  # order 4, but 5 subgroups
+    (HeightVector(3, (0, 0)), "cyclic:4"),  # 3 subgroups, but order 4
+    (HeightVector(2, (0, 0)), "cyclic:8"),
+    (HeightVector(2, (0, 0, 0)), "symmetric:3"),
+])
+def test_heights_to_locus_rejects_other_lattices(v, spec):
+    L = lattice(spec)
+    message = f"^lattice of {L.group.name} does not match p={v.p}, n={v.n}$"
+    with pytest.raises(nc.NotCyclicPGroupLattice, match=message):
+        nc.heights_to_locus(v, L)
+
+
+@pytest.mark.parametrize("v, spec", [
+    (HeightVector(2, (1,)), "cyclic:1"),
+    (HeightVector(5, (None,)), "cyclic:1"),
+    (HeightVector(3, (0, None)), "cyclic:3"),
+    (HeightVector(2, (2, 1, 0, None)), "cyclic:8"),
+])
+def test_heights_to_locus_takes_the_chain_it_names(v, spec):
+    vl = nc.heights_to_locus(v, lattice(spec))
+    assert nc.locus_to_heights(vl, v.p) == v
+
+
+def test_locus_length_counts_its_kept_primes():
+    L = lattice("cyclic:4")
+    vl = nc.vanishing_locus(L, [nc.balmer_prime(0, m, 2) for m in (0, 1, 2)]
+                            + [nc.balmer_prime(1, m, 2) for m in (0, 1, INFINITY)])
+    # the INFINITY prime at class 1 stands for its finite heights there
+    assert len(vl) == len(vl.primes) == 4
+    assert len(nc.vanishing_locus(L, [])) == 0
+
+
+def test_locus_to_heights_on_a_wrong_prime_or_the_trivial_group():
+    with pytest.raises(nc.NotPLocal, match="^lattice prime is 2, requested 3$"):
+        nc.locus_to_heights(nc.vanishing_locus(lattice("cyclic:4"), []), p=3)
+    L1 = lattice("cyclic:1")
+    at = [nc.balmer_prime(0, 0, ANY_PRIME), nc.balmer_prime(0, 1, 3), nc.balmer_prime(0, 2, 3)]
+    assert nc.locus_to_heights(nc.vanishing_locus(L1, at)) == HeightVector(3, (2,))
+    assert nc.locus_to_heights(nc.vanishing_locus(L1, at[:1]), 5) == HeightVector(5, (0,))
+    for primes in (at[:1], at + [nc.balmer_prime(0, 1, 2)]):
+        with pytest.raises(nc.NotPLocal, match="cannot infer the prime on the trivial group"):
+            nc.locus_to_heights(nc.vanishing_locus(L1, primes))
+
+
+def test_support_data_needs_one_set_per_class():
+    L = lattice("symmetric:3")  # four classes
+    with pytest.raises(ValueError, match="one support set per conjugacy class"):
+        nc.support_data(L, [frozenset()] * 3)
+    assert len(nc.support_data(L, [frozenset()] * 4).assignments) == 4

@@ -8,6 +8,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -1022,3 +1023,100 @@ def test_out_file_matches_utf8_stdout_under_a_c_locale(tmp_path):
     assert out.read_bytes() == want.stdout
     to_stdout = subprocess.run(argv, capture_output=True, env=c_locale)
     assert (to_stdout.returncode, to_stdout.stdout) == (0, want.stdout)
+
+
+def _run_in_process(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("NORMCERT_MAX_GROUP_ORDER", ["lattice", "--group", "cyclic:2"]),
+    ("NORMCERT_MAX_PAIRS", ["transfer-enumerate", "--group", "cyclic:2"]),
+])
+def test_non_integer_bound_variable_exits_2(name, argv, monkeypatch):
+    monkeypatch.setenv(name, "sixty-four")
+    assert _run_in_process(argv) == (
+        2, "", f"error: environment variable {name} must be an integer\n")
+
+
+def test_cross_validation_disagreements_are_listed(monkeypatch):
+    # no sweep inside the bounds disagrees, so the report is made up
+    from normcert.certify import Disagreement
+
+    report = nc.CrossValidationReport(1, 2, 1, 5, 15, 5, (
+        Disagreement((1, None), "norm[0,1]", True, False),
+        Disagreement((1, None), "complete-operad", False, True),
+    ))
+    monkeypatch.setattr(cli, "cross_validate_cyclic", lambda n, p, hb: report)
+    argv = ["cross-validate", "--n", "1", "--height-bound", "1"]
+    code, out, _ = _run_in_process(argv + ["--strict"])
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "disagreements: 2",
+        "disagree norm[0,1] at (1, None): engine=True inequalities=False",
+        "disagree complete-operad at (1, None): engine=False inequalities=True",
+    ]
+    assert _run_in_process(argv)[0] == 0
+
+
+def _padded_locus(path, size):
+    """A valid C2 locus document padded with spaces to ``size`` bytes."""
+    text = json.dumps({"entries": [{"subgroup": "C1#0", "prime": 2, "heights": [0]}]})
+    path.write_text(text + " " * (size - len(text)))
+    return str(path)
+
+
+def test_json_input_is_read_up_to_the_byte_budget(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 4096)
+    argv = ["spectrum-validate", "--group", "cyclic:2", "--locus"]
+    at = _padded_locus(tmp_path / "at.json", 4096)
+    assert _run_in_process(argv + [at])[:2] == (0, "locus on C2: 1 primes\nok\n")
+    past = _padded_locus(tmp_path / "past.json", 4097)
+    assert _run_in_process(argv + [past]) == (
+        2, "", f"error: {past} exceeds the input budget of 4096 bytes\n")
+    assert _run_in_process(["decide", "--group", "cyclic:2", "--ell", "2,(0,0)",
+                            "--operad", past])[0] == 2
+
+
+def test_endless_pipe_input_exits_2_at_the_byte_budget(monkeypatch, tmp_path):
+    # the writer stops by itself after four budgets, so a reader that ignored
+    # the budget would fail on the message, not hold the pipe's bytes forever
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 1 << 16)
+    fifo = str(tmp_path / "zeros")
+    os.mkfifo(fifo)
+    written = []
+
+    def fill():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            for _ in range(64):
+                written.append(fh.write(b"\0" * (1 << 12)))
+
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
+    code, out, err = _run_in_process(
+        ["decide", "--group", "cyclic:8", "--operad", "complete", "--locus", fifo])
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert (code, out, err) == (2, "", f"error: {fifo} exceeds the input budget of 65536 bytes\n")
+
+
+def test_long_table_csv_lines_stop_at_the_cap(tmp_path):
+    # under an order bound m a line is read no further than 32 m characters:
+    # its cut part names it too wide when it holds more than m cells
+    table = tmp_path / "padded.csv"
+    table.write_text("0," + " " * 3000 + "1\n1,0\n")
+    code, out, err = run_cli(["lattice", "--group", f"table:{table}"], timeout=30)
+    assert (code, out) == (2, "")
+    assert err == f"error: row 0 of {table} is longer than 2048 characters\n"
+    code, out, err = run_cli(["lattice", "--group", f"table:{table}"], timeout=30,
+                             NORMCERT_MAX_GROUP_ORDER="128")
+    assert (code, err) == (0, "") and out.startswith("group padded (order 2)\n")
+    assert nc.build_group(f"table:{table}").order == 2  # no bound, no cap
+    wide = tmp_path / "wide.csv"
+    wide.write_text("0," * 100_000 + "0\n")
+    assert _run_in_process(["lattice", "--group", f"table:{wide}"]) == (
+        2, "", f"error: row 0 of {wide} has more than 64 entries\n")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normcert as nc
-from normcert.groups import _bits, _greedy_generators, cyclic_power_order
+from normcert.groups import _bits, _greedy_generators
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
@@ -181,19 +181,6 @@ def test_group_too_large():
     assert nc.build_group("cyclic:8*cyclic:8", max_order=64).order == 64
     with pytest.raises(nc.UnsupportedSpec):
         nc.build_group("symmetric:6", max_order=64)
-
-
-def test_cyclic_power_order_stops_past_the_bound():
-    for p in (2, 3, 5, 7, 61):
-        for n in range(8):
-            if p**n <= 64:
-                assert cyclic_power_order(p, n, 64) == p**n
-            else:
-                with pytest.raises(nc.GroupTooLarge, match=rf"\|C{p}\^{n}\| exceeds bound 64"):
-                    cyclic_power_order(p, n, 64)
-    # 2**(10**6) has 301,030 digits; the check stops at its tenth factor
-    with pytest.raises(nc.GroupTooLarge):
-        cyclic_power_order(2, 10**6, 1000)
 
 
 def test_direct_product_order_and_lattice():
@@ -565,3 +552,41 @@ def test_table_name_is_the_file_base_name(tmp_path):
     for file, name in (("a\\b.csv", "a\\b"), ("\\C3.v2.csv", "\\C3.v2"), (".csv", "G")):
         (tmp_path / file).write_text(rows)
         assert nc.build_group(f"table:{tmp_path / file}").name == name
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "empty multiplication table"),
+    ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+    ([[0, 2], [1, 0]], "entry 2 in row 0 out of range 0..1"),
+])
+def test_from_table_rejects_malformed_tables(rows, message):
+    with pytest.raises(nc.InvalidTable, match=f"^{message}$"):
+        nc.from_table(rows)
+
+
+def test_direct_product_needs_two_factors():
+    with pytest.raises(nc.UnsupportedSpec, match="at least two factors"):
+        nc.direct_product(nc.cyclic(2))
+
+
+def test_quaternion_spec_takes_only_order_8():
+    with pytest.raises(nc.UnsupportedSpec, match="only quaternion:8 is supported"):
+        nc.build_group("quaternion:4")
+
+
+def test_blank_table_csv_lines_are_skipped(tmp_path):
+    table = tmp_path / "C2.csv"
+    table.write_text("\n0,1\n\n1,0\n\n")
+    for bound in (None, 64):
+        G = nc.build_group(f"table:{table}", max_order=bound)
+        assert (G.name, G.table) == ("C2", ((0, 1), (1, 0)))
+
+
+def test_double_cosets_need_both_factors_inside_the_ambient():
+    L = lattice("symmetric:3")
+    c2 = next(s.lattice_id for s in L.subgroups if s.order == 2)
+    c3 = next(s.lattice_id for s in L.subgroups if s.order == 3)
+    for kid, hid in ((c2, 0), (0, c2)):
+        with pytest.raises(nc.NotSubgroupOfAmbient, match="need K, H <= A"):
+            L.double_coset_blocks(kid, hid, c3)
+    assert L.double_coset_blocks(0, 0, c3) == tuple((x,) for x in L.subgroups[c3].members)

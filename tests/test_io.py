@@ -72,6 +72,16 @@ def test_locus_parse_errors():
         iomod.parse_locus(L, {})
 
 
+@pytest.mark.parametrize("heights, message", [
+    ("a..3", "bad height range 'a..3'"),
+    ("most", "bad heights field 'most'"),
+])
+def test_locus_heights_strings_outside_the_grammar(heights, message):
+    entry = {"subgroup": "C1#0", "prime": 2, "heights": heights}
+    with pytest.raises(iomod.ParseError, match=f"^{message}$"):
+        iomod.parse_locus(lattice("cyclic:4"), {"entries": [entry]})
+
+
 def test_system_document_round_trip():
     for spec in ("cyclic:9", "symmetric:3", "quaternion:8"):
         L = lattice(spec)

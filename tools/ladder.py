@@ -12,7 +12,8 @@ otherwise than expected, peaked above its RSS ceiling (``ru_maxrss`` from
 failed its output check, printed a traceback, or exited 2 with no
 ``error:`` line.  It takes no options.
 
-An argument ``@NAME`` is the path of the document ``DOCUMENTS[NAME]``,
+An argument ``@NAME``, or one that ends in it such as ``table:@NAME``, has
+it replaced by the path of the document ``DOCUMENTS[NAME]``,
 written before the first case that reads it in an interpreter of its own,
 or, for a case that builds its inputs, in that case's interpreter.  The
 decide-mix random-locus rule and the document writer here are also used by
@@ -65,12 +66,19 @@ def random_locus(L, seed: str):
     return nc.vanishing_locus(L, primes)
 
 
-def write_document(path: str, spec: str, rule) -> None:
+def write_document(path: str, spec: str | None, rule) -> None:
     """Write to ``path`` the document on ``spec`` that ``rule`` names.
 
     A dict of tops names the uniform locus, a string the random locus it
-    seeds, and None the complete operad, every nested pair listed.
+    seeds, and None the complete operad, every nested pair listed.  With no
+    spec, ``rule`` is (piece, count), and the file is ``piece`` repeated
+    ``count`` times, an input that no request may read whole.
     """
+    if spec is None:
+        piece, count = rule
+        with open(path, "wb") as fh:
+            fh.write(piece * count)
+        return
     import normcert as nc
     from normcert import io as nio
 
@@ -90,6 +98,8 @@ DOCUMENTS = {
     "C2^6-complete.json": (C2_6, None),  # 95,706 pairs, 2.1 MB
     "D8xD8-r0.json": (D8XD8, "locus:D8xD8:0"),  # 503,371 witnesses
     "C4^3-r0.json": (C4_3, "locus:C4^3:0"),  # 26,504 witnesses
+    "zeros.json": (None, (b"\0", 65 << 20)),  # 1 MiB past cli.MAX_INPUT_BYTES
+    "one-line.csv": (None, (b"0,", 3_000_000)),  # 6 MB, 3,000,000 cells on one line
 }
 
 
@@ -188,12 +198,26 @@ CASES = (
     Case("14 lattices under a raised order bound",
          tuple(f"lattice --group cyclic:{P}" for P in LARGE_PRIMES),
          CAPTURED, 0, 60, 150, 59.1, env={"NORMCERT_MAX_GROUP_ORDER": "1000"}),
+    # inputs past their budgets exit 2 having read little more than the budget:
+    # a locus document 1 MiB past the input bytes, and a table line past
+    # 32 characters per cell of the order bound
+    Case("65 MiB locus document past the input budget",
+         ("decide --group cyclic:8 --operad complete --locus @zeros.json",),
+         CAPTURED, 2, 30, 100, 88.3),
+    Case("6 MB one-line table CSV past the line cap", ("lattice --group table:@one-line.csv",),
+         CAPTURED, 2, 30, 30, 21.2),
 )
+
+
+def request_argv(line: str, workdir: str) -> list[str]:
+    """The words of a request line, each ``@NAME`` in them the path of NAME in ``workdir``."""
+    return [head + os.path.join(workdir, name) if at else head
+            for head, at, name in (w.partition("@") for w in line.split())]
 
 
 def _documents(case: Case) -> list[str]:
     words = (w for line in case.requests for w in line.split())
-    return list(dict.fromkeys(w[1:] for w in words if w[0] == "@"))
+    return list(dict.fromkeys(w.partition("@")[2] for w in words if "@" in w))
 
 
 def _child(workdir: str, fields: dict) -> int:
@@ -208,7 +232,7 @@ def _child(workdir: str, fields: dict) -> int:
         write_documents(workdir, *_documents(case))
     out = ["--out", os.path.join(workdir, "out")] if case.sink == OUT else []
     for line in case.requests:
-        argv = [os.path.join(workdir, w[1:]) if w[0] == "@" else w for w in line.split()] + out
+        argv = request_argv(line, workdir) + out
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf) if case.sink == CAPTURED else contextlib.nullcontext():
             code = cli.main(argv)

@@ -299,7 +299,7 @@ def ladder_requests(tree: str, scratch: str) -> list[list[str]]:
     call_with(tree, scratch, "ladder.write_documents", scratch, *ladder.DOCUMENTS)
     requests = dict.fromkeys(
         (*(f"{name}={value}" for name, value in case.env.items()),
-         *(os.path.join(scratch, w[1:]) if w[0] == "@" else w for w in line.split()))
+         *ladder.request_argv(line, scratch))
         for case in ladder.CASES
         for line in case.requests
     )
