@@ -23,6 +23,7 @@ from .certify import (
     cross_validate_cyclic,
     enumerate_commutative_heights,
     localization_preserves,
+    localization_runs,
     localization_witnesses,
     norm_condition_holds,
     norm_preserves_locus,

@@ -37,7 +37,7 @@ localization actually destroys structure.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -107,8 +107,9 @@ class NormFailure(NamedTuple):
     :meth:`~normcert.groups.SubgroupLattice.pair_mackey_cuts` call per
     failing pair, so the witnesses of one (K, H, J), one per failing prime,
     share one ``checked`` tuple; triples of other pairs may carry equal
-    ones, as distinct objects.  A named tuple, since a report streams one
-    per witness.
+    ones, as distinct objects.  A named tuple, since a stream of
+    :func:`localization_witnesses` yields one per witness; a report is
+    written from the runs of :func:`localization_runs` and builds none.
     """
 
     norm_source: int
@@ -118,14 +119,22 @@ class NormFailure(NamedTuple):
     checked: tuple[tuple[int, int], ...]
 
 
+# (kid, hid, triples, primes): the witnesses of one failing pair (K, H) at
+# the J of one class c.  ``triples`` lists (jid, checked, cut_classes) by
+# jid, cut_classes having bit class_of[cut] for each cut of checked;
+# ``primes`` is ``primes_at_class(c)`` of the locus, itself.  The witnesses
+# are the (q, J) with ``not cut_classes & in_locus``, q outer, J inner.
+Run = tuple[int, int, Sequence[tuple[int, tuple[tuple[int, int], ...], int]],
+            tuple[tuple[BalmerPrime, int], ...]]
+
+
 @dataclass(frozen=True)
 class Decision:
     """The witnesses of one decision, in order; the verdict is read off them.
 
     ``NO_GUARANTEE`` exactly when there is a witness.  The report writers of
-    :mod:`normcert.io` take the witness stream of
-    :func:`localization_witnesses` instead, so a report holds no
-    :class:`Decision`.
+    :mod:`normcert.io` take the runs of :func:`localization_runs` instead,
+    so a report holds no :class:`Decision` and builds no witness.
     """
 
     witnesses: tuple[NormFailure, ...]
@@ -242,8 +251,8 @@ def _failure(table: dict[int, int], slots: dict[int, int]) -> int:
     return fail
 
 
-def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
-    """The witnesses of the norms in ``pairs``, pair by pair.
+def _witness_runs(vl: VanishingLocus, pairs) -> Iterator[Run]:
+    """The witness runs of the norms in ``pairs``, pair by pair.
 
     The cuts K^h n J, h in H, are the cuts of the distinct H-conjugates of
     K: the cut K^r n J of a double coset KrJ is J-conjugate to K^h n J for
@@ -255,9 +264,10 @@ def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
     so it needs its Mackey decomposition, whose cut classes tell which
     primes fail there; one call of
     :meth:`~normcert.groups.SubgroupLattice.pair_mackey_cuts` per failing
-    pair gives them for all of its failing J at once, and the witnesses of
-    one triple share its decomposition.  Witnesses come by class, then
-    prime, then J.
+    pair gives them for all of its failing J at once.  A failing pair
+    yields one :data:`Run` per class of its failing J, classes ascending.
+    Every run holds a witness, since each of its J fails for some prime of
+    its class.
     """
     L = vl.lattice
     subgroups, conj, down, class_of = L.subgroups, L.conj, L.down, L.class_of
@@ -283,25 +293,30 @@ def _witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
                 cut_classes |= 1 << class_of[cut]
             by_class.setdefault(class_of[jid], []).append((jid, checked, cut_classes))
         for c in sorted(by_class):
-            triples = by_class[c]
-            for q, in_locus in vl.primes_at_class(c):
-                for jid, checked, cut_classes in triples:
-                    if not cut_classes & in_locus:
-                        # the named tuple's own __new__ is a Python function, one call per witness
-                        yield tuple.__new__(NormFailure, (kid, hid, jid, q, checked))
+            yield kid, hid, by_class[c], vl.primes_at_class(c)
 
 
-def _checked_witnesses(vl: VanishingLocus, pairs) -> Iterator[NormFailure]:
-    """The witnesses of the norms in ``pairs``, once the locus validates.
+def _flatten(runs: Iterable[Run]) -> Iterator[NormFailure]:
+    """The witnesses of ``runs``, in order: per run, prime by prime, then J by J."""
+    for kid, hid, triples, primes in runs:
+        for q, in_locus in primes:
+            for jid, checked, cut_classes in triples:
+                if not cut_classes & in_locus:
+                    # the named tuple's own __new__ is a Python function, one call per witness
+                    yield tuple.__new__(NormFailure, (kid, hid, jid, q, checked))
+
+
+def _checked_runs(vl: VanishingLocus, pairs) -> Iterator[Run]:
+    """The witness runs of the norms in ``pairs``, once the locus validates.
 
     The locus is validated before this returns, so :class:`InvalidLocus`
-    comes before the first witness.
+    comes before the first run.
     """
     bad = validate_vanishing_locus(vl)
     if bad:
         v = bad[0]
         raise InvalidLocus(f"locus fails validation, violation {v.axiom}: {v.witness!r}")
-    return _witnesses(vl, pairs)
+    return _witness_runs(vl, pairs)
 
 
 def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:
@@ -309,24 +324,36 @@ def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | in
     kid, hid = _sid(K), _sid(H)
     if not VL.lattice.leq(kid, hid):
         raise NotNested(f"subgroup {kid} is not contained in {hid}")
-    return Decision(tuple(_checked_witnesses(VL, [(kid, hid)])))
+    return Decision(tuple(_flatten(_checked_runs(VL, [(kid, hid)]))))
 
 
-def localization_witnesses(VL: VanishingLocus, R: TransferSystem) -> Iterator[NormFailure]:
-    """The witnesses of :func:`localization_preserves`, as a stream.
+def localization_runs(VL: VanishingLocus, R: TransferSystem) -> Iterator[Run]:
+    """The witnesses of :func:`localization_preserves`, as a stream of runs.
 
     The lattices are matched and the locus validated when this is called,
-    before any witness; the witnesses then come one at a time, so a report
-    written from them never holds them all.  Runs the norm criterion for
-    every admissible pair of the transfer system except the reflexive ones,
-    which never fail; the witnesses are those of
-    :func:`norm_preserves_locus` over ``R.sorted_pairs()``, in that order.
+    before any run; the runs then come one at a time, so a report written
+    from them never holds them all.  Runs the norm criterion for every
+    admissible pair of the transfer system except the reflexive ones,
+    which never fail, in ``R.sorted_pairs()`` order.  Each :data:`Run` is
+    one failing pair and one class of its failing J, and holds at least
+    one witness; :func:`localization_witnesses` flattens the runs.
     """
     if R.lattice is not VL.lattice:
         raise LatticeMismatch("locus and transfer system live on different lattices")
     # a reflexive pair (H, H) never fails: its one double coset is H, whose
     # cut H n J is J itself, the subgroup the prime sits at
-    return _checked_witnesses(VL, R.strict_pairs())
+    return _checked_runs(VL, R.strict_pairs())
+
+
+def localization_witnesses(VL: VanishingLocus, R: TransferSystem) -> Iterator[NormFailure]:
+    """The witnesses of :func:`localization_preserves`, as a stream.
+
+    The runs of :func:`localization_runs`, flattened, with its checks made
+    when this is called, before any witness.  The witnesses are those of
+    :func:`norm_preserves_locus` over ``R.sorted_pairs()``, in that order;
+    those of one (K, H, J) share one ``checked`` tuple.
+    """
+    return _flatten(localization_runs(VL, R))
 
 
 def localization_preserves(VL: VanishingLocus, R: TransferSystem) -> Decision:

@@ -35,7 +35,7 @@ from .certify import (
     CertifyError,
     cross_validate_cyclic,
     enumerate_commutative_heights,
-    localization_witnesses,
+    localization_runs,
 )
 from .chromatic import (
     ChromaticError,
@@ -195,8 +195,8 @@ def _cmd_decide(args):
     L, vl = _load_locus(args)
     R = _load_operad(L, args.operad)
     if args.format == "structured":
-        return iomod.decision_json_blocks(localization_witnesses(vl, R), L, R, vl)
-    return iomod.decision_text_blocks(localization_witnesses(vl, R), L, R, vl)
+        return iomod.decision_json_blocks(localization_runs(vl, R), L, R, vl)
+    return iomod.decision_text_blocks(localization_runs(vl, R), L, R, vl)
 
 
 def _cmd_ell_enumerate(args):

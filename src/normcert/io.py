@@ -5,20 +5,22 @@ Serialization is canonical, so identical inputs always produce identical
 bytes, and every emitted document parses back to an equal in-memory value.
 The CLI writes a document with :func:`indented_json`, which is
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``: keys sorted, each
-item on its own line indented two spaces per level, ASCII only, and a
-final newline.  Decision reports, the largest documents, are written by
-:func:`decision_json_blocks` to the same bytes straight from the witness
-stream of :func:`~normcert.certify.localization_witnesses`, with no witness
-dict and no witness kept once written, and transfer enumerations, the next
-largest, by :func:`enumeration_json_blocks` with no system dict, each
-containment row the index strings :func:`~normcert.groups._bits` picks by
-its bits and each system the pair texts its pair mask picks.  Each writes
-its report in one forward pass, as blocks of about a megabyte that the CLI
-writes as they come; no writer joins them into one string, which would hold
-every block and the string at once.  The dict forms, :func:`decision_doc`
-and :func:`enumeration_doc`, are those writers' blocks joined and parsed
-back, so each report is defined once.  Digests hash the compact form of
-:func:`canonical_json`.
+item on its own line indented two spaces per level, ASCII only, and a final
+newline.  Decision reports, the largest documents, are written by
+:func:`decision_json_blocks` to the same bytes straight from the runs of
+:func:`~normcert.certify.localization_runs`, one per failing pair and class
+of J, with no witness or witness dict built and no run kept once written,
+and transfer enumerations, the next largest, by
+:func:`enumeration_json_blocks` with no system dict, each containment row
+the index strings :func:`~normcert.groups._bits` picks by its bits and each
+system the pair texts its pair mask picks.  Each writes its report in one
+forward pass, as blocks of about a megabyte that the CLI writes as they
+come; no writer joins them into one string, which would hold every block
+and the string at once.  The dict forms, :func:`decision_doc` and
+:func:`enumeration_doc`, are those writers' blocks joined and parsed back,
+so each report is defined once.  Digests hash the compact form of
+:func:`canonical_json`; a report's operad digest hashes that form from a
+template over the operad's pairs, a chunk at a time.
 
 Height spelling: integers, ``"inf"`` for the formal top, ``"none"`` for the
 empty sentinel in height vectors.  Primes: integers or ``"any"`` for the
@@ -33,7 +35,14 @@ import json
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from .certify import MAX_ENUM_HEIGHT, CrossValidationReport, Decision, NormFailure, Verdict
+from .certify import (
+    MAX_ENUM_HEIGHT,
+    CrossValidationReport,
+    Decision,
+    NormFailure,
+    Run,
+    Verdict,
+)
 from .chromatic import (
     ANY_PRIME,
     INFINITY,
@@ -189,6 +198,30 @@ def system_doc(R: TransferSystem) -> dict:
         "group": L.group.name,
         "pairs": [[L.names[k], L.names[h]] for k, h in R.sorted_pairs()],
     }
+
+
+# pairs per text hashed by _system_digest: about 100 KB at a time
+_DIGEST_PAIRS = 1 << 12
+
+
+def _system_digest(R: TransferSystem) -> str:
+    """``digest(system_doc(R))``, hashed from a template over the names in R's pairs.
+
+    Each name is escaped once, and the canonical text is hashed
+    ``_DIGEST_PAIRS`` pairs at a time, so neither a list per pair nor the
+    whole text is built.
+    """
+    L = R.lattice
+    names = [_encode_str(n) for n in L.names]
+    pairs = R.sorted_pairs()
+    sha = hashlib.sha256(
+        f'{{"group":{_encode_str(L.group.name)},"kind":"transfer-system","pairs":['.encode()
+    )
+    for i in range(0, len(pairs), _DIGEST_PAIRS):
+        text = ",".join([f"[{names[k]},{names[h]}]" for k, h in pairs[i:i + _DIGEST_PAIRS]])
+        sha.update(("," + text if i else text).encode())
+    sha.update(f'],"schema_version":{SCHEMA_VERSION}}}'.encode())
+    return sha.hexdigest()
 
 
 def parse_system(L: SubgroupLattice, spec) -> TransferSystem:
@@ -411,63 +444,82 @@ def _decision_head(
         "verdict": verdict.value,
         "inputs": {
             "group": {"name": L.group.name, "digest": digest(group_doc(L.group))},
-            "operad": {"digest": digest(system_doc(R))},
+            "operad": {"digest": _system_digest(R)},
             "locus": {"digest": digest(locus_doc(VL))},
         },
     }
 
 
-def _peek(witnesses: Iterable[NormFailure]) -> tuple[Iterator[NormFailure], bool]:
-    """The witness stream, whole again after its first witness is read, and whether it held one."""
-    stream = iter(witnesses)
+def _peek(runs: Iterable[Run]) -> tuple[Iterator[Run], bool]:
+    """The run stream, whole again after its first run is read, and whether it held one.
+
+    Every run holds a witness, so a run is there exactly when a witness is.
+    """
+    stream = iter(runs)
     for first in stream:
         return chain((first,), stream), True
     return stream, False
 
 
-def _witness_blocks(
-    head: str, witnesses: Iterable[NormFailure], rows_text, triple_text, prime_text,
-    sep: str, tail: str,
-) -> Iterator[str]:
-    """``head``, the texts of a witness stream with ``sep`` between them, and ``tail``, in blocks.
+def _one_witness_runs(witnesses: Iterable[NormFailure]) -> Iterator[Run]:
+    """Each witness as a run of its own, whose one triple and one prime make it a witness.
 
-    Each witness is three texts, written as it comes and then dropped.
-    The texts are joined into blocks of about ``_BLOCK`` characters, as
-    :func:`_blocks` joins its texts, counting all but the prime texts,
-    which are short; ``sep`` leads each witness after the first.
-    Witnesses of one pair (K, H) come together, and those at one J share
-    their ``checked`` cuts, so ``triple_text(kid, hid, jid, rows)`` is kept
-    per J until the next pair, with its length, and reused only for the
-    ``checked`` object it was built from.  ``rows = rows_text(checked)``
-    is built once per distinct value per report.  ``prime_text(q)`` is
-    built once per report, keyed by ``id(q)``, and q is kept alive in
-    ``kept``, so no other prime takes that id.
+    Each run's ``primes`` tuple is new, built before its triple, so a
+    dropped run's tuple can hand its id to the next ``primes``.
     """
-    around: dict[int, tuple] = {}
-    rows: dict[tuple, str] = {}
-    primes: dict[int, str] = {}
-    kept = []
-    source = target = -1
-    pieces = [head]
-    size, lead, limit = len(head), "", _BLOCK
     for kid, hid, jid, q, checked in witnesses:
-        if kid != source or hid != target:
-            source, target = kid, hid
-            around.clear()
-        built = around.get(jid)
-        if built is None or built[0] is not checked:
+        primes = ((q, 0),)
+        yield kid, hid, ((jid, checked, 0),), primes
+
+
+def _run_blocks(
+    head: str, runs: Iterable[Run], rows_text, triple_text, prime_text, sep: str, tail: str,
+) -> Iterator[str]:
+    """``head``, the witness texts of ``runs`` with ``sep`` between them, and ``tail``, in blocks.
+
+    A witness is three texts: the two of its triple around the one of its
+    prime.  A run's triple texts, ``sep`` in front, are built once, with
+    ``triple_text(kid, hid, jid, rows)``, and dropped after the run;
+    ``rows = rows_text(checked)`` is built once per distinct value per
+    report.  The prime texts of one ``primes`` tuple, with their in-locus
+    masks, are built once per report, keyed by ``id(primes)``, and the
+    tuple is kept alive in ``kept``, so no other tuple takes that id.  Then
+    a witness is one mask test and one append.  The texts are joined into
+    blocks of about ``_BLOCK`` characters, as :func:`_blocks` joins its
+    texts, with the size counted after each run: its witnesses times the
+    mean length of its triple texts, the prime texts being short.  The
+    report's first witness drops its ``sep``.
+    """
+    rows: dict[tuple, str] = {}
+    prime_rows: dict[int, list] = {}
+    kept = []
+    pieces = [head]
+    size, limit = len(head), _BLOCK
+    first = True  # until the report's first witness is written
+    for kid, hid, triples, primes in runs:
+        built = []
+        chars = 0
+        for jid, checked, cut_classes in triples:
             cuts = rows.get(checked)
             if cuts is None:
                 cuts = rows[checked] = rows_text(checked)
             before, after = triple_text(kid, hid, jid, cuts)
-            built = around[jid] = (checked, before, after, len(sep) + len(before) + len(after))
-        prime = primes.get(id(q))
-        if prime is None:
-            prime = primes[id(q)] = prime_text(q)
-            kept.append(q)
-        pieces += (lead, built[1], prime, built[2])
-        lead = sep
-        size += built[3]
+            before = sep + before
+            built.append((cut_classes, before, after))
+            chars += len(before) + len(after)
+        texts = prime_rows.get(id(primes))
+        if texts is None:
+            texts = prime_rows[id(primes)] = [(prime_text(q), in_locus) for q, in_locus in primes]
+            kept.append(primes)
+        mark = len(pieces)
+        for prime, in_locus in texts:
+            for cut_classes, before, after in built:
+                if not cut_classes & in_locus:
+                    pieces += (before, prime, after)
+        if first and len(pieces) > mark:
+            pieces[mark] = pieces[mark][len(sep):]
+            first = False
+        size += (len(pieces) - mark) * chars // (3 * len(built))
         if size >= limit:
             yield "".join(pieces)
             pieces, size = [], 0
@@ -476,21 +528,21 @@ def _witness_blocks(
 
 
 def decision_json_blocks(
-    witnesses: Iterable[NormFailure],
+    runs: Iterable[Run],
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
 ) -> tuple[Iterator[str], bool]:
     """The structured decision report, as blocks of text written in one forward pass.
 
-    Returns the blocks and whether the stream held a witness, which a peek
-    at its first witness decides before any block is written.  The blocks
-    join to the bytes of :func:`indented_json` on the report document, and
-    no witness dict is built: each witness is one template over names
-    escaped once per report, through :func:`_witness_blocks`.  The head,
-    whose verdict the peek decides, goes through :func:`indented_json` with
-    its closing ``}`` cut off; ``witnesses`` sorts last, so the list closes
-    the document.
+    Returns the blocks and whether the runs held a witness, which a peek at
+    the first run decides before any block is written.  The blocks join to
+    the bytes of :func:`indented_json` on the report document, and no
+    witness dict is built: each witness is one template over names escaped
+    once per report, through :func:`_run_blocks`.  The head, whose verdict
+    the peek decides, goes through :func:`indented_json` with its closing
+    ``}`` cut off; ``witnesses`` sorts last, so the list closes the
+    document.
     """
     names = [_encode_str(n) for n in L.names]
     reps = [names[members[0]] for members in L.classes]
@@ -516,27 +568,27 @@ def decision_json_blocks(
             f'        "subgroup": {reps[q.subgroup_class]}\n      }}'
         )
 
-    stream, held = _peek(witnesses)
+    stream, held = _peek(runs)
     head = indented_json(_decision_head(Verdict.of(held), L, R, VL))[:-3]
     if not held:
         return iter((head + ',\n  "witnesses": []\n}\n',)), False
     head += ',\n  "witnesses": [\n    '
     tail = "\n  ]\n}\n"
-    return _witness_blocks(head, stream, rows_text, triple_text, prime_text, ",\n    ", tail), True
+    return _run_blocks(head, stream, rows_text, triple_text, prime_text, ",\n    ", tail), True
 
 
 def decision_text_blocks(
-    witnesses: Iterable[NormFailure],
+    runs: Iterable[Run],
     L: SubgroupLattice,
     R: TransferSystem,
     VL: VanishingLocus,
 ) -> tuple[Iterator[str], bool]:
     """The text decision report, as blocks: a four-line head, then one line per witness.
 
-    Returns the blocks and whether the stream held a witness, which a peek
-    at its first witness decides: the verdict, line 4, is written before
-    any witness line.  The witness lines come from :func:`_witness_blocks`,
-    as in :func:`decision_json_blocks`.
+    Returns the blocks and whether the runs held a witness, which a peek at
+    the first run decides: the verdict, line 4, is written before any
+    witness line.  The witness lines come from :func:`_run_blocks`, as in
+    :func:`decision_json_blocks`.
     """
     names = L.names
 
@@ -553,14 +605,14 @@ def decision_text_blocks(
         rep = names[L.classes[q.subgroup_class][0]]
         return f"P({rep},{_height_doc(q.height)},{q.prime})"
 
-    stream, held = _peek(witnesses)
+    stream, held = _peek(runs)
     head = (
         f"group: {L.group.name}\n"
         f"operad: {len(R)} admissible pairs\n"
         f"locus: {len(VL.primes)} primes\n"
         f"verdict: {Verdict.of(held).value}\n"
     )
-    return _witness_blocks(head, stream, rows_text, triple_text, prime_text, "", ""), held
+    return _run_blocks(head, stream, rows_text, triple_text, prime_text, "", ""), held
 
 
 def decision_doc(
@@ -570,8 +622,8 @@ def decision_doc(
     VL: VanishingLocus,
 ) -> dict:
     """The decision report as a dict: :func:`decision_json_blocks` of its witnesses,
-    joined and parsed back."""
-    return json.loads("".join(decision_json_blocks(d.witnesses, L, R, VL)[0]))
+    each a run of its own, joined and parsed back."""
+    return json.loads("".join(decision_json_blocks(_one_witness_runs(d.witnesses), L, R, VL)[0]))
 
 
 def cross_validation_doc(report: CrossValidationReport) -> dict:

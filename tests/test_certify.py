@@ -133,9 +133,12 @@ def test_engine_rejects_invalid_locus():
         nc.norm_preserves_locus(bad, 0, 1)
     with pytest.raises(nc.InvalidLocus):
         nc.localization_preserves(bad, nc.trivial_system(L))
-    # the stream checks its locus when it is made, before any witness is asked for
+    # the streams check their locus when they are made, before any witness
+    # or run is asked for
     with pytest.raises(nc.InvalidLocus):
         nc.localization_witnesses(bad, nc.trivial_system(L))
+    with pytest.raises(nc.InvalidLocus):
+        nc.localization_runs(bad, nc.trivial_system(L))
 
 
 def test_engine_requires_nesting_and_shared_lattice():
@@ -148,6 +151,13 @@ def test_engine_requires_nesting_and_shared_lattice():
         nc.localization_preserves(vl, nc.complete_system(other))
     with pytest.raises(nc.LatticeMismatch):
         nc.localization_witnesses(vl, nc.complete_system(other))
+    with pytest.raises(nc.LatticeMismatch):
+        nc.localization_runs(vl, nc.complete_system(other))
+    # the lattices are matched before the locus is validated
+    bad = nc.vanishing_locus(L, [nc.balmer_prime(0, 2, 2)])
+    for stream in (nc.localization_witnesses, nc.localization_runs):
+        with pytest.raises(nc.LatticeMismatch):
+            stream(bad, nc.complete_system(other))
 
 
 def test_norm_condition_examples():
@@ -806,6 +816,57 @@ def test_uniform_loci_pass_everything():
             vl = random_uniform_locus(L, rng)
             for R in enum.systems:
                 assert nc.localization_preserves(vl, R).certified
+
+
+def _run_witnesses(kid, hid, triples, primes) -> list:
+    """The witnesses of one run by its definition: q outer, J inner, where no cut class holds q."""
+    return [nc.NormFailure(kid, hid, jid, q, checked)
+            for q, in_locus in primes
+            for jid, checked, cut_classes in triples if not cut_classes & in_locus]
+
+
+def _check_runs(vl, R) -> int:
+    """Check the runs of (vl, R) against the witness stream and the double-coset oracle."""
+    L = vl.lattice
+    flat, last = [], None
+    for run in nc.localization_runs(vl, R):
+        kid, hid, triples, primes = run
+        witnesses = _run_witnesses(*run)
+        # every run holds a witness, so a peek at the first run decides the verdict
+        assert witnesses
+        flat += witnesses
+        jids = [jid for jid, _, _ in triples]
+        assert jids == sorted(set(jids))
+        (c,) = {L.class_of[jid] for jid in jids}
+        assert primes is vl.primes_at_class(c)
+        # one run per class of a failing pair, classes ascending, pairs in order
+        assert last is None or last < (kid, hid, c)
+        last = (kid, hid, c)
+        for jid, checked, cut_classes in triples:
+            assert L.leq(jid, hid)
+            assert cut_classes == sum({1 << L.class_of[cut] for _, cut in checked})
+    assert _fields(flat) == _fields(nc.localization_witnesses(vl, R))
+    expected = [w for k, h in R.strict_pairs() for w in double_coset_obstructions(vl, k, h)]
+    assert _fields(flat) == _fields(expected)
+    return len(flat)
+
+
+def test_runs_flatten_to_the_witnesses_on_the_decide_mix_groups():
+    # the complete operad and a closure of seeded generators against the
+    # random locus r0 on each decide-mix group and on a seeded relabelling of
+    # it, whose element masks and so double-coset representatives move
+    witnesses = 0
+    for short, spec in DECIDE_MIX_GROUPS:
+        L = lattice(spec)
+        perm = list(range(L.group.order))
+        random.Random(f"relabel:{short}").shuffle(perm)
+        rng = random.Random(f"runs:{short}")
+        for LR in (L, nc.subgroup_lattice(relabeled(L.group, perm))):
+            vl = decide_mix_locus(LR, f"locus:{short}:0")
+            for R in (nc.complete_system(LR),
+                      nc.close_transfer_system(LR, rng.sample(candidate_pairs(LR), 2))):
+                witnesses += _check_runs(vl, R)
+    assert witnesses > 0
 
 
 def test_witnesses_only_on_failure():

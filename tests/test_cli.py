@@ -963,8 +963,8 @@ def test_reports_stream_in_blocks_that_join_to_the_same_bytes(monkeypatch, tmp_p
     report = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
     L8, enum = lattice("dihedral:8"), enumeration("dihedral:8")
     for blocks, expected in (
-        (iomod.decision_json_blocks(nc.localization_witnesses(vl, R), L, R, vl)[0], report),
-        (iomod.decision_text_blocks(nc.localization_witnesses(vl, R), L, R, vl)[0],
+        (iomod.decision_json_blocks(nc.localization_runs(vl, R), L, R, vl)[0], report),
+        (iomod.decision_text_blocks(nc.localization_runs(vl, R), L, R, vl)[0],
          decision_text_by_loop(d, L, R, vl)),
         (iomod.enumeration_json_blocks(L8, enum),
          iomod.indented_json(enumeration_doc_by_hand(L8, enum))),

@@ -90,6 +90,28 @@ def test_system_document_round_trip():
             assert iomod.parse_system(L, doc) == R
 
 
+def test_operad_digest_is_the_digest_of_the_system_document():
+    # the decision head hashes the operad from a template over its pairs, a
+    # chunk at a time; on the corpus, on S3 under a name that needs JSON
+    # escapes, and on the C2^6 complete operad (95,706 pairs, 24 chunks)
+    def check(R):
+        assert iomod._system_digest(R) == iomod.digest(iomod.system_doc(R))
+
+    rng = random.Random(31)
+    for spec in CORPUS_SPECS:
+        L = lattice(spec)
+        for R in (nc.complete_system(L), nc.trivial_system(L),
+                  nc.close_transfer_system(L, rng.sample(candidate_pairs(L), 1))):
+            check(R)
+    G = nc.from_table(nc.symmetric(3).table, name='S3 "hostile" \\ [x] {y} \u00e9')
+    L = nc.subgroup_lattice(G)
+    for R in (nc.complete_system(L), nc.trivial_system(L)):
+        check(R)
+    R = nc.complete_system(lattice("*".join(["cyclic:2"] * 6)))
+    assert len(R) > 20 * iomod._DIGEST_PAIRS
+    check(R)
+
+
 def test_system_parse_closes_seeds():
     L = lattice("cyclic:4")
     doc = {"pairs": [["C1#0", "C4#0"]]}
@@ -156,15 +178,15 @@ def test_decision_document_shape():
 
 
 def _check_decision_writers(L, R, vl, seen):
-    # each writer consumes a live witness stream, whose witnesses are freed
-    # once written; the oracles read the kept decision
+    # each writer consumes a live stream of runs, each freed once written;
+    # the oracles read the kept decision
     d = nc.localization_preserves(vl, R)
     held = not d.certified
     expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
-    blocks, witnessed = iomod.decision_json_blocks(nc.localization_witnesses(vl, R), L, R, vl)
+    blocks, witnessed = iomod.decision_json_blocks(nc.localization_runs(vl, R), L, R, vl)
     assert ("".join(blocks), witnessed) == (expected, held)
     expected = decision_text_by_loop(d, L, R, vl)
-    blocks, witnessed = iomod.decision_text_blocks(nc.localization_witnesses(vl, R), L, R, vl)
+    blocks, witnessed = iomod.decision_text_blocks(nc.localization_runs(vl, R), L, R, vl)
     assert ("".join(blocks), witnessed) == (expected, held)
     seen["certified"] |= d.certified
     for w in d.witnesses:
@@ -201,9 +223,9 @@ def test_decision_writers_match_their_oracles():
 
 def test_decision_writers_key_checked_texts_by_value():
     # the writers build the text of each distinct ``checked`` list once per
-    # report.  This stream builds each list afresh and drops it once it is
-    # written, so later lists take the ids of earlier ones; a text cached by
-    # id() would be printed for the wrong list
+    # report.  This stream of runs builds each list afresh and drops it once
+    # its run is written, so later lists take the ids of earlier ones; a
+    # text cached by id() would be printed for the wrong list
     L = lattice("symmetric:4")
     R = nc.complete_system(L)
     vl = random_valid_locus(L, random.Random(3))
@@ -218,11 +240,15 @@ def test_decision_writers_key_checked_texts_by_value():
     ids: dict[int, set] = {}
 
     def fresh():
-        for w in d.witnesses:
-            checked = tuple([(r, c) for r, c in w.checked])
-            ids.setdefault(id(checked), set()).add(w.checked)
-            yield w._replace(checked=checked)
-            del checked
+        for kid, hid, triples, primes in nc.localization_runs(vl, R):
+            run = []
+            for jid, checked, cut_classes in triples:
+                copy = tuple([(r, c) for r, c in checked])
+                ids.setdefault(id(copy), set()).add(checked)
+                run.append((jid, copy, cut_classes))
+            del copy
+            yield kid, hid, run, primes
+            del run
 
     expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
     blocks, witnessed = iomod.decision_json_blocks(fresh(), L, R, vl)
@@ -235,14 +261,14 @@ def test_decision_writers_key_checked_texts_by_value():
 
 
 def _check_hand_built_stream(L, witnesses):
-    # the writers read a stream that does not come from localization_witnesses,
-    # built afresh, against the oracles over the same witnesses kept
+    # the writers read a stream that does not come from localization_runs,
+    # built afresh, each witness a run of its own, against the oracles over
+    # the same witnesses kept
     R, vl = nc.complete_system(L), nc.uniform_locus(L, {2: 3})
     d = nc.Decision(tuple(w() for w in witnesses))
 
     def fresh():
-        for w in witnesses:
-            yield w()
+        return iomod._one_witness_runs(w() for w in witnesses)
 
     assert iomod.decision_doc(d, L, R, vl) == decision_doc_by_hand(d, L, R, vl)
     expected = iomod.indented_json(decision_doc_by_hand(d, L, R, vl))
@@ -253,12 +279,16 @@ def _check_hand_built_stream(L, witnesses):
 
 
 def test_decision_writers_key_primes_by_the_prime_kept():
-    # each prime is built afresh and dropped once written, so the third takes
-    # the first's id(); a text cached by id() alone printed P(C1#0,1,2) for it
+    # each prime, and the primes tuple of its one-witness run, is built
+    # afresh and dropped once written, so a later tuple takes the id() of an
+    # earlier one (the first run is held by the writers' peek, so the fourth
+    # takes the second's); prime texts cached by id() alone, with the tuple
+    # not kept, printed P(C1#0,2,2) for the fourth
     L = lattice("cyclic:4")
     checked = L.mackey_cuts(0, 0, 2)
     _check_hand_built_stream(L, [
-        lambda h=h: NormFailure(0, 2, 0, nc.balmer_prime(0, h, 2), checked) for h in (1, 2, 3)
+        lambda h=h: NormFailure(0, 2, 0, nc.balmer_prime(0, h, 2), checked)
+        for h in (1, 2, 3, 4, 5)
     ])
 
 

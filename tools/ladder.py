@@ -148,7 +148,7 @@ CASES = (
     # (2825 subgroups, 92,881 strict pairs, a pair mask of 95,706 bits),
     # against the uniform locus {2: 3}, which certifies
     *(Case(f"C2^6 decide {fmt} to --out", (_decide(C2_6, "C2^6-uniform.json", fmt),),
-           OUT, 0, 60, 80, mb) for fmt, mb in (("text", 42.7), ("structured", 55.2))),
+           OUT, 0, 60, 80, mb) for fmt, mb in (("text", 42.7), ("structured", 43.0))),
     # the same operad as a document, whose 95,706 pairs are closed as generators
     Case("C2^6 decide text, complete operad as a document",
          (f"decide --group {C2_6} --operad @C2^6-complete.json --locus @C2^6-uniform.json"
@@ -156,13 +156,13 @@ CASES = (
          CAPTURED, 0, 60, 100, 68.3, check=("contains", "verdict: CertifiedPreserves")),
     # the complete operad on D8xD8 against a random locus: 503,371 witnesses,
     # a 47 MB text report and a 179 MB structured one, each written from the
-    # witness stream; the captured case builds the locus in its interpreter
+    # criterion's runs; the captured case builds the locus in its interpreter
     Case("D8xD8 decide text captured", (_decide(D8XD8, "D8xD8-r0.json", "text"),),
-         CAPTURED, 1, 30, 200, 73.9, build_inputs=True),
+         CAPTURED, 1, 30, 200, 73.4, build_inputs=True),
     *(Case(f"D8xD8 decide {fmt} to --out", (_decide(D8XD8, "D8xD8-r0.json", fmt),),
-           OUT, 1, 30, 100, mb) for fmt, mb in (("text", 34.8), ("structured", 37.2))),
+           OUT, 1, 30, 100, mb) for fmt, mb in (("text", 33.8), ("structured", 36.9))),
     Case("C4^3 decide text captured", (_decide(C4_3, "C4^3-r0.json", "text"),),
-         CAPTURED, 1, 30, 50, 26.4),
+         CAPTURED, 1, 30, 50, 26.0),
     # C343 at the height bound, the largest sweep cross-validate accepts;
     # --strict exits 1 on any disagreement
     *(Case(f"C343 cross-validate {fmt}",
