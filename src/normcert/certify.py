@@ -306,25 +306,13 @@ def _flatten(runs: Iterable[Run]) -> Iterator[NormFailure]:
                     yield tuple.__new__(NormFailure, (kid, hid, jid, q, checked))
 
 
-def _checked_runs(vl: VanishingLocus, pairs) -> Iterator[Run]:
-    """The witness runs of the norms in ``pairs``, once the locus validates.
-
-    The locus is validated before this returns, so :class:`InvalidLocus`
-    comes before the first run.
-    """
-    bad = validate_vanishing_locus(vl)
-    if bad:
-        v = bad[0]
-        raise InvalidLocus(f"locus fails validation, violation {v.axiom}: {v.witness!r}")
-    return _witness_runs(vl, pairs)
-
-
 def norm_preserves_locus(VL: VanishingLocus, K: Subgroup | int, H: Subgroup | int) -> Decision:
     """Certify that the K-to-H norm maps the locus into itself."""
     kid, hid = _sid(K), _sid(H)
     if not VL.lattice.leq(kid, hid):
         raise NotNested(f"subgroup {kid} is not contained in {hid}")
-    return Decision(tuple(_flatten(_checked_runs(VL, [(kid, hid)]))))
+    R = TransferSystem.from_pairs(VL.lattice, [(kid, hid)])
+    return Decision(tuple(_flatten(localization_runs(VL, R))))
 
 
 def localization_runs(VL: VanishingLocus, R: TransferSystem) -> Iterator[Run]:
@@ -340,9 +328,13 @@ def localization_runs(VL: VanishingLocus, R: TransferSystem) -> Iterator[Run]:
     """
     if R.lattice is not VL.lattice:
         raise LatticeMismatch("locus and transfer system live on different lattices")
+    bad = validate_vanishing_locus(VL)
+    if bad:
+        v = bad[0]
+        raise InvalidLocus(f"locus fails validation, violation {v.axiom}: {v.witness!r}")
     # a reflexive pair (H, H) never fails: its one double coset is H, whose
     # cut H n J is J itself, the subgroup the prime sits at
-    return _checked_runs(VL, R.strict_pairs())
+    return _witness_runs(VL, R.strict_pairs())
 
 
 def localization_witnesses(VL: VanishingLocus, R: TransferSystem) -> Iterator[NormFailure]:

@@ -37,6 +37,7 @@ from normcert.transfers import _OrbitTables, candidate_pairs
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
 import ladder  # noqa: E402
+import workloads  # noqa: E402  (tools/ladder.py puts perfbench/ on the path)
 
 CORPUS_SPECS = (
     "cyclic:4",
@@ -1007,19 +1008,7 @@ def random_valid_locus(L: nc.SubgroupLattice, rng) -> nc.VanishingLocus:
 
 # the groups of the decide-mix benchmark workload, (short name, spec); the
 # short name seeds that workload's random loci
-DECIDE_MIX_GROUPS = (
-    ("S4", "symmetric:4"),
-    ("D32", "dihedral:32"),
-    ("C2^4", "cyclic:2*cyclic:2*cyclic:2*cyclic:2"),
-    ("C8xC8", "cyclic:8*cyclic:8"),
-    ("D16xC2", "dihedral:16*cyclic:2"),
-    ("D64", "dihedral:64"),
-)
-
-
-def decide_mix_locus(L: nc.SubgroupLattice, seed: str) -> nc.VanishingLocus:
-    """A random locus by the rule of the decide-mix benchmark workload."""
-    return ladder.random_locus(L, seed)
+DECIDE_MIX_GROUPS = workloads.DECIDE_GROUPS
 
 
 def random_uniform_locus(L: nc.SubgroupLattice, rng) -> nc.VanishingLocus:

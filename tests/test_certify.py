@@ -28,9 +28,9 @@ from helpers import (
     cross_validate_by_decisions,
     cut_table_failures,
     cut_table_obstructions,
-    decide_mix_locus,
     double_coset_obstructions,
     enumeration,
+    ladder,
     lattice,
     pair_cut_table,
     random_pair,
@@ -498,7 +498,7 @@ def test_witnesses_are_monotone_in_the_operad_on_the_decide_mix_groups():
         L = lattice(spec)
         rng = random.Random(f"monotone:{short}")
         for i in range(2):
-            vl = decide_mix_locus(L, f"locus:{short}:{i}")
+            vl = ladder.random_locus(L, f"locus:{short}:{i}")
             for _ in range(4):
                 gens = rng.sample(candidate_pairs(L), 3)
                 R, R2 = nc.close_transfer_system(L, gens[:1]), nc.close_transfer_system(L, gens)
@@ -516,7 +516,7 @@ def test_decision_separates_over_primes():
     checked = parts = 0
     for short, spec in DECIDE_MIX_GROUPS:
         L = lattice(spec)
-        loci = [decide_mix_locus(L, f"locus:{short}:{i}") for i in range(2)]
+        loci = [ladder.random_locus(L, f"locus:{short}:{i}") for i in range(2)]
         loci += [nc.uniform_locus(L, tops) for tops in ({2: 2, 3: 1}, {2: 1, 3: 1, 5: 1})]
         rng = random.Random(f"separability:{short}")
         operads = [nc.complete_system(L)]
@@ -577,7 +577,7 @@ def _check_isomorphic_decisions(L, LH, image, short: str) -> int:
     prime_class = [LH.class_of[to[members[0]]] for members in L.classes]
     total = 0
     for i in range(2):
-        vl = decide_mix_locus(L, f"locus:{short}:{i}")
+        vl = ladder.random_locus(L, f"locus:{short}:{i}")
         vlh = nc.vanishing_locus(
             LH, [nc.BalmerPrime(prime_class[q.subgroup_class], q.height, q.prime)
                  for q in vl.primes])
@@ -862,7 +862,7 @@ def test_runs_flatten_to_the_witnesses_on_the_decide_mix_groups():
         random.Random(f"relabel:{short}").shuffle(perm)
         rng = random.Random(f"runs:{short}")
         for LR in (L, nc.subgroup_lattice(relabeled(L.group, perm))):
-            vl = decide_mix_locus(LR, f"locus:{short}:0")
+            vl = ladder.random_locus(LR, f"locus:{short}:0")
             for R in (nc.complete_system(LR),
                       nc.close_transfer_system(LR, rng.sample(candidate_pairs(LR), 2))):
                 witnesses += _check_runs(vl, R)

@@ -23,12 +23,13 @@ from normcert.cli import main
 from normcert.transfers import candidate_pairs
 from helpers import (
     CORPUS_SPECS,
-    decide_mix_locus,
+    DECIDE_MIX_GROUPS,
     decision_doc_by_hand,
     decision_text_by_loop,
     enumeration,
     enumeration_doc_by_hand,
     enumeration_text_by_loop,
+    ladder,
     lattice,
     random_valid_locus,
     transfer_poset_dot_by_loop,
@@ -519,8 +520,7 @@ def _random_height_vector(rng, p: int, n: int) -> nc.HeightVector:
 
 
 # the groups of the decide-mix benchmark workload
-DECIDE_MIX_SPECS = ("symmetric:4", "dihedral:32", "cyclic:2*cyclic:2*cyclic:2*cyclic:2",
-                    "cyclic:8*cyclic:8", "dihedral:16*cyclic:2", "dihedral:64")
+DECIDE_MIX_SPECS = tuple(spec for _, spec in DECIDE_MIX_GROUPS)
 
 
 def test_warm_caches_do_not_change_output(tmp_path):
@@ -902,7 +902,7 @@ def test_streamed_reports_in_one_process_match_their_oracles(tmp_path):
         L = lattice(spec)
         R = nc.complete_system(L)
         for i in range(2):
-            vl = decide_mix_locus(L, f"locus:{short}:{i}")
+            vl = ladder.random_locus(L, f"locus:{short}:{i}")
             d = nc.localization_preserves(vl, R)
             assert not d.certified
             path = _write_json(tmp_path / f"{short}-r{i}.json", iomod.locus_doc(vl))

@@ -1,16 +1,56 @@
-"""The bounded-case runner of ``tools/ladder.py`` and its decide-mix locus rule."""
+"""The bounded-case runner of ``tools/ladder.py``, its documents and its decide-mix locus rule."""
 
 import json
 import os
-import sys
+import random
+
+import pytest
 
 import normcert as nc
 from helpers import ladder
 
-PERFBENCH = os.path.join(ladder.ROOT, "perfbench")
-sys.path.insert(0, PERFBENCH)
+import same_output  # helpers puts tools/ on the path
+import workloads  # tools/ladder.py puts perfbench/ on the path
 
-import workloads  # noqa: E402
+
+def test_every_document_named_is_a_document_entry():
+    # a typo in an @NAME fails here, not in the same-output run minutes later
+    # (and so does an @NAME in a document's spec)
+    lines = [line.split() for case in ladder.CASES for line in case.requests]
+    fixed = same_output.fixed_list("decide-mix")
+    names = ladder.document_names(w for request in lines + fixed for w in request)
+    assert len(names) == 18
+    names += ladder.document_names(spec for spec, _ in ladder.DOCUMENTS.values() if spec)
+    assert not [name for name in names if name not in ladder.DOCUMENTS]
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:64"])
+@pytest.mark.parametrize("where", ["top", "non-normal"])
+def test_tower_documents_put_the_whole_tower_at_one_subgroup(tmp_path, spec, where):
+    path = tmp_path / "tower.json"
+    ladder.write_document(str(path), spec, (ladder.TOWER, where))
+    L = nc.subgroup_lattice(nc.build_group(spec))
+    sid = L.top.lattice_id
+    if where == "non-normal":
+        sid = min(s for s in range(len(L)) if not L.is_normal(s))
+        assert sid != L.top.lattice_id
+    assert json.loads(path.read_text()) == {
+        "entries": [{"subgroup": L.names[sid], "prime": 2, "heights": "all"}]}
+
+
+def test_relabeled_tables_permute_the_element_labels(tmp_path):
+    path = tmp_path / "S4-relabeled.csv"
+    ladder.write_document(str(path), "symmetric:4", (ladder.RELABEL, "relabel:S4"))
+    G = nc.build_group("symmetric:4")
+    perm = list(range(G.order))
+    random.Random("relabel:S4").shuffle(perm)
+    assert perm != sorted(perm)
+    rows = [list(map(int, line.split(","))) for line in path.read_text().splitlines()]
+    assert len(rows) == G.order
+    for a in range(G.order):
+        for b in range(G.order):
+            assert rows[perm[a]][perm[b]] == perm[G.mul(a, b)]
+    assert len(nc.subgroup_lattice(nc.build_group(f"table:{path}"))) == 30
 
 
 def test_random_loci_are_the_benchmark_documents(tmp_path):
@@ -71,3 +111,24 @@ def test_the_runner_names_each_case_that_fails(tmp_path, capsys):
                    "a traceback on stderr", "ran past its 0.01 s limit"):
         assert sum(reason in line for line in failures) == 1, reason
     assert len(failures) == 6  # the slow case is killed, so it also exits -9
+
+
+def test_the_in_process_runner_sets_variables_per_request(monkeypatch, capfd):
+    # a request's NAME=VALUE words hold for it alone; an exception other
+    # than SystemExit prints its traceback and gives exit 1, as the CLI does
+    requests = [["NORMCERT_MAX_GROUP_ORDER=128", "lattice", "--group", "symmetric:5"],
+                ["lattice", "--group", "symmetric:5"],
+                ["lattice", "--group", "cyclic:2", "--bogus"]]
+    runs = [(buf.getvalue(), code) for buf, code in ladder.run_requests(requests, capture=True)]
+    assert [code for _, code in runs] == [0, 2, 2]
+    assert runs[0][0].startswith("group S5 (order 120)\n")
+    assert runs[1][0] == runs[2][0] == ""
+    assert "NORMCERT_MAX_GROUP_ORDER" not in os.environ
+
+    def broken(argv):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(nc.cli, "main", broken)
+    capfd.readouterr()
+    assert [code for _, code in ladder.run_requests([["lattice"]], capture=True)] == [1]
+    assert "ValueError: broken" in capfd.readouterr().err

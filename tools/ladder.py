@@ -12,13 +12,18 @@ otherwise than expected, peaked above its RSS ceiling (``ru_maxrss`` from
 failed its output check, printed a traceback, or exited 2 with no
 ``error:`` line.  It takes no options.
 
-An argument ``@NAME``, or one that ends in it such as ``table:@NAME``, has
-it replaced by the path of the document ``DOCUMENTS[NAME]``,
-written before the first case that reads it in an interpreter of its own,
-or, for a case that builds its inputs, in that case's interpreter.  The
-decide-mix random-locus rule and the document writer here are also used by
-``tools/same_output.py`` and the tests; ``normcert`` is imported only where
-needed, so ``PYTHONPATH`` picks the tree that writes a document.
+A word ``@NAME``, or one that ends in it such as ``table:@NAME``, has it
+replaced by the path of the document ``DOCUMENTS[NAME]``, written before the
+first case that reads it in an interpreter of its own, or, for a case that
+builds its inputs, in that case's interpreter.  ``write_document`` writes
+uniform and random loci, the complete operad, literal bytes, the whole
+2-local tower at G or at the first subgroup that is not normal, and a
+``table:`` CSV whose element labels a seed permutes.  ``run_requests`` runs a
+list of requests through ``cli.main`` in the current interpreter.
+``tools/same_output.py`` writes, names and runs its fixed requests with
+these, and the tests use the decide-mix random-locus rule; ``normcert`` is
+imported only where needed, so ``PYTHONPATH`` picks the tree that writes a
+document.
 """
 
 import dataclasses
@@ -33,6 +38,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOLS = os.path.join(ROOT, "tools")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402  (the decide-mix groups; it does not import normcert)
 
 C2_6 = "cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2*cyclic:2"
 C4_3 = "cyclic:4*cyclic:4*cyclic:4"
@@ -66,13 +75,20 @@ def random_locus(L, seed: str):
     return nc.vanishing_locus(L, primes)
 
 
+TOWER, RELABEL = "tower", "relabel"
+
+
 def write_document(path: str, spec: str | None, rule) -> None:
     """Write to ``path`` the document on ``spec`` that ``rule`` names.
 
     A dict of tops names the uniform locus, a string the random locus it
-    seeds, and None the complete operad, every nested pair listed.  With no
-    spec, ``rule`` is (piece, count), and the file is ``piece`` repeated
-    ``count`` times, an input that no request may read whole.
+    seeds, and None the complete operad, every nested pair listed.
+    (TOWER, "top") names the locus whose one entry is the whole 2-local
+    tower, heights 0 to INFINITY, at G; (TOWER, "non-normal") puts it at the
+    first subgroup that is not normal instead.  (RELABEL, seed) names a
+    ``table:`` CSV of the group, its element labels permuted by
+    ``random.Random(seed)``.  With no spec, ``rule`` is (piece, count), and
+    the file is ``piece`` repeated ``count`` times.
     """
     if spec is None:
         piece, count = rule
@@ -82,9 +98,25 @@ def write_document(path: str, spec: str | None, rule) -> None:
     import normcert as nc
     from normcert import io as nio
 
+    if isinstance(rule, tuple) and rule[0] == RELABEL:
+        G = nc.build_group(spec)
+        perm = list(range(G.order))
+        random.Random(rule[1]).shuffle(perm)
+        rows = [[0] * G.order for _ in range(G.order)]
+        for a in range(G.order):
+            for b in range(G.order):
+                rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
+        with open(path, "w") as fh:
+            fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+        return
     L = nc.subgroup_lattice(nc.build_group(spec))
     if rule is None:
         doc = nio.system_doc(nc.complete_system(L))
+    elif isinstance(rule, tuple):
+        sid = L.top.lattice_id
+        if rule[1] == "non-normal":
+            sid = next(s for s in range(len(L)) if not L.is_normal(s))
+        doc = {"entries": [{"subgroup": L.names[sid], "prime": 2, "heights": "all"}]}
     else:
         doc = nio.locus_doc(nc.uniform_locus(L, rule) if isinstance(rule, dict)
                             else random_locus(L, rule))
@@ -92,7 +124,12 @@ def write_document(path: str, spec: str | None, rule) -> None:
         json.dump(doc, fh)
 
 
-# file name -> (group spec, rule of write_document)
+# the decide-mix groups, by short name, that also get the tower at their
+# first non-normal class in the same-output fixed list
+NON_NORMAL = ("S4", "D64")
+
+# file name -> (group spec, rule of write_document); a spec may name an
+# earlier document with @NAME
 DOCUMENTS = {
     "C2^6-uniform.json": (C2_6, {2: 3}),  # always certifies
     "C2^6-complete.json": (C2_6, None),  # 95,706 pairs, 2.1 MB
@@ -100,12 +137,26 @@ DOCUMENTS = {
     "C4^3-r0.json": (C4_3, "locus:C4^3:0"),  # 26,504 witnesses
     "zeros.json": (None, (b"\0", 65 << 20)),  # 1 MiB past cli.MAX_INPUT_BYTES
     "one-line.csv": (None, (b"0,", 3_000_000)),  # 6 MB, 3,000,000 cells on one line
+    # the documents of the fixed list of tools/same_output.py: S3 as a
+    # multiplication table (permutations of 0, 1, 2 in lexicographic order)
+    # under a name that needs JSON escapes, and a locus on it
+    '\\S3 "hostile", [x] {y} é.csv': (None, (
+        b"0,1,2,3,4,5\n1,0,3,2,5,4\n2,4,0,5,1,3\n3,5,1,4,0,2\n4,2,5,0,3,1\n5,3,4,1,2,0\n", 1)),
+    "hostile-locus.json": (None, (
+        b'{"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]}\n', 1)),
+    **{f"{short}-inf.json": (spec, (TOWER, "top")) for short, spec in workloads.DECIDE_GROUPS},
+    **{f"{short}-non-normal-inf.json": (spec, (TOWER, "non-normal"))
+       for short, spec in workloads.DECIDE_GROUPS if short in NON_NORMAL},
+    "S4-relabeled.csv": ("symmetric:4", (RELABEL, "relabel:S4")),
+    "S4-relabeled-r0.json": ("table:@S4-relabeled.csv", "locus:S4-relabeled:0"),
 }
 
 
 def write_documents(workdir: str, *names: str) -> None:
+    """Write each document of ``DOCUMENTS`` named into ``workdir``, in the order named."""
     for name in names:
-        write_document(os.path.join(workdir, name), *DOCUMENTS[name])
+        spec, rule = DOCUMENTS[name]
+        write_document(os.path.join(workdir, name), spec and resolve(spec, workdir), rule)
 
 
 # output checks on a request's captured stdout: each returns what is wrong, or None
@@ -209,33 +260,81 @@ CASES = (
 )
 
 
+def resolve(word: str, workdir: str) -> str:
+    """``word`` with an ``@NAME`` in it replaced by the path of NAME in ``workdir``."""
+    head, at, name = word.partition("@")
+    return head + os.path.join(workdir, name) if at else word
+
+
 def request_argv(line: str, workdir: str) -> list[str]:
-    """The words of a request line, each ``@NAME`` in them the path of NAME in ``workdir``."""
-    return [head + os.path.join(workdir, name) if at else head
-            for head, at, name in (w.partition("@") for w in line.split())]
+    """The words of a request line, each resolved in ``workdir``."""
+    return [resolve(word, workdir) for word in line.split()]
+
+
+def document_names(words) -> list[str]:
+    """The names that ``@NAME`` words give, each once, in order."""
+    return list(dict.fromkeys(w.partition("@")[2] for w in words if "@" in w))
 
 
 def _documents(case: Case) -> list[str]:
-    words = (w for line in case.requests for w in line.split())
-    return list(dict.fromkeys(w.partition("@")[2] for w in words if "@" in w))
+    return document_names(w for line in case.requests for w in line.split())
+
+
+def split_env(request: list[str]) -> tuple[dict[str, str], list[str]]:
+    """A request's leading ``NAME=VALUE`` words, as a dict, and the argv after them."""
+    n = 0
+    while n < len(request) and "=" in request[n]:
+        n += 1
+    return dict(word.split("=", 1) for word in request[:n]), request[n:]
+
+
+def run_requests(requests, capture: bool):
+    """Run each request through ``cli.main`` in this interpreter; yield (stdout, exit code).
+
+    A request is a list of words: ``NAME=VALUE`` words, set in the
+    environment for that request alone, then the argv.  With ``capture``
+    its stdout goes to the ``io.StringIO`` yielded, else where ``sys.stdout``
+    goes, and the one yielded stays empty.  ``SystemExit`` gives the exit
+    code; any other exception, as under ``python -m normcert.cli``, prints
+    its traceback to the interpreter's own stderr (even where ``sys.stderr``
+    is redirected) and gives exit 1.
+    """
+    import contextlib
+    import io
+    import traceback
+
+    from normcert import cli
+
+    for request in requests:
+        extra, argv = split_env(request)
+        saved = {name: os.environ.get(name) for name in extra}
+        os.environ.update(extra)
+        buf = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(buf) if capture else contextlib.nullcontext():
+                code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc(file=sys.__stderr__)
+            code = 1
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
+        yield buf, code
 
 
 def _child(workdir: str, fields: dict) -> int:
     """Run one case's requests in this interpreter and return the last exit code."""
-    import contextlib
-    import io
-
-    from normcert import cli
-
     case = Case(**fields)
     if case.build_inputs:
         write_documents(workdir, *_documents(case))
     out = ["--out", os.path.join(workdir, "out")] if case.sink == OUT else []
-    for line in case.requests:
-        argv = request_argv(line, workdir) + out
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf) if case.sink == CAPTURED else contextlib.nullcontext():
-            code = cli.main(argv)
+    argvs = [request_argv(line, workdir) + out for line in case.requests]
+    for buf, code in run_requests(argvs, case.sink == CAPTURED):
         if code != case.exit:
             return code
         problem = case.check and CHECKS[case.check[0]](buf.getvalue(), case.check[1])

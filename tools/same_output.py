@@ -2,113 +2,48 @@
 
     python3 tools/same_output.py BASE_REV [--seeds 1 2]
 
-BASE_REV is checked out into a temporary ``git worktree``.  Each workload's
-input documents are written once, with the base tree.  Then every request of
-the given seeds of all three benchmark workloads runs through the base tree
-and through this working tree, each request in its own ``python -m
-normcert.cli`` subprocess, and the sha256 of its stdout and its exit code
-are compared.  The request streams come from ``perfbench/workloads.py``.
-Each seed's stream, and the fixed list below, then runs once more on this
-working tree, all of it in one interpreter through ``cli.main`` with stdout
-captured as ``perfbench/child.py`` captures it, and each request's sha256
-and exit code are compared with the base tree's subprocess result: state
-that one request leaves in the process, such as a kept subgroup lattice,
-must not change what a later one prints.
-No stream prints a subgroup lattice, so a fixed list of ``lattice`` (text
-and structured) and ``dot --what subgroup-lattice`` requests over every
-group of the three workloads, and over D8xD8, runs as well.  D8xD8 (389
-subgroups) is there because its lattice build lists 64-bit element masks,
-many of which take the dense branch of ``groups._bits``, next to 389-bit
-subgroup id masks, which take the sparse one.  The fixed list also runs
-structured ``lattice``, ``transfer-enumerate`` and ``decide --operad
-complete`` on a ``table:`` CSV of S3, written into the scratch directory,
-whose file name holds ``"``, ``\\``, ``,``, ``[``, ``{`` and ``é``, so the
-JSON escaping of the group name is compared too.  No stream validates a
-locus either, so the fixed list goes on with ``spectrum-validate --strict``,
-text and structured, on each decide-mix group's ``u0``, ``r0`` and ``r1``
-locus documents.  No stream sends an inline vector spelled with spaces,
-``+1``, ``-1``, ``none`` or ``inf``, or a malformed one, so it runs
-``spectrum-validate --strict`` and ``decide --operad complete``, text and
-structured, on ten ``--ell`` vectors: six that parse, one of which breaks
-the chain inequality, and ``2,()``, ``2,(0,,1)``, ``x,(0)`` and ``2,(11)``,
-which exit 2.  No stream's decision report has an INFINITY height
-either, so the fixed list ends with ``decide --operad complete --strict``,
-text and structured, on each decide-mix group against a locus document,
-written into the scratch directory, whose one entry puts the whole 2-local
-tower (``"heights": "all"``) at G itself: every norm K -> G fails there,
-each witness at height ``"inf"`` (68 of them on D64, exit 1).  On S4 and
-D64 it also runs against the tower at the first class of subgroups that
-are not normal, whose witnesses include norms K -> H with K normal in H
-but not in G, the coset sweep of the Mackey cuts (S4: 162 witnesses, 36
-of that kind, 6 of them with several blocks; D64: 1248 and 64).  No stream
-decides with witnesses on a non-default element labelling, yet the least
-element of each double coset, which the ``checked`` lists print, moves with
-the labels, and so does the least element of each left coset that the
-lattice marks.  So the fixed list also runs ``decide --operad complete
---strict``, text and structured, on a ``table:`` CSV of S4 whose element
-labels are permuted by the seed ``relabel:S4``, against a random locus by
-the decide-mix rule (seed ``locus:S4-relabeled:0``), both written into the
-scratch directory: 949 witnesses, exit 1.  The streams
-sweep only C8, C27 and C25 with ``cross-validate``, so the fixed list also
-runs it, text and structured, on the trivial group (``--n 0``), at height
-bound 0 (``--n 1 --prime 2``) and on C1331 (``--n 3 --prime 11``), which
-exits 2.  It ends with every request of the bounded cases of
-``tools/ladder.py``, each once, to stdout: the largest requests under each
-documented bound, which no stream sends.  Among them are C343 at the order
-bound, D12 and S4 above the pair bound, the largest documents that
-``indented_json`` writes, the largest decision reports (D8xD8 against a
-random locus by the decide-mix rule, 503,371 witnesses), the largest pair
-mask (C2^6's complete operad, 95,706 bits, also read as a document that
-lists every pair) and fourteen lattices above the default order bound.  The
-documents they read are written into the scratch directory with the base
-tree.
-A request may begin with ``NAME=VALUE`` words, as a shell command line
-does; those variables are set for that request only, in its subprocesses
-and in the one-interpreter run.
-A last batch interleaves ``lattice``, ``dot`` and ``decide --ell`` requests
-under ``NORMCERT_MAX_GROUP_ORDER=128`` with the same groups under the
-default bound, so its one-interpreter run checks that a lattice kept under
-one bound prints the same under the other; S5 and C128, past the default
-bound, are built on each request.
-
-Every request of every batch is compared, and each difference is printed,
-naming its request, as it is found, so one difference hides no later one.
-Exits 0 when every request agrees and 1 when any differs.
+BASE_REV is checked out into a temporary ``git worktree``, and every
+document the requests read is written once, with the base tree.  Each
+request runs in its own ``python -m normcert.cli`` subprocess of the base
+tree and of this working tree, and the sha256 of its stdout and its exit
+code are compared.  Each batch then runs once more on this working tree, all
+of it in one interpreter through ``cli.main``, against the base tree's
+subprocess results, so that state one request leaves in the process cannot
+change what a later one prints.  The batches are the fixed list below, the
+raised-bound batch, and the given seeds of the three benchmark workloads'
+request streams (``perfbench/workloads.py``).  A request may begin with
+``NAME=VALUE`` words, set for that request alone.  Each difference is
+printed, naming its request, as it is found; exits 0 when every request
+agrees and 1 when any differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import json
+import io
+import itertools
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH = os.path.join(ROOT, "perfbench")
-sys.path.insert(0, PERFBENCH)
-
-import ladder  # noqa: E402
-import workloads  # noqa: E402
-from ladder import TOOLS, tree_env  # noqa: E402
+import ladder
+import workloads
+from ladder import PERFBENCH, ROOT, TOOLS, split_env, tree_env
 
 
-def call_with(tree: str, cwd: str, call: str, *args: str) -> None:
-    """Call ``MODULE.FUNCTION(*args)`` in an interpreter that imports ``normcert`` from ``tree``."""
+def call_with(tree: str, cwd: str, call: str, *args: str) -> str:
+    """Call ``MODULE.FUNCTION(*args)`` in an interpreter that imports ``normcert`` from ``tree``.
+
+    Returns what the call printed.
+    """
     code = f"import sys, {call.split('.')[0]}; {call}(*sys.argv[1:])"
-    subprocess.run([sys.executable, "-c", code, *args], env=tree_env(tree, PERFBENCH, TOOLS),
-                   cwd=cwd, check=True)
-
-
-def split_env(request: list[str]) -> tuple[dict[str, str], list[str]]:
-    """A request's leading ``NAME=VALUE`` words, as a dict, and the argv after them."""
-    n = 0
-    while n < len(request) and "=" in request[n]:
-        n += 1
-    return dict(word.split("=", 1) for word in request[:n]), request[n:]
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=tree_env(tree, PERFBENCH, TOOLS), cwd=cwd, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def outcomes(trees: list[str], request: list[str], cwd: str) -> list[tuple[str, int]]:
@@ -127,6 +62,10 @@ def outcomes(trees: list[str], request: list[str], cwd: str) -> list[tuple[str, 
     return out
 
 
+# No stream prints a subgroup lattice.  D8xD8 (389 subgroups) is there
+# because its lattice build lists 64-bit element masks, many of which take
+# the dense branch of ``groups._bits``, next to 389-bit subgroup id masks,
+# which take the sparse one.
 def lattice_requests() -> list[list[str]]:
     """Every way to print the subgroup lattice of every workload group and of D8xD8."""
     specs = dict.fromkeys(
@@ -144,34 +83,21 @@ def lattice_requests() -> list[list[str]]:
     ]
 
 
-# S3 as a multiplication table, permutations of 0, 1, 2 in lexicographic order
-S3_TABLE = ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 4, 0, 5, 1, 3),
-            (3, 5, 1, 4, 0, 2), (4, 2, 5, 0, 3, 1), (5, 3, 4, 1, 2, 0))
-HOSTILE_CSV = '\\S3 "hostile", [x] {y} é.csv'
+# structured requests on S3 as a table: CSV whose file name holds ``"``,
+# ``\``, ``,``, ``[``, ``{`` and ``é``, so the JSON escaping of the group
+# name is compared too
+HOSTILE = 'table:@\\S3 "hostile", [x] {y} é.csv'
+HOSTILE_REQUESTS = [
+    ["lattice", "--group", HOSTILE, "--format", "structured"],
+    ["transfer-enumerate", "--group", HOSTILE, "--format", "structured"],
+    ["decide", "--group", HOSTILE, "--operad", "complete", "--locus", "@hostile-locus.json",
+     "--format", "structured"],
+]
 
 
-def hostile_requests(scratch: str) -> list[list[str]]:
-    """Structured requests on S3 under a name that needs JSON escapes.
-
-    Writes the table and a locus document into ``scratch``.
-    """
-    table = os.path.join(scratch, HOSTILE_CSV)
-    with open(table, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(",".join(map(str, row)) for row in S3_TABLE) + "\n")
-    locus = os.path.join(scratch, "hostile-locus.json")
-    with open(locus, "w", encoding="utf-8") as fh:
-        fh.write('{"entries": [{"subgroup": "C2#0", "prime": "any", "heights": [0]}]}\n')
-    spec = f"table:{table}"
-    return [
-        ["lattice", "--group", spec, "--format", "structured"],
-        ["transfer-enumerate", "--group", spec, "--format", "structured"],
-        ["decide", "--group", spec, "--operad", "complete", "--locus", locus,
-         "--format", "structured"],
-    ]
-
-
+# No stream validates a locus.
 def locus_requests(decide_dir: str) -> list[list[str]]:
-    """``spectrum-validate`` on decide-mix locus documents.
+    """``spectrum-validate --strict`` on each decide-mix group's ``u0``, ``r0`` and ``r1`` loci.
 
     ``decide_dir`` holds the decide-mix inputs.
     """
@@ -184,10 +110,10 @@ def locus_requests(decide_dir: str) -> list[list[str]]:
     ]
 
 
-# inline vectors with every spelling an entry may take: spaces, +1, -1,
-# none and inf; the second breaks the chain inequality (2 is more than one
-# above 0), and the last four exit 2: no entry, an empty entry, no prime and
-# a height past the input bound
+# No stream sends an inline vector spelled with spaces, +1, -1, none or inf,
+# or a malformed one.  The second breaks the chain inequality (2 is more
+# than one above 0), and the last four exit 2: no entry, an empty entry, no
+# prime and a height past the input bound.
 ELL_VECTORS = ("2,(1,0,none,inf)", "3,(2,0)", "2, ( +1 , 0,-1 )", "3,(inf, none , -1)",
                "2,(inf,+2, 1 ,none)", "5,( +0 )", "2,()", "2,(0,,1)", "x,(0)", "2,(11)")
 
@@ -202,82 +128,42 @@ def ell_requests() -> list[list[str]]:
     ]
 
 
-# the whole 2-local tower, heights 0 to INFINITY, at G ("top") or at the
-# class of the first subgroup that is not normal ("non-normal"); each
-# witness names the prime of height "inf"
-INF_LOCUS = """import json, sys, normcert as nc
-for spec, where, path in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
-    L = nc.subgroup_lattice(nc.build_group(spec))
-    sid = L.top.lattice_id
-    if where == "non-normal":
-        sid = next(s for s in range(len(L)) if not L.is_normal(s))
-    with open(path, "w") as fh:
-        json.dump({"entries": [{"subgroup": L.names[sid], "prime": 2, "heights": "all"}]}, fh)
-"""
-
-# groups whose first non-normal class also gets the tower: its witnesses
-# include norms K -> H with K normal in H but not in G, several Mackey blocks
-# each on S4 (on D64 each such K has index 2 in H, so one block)
-NON_NORMAL_GROUPS = ("symmetric:4", "dihedral:64")
-
-
-def inf_locus_requests(tree: str, scratch: str) -> list[list[str]]:
-    """``decide --operad complete --strict`` on INFINITY loci.
-
-    One locus per decide-mix group at G, and one per group of
-    ``NON_NORMAL_GROUPS`` at its first non-normal class.  Writes the locus
-    documents into ``scratch`` with ``tree``.
-    """
-    loci = [(spec, "top", os.path.join(scratch, f"{short}-inf.json"))
-            for short, spec in workloads.DECIDE_GROUPS]
-    loci += [(spec, "non-normal", os.path.join(scratch, f"{short}-non-normal-inf.json"))
-             for short, spec in workloads.DECIDE_GROUPS if spec in NON_NORMAL_GROUPS]
-    subprocess.run([sys.executable, "-c", INF_LOCUS, *(a for locus in loci for a in locus)],
-                   env=tree_env(tree), cwd=scratch, check=True)
+# No stream's decision report has an INFINITY height.  Against the whole
+# 2-local tower at G every norm K -> G fails, each witness at height "inf"
+# (68 of them on D64, exit 1).  On S4 and D64 the tower also sits at the
+# first class of subgroups that are not normal, whose witnesses include
+# norms K -> H with K normal in H but not in G, the coset sweep of the
+# Mackey cuts (S4: 162 witnesses, 36 of that kind, 6 of them with several
+# blocks; D64: 1248 and 64, each K of index 2 in H, so one block).
+def inf_locus_requests() -> list[list[str]]:
+    """``decide --operad complete --strict`` on the tower loci."""
+    loci = [(spec, f"@{short}-inf.json") for short, spec in workloads.DECIDE_GROUPS]
+    loci += [(spec, f"@{short}-non-normal-inf.json") for short, spec in workloads.DECIDE_GROUPS
+             if short in ladder.NON_NORMAL]
     return [
-        ["decide", "--group", spec, "--operad", "complete", "--locus", path, "--strict",
+        ["decide", "--group", spec, "--operad", "complete", "--locus", locus, "--strict",
          "--format", fmt]
-        for spec, _, path in loci
+        for spec, locus in loci
         for fmt in ("text", "structured")
     ]
 
 
-# S4 with its element labels permuted by the seed "relabel:S4", written as a
-# CSV multiplication table to the path given
-RELABELED_S4 = """import random, sys, normcert as nc
-G = nc.symmetric(4)
-perm = list(range(G.order))
-random.Random("relabel:S4").shuffle(perm)
-rows = [[0] * G.order for _ in range(G.order)]
-for a in range(G.order):
-    for b in range(G.order):
-        rows[perm[a]][perm[b]] = perm[G.mul(a, b)]
-with open(sys.argv[1], "w") as fh:
-    fh.write("".join(",".join(map(str, row)) + "\\n" for row in rows))
-"""
+# No stream decides with witnesses on a non-default element labelling, yet
+# the least element of each double coset, which the ``checked`` lists print,
+# moves with the labels, and so does the least element of each left coset
+# that the lattice marks.  S4 with its labels permuted by the seed
+# "relabel:S4", against a random locus by the decide-mix rule: 949
+# witnesses, exit 1.
+RELABELED_REQUESTS = [
+    ["decide", "--group", "table:@S4-relabeled.csv", "--operad", "complete",
+     "--locus", "@S4-relabeled-r0.json", "--strict", "--format", fmt]
+    for fmt in ("text", "structured")
+]
 
 
-def relabeled_requests(tree: str, scratch: str) -> list[list[str]]:
-    """Random-locus decisions on S4 under permuted element labels.
-
-    The least elements of double cosets, which the ``checked`` lists print,
-    move with the labels.  Writes the table and the locus into ``scratch``
-    with ``tree``.
-    """
-    table = os.path.join(scratch, "S4-relabeled.csv")
-    subprocess.run([sys.executable, "-c", RELABELED_S4, table],
-                   env=tree_env(tree), cwd=scratch, check=True)
-    locus = os.path.join(scratch, "S4-relabeled-r0.json")
-    call_with(tree, scratch, "ladder.write_document", locus, f"table:{table}",
-              "locus:S4-relabeled:0")
-    return [
-        ["decide", "--group", f"table:{table}", "--operad", "complete", "--locus", locus,
-         "--strict", "--format", fmt]
-        for fmt in ("text", "structured")
-    ]
-
-
-# the trivial group, height bound 0, and C1331 past the bound; C343 is a ladder case
+# The streams sweep only C8, C27 and C25 with cross-validate: here the
+# trivial group, height bound 0, and C1331, past the order bound, which
+# exits 2; C343 is a ladder case.
 XVAL_ARGS = (("0", "2", "5"), ("1", "2", "0"), ("3", "11", "0"))
 
 
@@ -290,20 +176,31 @@ def xval_requests() -> list[list[str]]:
     ]
 
 
-def ladder_requests(tree: str, scratch: str) -> list[list[str]]:
+# The largest requests under each documented bound, which no stream sends:
+# C343 at the order bound, D12 and S4 above the pair bound, the largest
+# documents ``indented_json`` writes, the largest decision reports (D8xD8
+# against a random locus, 503,371 witnesses), the largest pair mask (C2^6's
+# complete operad, 95,706 bits, also read as a document) and fourteen
+# lattices above the default order bound.
+def ladder_requests() -> list[list[str]]:
     """Every request of the bounded cases of ``tools/ladder.py``, once each.
 
-    Each writes to stdout here, whatever its case's sink.  Writes the
-    documents they read into ``scratch`` with ``tree``.
+    Each writes to stdout here, whatever its case's sink, with its case's
+    variables set for it alone.
     """
-    call_with(tree, scratch, "ladder.write_documents", scratch, *ladder.DOCUMENTS)
     requests = dict.fromkeys(
-        (*(f"{name}={value}" for name, value in case.env.items()),
-         *ladder.request_argv(line, scratch))
+        (*(f"{name}={value}" for name, value in case.env.items()), *line.split())
         for case in ladder.CASES
         for line in case.requests
     )
     return [list(request) for request in requests]
+
+
+def fixed_list(decide_dir: str) -> list[list[str]]:
+    """The fixed requests, ``@NAME`` words naming documents of ``ladder.DOCUMENTS``."""
+    return (lattice_requests() + HOSTILE_REQUESTS + locus_requests(decide_dir)
+            + ell_requests() + inf_locus_requests() + RELABELED_REQUESTS + xval_requests()
+            + ladder_requests())
 
 
 # lattices of small groups read under a raised order bound, between the
@@ -330,37 +227,24 @@ RAISED_BOUND_REQUESTS = [
 ]
 
 
-# every request of a batch through ``cli.main`` in one interpreter, stdout
-# captured as ``perfbench/child.py`` captures it; (variables, argv) pairs
-# come on stdin, and each request's variables are set for it alone
-IN_PROCESS = """import contextlib, hashlib, io, json, os, sys, traceback
-from normcert import cli
-out = []
-for extra, argv in json.load(sys.stdin):
-    os.environ.update(extra)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        except Exception:  # a traceback ends python -m normcert.cli with exit 1
-            traceback.print_exc(file=sys.__stderr__)
-            rc = 1
-    for name in extra:
-        del os.environ[name]
-    out.append((hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc))
-json.dump(out, sys.stdout)
-"""
+def print_outcomes(*words: str) -> None:
+    """Print ``SHA256 EXIT`` for each request, all run in this interpreter.
+
+    Each request is its words followed by an empty word.  Stdout is
+    captured as ``perfbench/child.py`` captures it; ``error:`` lines are
+    dropped, and a traceback is printed.
+    """
+    requests = [list(group) for nonempty, group in itertools.groupby(words, bool) if nonempty]
+    with contextlib.redirect_stderr(io.StringIO()):
+        for buf, code in ladder.run_requests(requests, capture=True):
+            print(hashlib.sha256(buf.getvalue().encode()).hexdigest(), code)
 
 
 def in_process_outcomes(requests: list[list[str]], cwd: str) -> list[tuple[str, int]]:
     """(sha256 of stdout, exit code) of each request, all run in one interpreter of this tree."""
-    pairs = [split_env(request) for request in requests]
-    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], input=json.dumps(pairs),
-                          env=tree_env(ROOT), cwd=cwd, stdout=subprocess.PIPE, text=True,
-                          check=True)
-    return [tuple(o) for o in json.loads(proc.stdout)]
+    words = [word for request in requests for word in (*request, "")]
+    out = call_with(ROOT, cwd, "same_output.print_outcomes", *words)
+    return [(sha, int(code)) for sha, code in map(str.split, out.splitlines())]
 
 
 def mismatch(what: str, request: list[str], base_out: tuple, head_out: tuple) -> str:
@@ -407,19 +291,18 @@ def compare(base: str, seeds: list[int], scratch: str) -> list[str]:
         workdir = workdirs[workload] = os.path.join(scratch, workload)
         os.makedirs(workdir)
         call_with(base, workdir, "workloads.write_inputs", workload, workdir)
-    requests = (lattice_requests() + hostile_requests(scratch)
-                + locus_requests(workdirs["decide-mix"]) + ell_requests()
-                + inf_locus_requests(base, scratch)
-                + relabeled_requests(base, scratch) + xval_requests()
-                + ladder_requests(base, scratch))
+    fixed = fixed_list(workdirs["decide-mix"])
+    call_with(base, scratch, "ladder.write_documents", scratch,
+              *ladder.document_names(word for request in fixed for word in request))
     diffs = []
-    for label, batch in (("fixed list", requests), ("raised bound", RAISED_BOUND_REQUESTS)):
-        diffs += compare_batch(base, label, batch, scratch)
+    for label, batch in (("fixed list", fixed), ("raised bound", RAISED_BOUND_REQUESTS)):
+        requests = [[ladder.resolve(word, scratch) for word in request] for request in batch]
+        diffs += compare_batch(base, label, requests, scratch)
     for workload, workdir in workdirs.items():
         for seed in seeds:
-            argvs = [[os.path.join(workdir, a[1:]) if a.startswith("@") else a
-                      for a in req["argv"]] for req in workloads.stream(workload, seed)]
-            diffs += compare_batch(base, f"{workload} seed {seed}", argvs, workdir)
+            requests = [[ladder.resolve(word, workdir) for word in req["argv"]]
+                        for req in workloads.stream(workload, seed)]
+            diffs += compare_batch(base, f"{workload} seed {seed}", requests, workdir)
     return diffs
 
 
